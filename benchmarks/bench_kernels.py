@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
-"""Time the enumeration kernels on both backends.
+"""Time the enumeration kernels.
 
 Runs the exhaustive and backtracking engines over a few residue-ring
-cells with the numba kernels and the pure-numpy fallback, and prints
-one line per (engine, cell, backend) with the best-of-N wall time.
-The counts are asserted against the closed-form exponents, so this
-doubles as a smoke test at sizes the unit suite does not visit."""
+cells and prints one line per (engine, cell) with the best-of-N wall
+time.  The counts are asserted against the closed-form exponents, so
+this doubles as a smoke test at sizes the unit suite does not visit."""
 
 import argparse
 import time
 
-from cpfq._kernels import HAVE_NUMBA, backend_name
 from cpfq.counting import count_cpf
 from cpfq.field import field_make
 from cpfq.oracle import EnumerationGuard, count_cpf_bruteforce
@@ -43,32 +41,15 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    backends = ["numpy"] + (["numba"] if HAVE_NUMBA else [])
-    print(f"numba importable: {HAVE_NUMBA}; default backend: {backend_name()}")
     F2 = field_make(2)
-    tiny_f, tiny_g = parse(F2, "t"), parse(F2, "t")
-    for b in backends:
-        # first call pays any JIT compilation; keep it out of the timings
-        count_cpf_bruteforce(tiny_f, tiny_g, engine="backtracking", backend=b)
-        count_cpf_bruteforce(tiny_f, tiny_g, engine="exhaustive", backend=b)
-
-    print(f"{'engine':<13} {'f':<5} {'g':<9} {'count':<7} "
-          + "".join(f"{b + ' (s)':>12}" for b in backends)
-          + ("     speedup" if HAVE_NUMBA else ""))
+    print(f"{'engine':<13} {'f':<5} {'g':<9} {'count':<7} {'time (s)':>10}")
     for engine, ftext, gtext in CELLS:
         f, g = parse(F2, ftext), parse(F2, gtext)
         expect = count_cpf(f, g)
-        times = []
-        for b in backends:
-            dt, got = best_of(args.repeats, lambda b=b: count_cpf_bruteforce(
-                f, g, engine=engine, guard=GUARD, backend=b))
-            assert expect.equals_int(got), (engine, ftext, gtext, b, got)
-            times.append(dt)
-        line = (f"{engine:<13} {ftext:<5} {gtext:<9} {str(expect):<7} "
-                + "".join(f"{dt:>12.4f}" for dt in times))
-        if HAVE_NUMBA:
-            line += f"{times[0] / times[1]:>11.1f}x"
-        print(line)
+        dt, got = best_of(args.repeats, lambda: count_cpf_bruteforce(
+            f, g, engine=engine, guard=GUARD))
+        assert expect.equals_int(got), (engine, ftext, gtext, got)
+        print(f"{engine:<13} {ftext:<5} {gtext:<9} {str(expect):<7} {dt:>10.4f}")
 
 
 if __name__ == "__main__":

@@ -10,23 +10,42 @@ from .chen import (ChenVerdict, DensityReport, GAMMA_INF, chen_self_count,
 from .counting import (QExponent, count_cpf, count_cpf_local, count_polyfn,
                        count_polyfn_local, deg_gcd_factorial,
                        exponent_identity_check)
-from .field import FieldElement, FieldSpec, field_from_index, field_index, field_make
+from .field import FieldElement, FieldSpec, field_make
 from .oracle import (CpCheck, EnumerationGuard, GuardExceeded, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
                      encode_cp_problem, enumerate_cpf_tables,
                      is_congruence_preserving, is_polynomial_function,
                      is_squarefree_gcd, polyfn_module, polyfn_submodule,
                      random_polynomial_function, random_table)
-from .polyring import (Factorization, ParseError, Poly, enumerate_residues,
-                       factorial, factorize, gcd, index_to_poly, is_irreducible,
-                       monic_divisors, monic_irreducibles, parse, poly_to_index,
-                       to_text, valuation, xgcd)
+from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
+                       enumerate_residues, factorial, factorize, gcd,
+                       index_to_poly, is_irreducible, monic_divisors,
+                       monic_irreducibles, parse, poly_to_index, to_text,
+                       valuation, xgcd)
 from .residue import (FunctionTable, ResidueRing, crt_combine, crt_split,
                       reduce_mod)
 from .wagner import (BasisCoefficients, BasisReport, CrtReport, PSequence,
-                     crt_characterize, decompose, eval_Bk, eval_Qk,
-                     is_cpf_via_basis, mu)
+                     crt_characterize, decompose, eval_Qk, is_cpf_via_basis,
+                     mu)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BasisCoefficients", "BasisReport", "ChenVerdict", "CpCheck", "CrtReport",
+    "DensityReport", "EnumerationGuard", "Factorization", "FieldElement",
+    "FieldSpec", "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence",
+    "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
+    "census_self_chen", "census_squarefree", "chen_self_count",
+    "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
+    "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
+    "decompose", "deg_gcd_factorial", "degree_n_polys", "density_empirical",
+    "density_exact", "encode_cp_problem", "enumerate_cpf_tables",
+    "enumerate_residues", "eval_Qk", "exponent_identity_check", "factorial",
+    "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
+    "index_to_poly", "is_chen_pair", "is_congruence_preserving",
+    "is_cpf_via_basis", "is_irreducible", "is_polynomial_function",
+    "is_self_chen", "is_squarefree_gcd", "monic_divisors",
+    "monic_irreducibles", "mu", "parse", "poly_to_index", "polyfn_module",
+    "polyfn_submodule", "random_polynomial_function", "random_table",
+    "reduce_mod", "squarefree_count", "to_text", "valuation", "xgcd",
+]

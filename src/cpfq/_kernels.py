@@ -16,46 +16,19 @@ serve both engines:
     constraint (this mirrors the one-position-at-a-time extension
     argument and typically visits far fewer rows).
 
-Each kernel exists twice: a numba @njit version and a pure-numpy
-vectorized version.  CPFQ_KERNEL_BACKEND=auto|numba|numpy picks one
-(auto prefers numba when importable).  Callers bound C^D and result
-sizes before dispatch; kernels assume the bounds hold.
+The kernels are vectorized numpy, working on blocks of about _CHUNK
+rows.  Callers bound C^D and result sizes before dispatch; kernels
+assume the bounds hold.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via CPFQ_KERNEL_BACKEND
-    HAVE_NUMBA = False
-
-ENV_VAR = "CPFQ_KERNEL_BACKEND"
-
-
-def backend_name(override: str | None = None) -> str:
-    choice = override or os.environ.get(ENV_VAR, "auto")
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not importable")
-        return "numba"
-    if choice == "numpy":
-        return "numpy"
-    raise ValueError(f"unknown backend {choice!r} (want auto, numba or numpy)")
-
-
-# ----------------------------------------------------------- numpy path
 _CHUNK = 1 << 18
 
 
-def count_exhaustive_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
+def count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
     total = C ** D
     count = 0
     flat = [(j, cons_src[c], cons_div[c])
@@ -70,142 +43,50 @@ def count_exhaustive_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int
     return count
 
 
-def enumerate_backtracking_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class,
-                                 cap: int):
+def _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class):
+    """(n, C) mask of the values position j may take after each of the n
+
+    prefixes in rows (shape (n, j))."""
+    mask = np.ones((rows.shape[0], C), dtype=bool)
+    for c in range(cons_ptr[j], cons_ptr[j + 1]):
+        cls = cod_class[cons_div[c]]
+        mask &= cls[rows[:, cons_src[c]], None] == cls
+    return mask
+
+
+def _grow(rows, mask):
+    """The extended prefixes that mask allows, in (prefix, value) order."""
+    parent, val = np.nonzero(mask)
+    return np.concatenate([rows[parent], val[:, None]], axis=1)
+
+
+def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class,
+                           cap: int):
     """All valid rows as an (n, D) array, or None when n would exceed cap."""
     rows = np.zeros((1, 0), dtype=np.int64)
-    vals_all = np.arange(C, dtype=np.int64)
     for j in range(D):
-        n = rows.shape[0]
-        ext = np.repeat(rows, C, axis=0)
-        vals = np.tile(vals_all, n)
-        mask = np.ones(n * C, dtype=bool)
-        for c in range(cons_ptr[j], cons_ptr[j + 1]):
-            h = cons_div[c]
-            mask &= cod_class[h][vals] == cod_class[h][ext[:, cons_src[c]]]
-        rows = np.concatenate([ext[mask], vals[mask, None]], axis=1)
+        rows = _grow(rows, _extend(rows, j, C, cons_ptr, cons_src, cons_div,
+                                   cod_class))
         if cap >= 0 and rows.shape[0] > cap:
             return None
     return rows
 
 
-def count_backtracking_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
-    rows = enumerate_backtracking_numpy(D, C, cons_ptr, cons_src, cons_div,
-                                        cod_class, -1)
-    return int(rows.shape[0])
+def count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
+    """Number of valid rows, walking the prefixes depth-first in blocks of
 
-
-# ----------------------------------------------------------- numba path
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _count_exhaustive_numba(D, C, cons_ptr, cons_src, cons_div, cod_class):
-        sigma = np.zeros(D, dtype=np.int64)
-        count = 0
-        while True:
-            ok = True
-            for j in range(D):
-                for c in range(cons_ptr[j], cons_ptr[j + 1]):
-                    h = cons_div[c]
-                    if cod_class[h, sigma[j]] != cod_class[h, sigma[cons_src[c]]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                count += 1
-            pos = 0
-            while pos < D and sigma[pos] == C - 1:
-                sigma[pos] = 0
-                pos += 1
-            if pos == D:
-                return count
-            sigma[pos] += 1
-
-    @njit(cache=True)
-    def _count_backtracking_numba(D, C, cons_ptr, cons_src, cons_div, cod_class):
-        sigma = np.zeros(D, dtype=np.int64)
-        count = 0
-        j = 0
-        sigma[0] = -1
-        while j >= 0:
-            sigma[j] += 1
-            if sigma[j] >= C:
-                j -= 1
-                continue
-            ok = True
-            for c in range(cons_ptr[j], cons_ptr[j + 1]):
-                h = cons_div[c]
-                if cod_class[h, sigma[j]] != cod_class[h, sigma[cons_src[c]]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == D - 1:
-                count += 1
-            else:
-                j += 1
-                sigma[j] = -1
-        return count
-
-    @njit(cache=True)
-    def _enumerate_backtracking_numba(D, C, cons_ptr, cons_src, cons_div,
-                                      cod_class, out):
-        sigma = np.zeros(D, dtype=np.int64)
-        cap = out.shape[0]
-        count = 0
-        j = 0
-        sigma[0] = -1
-        while j >= 0:
-            sigma[j] += 1
-            if sigma[j] >= C:
-                j -= 1
-                continue
-            ok = True
-            for c in range(cons_ptr[j], cons_ptr[j + 1]):
-                h = cons_div[c]
-                if cod_class[h, sigma[j]] != cod_class[h, sigma[cons_src[c]]]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if j == D - 1:
-                if count >= cap:
-                    return -1
-                for i in range(D):
-                    out[count, i] = sigma[i]
-                count += 1
-            else:
-                j += 1
-                sigma[j] = -1
-        return count
-
-
-def count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class,
-                     backend: str | None = None) -> int:
-    if backend_name(backend) == "numba":
-        return int(_count_exhaustive_numba(D, C, cons_ptr, cons_src, cons_div,
-                                           cod_class))
-    return count_exhaustive_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class)
-
-
-def count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class,
-                       backend: str | None = None) -> int:
-    if backend_name(backend) == "numba":
-        return int(_count_backtracking_numba(D, C, cons_ptr, cons_src, cons_div,
-                                             cod_class))
-    return count_backtracking_numpy(D, C, cons_ptr, cons_src, cons_div, cod_class)
-
-
-def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class,
-                           cap: int, backend: str | None = None):
-    """(n, D) array of all valid rows, or None when n exceeds cap."""
-    if backend_name(backend) == "numba":
-        out = np.empty((cap, D), dtype=np.int64)
-        n = _enumerate_backtracking_numba(D, C, cons_ptr, cons_src, cons_div,
-                                          cod_class, out)
-        if n < 0:
-            return None
-        return out[:n].copy()
-    return enumerate_backtracking_numpy(D, C, cons_ptr, cons_src, cons_div,
-                                        cod_class, cap)
+    about _CHUNK // C, so memory stays bounded by D blocks however many
+    rows are valid; the last position is counted, not materialized."""
+    block = max(1, _CHUNK // C)
+    count = 0
+    stack = [(0, np.zeros((1, 0), dtype=np.int64))]
+    while stack:
+        j, rows = stack.pop()
+        mask = _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class)
+        if j == D - 1:
+            count += int(mask.sum())
+            continue
+        grown = _grow(rows, mask)
+        for start in range(0, grown.shape[0], block):
+            stack.append((j + 1, grown[start:start + block]))
+    return count

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldSpec
-from .polyring import Poly, factorize, index_to_poly, is_irreducible
+from .polyring import (Poly, degree_n_polys, factorize, is_irreducible,
+                       power_exceeds)
 
 GAMMA_INF = math.inf
 
@@ -149,22 +150,17 @@ def density_empirical(field: FieldSpec, max_degree: int,
     q = field.q
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if q ** max_degree > guard:
+    if power_exceeds(q, max_degree, guard):
         raise ValueError(f"q^max_degree exceeds the enumeration guard {guard}")
-    leads = [1] if monic_only else list(range(1, q))
     counts = []
     totals = []
     for n in range(1, max_degree + 1):
         hits = 0
         total = 0
-        for low in range(q ** n):
-            base = index_to_poly(field, low).coeffs
-            base = base + (0,) * (n - len(base))
-            for lead in leads:
-                g = Poly(field, base + (lead,))
-                total += 1
-                if is_self_chen(g):
-                    hits += 1
+        for g in degree_n_polys(field, n, monic_only):
+            total += 1
+            if is_self_chen(g):
+                hits += 1
         counts.append(hits)
         totals.append(total)
     return DensityReport(q, max_degree, monic_only, tuple(counts), tuple(totals),

@@ -22,18 +22,14 @@ from .polyring import (ParseError, Poly, factorize, parse, parse_prime_coeffs,
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
-class DomainError(ValueError):
-    pass
-
-
 def _field_from_args(args):
     if args.q is not None and args.p is not None:
-        raise DomainError("give either --q (prime field) or --p/--m, not both")
+        raise ValueError("give either --q (prime field) or --p/--m, not both")
     if args.q is not None:
         try:
             return field_make(args.q, 1, None)
         except ValueError:
-            raise DomainError(
+            raise ValueError(
                 f"--q must be prime (got {args.q}); for prime powers use "
                 "--p and --m") from None
     if args.p is not None:
@@ -41,22 +37,15 @@ def _field_from_args(args):
         modulus = None
         if args.field_modulus:
             modulus = parse_prime_coeffs(args.field_modulus, args.p, "u")
-        return field_make_checked(args.p, m, modulus)
-    raise DomainError("a field is required: --q for prime q, --p/--m for extensions")
-
-
-def field_make_checked(p, m, modulus):
-    try:
-        return field_make(p, m, modulus)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+        return field_make(args.p, m, modulus)
+    raise ValueError("a field is required: --q for prime q, --p/--m for extensions")
 
 
 def _parse_poly(field, text, name):
     try:
         return parse(field, text)
     except ParseError as e:
-        raise DomainError(f"malformed polynomial for --{name}: {e}") from None
+        raise ValueError(f"malformed polynomial for --{name}: {e}") from None
 
 
 def _guard_from_args(args) -> oracle.EnumerationGuard:
@@ -85,7 +74,7 @@ def _load_sigma(path) -> FunctionTable:
                 text = fh.read()
         return FunctionTable.from_json(text)
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
-        raise DomainError(f"cannot load function table: {e}") from None
+        raise ValueError(f"cannot load function table: {e}") from None
 
 
 # ------------------------------------------------------------- commands
@@ -93,13 +82,10 @@ def _cmd_count(args, kind: str):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
     g = _parse_poly(field, args.g, "g")
-    try:
-        if kind == "cpf":
-            c = counting.count_cpf(f, g)
-        else:
-            c = counting.count_polyfn(f, g, literal=args.literal)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    if kind == "cpf":
+        c = counting.count_cpf(f, g)
+    else:
+        c = counting.count_polyfn(f, g, literal=args.literal)
     out = {"q": field.q, "f": to_text(f), "g": to_text(g),
            "count": str(c), "exponent": c.exponent}
     if args.decimal:
@@ -114,10 +100,7 @@ def _cmd_count(args, kind: str):
 def _cmd_gamma(args):
     field = _field_from_args(args)
     g = _parse_poly(field, args.g, "g")
-    try:
-        value = chen.gamma(g)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    value = chen.gamma(g)
     return {"q": field.q, "g": to_text(g), "gamma": _render_gamma(value)}
 
 
@@ -125,10 +108,7 @@ def _cmd_chen(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
     g = _parse_poly(field, args.g, "g")
-    try:
-        verdict = chen.is_chen_pair(f, g)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    verdict = chen.is_chen_pair(f, g)
     return {"chen_pair": verdict.chen_pair, "deg_f": verdict.deg_f,
             "gamma_g": _render_gamma(verdict.gamma_g)}
 
@@ -138,11 +118,8 @@ def _cmd_density(args):
     rho = chen.density_exact(field.q)
     out = {"q": field.q, "rho": _fraction_obj(rho)}
     if args.empirical:
-        try:
-            rep = chen.density_empirical(field, args.max_degree,
-                                         monic_only=args.monic_only)
-        except ValueError as e:
-            raise DomainError(str(e)) from None
+        rep = chen.density_empirical(field, args.max_degree,
+                                     monic_only=args.monic_only)
         out["max_degree"] = rep.max_degree
         out["monic_only"] = rep.monic_only
         out["per_degree"] = list(rep.per_degree)
@@ -155,10 +132,7 @@ def _cmd_density(args):
 def _cmd_factor(args):
     field = _field_from_args(args)
     g = _parse_poly(field, args.g, "g")
-    try:
-        fact = factorize(g)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    fact = factorize(g)
     out = {"q": field.q, "g": to_text(g)}
     out.update(fact.to_json())
     out["text"] = str(fact)
@@ -168,13 +142,10 @@ def _cmd_factor(args):
 def _cmd_enumerate(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
-    try:
-        ring = ResidueRing(f)
-    except ValueError as e:
-        raise DomainError(str(e)) from None
+    ring = ResidueRing(f)
     guard = _guard_from_args(args)
     if ring.size > guard.max_functions:
-        raise DomainError(f"{ring.size} residues exceed the enumeration guard")
+        raise ValueError(f"{ring.size} residues exceed the enumeration guard")
     return {"q": field.q, "f": to_text(f), "size": ring.size,
             "residues": [to_text(r) for r in ring.elements()]}
 
@@ -185,16 +156,13 @@ def _cmd_decompose(args):
     p = _parse_poly(field, args.P, "P")
     sigma = _load_sigma(args.sigma)
     if sigma.domain.field != field:
-        raise DomainError("function table field does not match --q/--p")
+        raise ValueError("function table field does not match --q/--p")
     if sigma.domain.modulus != f:
-        raise DomainError("function table domain modulus does not match --f")
-    expected = (p ** args.e).monic()
-    if sigma.codomain.modulus.monic() != expected:
-        raise DomainError("function table codomain modulus is not P^e")
-    try:
-        report = wagner.is_cpf_via_basis(sigma)
-    except (ValueError, ArithmeticError) as e:
-        raise DomainError(str(e)) from None
+        raise ValueError("function table domain modulus does not match --f")
+    g = sigma.codomain.modulus
+    if args.e * p.degree != g.degree or (p ** args.e).monic() != g.monic():
+        raise ValueError("function table codomain modulus is not P^e")
+    report = wagner.is_cpf_via_basis(sigma)
     co = report.coefficients
     return {
         "q": field.q, "f": to_text(f), "P": to_text(p), "e": args.e,
@@ -212,13 +180,10 @@ def _cmd_characterize(args):
     g = _parse_poly(field, args.g, "g")
     sigma = _load_sigma(args.sigma)
     if sigma.domain.field != field:
-        raise DomainError("function table field does not match --q/--p")
+        raise ValueError("function table field does not match --q/--p")
     if sigma.domain.modulus != f or sigma.codomain.modulus != g:
-        raise DomainError("function table moduli do not match --f/--g")
-    try:
-        rep = wagner.crt_characterize(sigma)
-    except (ValueError, ArithmeticError) as e:
-        raise DomainError(str(e)) from None
+        raise ValueError("function table moduli do not match --f/--g")
+    rep = wagner.crt_characterize(sigma)
     factors = []
     for p, e, part in rep.parts:
         factors.append({"P": to_text(p), "e": e, "cpf": part.cpf,
@@ -231,10 +196,7 @@ def _cmd_verify(args):
     field = _field_from_args(args)
     guard = _guard_from_args(args)
     t0 = time.perf_counter()
-    try:
-        out = _verify_dispatch(args, field, guard)
-    except (ValueError, ArithmeticError) as e:
-        raise DomainError(str(e)) from None
+    out = _verify_dispatch(args, field, guard)
     if args.timing:
         out["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     return out
@@ -244,7 +206,7 @@ def _verify_dispatch(args, field, guard):
     what = args.what
     if what in ("cpf-count", "poly-count", "chen", "basis", "crt"):
         if not args.f or not args.g:
-            raise DomainError(f"verify --what {what} needs --f and --g")
+            raise ValueError(f"verify --what {what} needs --f and --g")
         f = _parse_poly(field, args.f, "f")
         g = _parse_poly(field, args.g, "g")
     if what == "cpf-count":
@@ -272,7 +234,7 @@ def _verify_dispatch(args, field, guard):
         return _verify_crt(args, field, guard, f, g)
     if what == "census":
         if args.n is None:
-            raise DomainError("verify --what census needs --n")
+            raise ValueError("verify --what census needs --n")
         c = oracle.census_self_chen(field, args.n)
         if field.q == 2:
             formula = chen.chen_self_count(args.n)
@@ -283,13 +245,13 @@ def _verify_dispatch(args, field, guard):
         if c.components is not None:
             out["components"] = list(c.components)
         return out
-    raise DomainError(f"unknown verification {what!r}")
+    raise ValueError(f"unknown verification {what!r}")
 
 
 def _verify_basis(args, field, guard, f, g):
     fact = factorize(g)
     if len(fact.factors) != 1:
-        raise DomainError("verify --what basis needs a prime power --g")
+        raise ValueError("verify --what basis needs a prime power --g")
     tables = oracle.enumerate_cpf_tables(f, g, guard=guard)
     all_cp_pass = all(wagner.is_cpf_via_basis(tb).cpf for tb in tables)
     rng = random.Random(args.seed)
@@ -455,11 +417,11 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         out = args.fn(args)
-    except DomainError as e:
-        print(json.dumps({"error": str(e)}), file=sys.stderr)
-        return 1
     except oracle.GuardExceeded as e:
         print(json.dumps({"error": str(e), "guard": True}), file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError) as e:
+        print(json.dumps({"error": str(e)}), file=sys.stderr)
         return 1
     _emit(args, out)
     return 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .polyring import Poly, factorial, factorize, gcd, is_irreducible
+from .wagner import floor_log
 
 
 @dataclass(frozen=True)
@@ -84,18 +85,21 @@ def _require_irreducible(p: Poly) -> int:
     return d
 
 
+def _cpf_local_exponent(n: int, q: int, d: int, e: int) -> int:
+    """Exponent of the count for deg f = n into A_{P^e}, deg P = d."""
+    return d * (e * q ** n
+                - (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n)))
+
+
 def count_cpf(f: Poly, g: Poly) -> QExponent:
     """Number of congruence-preserving functions A_f -> A_g."""
     n = _require_modulus_degree(f, "f")
     _require_modulus_degree(g, "g")
-    q = f.field.q
     if g.field != f.field:
         raise ValueError("f and g must share one field")
-    exp = (q ** n) * g.degree
-    for p, e in factorize(g).factors:
-        d = p.degree
-        exp -= d * (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
-    return QExponent(q, exp)
+    q = f.field.q
+    return QExponent(q, sum(_cpf_local_exponent(n, q, p.degree, e)
+                            for p, e in factorize(g).factors))
 
 
 def count_cpf_local(f: Poly, p: Poly, e: int) -> QExponent:
@@ -107,19 +111,7 @@ def count_cpf_local(f: Poly, p: Poly, e: int) -> QExponent:
     if e < 1:
         raise ValueError("exponent must be >= 1")
     q = f.field.q
-    exp = d * (e * q ** n
-               - (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n)))
-    return QExponent(q, exp)
-
-
-def _floor_log(q: int, k: int) -> int:
-    """Largest j with q^j <= k (k >= 1)."""
-    j = 0
-    power = q
-    while power <= k:
-        j += 1
-        power *= q
-    return j
+    return QExponent(q, _cpf_local_exponent(n, q, d, e))
 
 
 def _w(k: int, q: int, d: int) -> int:
@@ -131,6 +123,14 @@ def _w(k: int, q: int, d: int) -> int:
         total += k // power
         power *= step
     return total
+
+
+def _polyfn_local_exponent(n: int, q: int, d: int, e: int) -> int:
+    """Exponent of the polynomial-function count for deg f = n into
+
+    A_{P^e}, deg P = d."""
+    qn = q ** n
+    return d * (e * qn - sum(min(e, _w(k, q, d)) for k in range(1, qn)))
 
 
 LITERAL_DEGREE_GUARD = 4
@@ -150,21 +150,17 @@ def count_polyfn(f: Poly, g: Poly, literal: bool = False, order=None) -> QExpone
     if g.field != f.field:
         raise ValueError("f and g must share one field")
     q = f.field.q
-    qn = q ** n
-    exp = qn * g.degree
-    if literal:
-        if n > LITERAL_DEGREE_GUARD:
-            raise ValueError(
-                f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
-        for k in range(1, qn):
-            exp -= deg_gcd_factorial(g, k, order=order)
-    else:
+    if not literal:
         if order is not None:
             raise ValueError("orderings only apply to the literal path")
-        for p, e in factorize(g).factors:
-            d = p.degree
-            exp -= d * sum(min(e, _w(k, q, d)) for k in range(1, qn))
-    return QExponent(q, exp)
+        return QExponent(q, sum(_polyfn_local_exponent(n, q, p.degree, e)
+                                for p, e in factorize(g).factors))
+    if n > LITERAL_DEGREE_GUARD:
+        raise ValueError(
+            f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
+    qn = q ** n
+    return QExponent(q, qn * g.degree - sum(
+        deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
 
 
 def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:
@@ -173,9 +169,7 @@ def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:
     if e < 1:
         raise ValueError("exponent must be >= 1")
     q = f.field.q
-    qn = q ** n
-    exp = d * (e * qn - sum(min(e, _w(k, q, d)) for k in range(1, qn)))
-    return QExponent(q, exp)
+    return QExponent(q, _polyfn_local_exponent(n, q, d, e))
 
 
 def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
@@ -190,5 +184,5 @@ def exponent_identity_check(n: int, e: int, d: int, q: int) -> bool:
     """(q-1) * sum_{k=1}^{n-1} q^k min(e, floor(k/d))
        == sum_{k=1}^{q^n - 1} min(e, floor(floor(log_q k) / d))."""
     lhs = (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
-    rhs = sum(min(e, _floor_log(q, k) // d) for k in range(1, q ** n))
+    rhs = sum(min(e, floor_log(q, k) // d) for k in range(1, q ** n))
     return lhs == rhs

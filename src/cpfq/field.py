@@ -28,63 +28,6 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod_p_divrem(num: list, den: list, p: int) -> tuple:
-    """Long division of coefficient lists over F_p (low-first, den nonzero)."""
-    num = list(num)
-    dd = len(den) - 1
-    while len(den) > 1 and den[-1] == 0:
-        den = den[:-1]
-        dd -= 1
-    inv_lead = pow(den[-1], p - 2, p) if p > 2 else den[-1]
-    quo = [0] * max(len(num) - dd, 0)
-    while len(num) >= len(den) and any(num):
-        while num and num[-1] == 0:
-            num.pop()
-        if len(num) < len(den):
-            break
-        shift = len(num) - len(den)
-        c = (num[-1] * inv_lead) % p
-        quo[shift] = c
-        for i, dc in enumerate(den):
-            num[shift + i] = (num[shift + i] - c * dc) % p
-    while num and num[-1] == 0:
-        num.pop()
-    return quo, num
-
-
-def _is_irreducible_mod_p(coeffs: tuple, p: int) -> bool:
-    """Irreducibility over F_p by trial division, for modulus validation only."""
-    deg = len(coeffs) - 1
-    if deg < 1:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for k in range(p ** d):
-            cand = []
-            kk = k
-            for _ in range(d):
-                cand.append(kk % p)
-                kk //= p
-            cand.append(1)
-            _, rem = _poly_mod_p_divrem(list(coeffs), cand, p)
-            if not rem:
-                return False
-    return True
-
-
-def default_modulus(p: int, m: int) -> tuple:
-    """First monic irreducible of degree m over F_p in index order, low-first."""
-    for k in range(p ** m):
-        cand = []
-        kk = k
-        for _ in range(m):
-            cand.append(kk % p)
-            kk //= p
-        cand.append(1)
-        if _is_irreducible_mod_p(tuple(cand), p):
-            return tuple(cand)
-    raise ValueError(f"no irreducible of degree {m} over F_{p}")
-
-
 class FieldSpec:
     """F_{p^m} with all index-level operation tables precomputed."""
 
@@ -100,22 +43,27 @@ class FieldSpec:
         q = p ** m
         if q > max_q:
             raise ValueError(f"q = {q} exceeds the field size guard {max_q}")
+        mod = None
         if m == 1:
             if modulus is not None:
                 raise ValueError("no modulus is stored for prime fields")
         else:
+            # polyring imports this module, so the extension is built here
+            from .polyring import Poly, is_irreducible, monic_irreducibles
+            fp = field_make(p, max_q=max_q)
             if modulus is None:
-                modulus = default_modulus(p, m)
+                modulus = monic_irreducibles(fp, m)[0].coeffs
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != m + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree m")
-            if not _is_irreducible_mod_p(modulus, p):
+            mod = Poly(fp, modulus)
+            if not is_irreducible(mod):
                 raise ValueError("modulus must be irreducible over F_p")
         self.p = p
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._build_tables()
+        self._build_tables(mod)
         self._elements = tuple(FieldElement(self, k) for k in range(q))
         self._hash = hash((p, m, modulus))
 
@@ -132,8 +80,13 @@ class FieldSpec:
             k = k * self.p + (c % self.p)
         return k
 
-    def _build_tables(self):
-        p, m, q = self.p, self.m, self.q
+    def _build_tables(self, mod):
+        """Operation tables; mod is the modulus as a polynomial over F_p
+
+        (None for a prime field)."""
+        p, q = self.p, self.q
+        if mod is not None:
+            from .polyring import Poly
         add = [[0] * q for _ in range(q)]
         mul = [[0] * q for _ in range(q)]
         neg = [0] * q
@@ -143,15 +96,11 @@ class FieldSpec:
             for j in range(q):
                 cj = self._coeffs(j)
                 add[i][j] = self._index((a + b) % p for a, b in zip(ci, cj))
-                prod = [0] * (2 * m - 1)
-                for a, ca in enumerate(ci):
-                    if ca:
-                        for b, cb in enumerate(cj):
-                            prod[a + b] = (prod[a + b] + ca * cb) % p
-                if m > 1:
-                    _, prod = _poly_mod_p_divrem(prod, list(self.modulus), p)
-                prod += [0] * (m - len(prod))
-                mul[i][j] = self._index(prod[:m])
+                if mod is None:
+                    mul[i][j] = i * j % p
+                else:
+                    prod = Poly(mod.field, ci) * Poly(mod.field, cj) % mod
+                    mul[i][j] = self._index(prod.coeffs)
         inv = [0] * q
         for i in range(1, q):
             for j in range(1, q):
@@ -341,17 +290,10 @@ def field_make(p: int, m: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q) -> 
 
     monic irreducible of degree m in index order."""
     key = (p, m, tuple(modulus) if modulus is not None else None, max_q)
-    with _SPEC_LOCK:
-        spec = _SPEC_CACHE.get(key)
-        if spec is None:
-            spec = FieldSpec(p, m, modulus, max_q=max_q)
-            _SPEC_CACHE[key] = spec
+    spec = _SPEC_CACHE.get(key)
+    if spec is not None:
         return spec
-
-
-def field_index(a: FieldElement) -> int:
-    return a.index
-
-
-def field_from_index(spec: FieldSpec, k: int) -> FieldElement:
-    return spec.element(k)
+    # built outside the lock: building F_{p^m} asks for F_p
+    spec = FieldSpec(p, m, modulus, max_q=max_q)
+    with _SPEC_LOCK:
+        return _SPEC_CACHE.setdefault(key, spec)

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import _kernels
 from .field import FieldSpec
-from .polyring import (Poly, gcd, index_to_poly, monic_divisors, poly_to_index,
-                       to_text, valuation)
+from .polyring import (Poly, degree_n_polys, gcd, monic_divisors,
+                       poly_to_index, power_exceeds, valuation)
 from .residue import FunctionTable, ResidueRing
 
 
@@ -40,12 +40,10 @@ class EnumerationGuard:
                     f"q={p.field.q} exceeds guard max_q={self.max_q}")
 
     def check_total_functions(self, domain_size: int, codomain_size: int):
-        total = codomain_size ** domain_size
-        if total > self.max_functions:
+        if power_exceeds(codomain_size, domain_size, self.max_functions):
             raise GuardExceeded(
                 f"{codomain_size}^{domain_size} tables exceed guard "
                 f"max_functions={self.max_functions}")
-        return total
 
 
 DEFAULT_GUARD = EnumerationGuard()
@@ -176,8 +174,7 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
 
 
 def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
-                         guard: EnumerationGuard = DEFAULT_GUARD,
-                         backend: str | None = None) -> int:
+                         guard: EnumerationGuard = DEFAULT_GUARD) -> int:
     """Count congruence-preserving tables A_f -> A_g by enumeration.
 
     engine "exhaustive" visits all |A_g|^|A_f| tables and checks each;
@@ -191,15 +188,14 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     args = (domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
             prob.cons_div, prob.cod_class)
     if engine == "exhaustive":
-        return _kernels.count_exhaustive(*args, backend=backend)
+        return _kernels.count_exhaustive(*args)
     if engine == "backtracking":
-        return _kernels.count_backtracking(*args, backend=backend)
+        return _kernels.count_backtracking(*args)
     raise ValueError(f"unknown engine {engine!r}")
 
 
 def enumerate_cpf_tables(f: Poly, g: Poly,
-                         guard: EnumerationGuard = DEFAULT_GUARD,
-                         backend: str | None = None) -> list:
+                         guard: EnumerationGuard = DEFAULT_GUARD) -> list:
     """All congruence-preserving tables, by backtracking enumeration."""
     guard.check_degrees(f, g)
     domain = ResidueRing(f)
@@ -208,7 +204,7 @@ def enumerate_cpf_tables(f: Poly, g: Poly,
     prob = encode_cp_problem(domain, codomain)
     rows = _kernels.enumerate_backtracking(
         domain.size, codomain.size, prob.cons_ptr, prob.cons_src, prob.cons_div,
-        prob.cod_class, cap=guard.max_functions, backend=backend)
+        prob.cod_class, cap=guard.max_functions)
     if rows is None:
         raise GuardExceeded(
             f"more than max_functions={guard.max_functions} tables to enumerate")
@@ -404,15 +400,6 @@ class SelfChenCensus:
     components: tuple | None  # (U1, U2, U3, U4) for q = 2, else None
 
 
-def _degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
-    leads = [1] if monic_only else range(1, field.q)
-    for low in range(field.q ** n):
-        base = index_to_poly(field, low).coeffs
-        base = base + (0,) * (n - len(base))
-        for lead in leads:
-            yield Poly(field, base + (lead,))
-
-
 def census_self_chen(field: FieldSpec, n: int,
                      monic_only: bool = False) -> SelfChenCensus:
     """Count degree-n moduli g with every congruence-preserving function
@@ -430,7 +417,7 @@ def census_self_chen(field: FieldSpec, n: int,
     comps = [0, 0, 0, 0]
     lin_t = Poly(field, [0, 1])
     lin_t1 = Poly(field, [1, 1])
-    for g in _degree_n_polys(field, n, monic_only):
+    for g in degree_n_polys(field, n, monic_only):
         if q == 2:
             v0 = valuation(lin_t, g, check=False)
             v1 = valuation(lin_t1, g, check=False)
@@ -464,5 +451,5 @@ def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
         raise ValueError("degree must be >= 0")
     if n == 0:
         return 1 if monic_only else field.q - 1
-    return sum(1 for g in _degree_n_polys(field, n, monic_only)
+    return sum(1 for g in degree_n_polys(field, n, monic_only)
                if is_squarefree_gcd(g))

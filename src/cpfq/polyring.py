@@ -27,6 +27,10 @@ class ParseError(ValueError):
     pass
 
 
+# parse builds a dense coefficient list, so it refuses larger exponents
+MAX_PARSE_DEGREE = 10_000
+
+
 class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
@@ -260,6 +264,9 @@ def _parse_monomial(term: str, var: str):
         exp = 1
     elif rest.startswith("^") and rest[1:].isdigit():
         exp = int(rest[1:])
+        if exp > MAX_PARSE_DEGREE:
+            raise ParseError(f"degree {exp} in term {term!r} exceeds the "
+                             f"parse bound {MAX_PARSE_DEGREE}")
     else:
         raise ParseError(f"malformed exponent in term {term!r}")
     return coef, exp
@@ -389,6 +396,28 @@ def enumerate_residues(f: Poly) -> list:
     if not isinstance(d, int) or d < 1:
         raise ValueError("modulus must have degree >= 1")
     return [index_to_poly(f.field, k) for k in range(f.field.q ** d)]
+
+
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base^exponent > bound (base >= 1).  The bit lengths decide
+
+    first, as base^exponent >= 2^(exponent * (bits(base) - 1)), so a
+    power too large to build is never built."""
+    if exponent * (base.bit_length() - 1) > bound.bit_length():
+        return True
+    return base ** exponent > bound
+
+
+def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
+    """Every polynomial of exact degree n, by index of its lower n
+
+    coefficients and then by leading coefficient (1 only if monic_only)."""
+    leads = [1] if monic_only else range(1, field.q)
+    for low in range(field.q ** n):
+        base = index_to_poly(field, low).coeffs
+        base = base + (0,) * (n - len(base))
+        for lead in leads:
+            yield Poly(field, base + (lead,))
 
 
 def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> Poly:
@@ -554,11 +583,3 @@ def xgcd(a: Poly, b: Poly):
     il = field.inv(r0.leading)
     e = field.element(il)
     return r0 * e, s0 * e, t0 * e
-
-
-def t_var(field: FieldSpec) -> Poly:
-    return Poly(field, [0, 1])
-
-
-def constant(field: FieldSpec, c) -> Poly:
-    return Poly(field, [c])

@@ -104,7 +104,9 @@ class PSequence:
 
 
 def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> Poly:
-    """Q_k(h) mod P^e for h in A, as a canonical representative.
+    """Q_k(h) mod P^e for h in A, as a canonical representative: the value
+
+    of the basis function B_k at the residue of h.
 
     Computes numerator prod_{j<k}(h - b_j) and denominator
     prod_{j<k}(b_k - b_j) exactly in A, checks P-integrality
@@ -137,11 +139,6 @@ def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> P
         num_red = num_red // p
         den_red = den_red // p
     return ring.mul(ring.reduce(num_red), ring.inv_unit(ring.reduce(den_red)))
-
-
-def eval_Bk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> Poly:
-    """B_k at the residue represented by h (a degree < deg f representative)."""
-    return eval_Qk(p, e, k, h, seq)
 
 
 _BASIS_CACHE: dict = {}

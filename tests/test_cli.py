@@ -252,3 +252,41 @@ def test_console_script_installed():
                          capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"q": 3, "g": "t^2", "gamma": 2}
+
+
+# ------------------------------------------------------- guard work is O(1)
+def run_cli_process(*argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "cpfq.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "13", "--what", "cpf-count", "--f", "t^12", "--g", "t^12"),
+    ("density", "--q", "3", "--empirical", "--max-degree", "300000000"),
+], ids=["table-count", "density"])
+def test_huge_enumeration_refused_quickly(argv):
+    out = run_cli_process(*argv)
+    assert out.returncode == 1 and out.stdout == ""
+    assert "guard" in json.loads(out.stderr)["error"]
+
+
+def test_parse_degree_bound(capsys):
+    from cpfq.polyring import MAX_PARSE_DEGREE
+    code, out, err = run_cli(capsys, "chen", "--q", "2", "--f",
+                             f"t^{MAX_PARSE_DEGREE + 1}", "--g", "t")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert str(MAX_PARSE_DEGREE + 1) in error and str(MAX_PARSE_DEGREE) in error
+    obj = run_json(capsys, "chen", "--q", "2", "--f", f"t^{MAX_PARSE_DEGREE}",
+                   "--g", "t")
+    assert obj["deg_f"] == MAX_PARSE_DEGREE
+
+
+def test_decompose_negative_exponent_exits_1(capsys, identity_table):
+    code, out, err = run_cli(capsys, "decompose", "--q", "2", "--f", "t^2",
+                             "--P", "t", "--e", "-1", "--sigma", identity_table)
+    assert code == 1 and out == ""
+    assert "error" in json.loads(err)

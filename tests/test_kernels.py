@@ -1,11 +1,13 @@
-"""The two enumeration backends must be interchangeable."""
+"""The two enumeration engines must count the same rows."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cpfq import _kernels
 from cpfq.oracle import encode_cp_problem
-from helpers import pol, ring
+from helpers import ring
 
 
 def problems():
@@ -21,56 +23,38 @@ def _args(pr):
     return D, C, pr.cons_ptr, pr.cons_src, pr.cons_div, pr.cod_class
 
 
-def test_numpy_engines_agree_with_each_other():
+@pytest.mark.parametrize("chunk", [_kernels._CHUNK, 16], ids=["full", "small"])
+def test_engines_agree_with_each_other(monkeypatch, chunk):
+    # a small chunk splits count_backtracking's depth-first walk into
+    # many blocks per position
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
     for pr in problems():
-        a = _kernels.count_exhaustive(*_args(pr), backend="numpy")
-        b = _kernels.count_backtracking(*_args(pr), backend="numpy")
-        assert a == b
-
-
-@pytest.mark.skipif(not _kernels.HAVE_NUMBA, reason="numba unavailable")
-def test_numba_matches_numpy():
-    for pr in problems():
-        args = _args(pr)
-        assert (_kernels.count_exhaustive(*args, backend="numba")
-                == _kernels.count_exhaustive(*args, backend="numpy"))
-        assert (_kernels.count_backtracking(*args, backend="numba")
-                == _kernels.count_backtracking(*args, backend="numpy"))
+        assert (_kernels.count_backtracking(*_args(pr))
+                == _kernels.count_exhaustive(*_args(pr)))
 
 
 def test_enumerate_returns_exactly_the_rows():
     pr = encode_cp_problem(ring(2, "t^2"), ring(2, "t^2"))
     args = _args(pr)
-    for backend in (["numpy", "numba"] if _kernels.HAVE_NUMBA else ["numpy"]):
-        rows = _kernels.enumerate_backtracking(*args, cap=100, backend=backend)
-        assert rows is not None
-        assert len(rows) == 64
-        for row in rows:
-            assert pr.check_row(np.asarray(row, dtype=np.int64))
-        # cap below the true count reports overflow as None
-        assert _kernels.enumerate_backtracking(*args, cap=63, backend=backend) is None
+    rows = _kernels.enumerate_backtracking(*args, cap=100)
+    assert rows is not None
+    assert len(rows) == 64
+    for row in rows:
+        assert pr.check_row(np.asarray(row, dtype=np.int64))
+    # cap below the true count reports overflow as None
+    assert _kernels.enumerate_backtracking(*args, cap=63) is None
 
 
-def test_backend_name_resolution(monkeypatch):
-    monkeypatch.delenv(_kernels.ENV_VAR, raising=False)
-    assert _kernels.backend_name() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-    assert _kernels.backend_name("numpy") == "numpy"
-    monkeypatch.setenv(_kernels.ENV_VAR, "numpy")
-    assert _kernels.backend_name() == "numpy"
-    monkeypatch.setenv(_kernels.ENV_VAR, "auto")
-    assert _kernels.backend_name() == ("numba" if _kernels.HAVE_NUMBA else "numpy")
-    monkeypatch.setenv(_kernels.ENV_VAR, "nonsense")
-    with pytest.raises(ValueError):
-        _kernels.backend_name()
-    # explicit override beats the environment
-    monkeypatch.setenv(_kernels.ENV_VAR, "numba")
-    assert _kernels.backend_name("numpy") == "numpy"
-
-
-def test_oracle_results_identical_across_backends():
-    from cpfq.oracle import count_cpf_bruteforce
-    f, g = pol(2, "t^2"), pol(2, "t^3")
-    a = count_cpf_bruteforce(f, g, backend="numpy")
-    if _kernels.HAVE_NUMBA:
-        assert count_cpf_bruteforce(f, g, backend="numba") == a
-    assert count_cpf_bruteforce(f, g) == a
+def test_count_backtracking_memory_is_bounded(monkeypatch):
+    # 3^12 valid rows of 9 positions: about 38 MB as one int64 array, so a
+    # count that materialized its rows would pass this bound many times over
+    monkeypatch.setattr(_kernels, "_CHUNK", 1 << 12)
+    pr = encode_cp_problem(ring(3, "t^2"), ring(3, "t^2"))
+    tracemalloc.start()
+    try:
+        count = _kernels.count_backtracking(*_args(pr))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 3 ** 12
+    assert peak < 8 * 2 ** 20

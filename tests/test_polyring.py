@@ -22,6 +22,7 @@ from cpfq.polyring import (
     monic_irreducibles,
     parse,
     poly_to_index,
+    power_exceeds,
     to_text,
     valuation,
     xgcd,
@@ -267,3 +268,11 @@ def test_valuation_basics():
     assert valuation(P, pol(2, "t")) == 0
     with pytest.raises(ValueError):
         valuation(pol(2, "t^2+1"), pol(2, "t"))  # reducible P rejected
+
+
+def test_power_exceeds_matches_the_exact_power():
+    for base in (1, 2, 3, 4, 7, 8, 9, 16):
+        for exponent in range(0, 40):
+            for bound in (0, 1, 100, 2 ** 20, 2 ** 20 - 1, 3 ** 13, 10 ** 9):
+                assert (power_exceeds(base, exponent, bound)
+                        == (base ** exponent > bound)), (base, exponent, bound)

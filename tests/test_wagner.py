@@ -15,7 +15,6 @@ from cpfq.wagner import (
     PSequence,
     crt_characterize,
     decompose,
-    eval_Bk,
     eval_Qk,
     floor_log,
     is_cpf_via_basis,
@@ -199,12 +198,12 @@ def test_bk_triangular():
         dom = seq.domain(n)
         one = pol(q, "1")
         for k in range(len(dom)):
-            assert eval_Bk(P, e, k, dom[k], seq=seq) == one
+            assert eval_Qk(P, e, k, dom[k], seq=seq) == one
             for i in range(k):
-                assert eval_Bk(P, e, k, dom[i], seq=seq).is_zero()
+                assert eval_Qk(P, e, k, dom[i], seq=seq).is_zero()
         # B_0 is constant one
         for h in dom:
-            assert eval_Bk(P, e, 0, h, seq=seq) == one
+            assert eval_Qk(P, e, 0, h, seq=seq) == one
 
 
 # ------------------------------------------------------------- decompose
@@ -234,7 +233,7 @@ def test_decompose_constant_and_basis_functions():
     assert to_text(c.coefficients[0]) == "t+1"
     assert all(x.is_zero() for x in c.coefficients[1:])
     seq = PSequence(P)
-    b1 = table(dom, cod, lambda h: eval_Bk(P, 2, 1, h, seq=seq))
+    b1 = table(dom, cod, lambda h: eval_Qk(P, 2, 1, h, seq=seq))
     assert [to_text(x) for x in decompose(b1).coefficients] == ["0", "1", "0", "0"]
 
 
@@ -254,7 +253,7 @@ def test_coefficient_space_roundtrip_exhaustive():
     seen = set()
     for combo in itertools.product(reps, repeat=4):
         sig = FunctionTable(dom, cod, [
-            sum(((eval_Bk(pol(2, "t"), 2, k, h, seq=seq) * combo[k]) for k in range(4)),
+            sum(((eval_Qk(pol(2, "t"), 2, k, h, seq=seq) * combo[k]) for k in range(4)),
                 pol(2, "0")) % pol(2, "t^2")
             for h in dom.elements()])
         c = decompose(sig)
@@ -332,7 +331,7 @@ def test_criterion_failure_reports_position():
     P = pol(2, "t")
     cod = ResidueRing(P ** 2)
     seq = PSequence(P)
-    vals = [eval_Bk(P, 2, 2, h, seq=seq) for h in dom.elements()]
+    vals = [eval_Qk(P, 2, 2, h, seq=seq) for h in dom.elements()]
     sig = FunctionTable(dom, cod, vals)
     rep = is_cpf_via_basis(sig)
     assert not rep.cpf
@@ -396,7 +395,7 @@ def test_verdict_under_alternative_ordering():
             coeffs.append(c)
         vals = [pol(2, "0")] * dom.size
         sig = FunctionTable(dom, cod, [
-            sum(((eval_Bk(P, 2, k, h, seq=default) * coeffs[k]) for k in range(dom.size)),
+            sum(((eval_Qk(P, 2, k, h, seq=default) * coeffs[k]) for k in range(dom.size)),
                 pol(2, "0")) % (P ** 2)
             for h in dom.elements()])
         assert is_cpf_via_basis(sig).cpf
