@@ -17,8 +17,7 @@ import time
 
 from . import chen, counting, oracle, wagner
 from .field import field_make
-from .polyring import (ParseError, Poly, factorize, parse, parse_prime_coeffs,
-                       to_text)
+from .polyring import ParseError, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
@@ -36,7 +35,7 @@ def _field_from_args(args):
         m = args.m or 2
         modulus = None
         if args.field_modulus:
-            modulus = parse_prime_coeffs(args.field_modulus, args.p, "u")
+            modulus = parse(field_make(args.p), args.field_modulus, "u").coeffs
         return field_make(args.p, m, modulus)
     raise ValueError("a field is required: --q for prime q, --p/--m for extensions")
 
@@ -268,6 +267,8 @@ def _verify_basis(args, field, guard, f, g):
 
 
 def _verify_crt(args, field, guard, f, g):
+    guard.check_degrees(f, g)
+    guard.check_domain_pairs(f)
     rng = random.Random(args.seed)
     dom, cod = ResidueRing(f), ResidueRing(g)
     roundtrip_ok = True
@@ -340,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--decimal", action="store_true")
-    p.add_argument("--literal", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(fn=lambda a: _cmd_count(a, "cpf"))
 
     p = sub.add_parser("count-poly", parents=[common],

@@ -128,9 +128,17 @@ def _w(k: int, q: int, d: int) -> int:
 def _polyfn_local_exponent(n: int, q: int, d: int, e: int) -> int:
     """Exponent of the polynomial-function count for deg f = n into
 
-    A_{P^e}, deg P = d."""
-    qn = q ** n
-    return d * (e * qn - sum(min(e, _w(k, q, d)) for k in range(1, qn)))
+    A_{P^e}, deg P = d: d * (e * q^n - sum_{0<k<q^n} min(e, w(k))).
+
+    With s = q^d, w(k) = W(floor(k / s)) where W(m) = sum_{j>=0}
+    floor(m / s^j) >= m.  So each m < q^(n-d) stands for s values of k,
+    and min(e, W(m)) = e from m = e on; no k is visited."""
+    if d > n:
+        return d * e * q ** n
+    s = q ** d
+    big_m = q ** (n - d)
+    head = sum(min(e, _w(m * s, q, d)) for m in range(1, min(big_m, e)))
+    return d * (e * q ** n - s * (head + e * max(0, big_m - e)))
 
 
 LITERAL_DEGREE_GUARD = 4

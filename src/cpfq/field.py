@@ -1,10 +1,11 @@
 """Arithmetic in small finite fields F_q, q = p^m.
 
-Elements are canonical indices 0..q-1.  Index k encodes the coefficient
-vector of the element over F_p in mixed radix base p, least significant
-coordinate first, so index 0 is zero and index 1 is one.  A FieldSpec
-precomputes full operation tables at construction; everything downstream
-works on indices and stays exact.
+Elements are canonical indices 0..q-1.  Index k is the polynomial a_k of
+polyring's index bijection over F_p, read in the variable u: its base-p
+digits are the coordinates, least significant first, so index 0 is zero
+and index 1 is one.  A FieldSpec precomputes full operation tables at
+construction (by polyring arithmetic mod the modulus when m > 1);
+everything downstream works on indices and stays exact.
 """
 
 from __future__ import annotations
@@ -31,25 +32,35 @@ def _is_prime(n: int) -> bool:
 class FieldSpec:
     """F_{p^m} with all index-level operation tables precomputed."""
 
-    __slots__ = ("p", "m", "q", "modulus", "_add", "_mul", "_neg", "_inv",
+    __slots__ = ("p", "m", "q", "modulus", "modulus_poly", "_add", "_mul",
+                 "_neg", "_inv", "_coords", "_by_coords", "_texts",
                  "_elements", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus: tuple | None = None,
                  max_q: int = DEFAULT_MAX_Q):
-        if not _is_prime(p):
-            raise ValueError(f"characteristic must be prime, got {p}")
+        # polyring imports this module, so its codec is imported here
+        from .polyring import (Poly, index_to_poly, is_irreducible,
+                               monic_irreducibles, poly_to_index,
+                               power_exceeds, to_text)
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
+        # decided before p is tested or p^m built, so both stay cheap
+        if power_exceeds(p, m, max_q):
+            raise ValueError(
+                f"q = {p}^{m} exceeds the field size guard {max_q}")
+        if not _is_prime(p):
+            raise ValueError(f"characteristic must be prime, got {p}")
         q = p ** m
-        if q > max_q:
-            raise ValueError(f"q = {q} exceeds the field size guard {max_q}")
-        mod = None
         if m == 1:
             if modulus is not None:
                 raise ValueError("no modulus is stored for prime fields")
+            mod = None
+            add = [[(i + j) % p for j in range(p)] for i in range(p)]
+            mul = [[i * j % p for j in range(p)] for i in range(p)]
+            neg = [-i % p for i in range(p)]
+            self._texts = tuple(str(k) for k in range(p))
+            self._coords = tuple((k,) for k in range(p))
         else:
-            # polyring imports this module, so the extension is built here
-            from .polyring import Poly, is_irreducible, monic_irreducibles
             fp = field_make(p, max_q=max_q)
             if modulus is None:
                 modulus = monic_irreducibles(fp, m)[0].coeffs
@@ -59,60 +70,26 @@ class FieldSpec:
             mod = Poly(fp, modulus)
             if not is_irreducible(mod):
                 raise ValueError("modulus must be irreducible over F_p")
+            # element k is a_k over F_p, a polynomial in u of degree < m
+            els = [index_to_poly(fp, k) for k in range(q)]
+            add = [[poly_to_index(a + b) for b in els] for a in els]
+            mul = [[poly_to_index(a * b % mod) for b in els] for a in els]
+            neg = [poly_to_index(-a) for a in els]
+            self._texts = tuple(to_text(a, "u") for a in els)
+            self._coords = tuple(a.coeffs + (0,) * (m - len(a.coeffs))
+                                 for a in els)
         self.p = p
         self.m = m
         self.q = q
         self.modulus = modulus
-        self._build_tables(mod)
-        self._elements = tuple(FieldElement(self, k) for k in range(q))
-        self._hash = hash((p, m, modulus))
-
-    def _coeffs(self, k: int) -> list:
-        out = []
-        for _ in range(self.m):
-            out.append(k % self.p)
-            k //= self.p
-        return out
-
-    def _index(self, coeffs) -> int:
-        k = 0
-        for c in reversed(list(coeffs)):
-            k = k * self.p + (c % self.p)
-        return k
-
-    def _build_tables(self, mod):
-        """Operation tables; mod is the modulus as a polynomial over F_p
-
-        (None for a prime field)."""
-        p, q = self.p, self.q
-        if mod is not None:
-            from .polyring import Poly
-        add = [[0] * q for _ in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        neg = [0] * q
-        for i in range(q):
-            ci = self._coeffs(i)
-            neg[i] = self._index((-c) % p for c in ci)
-            for j in range(q):
-                cj = self._coeffs(j)
-                add[i][j] = self._index((a + b) % p for a, b in zip(ci, cj))
-                if mod is None:
-                    mul[i][j] = i * j % p
-                else:
-                    prod = Poly(mod.field, ci) * Poly(mod.field, cj) % mod
-                    mul[i][j] = self._index(prod.coeffs)
-        inv = [0] * q
-        for i in range(1, q):
-            for j in range(1, q):
-                if mul[i][j] == 1:
-                    inv[i] = j
-                    break
-            else:
-                raise AssertionError(f"no inverse for element {i}")
+        self.modulus_poly = mod
         self._add = tuple(tuple(r) for r in add)
         self._mul = tuple(tuple(r) for r in mul)
         self._neg = tuple(neg)
-        self._inv = tuple(inv)
+        self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
+        self._by_coords = {c: k for k, c in enumerate(self._coords)}
+        self._elements = tuple(FieldElement(self, k) for k in range(q))
+        self._hash = hash((p, m, modulus))
 
     # index-level arithmetic, used heavily by polyring
     def add(self, i: int, j: int) -> int:
@@ -145,43 +122,17 @@ class FieldSpec:
         return self._elements[1]
 
     def coeffs_of(self, k: int) -> tuple:
-        return tuple(self._coeffs(k))
+        return self._coords[k]
 
     def from_coeffs(self, coeffs) -> int:
         """Index of the element with the given F_p coordinates (length <= m)."""
-        coeffs = list(coeffs)
+        coeffs = [c % self.p for c in coeffs]
         if len(coeffs) > self.m:
             raise ValueError("coefficient vector longer than extension degree")
-        coeffs += [0] * (self.m - len(coeffs))
-        return self._index(coeffs)
-
-    def from_u_poly(self, coeffs) -> int:
-        """Index of sum_b c_b * u^b for an arbitrary-length F_p coefficient list.
-
-        Exponents >= m reduce through the modulus via table arithmetic.
-        """
-        u = self.from_coeffs([0, 1]) if self.m > 1 else 0
-        val = 0
-        for c in reversed(list(coeffs)):
-            val = self._mul[val][u] if self.m > 1 else 0
-            val = self._add[val][int(c) % self.p]
-        return val
+        return self._by_coords[tuple(coeffs) + (0,) * (self.m - len(coeffs))]
 
     def element_str(self, k: int) -> str:
-        if self.m == 1:
-            return str(k)
-        cs = self._coeffs(k)
-        parts = []
-        for b in range(self.m - 1, -1, -1):
-            c = cs[b]
-            if c == 0:
-                continue
-            if b == 0:
-                parts.append(str(c))
-            else:
-                head = "" if c == 1 else str(c)
-                parts.append(f"{head}u" if b == 1 else f"{head}u^{b}")
-        return "+".join(parts) if parts else "0"
+        return self._texts[k]
 
     def __eq__(self, other):
         return (isinstance(other, FieldSpec) and self.p == other.p
@@ -193,11 +144,9 @@ class FieldSpec:
     def __repr__(self):
         if self.m == 1:
             return f"FieldSpec(p={self.p})"
-        mod = "+".join(
-            f"u^{i}" if c == 1 and i > 1 else ("u" if c == 1 and i == 1 else
-                                               (str(c) if i == 0 else f"{c}u^{i}"))
-            for i, c in reversed(list(enumerate(self.modulus))) if c)
-        return f"FieldSpec(p={self.p}, m={self.m}, modulus={mod})"
+        from .polyring import to_text
+        return (f"FieldSpec(p={self.p}, m={self.m}, "
+                f"modulus={to_text(self.modulus_poly, 'u')})")
 
 
 class FieldElement:

@@ -45,6 +45,15 @@ class EnumerationGuard:
                 f"{codomain_size}^{domain_size} tables exceed guard "
                 f"max_functions={self.max_functions}")
 
+    def check_domain_pairs(self, f: Poly):
+        """Refuse |A_f|^2 > max_functions, in O(1): the polynomial-function
+        span and the CRT check cost time growing with |A_f|^2."""
+        q, n = f.field.q, f.degree
+        if power_exceeds(q, 2 * n, self.max_functions):
+            raise GuardExceeded(
+                f"|A_f|^2 = {q}^{2 * n} exceeds guard "
+                f"max_functions={self.max_functions}")
+
 
 DEFAULT_GUARD = EnumerationGuard()
 
@@ -109,48 +118,16 @@ class CpProblem:
                              [cod[int(v)] for v in row])
 
 
-def _class_labels_prime(p: int, size: int, width: int, h: Poly) -> np.ndarray:
-    """Indices of a_c mod h for all c < size = p^width, by vectorized long
-
-    division on the base-p digit matrix (prime fields only: digits are
-
-    already F_p values)."""
-    idx = np.arange(size, dtype=np.int64)
-    mat = np.empty((size, width), dtype=np.int64)
-    for j in range(width):
-        mat[:, j] = (idx // p ** j) % p
-    hc = h.coeffs
-    dd = len(hc) - 1
-    inv = pow(hc[-1], p - 2, p) if p > 2 else 1
-    for top in range(width - 1, dd - 1, -1):
-        coef = (mat[:, top] * inv) % p
-        for i in range(dd + 1):
-            col = top - dd + i
-            mat[:, col] = (mat[:, col] - coef * hc[i]) % p
-    labels = np.zeros(size, dtype=np.int64)
-    for j in range(min(dd, width)):
-        labels += mat[:, j] * p ** j
-    return labels
-
-
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
     divisors = monic_divisors(codomain.modulus)
-    dom_reps = domain.elements()
-    field = domain.field
-    n_div = len(divisors)
-    deg_g = codomain.modulus.degree
-    dom_class = np.zeros((n_div, domain.size), dtype=np.int64)
-    cod_class = np.zeros((n_div, codomain.size), dtype=np.int64)
-    for hi, h in enumerate(divisors):
-        for i, r in enumerate(dom_reps):
-            dom_class[hi, i] = poly_to_index(r % h)
-        if field.m == 1:
-            cod_class[hi] = _class_labels_prime(field.p, codomain.size, deg_g, h)
-        else:
-            for c, r in enumerate(codomain.elements()):
-                cod_class[hi, c] = poly_to_index(r % h)
+    # both rings list their residues as a_0, a_1, ..., so one table of
+    # labels index(a_k mod h) serves the domain and the codomain
+    reps = max(domain, codomain, key=lambda ring: ring.size).elements()
+    labels = np.array([[poly_to_index(r % h) for r in reps] for h in divisors],
+                      dtype=np.int64)
+    dom_class = labels[:, :domain.size]
     by_pos: list = [[] for _ in range(domain.size)]
-    for hi in range(n_div):
+    for hi in range(len(divisors)):
         classes: dict = {}
         for i in range(domain.size):
             classes.setdefault(int(dom_class[hi, i]), []).append(i)
@@ -170,7 +147,7 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
                      np.asarray(ptr, dtype=np.int64),
                      np.asarray(src, dtype=np.int64),
                      np.asarray(div, dtype=np.int64),
-                     cod_class)
+                     labels[:, :codomain.size])
 
 
 def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
@@ -235,6 +212,7 @@ class PolyFnModule:
     def __init__(self, domain: ResidueRing, codomain: ResidueRing,
                  guard: EnumerationGuard = DEFAULT_GUARD):
         guard.check_degrees(domain.modulus, codomain.modulus)
+        guard.check_domain_pairs(domain.modulus)
         self.domain = domain
         self.codomain = codomain
         self.guard = guard

@@ -195,14 +195,6 @@ class Poly:
             out.append(f.mul(self.coeffs[i], i % f.p))
         return Poly(f, out)
 
-    def eval_at(self, x) -> FieldElement:
-        f = self.field
-        xi = x.index if isinstance(x, FieldElement) else int(x)
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, xi), c)
-        return f.element(acc)
-
     def __str__(self):
         return to_text(self)
 
@@ -272,27 +264,6 @@ def _parse_monomial(term: str, var: str):
     return coef, exp
 
 
-def parse_prime_coeffs(text: str, p: int, var: str = "u") -> tuple:
-    """Parse a polynomial in `var` with integer coefficients into an F_p
-
-    coefficient tuple (low first).  Used for extension-field moduli."""
-    text = "".join(text.split())
-    if not text:
-        raise ParseError("empty polynomial text")
-    acc: dict = {}
-    for sign, term in _split_terms(text):
-        coef, exp = _parse_monomial(term, var)
-        if coef == "":
-            c = 1
-        elif coef.isdigit():
-            c = int(coef)
-        else:
-            raise ParseError(f"malformed coefficient {coef!r}")
-        acc[exp] = (acc.get(exp, 0) + sign * c) % p
-    deg = max(acc) if acc else 0
-    return tuple(acc.get(i, 0) for i in range(deg + 1))
-
-
 def _parse_coefficient(text: str, field: FieldSpec) -> int:
     """Coefficient token -> canonical element index."""
     if text == "":
@@ -302,25 +273,24 @@ def _parse_coefficient(text: str, field: FieldSpec) -> int:
         if not text:
             raise ParseError("empty parenthesized coefficient")
     if text.isdigit():
-        if field.m == 1:
-            return int(text) % field.q
-        return field.from_u_poly([int(text)])
+        return int(text) % field.p
     if field.m == 1:
         raise ParseError(f"malformed coefficient {text!r}")
-    coeffs = parse_prime_coeffs(text, field.p, "u")
-    return field.from_u_poly(coeffs)
+    mod = field.modulus_poly
+    return poly_to_index(parse(mod.field, text, "u") % mod)
 
 
-def parse(field: FieldSpec, text: str) -> Poly:
+def parse(field: FieldSpec, text: str, var: str = "t") -> Poly:
     """Parse terms like c*t^k, t^k, t, c joined by + and -; extension-field
 
-    coefficients are u-polynomials, parenthesized or bare monomials."""
+    coefficients are u-polynomials, parenthesized or bare monomials.
+    var="u" reads such a u-polynomial itself, over F_p."""
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial text")
     acc: dict = {}
     for sign, term in _split_terms(s):
-        coef, exp = _parse_monomial(term, "t")
+        coef, exp = _parse_monomial(term, var)
         c = _parse_coefficient(coef, field)
         if sign < 0:
             c = field.neg(c)
@@ -329,7 +299,7 @@ def parse(field: FieldSpec, text: str) -> Poly:
     return Poly(field, [acc.get(i, 0) for i in range(deg + 1)])
 
 
-def to_text(p: Poly) -> str:
+def to_text(p: Poly, var: str = "t") -> str:
     if not p.coeffs:
         return "0"
     field = p.field
@@ -338,16 +308,16 @@ def to_text(p: Poly) -> str:
         c = p.coeffs[k]
         if c == 0:
             continue
-        var = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
+        mono = "" if k == 0 else (var if k == 1 else f"{var}^{k}")
         if k == 0:
             parts.append(field.element_str(c))
         elif c == 1:
-            parts.append(var)
+            parts.append(mono)
         else:
             cs = field.element_str(c)
             if "+" in cs:
                 cs = f"({cs})"
-            parts.append(cs + var)
+            parts.append(cs + mono)
     return "+".join(parts)
 
 

@@ -15,7 +15,7 @@ import json
 
 from .field import FieldSpec, field_make
 from .polyring import (Poly, enumerate_residues, factorize, index_to_poly,
-                       parse, parse_prime_coeffs, poly_to_index, to_text, xgcd)
+                       parse, poly_to_index, to_text, xgcd)
 
 
 class ResidueRing:
@@ -143,8 +143,7 @@ class FunctionTable:
         if field.m > 1:
             out["p"] = field.p
             out["m"] = field.m
-            mod_poly = Poly(field_make(field.p), [c for c in field.modulus])
-            out["field_modulus"] = to_text(mod_poly).replace("t", "u")
+            out["field_modulus"] = to_text(field.modulus_poly, "u")
         out["f"] = to_text(self.domain.modulus)
         out["g"] = to_text(self.codomain.modulus)
         out["values"] = {to_text(h): to_text(v)
@@ -188,8 +187,8 @@ class FunctionTable:
 
 def field_from_json_obj(obj: dict) -> FieldSpec:
     if "p" in obj and obj.get("m", 1) > 1:
-        coeffs = parse_prime_coeffs(obj["field_modulus"], obj["p"], "u")
-        return field_make(obj["p"], obj["m"], coeffs)
+        modulus = parse(field_make(obj["p"]), obj["field_modulus"], "u")
+        return field_make(obj["p"], obj["m"], modulus.coeffs)
     return field_make(obj["q"])
 
 

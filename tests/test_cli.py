@@ -79,6 +79,12 @@ def test_extension_field_args(capsys):
     obj = run_json(capsys, "count-cpf", "--p", "2", "--m", "2",
                    "--f", "t", "--g", "t^2+ut")
     assert obj == {"q": 4, "f": "t", "g": "t^2+ut", "count": "4^8", "exponent": 8}
+    # F_9 over u^2+2u+2, where u^2 = u+1: g = t^2 + (u^2 + u)t = t^2 + (2u+1)t
+    obj = run_json(capsys, "factor", "--p", "3", "--m", "2", "--field-modulus",
+                   "u^2+2u+2", "--g", "t^2+(u^2+u)t")
+    assert obj == {"q": 9, "g": "t^2+(2u+1)t", "unit": "1",
+                   "factors": [["t", 1], ["t+2u+1", 1]],
+                   "text": "1 * (t)^1 * (t+2u+1)^1"}
 
 
 # ------------------------------------------------------------ table input
@@ -266,11 +272,26 @@ def run_cli_process(*argv):
 @pytest.mark.parametrize("argv", [
     ("verify", "--q", "13", "--what", "cpf-count", "--f", "t^12", "--g", "t^12"),
     ("density", "--q", "3", "--empirical", "--max-degree", "300000000"),
-], ids=["table-count", "density"])
+    ("count-cpf", "--p", "2", "--m", "100000000", "--f", "t", "--g", "t"),
+    # 2^61 - 1 is prime: testing it by trial division would not return
+    ("gamma", "--p", "2305843009213693951", "--m", "1", "--g", "t"),
+    ("verify", "--q", "13", "--what", "poly-count", "--f", "t^12", "--g", "t^12"),
+    ("verify", "--q", "13", "--what", "crt", "--f", "t^12", "--g", "t^12",
+     "--samples", "1"),
+], ids=["table-count", "density", "field-size", "field-prime", "poly-count",
+        "crt"])
 def test_huge_enumeration_refused_quickly(argv):
     out = run_cli_process(*argv)
     assert out.returncode == 1 and out.stdout == ""
     assert "guard" in json.loads(out.stderr)["error"]
+
+
+def test_count_poly_does_not_visit_the_domain():
+    # |A_f| = 2^30: the closed form never loops over the residues of f
+    out = run_cli_process("count-poly", "--q", "2", "--f", "t^30", "--g", "t")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == {"q": 2, "f": "t^30", "g": "t",
+                                      "count": "2^2", "exponent": 2}
 
 
 def test_parse_degree_bound(capsys):

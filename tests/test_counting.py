@@ -5,6 +5,7 @@ import pytest
 
 from cpfq.counting import (
     QExponent,
+    _polyfn_local_exponent,
     count_cpf,
     count_cpf_local,
     count_polyfn,
@@ -93,6 +94,26 @@ def test_poly_at_most_cpf(q):
     for f in monic_upto(F, 4 if q == 2 else 3):
         for g in monic_upto(F, 4 if q == 2 else 3):
             assert count_polyfn(f, g).exponent <= count_cpf(f, g).exponent
+
+
+def test_polyfn_exponent_matches_the_sum_over_k():
+    # the defining sum over every k < q^n, against the closed form that
+    # visits at most e values of floor(k / q^d)
+    for q in (2, 3, 4, 5, 7):
+        for n in range(1, 8):
+            if q ** n > 5000:
+                continue
+            for d in range(1, n + 3):
+                w = [0] * q ** n
+                for k in range(1, q ** n):
+                    power = q ** d
+                    while power <= k:
+                        w[k] += k // power
+                        power *= q ** d
+                for e in range(1, 8):
+                    expect = d * (e * q ** n - sum(min(e, x) for x in w))
+                    got = _polyfn_local_exponent(n, q, d, e)
+                    assert got == expect, (q, n, d, e)
 
 
 # ------------------------------------------------------------ literal path

@@ -1,9 +1,15 @@
 """Exhaustive field axiom checks; these rings are small enough to test in full."""
 
+import hashlib
+
 import pytest
 
 from cpfq.field import DEFAULT_MAX_Q, FieldSpec, field_make
+from cpfq.polyring import Poly, parse
 from helpers import make_field
+
+# F_4, F_8, F_9, F_16 with their default moduli, and F_9 over u^2+2u+2
+EXTENSIONS = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 2, (2, 2, 1))]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -59,6 +65,31 @@ def test_f9_element_strings():
     seen = {F9.element_str(k) for k in range(9)}
     assert "0" in seen and "1" in seen and "u" in seen
     assert len(seen) == 9
+    # element k prints as a_k in u, whatever the modulus
+    f8 = ["0", "1", "u", "u+1", "u^2", "u^2+1", "u^2+u", "u^2+u+1"]
+    expected = {
+        4: f8[:4], 8: f8,
+        16: f8 + ["u^3", "u^3+1", "u^3+u", "u^3+u+1", "u^3+u^2", "u^3+u^2+1",
+                  "u^3+u^2+u", "u^3+u^2+u+1"],
+        9: ["0", "1", "2", "u", "u+1", "u+2", "2u", "2u+1", "2u+2"]}
+    for args in EXTENSIONS:
+        F = field_make(*args)
+        texts = [F.element_str(k) for k in range(F.q)]
+        assert texts == expected[F.q]
+        assert [str(e) for e in F.elements()] == texts
+        for k, text in enumerate(texts):
+            # every text reads back as the constant polynomial a_k
+            assert parse(F, text) == Poly(F, [k])
+            assert parse(F, f"({text})t") == Poly(F, [0, k])
+
+
+def _tables_digest(F):
+    ks = range(F.q)
+    data = ([[F.add(i, j) for j in ks] for i in ks],
+            [[F.mul(i, j) for j in ks] for i in ks],
+            [F.neg(i) for i in ks], [F.inv(i) for i in ks if i],
+            [F.element_str(k) for k in ks], [F.coeffs_of(k) for k in ks])
+    return hashlib.sha256(repr(data).encode()).hexdigest()[:16]
 
 
 def test_coeff_round_trip():
@@ -66,6 +97,16 @@ def test_coeff_round_trip():
         F = make_field(q)
         for k in range(q):
             assert F.from_coeffs(F.coeffs_of(k)) == k
+    # tables, texts and coordinates as the hand-written base-p digit codec
+    # built them before the fields moved onto the polyring codec
+    digests = ["32de0679c86d4c00", "78c66a6f8f68225a", "5c959940424c377f",
+               "f2741f6bce16fb9b", "f816be4f4bb951b2"]
+    for args, digest in zip(EXTENSIONS, digests):
+        F = field_make(*args)
+        for k in range(F.q):
+            assert F.from_coeffs(F.coeffs_of(k)) == k
+            assert len(F.coeffs_of(k)) == F.m
+        assert _tables_digest(F) == digest
 
 
 def test_size_guard():

@@ -1,6 +1,7 @@
 """Brute-force oracles against closed forms: the definitional checker,
 both counting engines, monomial-closure membership, and the guards."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -83,6 +84,25 @@ def test_encoded_checker_matches_naive():
             sig = random_table(dom, cod, rng)
             row = np.array([cod.index(v) for v in sig.values], dtype=np.int64)
             assert problem.check_row(row) == is_congruence_preserving(sig).ok
+    # the encoded arrays, as the numpy long division (prime q) and the
+    # per-residue reduction (extension q) built them before one a_k mod h
+    # label table served both rings
+    digests = {(2, "t^2", "t^3+t"): "3a907c98d77be054",
+               (2, "t^3", "t^2"): "80723bb2a8a81f57",
+               (3, "t^2", "t^2+2t"): "cf74c624e22d894f",
+               (3, "t", "t^3+t"): "892d4452135a5d3e",
+               (5, "t", "t^2+t"): "84f9d8174e152be7",
+               (4, "t", "t^2+ut"): "169ad7a6fe3905f8",
+               (4, "t^2", "t^2+u"): "707c0e48dd35059a",
+               (8, "t", "t^2+t"): "7900e1ffe74bff18",
+               (9, "t", "t^2"): "536e96551f4f9ada"}
+    for (q, ftext, gtext), digest in digests.items():
+        prob = encode_cp_problem(ring(q, ftext), ring(q, gtext))
+        h = hashlib.sha256()
+        for a in (prob.cons_ptr, prob.cons_src, prob.cons_div, prob.cod_class):
+            h.update(repr(a.shape).encode())
+            h.update(a.astype(np.int64).tobytes())
+        assert h.hexdigest()[:16] == digest
 
 
 # --------------------------------------------------- counts vs closed form

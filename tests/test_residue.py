@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from cpfq.field import field_make
 from cpfq.polyring import NEG_INF, parse, to_text
 from cpfq.residue import (
     FunctionTable,
@@ -74,6 +75,19 @@ def test_table_json_golden_extension():
                 '"f": "t", "g": "t", '
                 '"values": {"0": "0", "1": "1", "u": "u+1", "u+1": "u"}}')
     assert json.dumps(sig.to_json_obj()) == expected
+    assert FunctionTable.from_json(expected) == sig
+    # F_9 over the modulus u^2+2u+2 rather than the default u^2+1
+    F9 = field_make(3, 2, (2, 2, 1))
+    d9 = ResidueRing(parse(F9, "t"))
+    sig = table(d9, d9, lambda h: h * h)
+    expected = ('{"q": 9, "p": 3, "m": 2, "field_modulus": "u^2+2u+2", '
+                '"f": "t", "g": "t", '
+                '"values": {"0": "0", "1": "1", "2": "1", "u": "u+1", '
+                '"u+1": "2", "u+2": "2u+2", "2u": "u+1", "2u+1": "2u+2", '
+                '"2u+2": "2"}}')
+    assert json.dumps(sig.to_json_obj()) == expected
+    back = FunctionTable.from_json(expected)
+    assert back == sig and back.domain.field.modulus == (2, 2, 1)
 
 
 @pytest.mark.parametrize("q,f,g", [(2, "t^2", "t^3+t"), (3, "t", "t^2+2"), (4, "t", "t^2+ut")])
