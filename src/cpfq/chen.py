@@ -18,16 +18,8 @@ from .polyring import (Poly, degree_n_polys, factorize, is_irreducible,
 GAMMA_INF = math.inf
 
 
-def gamma_prime_power(p: Poly, e: int):
-    """Threshold for a prime power modulus p^e; +infinity when every
-
-    congruence-preserving function into A_{p^e} is polynomial."""
-    if not is_irreducible(p):
-        raise ValueError("gamma_prime_power requires an irreducible polynomial")
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    q = p.field.q
-    d = p.degree
+def _gamma_local(q: int, d: int, e: int):
+    """Threshold for P^e, deg P = d, over F_q (P known irreducible)."""
     if e == 1:
         return GAMMA_INF
     if q == 2:
@@ -37,11 +29,23 @@ def gamma_prime_power(p: Poly, e: int):
     return d + 1
 
 
+def gamma_prime_power(p: Poly, e: int):
+    """Threshold for a prime power modulus p^e; +infinity when every
+
+    congruence-preserving function into A_{p^e} is polynomial."""
+    if not is_irreducible(p):
+        raise ValueError("gamma_prime_power requires an irreducible polynomial")
+    if e < 1:
+        raise ValueError("exponent must be >= 1")
+    return _gamma_local(p.field.q, p.degree, e)
+
+
 def gamma(h: Poly):
     d = h.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("gamma requires degree >= 1")
-    return min(gamma_prime_power(p, e) for p, e in factorize(h).factors)
+    q = h.field.q
+    return min(_gamma_local(q, p.degree, e) for p, e in factorize(h).factors)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import sys
 import time
 
 from . import chen, counting, oracle, wagner
-from .field import field_make
+from .field import DEFAULT_MAX_Q, field_make
 from .polyring import ParseError, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
@@ -28,6 +28,8 @@ def _field_from_args(args):
         try:
             return field_make(args.q, 1, None)
         except ValueError:
+            if args.q > DEFAULT_MAX_Q:
+                raise  # the field size guard's own message
             raise ValueError(
                 f"--q must be prime (got {args.q}); for prime powers use "
                 "--p and --m") from None
@@ -422,6 +424,10 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, ArithmeticError) as e:
         print(json.dumps({"error": str(e)}), file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        msg = f"out of memory: {e}" if str(e) else "out of memory"
+        print(json.dumps({"error": msg}), file=sys.stderr)
         return 1
     _emit(args, out)
     return 0

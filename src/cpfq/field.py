@@ -135,6 +135,8 @@ class FieldSpec:
         return self._texts[k]
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldSpec) and self.p == other.p
                 and self.m == other.m and self.modulus == other.modulus)
 

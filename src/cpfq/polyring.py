@@ -3,6 +3,8 @@
 Polynomials are immutable dense coefficient tuples of canonical field
 indices, low degree first, with no trailing zeros.  The zero polynomial
 has an empty tuple and degree -infinity (a float sentinel, never -1).
+`Poly(field, coeffs)` validates its input; ring ops build their results
+with the trusted constructor `Poly._new`, which only trims zeros.
 
 The module also fixes the canonical enumeration a_0, a_1, a_2, ... of A:
 a_k is the polynomial whose coefficient vector is the base-q digit string
@@ -52,6 +54,20 @@ class Poly:
         self.coeffs = tuple(cs)
         self._hash = None
 
+    @classmethod
+    def _new(cls, field: FieldSpec, cs: list) -> "Poly":
+        """Trusted constructor: cs is a list of valid indices of `field`
+
+        (a ring-op result or digits valid by construction); only its
+        trailing zeros are trimmed."""
+        while cs and cs[-1] == 0:
+            cs.pop()
+        p = object.__new__(cls)
+        p.field = field
+        p.coeffs = tuple(cs)
+        p._hash = None
+        return p
+
     # ------------------------------------------------------------- basics
     @property
     def degree(self):
@@ -74,15 +90,17 @@ class Poly:
         if not self.coeffs or self.coeffs[-1] == 1:
             return self
         f = self.field
-        il = f.inv(self.coeffs[-1])
-        return Poly(f, [f.mul(c, il) for c in self.coeffs])
+        row = f._mul[f.inv(self.coeffs[-1])]
+        return Poly._new(f, [row[c] for c in self.coeffs])
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, Poly) and self.field == other.field
-                and self.coeffs == other.coeffs)
+        if not isinstance(other, Poly):
+            return False
+        f, g = self.field, other.field
+        return (f is g or f == g) and self.coeffs == other.coeffs
 
     def __hash__(self):
         if self._hash is None:
@@ -90,10 +108,12 @@ class Poly:
         return self._hash
 
     # --------------------------------------------------------- arithmetic
+    # Each op indexes rows of the field's add/mul/neg tables held in
+    # locals and builds its result with the trusted constructor.
     def _check(self, other) -> "Poly":
         if not isinstance(other, Poly):
             raise TypeError(f"expected Poly, got {type(other).__name__}")
-        if other.field != self.field:
+        if other.field is not self.field and other.field != self.field:
             raise ValueError("polynomials over different fields")
         return other
 
@@ -103,50 +123,57 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Poly(f, out)
+        add = f._add
+        out = [add[x][y] for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return Poly._new(f, out)
 
     def __sub__(self, other):
         other = self._check(other)
         f = self.field
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else 0
-            b = other.coeffs[i] if i < len(other.coeffs) else 0
-            out[i] = f.sub(a, b)
-        return Poly(f, out)
+        a, b = self.coeffs, other.coeffs
+        add, neg = f._add, f._neg
+        out = [add[x][neg[y]] for x, y in zip(a, b)]
+        if len(a) >= len(b):
+            out.extend(a[len(b):])
+        else:
+            out.extend([neg[y] for y in b[len(a):]])
+        return Poly._new(f, out)
 
     def __neg__(self):
         f = self.field
-        return Poly(f, [f.neg(c) for c in self.coeffs])
+        neg = f._neg
+        return Poly._new(f, [neg[c] for c in self.coeffs])
 
     def __mul__(self, other):
-        if isinstance(other, FieldElement) or isinstance(other, int):
-            f = self.field
-            s = other.index if isinstance(other, FieldElement) else other % f.q
-            return Poly(f, [f.mul(c, s) for c in self.coeffs])
-        other = self._check(other)
         f = self.field
-        if not self.coeffs or not other.coeffs:
-            return Poly(f)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                mrow = f._mul[a]
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = f.add(out[i + j], mrow[b])
-        return Poly(f, out)
+        if isinstance(other, FieldElement):
+            if other.spec is not f and other.spec != f:
+                raise ValueError("scalar from a different field")
+            other = other.index
+        if isinstance(other, int):
+            row = f._mul[other % f.q]
+            return Poly._new(f, [row[c] for c in self.coeffs])
+        other = self._check(other)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._new(f, [])
+        add, mul = f._add, f._mul
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                mrow = mul[x]
+                for j, y in enumerate(b, i):
+                    if y:
+                        out[j] = add[out[j]][mrow[y]]
+        return Poly._new(f, out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly(self.field, [1])
+        result = Poly._new(self.field, [1])
         base = self
         while n:
             if n & 1:
@@ -157,24 +184,28 @@ class Poly:
 
     def __divmod__(self, other):
         other = self._check(other)
-        if not other.coeffs:
+        den = other.coeffs
+        if not den:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
         num = list(self.coeffs)
-        den = other.coeffs
         dd = len(den) - 1
         if len(num) < len(den):
-            return Poly(f), self
-        inv_lead = f.inv(den[-1])
+            return Poly._new(f, []), self
+        add, mul, neg = f._add, f._mul, f._neg
+        inv_row = mul[f._inv[den[-1]]]
+        # (offset, mul row of -den[i]) for each nonzero lower term
+        terms = [(i, mul[neg[c]]) for i, c in enumerate(den[:dd]) if c]
         quo = [0] * (len(num) - dd)
         for shift in range(len(num) - dd - 1, -1, -1):
-            c = f.mul(num[shift + dd], inv_lead)
+            c = inv_row[num[shift + dd]]
             if c:
                 quo[shift] = c
-                for i in range(dd + 1):
-                    if den[i]:
-                        num[shift + i] = f.sub(num[shift + i], f.mul(c, den[i]))
-        return Poly(f, quo), Poly(f, num[:dd])
+                for i, row in terms:
+                    k = shift + i
+                    num[k] = add[num[k]][row[c]]
+        del num[dd:]
+        return Poly._new(f, quo), Poly._new(f, num)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -186,14 +217,13 @@ class Poly:
         """Multiply by t^k."""
         if not self.coeffs:
             return self
-        return Poly(self.field, (0,) * k + self.coeffs)
+        return Poly._new(self.field, [0] * k + list(self.coeffs))
 
     def derivative(self) -> "Poly":
         f = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(f.mul(self.coeffs[i], i % f.p))
-        return Poly(f, out)
+        mul, p = f._mul, f.p
+        return Poly._new(f, [mul[c][i % p]
+                             for i, c in enumerate(self.coeffs) if i])
 
     def __str__(self):
         return to_text(self)
@@ -285,6 +315,8 @@ def parse(field: FieldSpec, text: str, var: str = "t") -> Poly:
 
     coefficients are u-polynomials, parenthesized or bare monomials.
     var="u" reads such a u-polynomial itself, over F_p."""
+    if not isinstance(text, str):
+        raise ParseError(f"polynomial text must be a string, got {text!r}")
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial text")
@@ -328,9 +360,8 @@ def _check_order(field: FieldSpec, order):
     if order is None:
         return None
     order = tuple(order)
-    if len(order) != field.q or order[0] != 0:
-        raise ValueError("order must be a permutation of 0..q-1 starting at 0")
-    if len(set(order)) != field.q:
+    if (len(order) != field.q or set(order) != set(range(field.q))
+            or order[0] != 0):
         raise ValueError("order must be a permutation of 0..q-1 starting at 0")
     return order
 
@@ -346,7 +377,7 @@ def index_to_poly(field: FieldSpec, k: int, order=None) -> Poly:
         d = k % q
         cs.append(order[d] if order else d)
         k //= q
-    return Poly(field, cs)
+    return Poly._new(field, cs)
 
 
 def poly_to_index(p: Poly, order=None) -> int:
@@ -384,10 +415,10 @@ def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
     coefficients and then by leading coefficient (1 only if monic_only)."""
     leads = [1] if monic_only else range(1, field.q)
     for low in range(field.q ** n):
-        base = index_to_poly(field, low).coeffs
-        base = base + (0,) * (n - len(base))
+        base = list(index_to_poly(field, low).coeffs)
+        base += [0] * (n - len(base))
         for lead in leads:
-            yield Poly(field, base + (lead,))
+            yield Poly._new(field, base + [lead])
 
 
 def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> Poly:

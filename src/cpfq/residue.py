@@ -155,6 +155,8 @@ class FunctionTable:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FunctionTable":
+        if not isinstance(obj, dict):
+            raise ValueError("a table must be a JSON object")
         keys = set(obj)
         expected = {"q", "f", "g", "values"}
         if "p" in keys or "m" in keys or "field_modulus" in keys:
@@ -166,6 +168,8 @@ class FunctionTable:
         dom = ResidueRing(parse(field, obj["f"]))
         cod = ResidueRing(parse(field, obj["g"]))
         vals_in = obj["values"]
+        if not isinstance(vals_in, dict):
+            raise ValueError("table values must be a JSON object")
         values = []
         for h in dom.elements():
             key = to_text(h)
@@ -186,6 +190,11 @@ class FunctionTable:
 
 
 def field_from_json_obj(obj: dict) -> FieldSpec:
+    for key in ("q", "p", "m"):
+        v = obj.get(key)
+        if key in obj and (not isinstance(v, int) or isinstance(v, bool)):
+            raise ValueError(f"table field {key!r} must be an integer, "
+                             f"got {v!r}")
     if "p" in obj and obj.get("m", 1) > 1:
         modulus = parse(field_make(obj["p"]), obj["field_modulus"], "u")
         return field_make(obj["p"], obj["m"], modulus.coeffs)

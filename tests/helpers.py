@@ -1,8 +1,9 @@
 """Shared shorthand for the test suite: field construction by size q,
-polynomial parsing, and monic enumeration."""
+polynomial parsing, monic enumeration, and the per-coefficient reference
+ring ops that the table-row arithmetic of `Poly` is checked against."""
 
 from cpfq.field import field_make
-from cpfq.polyring import index_to_poly, parse
+from cpfq.polyring import Poly, index_to_poly, parse
 from cpfq.residue import FunctionTable, ResidueRing
 
 PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}
@@ -39,3 +40,64 @@ def ring(q, text):
 
 def table(domain, codomain, fn):
     return FunctionTable.from_callable(domain, codomain, fn)
+
+
+# ------------------------------------------- reference polynomial ring ops
+# One field call per coefficient, each result built by the validating
+# constructor Poly(field, coeffs).  Operands share one field.
+def ref_add(x, y):
+    f = x.field
+    a, b = x.coeffs, y.coeffs
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = f.add(out[i], c)
+    return Poly(f, out)
+
+
+def ref_sub(x, y):
+    f = x.field
+    n = max(len(x.coeffs), len(y.coeffs))
+    out = [0] * n
+    for i in range(n):
+        a = x.coeffs[i] if i < len(x.coeffs) else 0
+        b = y.coeffs[i] if i < len(y.coeffs) else 0
+        out[i] = f.sub(a, b)
+    return Poly(f, out)
+
+
+def ref_neg(x):
+    f = x.field
+    return Poly(f, [f.neg(c) for c in x.coeffs])
+
+
+def ref_mul(x, y):
+    f = x.field
+    if not x.coeffs or not y.coeffs:
+        return Poly(f)
+    out = [0] * (len(x.coeffs) + len(y.coeffs) - 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs):
+            out[i + j] = f.add(out[i + j], f.mul(a, b))
+    return Poly(f, out)
+
+
+def ref_divmod(x, y):
+    if not y.coeffs:
+        raise ZeroDivisionError("polynomial division by zero")
+    f = x.field
+    num = list(x.coeffs)
+    den = y.coeffs
+    dd = len(den) - 1
+    if len(num) < len(den):
+        return Poly(f), x
+    inv_lead = f.inv(den[-1])
+    quo = [0] * (len(num) - dd)
+    for shift in range(len(num) - dd - 1, -1, -1):
+        c = f.mul(num[shift + dd], inv_lead)
+        if c:
+            quo[shift] = c
+            for i in range(dd + 1):
+                num[shift + i] = f.sub(num[shift + i], f.mul(c, den[i]))
+    return Poly(f, quo), Poly(f, num[:dd])

@@ -211,6 +211,49 @@ def test_non_prime_q_exits_1_with_hint(capsys):
     assert "--p and --m" in json.loads(err)["error"]
 
 
+def test_q_above_size_guard_reports_the_guard(capsys):
+    # 17 is prime; F_17 is refused only by the field size guard
+    code, out, err = run_cli(capsys, "gamma", "--q", "17", "--g", "t")
+    assert code == 1 and out == ""
+    error = json.loads(err)["error"]
+    assert "field size guard" in error and "must be prime" not in error
+
+
+TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"q": "2", **TABLE_BODY}, "'q' must be an integer"),
+    ({"q": True, **TABLE_BODY}, "'q' must be an integer"),
+    ({"q": 2, "p": 2, "m": "2", "field_modulus": "u^2+u+1", **TABLE_BODY},
+     "'m' must be an integer"),
+    ({"q": 4, "p": "2", "m": 2, "field_modulus": "u^2+u+1", **TABLE_BODY},
+     "'p' must be an integer"),
+    ({**TABLE_BODY, "q": 2, "f": 5}, "must be a string"),
+    ({**TABLE_BODY, "q": 2, "values": 7}, "values must be a JSON object"),
+    ([2, "t"], "must be a JSON object"),
+], ids=["q-str", "q-bool", "m-str", "p-str", "f-int", "values-int", "list"])
+def test_malformed_table_json_exits_1(capsys, tmp_path, obj, message):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run_cli(capsys, "decompose", "--q", "2", "--f", "t",
+                             "--P", "t", "--e", "1", "--sigma", str(path))
+    assert code == 1 and out == ""
+    assert message in json.loads(err)["error"]
+
+
+def test_memory_error_exits_1_with_json(capsys, monkeypatch):
+    from cpfq import cli
+
+    def exhausted(g):
+        raise MemoryError
+
+    monkeypatch.setattr(cli.chen, "gamma", exhausted)
+    code, out, err = run_cli(capsys, "gamma", "--q", "2", "--g", "t^2")
+    assert code == 1 and out == ""
+    assert json.loads(err) == {"error": "out of memory"}
+
+
 def test_unknown_command_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["nosuch"])

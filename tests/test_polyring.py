@@ -27,7 +27,8 @@ from cpfq.polyring import (
     valuation,
     xgcd,
 )
-from helpers import make_field, monic_polys, monic_upto, pol
+from helpers import (make_field, monic_polys, monic_upto, pol, ref_add,
+                     ref_divmod, ref_mul, ref_neg, ref_sub)
 
 FIELDS = {q: make_field(q) for q in (2, 3, 4, 5)}
 
@@ -102,6 +103,60 @@ def test_degree_of_product(ab):
         assert (a * b).degree is NEG_INF
     else:
         assert (a * b).degree == a.degree + b.degree
+
+
+# ------------------------------------ table-row ops against the reference
+DIFF_FIELDS = {q: make_field(q) for q in (2, 3, 4, 5, 9)}
+
+
+def diff_polys(q, max_degree=8):
+    F = DIFF_FIELDS[q]
+    return st.lists(
+        st.integers(min_value=0, max_value=q - 1), max_size=max_degree + 1
+    ).map(lambda cs: Poly(F, cs))
+
+
+def assert_valid(r, field):
+    assert r.field is field
+    assert Poly(field, r.coeffs) == r
+    assert not r.coeffs or r.coeffs[-1] != 0
+    assert all(type(c) is int and 0 <= c < field.q for c in r.coeffs)
+
+
+@given(st.sampled_from(sorted(DIFF_FIELDS)).flatmap(
+    lambda q: st.tuples(diff_polys(q), diff_polys(q),
+                        st.integers(min_value=0, max_value=q - 1))))
+@settings(max_examples=300)
+def test_ring_ops_match_reference(abs_):
+    a, b, s = abs_
+    F = a.field
+    pairs = [(a + b, ref_add(a, b)), (a - b, ref_sub(a, b)),
+             (-a, ref_neg(a)), (a * b, ref_mul(a, b))]
+    if b:
+        pairs += list(zip(divmod(a, b), ref_divmod(a, b)))
+    for lean, ref in pairs:
+        assert lean == ref and lean.coeffs == ref.coeffs
+        assert_valid(lean, F)
+    for r in (a * s, a * F.element(s), F.element(s) * a, a ** 3, a.shift(2),
+              a.derivative(), a.monic()):
+        assert_valid(r, F)
+    other = DIFF_FIELDS[2 if F.q != 2 else 3]
+    for op in ("__add__", "__sub__", "__mul__", "__divmod__"):
+        with pytest.raises(ValueError):
+            getattr(a, op)(Poly(other, [1, 1]))
+        with pytest.raises(TypeError):
+            getattr(a, op)([1, 1])
+    with pytest.raises(ValueError):
+        a * other.element(1)
+
+
+def test_fields_differing_only_in_max_q_mix():
+    from cpfq.field import field_make
+    F, G = field_make(3), field_make(3, max_q=27)
+    assert F is not G and F == G
+    a, b = parse(F, "t^2+2"), parse(G, "2t+1")
+    assert a + b == parse(F, "t^2+2t") == parse(G, "t^2+2t")
+    assert divmod(a, b) == divmod(parse(G, "t^2+2"), b)
 
 
 def test_degree_sentinel():
