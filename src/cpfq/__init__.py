@@ -18,10 +18,10 @@ from .oracle import (CpCheck, EnumerationGuard, GuardExceeded, PolyFnModule,
                      is_squarefree_gcd, polyfn_module, polyfn_submodule,
                      random_polynomial_function, random_table)
 from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
-                       enumerate_residues, factorial, factorize, gcd,
-                       index_to_poly, is_irreducible, monic_divisors,
-                       monic_irreducibles, parse, poly_to_index, to_text,
-                       valuation, xgcd)
+                       enumerate_residues, factor_shape, factorial,
+                       factorize, gcd, index_to_poly, is_irreducible,
+                       monic_divisors, monic_irreducibles, parse,
+                       poly_to_index, to_text, valuation, xgcd)
 from .residue import (FunctionTable, ResidueRing, crt_combine, crt_split,
                       reduce_mod)
 from .wagner import (BasisCoefficients, BasisReport, CrtReport, PSequence,
@@ -40,8 +40,8 @@ __all__ = [
     "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
     "decompose", "deg_gcd_factorial", "degree_n_polys", "density_empirical",
     "density_exact", "encode_cp_problem", "enumerate_cpf_tables",
-    "enumerate_residues", "eval_Qk", "exponent_identity_check", "factorial",
-    "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
+    "enumerate_residues", "eval_Qk", "exponent_identity_check", "factor_shape",
+    "factorial", "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
     "index_to_poly", "is_chen_pair", "is_congruence_preserving",
     "is_cpf_via_basis", "is_irreducible", "is_polynomial_function",
     "is_self_chen", "is_squarefree_gcd", "monic_divisors",

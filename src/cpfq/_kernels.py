@@ -23,12 +23,14 @@ assume the bounds hold.
 
 from __future__ import annotations
 
-import numpy as np
-
+# numpy is imported by the functions that use it, so that importing cpfq
+# for the closed forms and factorization does not load it
 _CHUNK = 1 << 18
 
 
 def count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
+    import numpy as np
+
     total = C ** D
     count = 0
     flat = [(j, cons_src[c], cons_div[c])
@@ -47,6 +49,8 @@ def _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class):
     """(n, C) mask of the values position j may take after each of the n
 
     prefixes in rows (shape (n, j))."""
+    import numpy as np
+
     mask = np.ones((rows.shape[0], C), dtype=bool)
     for c in range(cons_ptr[j], cons_ptr[j + 1]):
         cls = cod_class[cons_div[c]]
@@ -56,6 +60,8 @@ def _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class):
 
 def _grow(rows, mask):
     """The extended prefixes that mask allows, in (prefix, value) order."""
+    import numpy as np
+
     parent, val = np.nonzero(mask)
     return np.concatenate([rows[parent], val[:, None]], axis=1)
 
@@ -63,6 +69,8 @@ def _grow(rows, mask):
 def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class,
                            cap: int):
     """All valid rows as an (n, D) array, or None when n would exceed cap."""
+    import numpy as np
+
     rows = np.zeros((1, 0), dtype=np.int64)
     for j in range(D):
         rows = _grow(rows, _extend(rows, j, C, cons_ptr, cons_src, cons_div,
@@ -77,6 +85,8 @@ def count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
 
     about _CHUNK // C, so memory stays bounded by D blocks however many
     rows are valid; the last position is counted, not materialized."""
+    import numpy as np
+
     block = max(1, _CHUNK // C)
     count = 0
     stack = [(0, np.zeros((1, 0), dtype=np.int64))]

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldSpec
-from .polyring import (Poly, degree_n_polys, factorize, is_irreducible,
-                       power_exceeds)
+from .polyring import (Poly, degree_n_polys, factor_shape, gcd,
+                       is_irreducible, power_exceeds, squarefree_decomposition)
 
 GAMMA_INF = math.inf
 
@@ -45,7 +45,7 @@ def gamma(h: Poly):
     if not isinstance(d, int) or d < 1:
         raise ValueError("gamma requires degree >= 1")
     q = h.field.q
-    return min(_gamma_local(q, p.degree, e) for p, e in factorize(h).factors)
+    return min(_gamma_local(q, dp, e) for dp, e in factor_shape(h))
 
 
 @dataclass(frozen=True)
@@ -70,24 +70,20 @@ def is_chen_pair(f: Poly, g: Poly) -> ChenVerdict:
 
 
 def is_self_chen(g: Poly) -> bool:
-    """Whether (g, g) is a Chen pair, by the factorization condition:
-
-    q = 2: no cube of a linear factor and no square of a higher-degree
-    factor divide g; q > 2: g is square-free."""
+    """Whether (g, g) is a Chen pair, read off the square-free
+    decomposition g = prod s_k^k.  For q > 2, g must be square-free.  For
+    q = 2, s_2 must divide t^2+t (only linear factors squared) and s_k = 1
+    for k >= 3 (no cubes)."""
     d = g.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("g must have degree >= 1")
-    q = g.field.q
-    for p, e in factorize(g).factors:
-        if q == 2:
-            if p.degree == 1 and e >= 3:
-                return False
-            if p.degree >= 2 and e >= 2:
-                return False
-        else:
-            if e >= 2:
-                return False
-    return True
+    if gcd(g, g.derivative()).degree == 0:
+        return True
+    if g.field.q != 2:
+        return False
+    t2t = Poly(g.field, [0, 1, 1])
+    return all(k == 2 and (t2t % s).is_zero()
+               for s, k in squarefree_decomposition(g) if k >= 2)
 
 
 def squarefree_count(n: int, q: int) -> int:

@@ -9,6 +9,7 @@ errors (bad polynomial, guard exceeded, wrong modulus shape), 2 usage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -17,7 +18,7 @@ import time
 
 from . import chen, counting, oracle, wagner
 from .field import DEFAULT_MAX_Q, field_make
-from .polyring import ParseError, factorize, parse, to_text
+from .polyring import ParseError, factor_shape, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
@@ -250,8 +251,7 @@ def _verify_dispatch(args, field, guard):
 
 
 def _verify_basis(args, field, guard, f, g):
-    fact = factorize(g)
-    if len(fact.factors) != 1:
+    if len(factor_shape(g)) != 1:
         raise ValueError("verify --what basis needs a prime power --g")
     tables = oracle.enumerate_cpf_tables(f, g, guard=guard)
     all_cp_pass = all(wagner.is_cpf_via_basis(tb).cpf for tb in tables)
@@ -319,6 +319,9 @@ def _emit(args, obj) -> None:
 
 
 # ---------------------------------------------------------------- parser
+# parse_args keeps no state between calls, so the parser is built once per
+# process; every caller gets that one parser and must not change it
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--q", type=int, help="prime field size")

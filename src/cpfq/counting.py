@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import Poly, factorial, factorize, gcd, is_irreducible
+from .polyring import Poly, factor_shape, factorial, gcd, is_irreducible
 from .wagner import floor_log
 
 
@@ -98,8 +98,8 @@ def count_cpf(f: Poly, g: Poly) -> QExponent:
     if g.field != f.field:
         raise ValueError("f and g must share one field")
     q = f.field.q
-    return QExponent(q, sum(_cpf_local_exponent(n, q, p.degree, e)
-                            for p, e in factorize(g).factors))
+    return QExponent(q, sum(_cpf_local_exponent(n, q, d, e)
+                            for d, e in factor_shape(g)))
 
 
 def count_cpf_local(f: Poly, p: Poly, e: int) -> QExponent:
@@ -148,7 +148,7 @@ def count_polyfn(f: Poly, g: Poly, literal: bool = False, order=None) -> QExpone
     """Number of polynomial functions A_f -> A_g.
 
     The default path subtracts valuations of the generalized factorials
-    through the factorization of g; the literal path recomputes each
+    through the factor shape of g; the literal path recomputes each
     deg gcd(g, prod_{i<k}(a_k - a_i)) by actual gcd and is guarded to
     deg f <= 4.  An element ordering may be supplied on the literal path
     to probe order-independence of the result.
@@ -161,8 +161,8 @@ def count_polyfn(f: Poly, g: Poly, literal: bool = False, order=None) -> QExpone
     if not literal:
         if order is not None:
             raise ValueError("orderings only apply to the literal path")
-        return QExponent(q, sum(_polyfn_local_exponent(n, q, p.degree, e)
-                                for p, e in factorize(g).factors))
+        return QExponent(q, sum(_polyfn_local_exponent(n, q, d, e)
+                                for d, e in factor_shape(g)))
     if n > LITERAL_DEGREE_GUARD:
         raise ValueError(
             f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")

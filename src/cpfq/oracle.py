@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+# numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
 from .field import FieldSpec
 from .polyring import (Poly, degree_n_polys, gcd, monic_divisors,
@@ -119,6 +118,8 @@ class CpProblem:
 
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
+    import numpy as np
+
     divisors = monic_divisors(codomain.modulus)
     # both rings list their residues as a_0, a_1, ..., so one table of
     # labels index(a_k mod h) serves the domain and the codomain
@@ -249,6 +250,8 @@ class PolyFnModule:
             monomial = [(v * r) % g for v, r in zip(monomial, reps)]
 
     def _encode_values(self, values) -> np.ndarray:
+        import numpy as np
+
         field = self.domain.field
         out = np.zeros(self.length, dtype=np.int64)
         pos = 0
@@ -285,6 +288,8 @@ class PolyFnModule:
         return vec
 
     def _add_row(self, vec: np.ndarray) -> bool:
+        import numpy as np
+
         vec = self._reduce(vec)
         nz = np.nonzero(vec)[0]
         if nz.size == 0:
@@ -311,13 +316,15 @@ class PolyFnModule:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
         vec = self._reduce(self._encode_values(list(sigma.values)))
-        return not np.any(vec)
+        return not vec.any()
 
     def members(self) -> list:
         """Every polynomial function, when within the closure guard."""
         if self.size > self.guard.max_closure:
             raise GuardExceeded(
                 f"closure size {self.size} exceeds max_closure={self.guard.max_closure}")
+        import numpy as np
+
         vectors = [np.zeros(self.length, dtype=np.int64)]
         for piv in sorted(self._pivots):
             row = self._pivots[piv]

@@ -16,7 +16,10 @@ order-dependence of derived quantities.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from math import inf
 
@@ -31,6 +34,31 @@ class ParseError(ValueError):
 
 # parse builds a dense coefficient list, so it refuses larger exponents
 MAX_PARSE_DEGREE = 10_000
+
+
+def _divmod_lists(f: FieldSpec, num: list, den) -> list:
+    """Divide the coefficient list num in place by den (nonzero, no
+    trailing zeros): num becomes the trimmed remainder; returns the
+    quotient list."""
+    dd = len(den) - 1
+    if len(num) <= dd:
+        return []
+    add, mul, neg = f._add, f._mul, f._neg
+    inv_row = mul[f._inv[den[-1]]]
+    # (offset, mul row of -den[i]) for each nonzero lower term
+    terms = [(i, mul[neg[c]]) for i, c in enumerate(den[:dd]) if c]
+    quo = [0] * (len(num) - dd)
+    for shift in range(len(num) - dd - 1, -1, -1):
+        c = inv_row[num[shift + dd]]
+        if c:
+            quo[shift] = c
+            for i, row in terms:
+                k = shift + i
+                num[k] = add[num[k]][row[c]]
+    del num[dd:]
+    while num and num[-1] == 0:
+        num.pop()
+    return quo
 
 
 class Poly:
@@ -152,7 +180,8 @@ class Poly:
                 raise ValueError("scalar from a different field")
             other = other.index
         if isinstance(other, int):
-            row = f._mul[other % f.q]
+            # an int is an integer mod p, as in FieldElement arithmetic
+            row = f._mul[other % f.p]
             return Poly._new(f, [row[c] for c in self.coeffs])
         other = self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -184,27 +213,13 @@ class Poly:
 
     def __divmod__(self, other):
         other = self._check(other)
-        den = other.coeffs
-        if not den:
+        if not other.coeffs:
             raise ZeroDivisionError("polynomial division by zero")
         f = self.field
-        num = list(self.coeffs)
-        dd = len(den) - 1
-        if len(num) < len(den):
+        if len(self.coeffs) < len(other.coeffs):
             return Poly._new(f, []), self
-        add, mul, neg = f._add, f._mul, f._neg
-        inv_row = mul[f._inv[den[-1]]]
-        # (offset, mul row of -den[i]) for each nonzero lower term
-        terms = [(i, mul[neg[c]]) for i, c in enumerate(den[:dd]) if c]
-        quo = [0] * (len(num) - dd)
-        for shift in range(len(num) - dd - 1, -1, -1):
-            c = inv_row[num[shift + dd]]
-            if c:
-                quo[shift] = c
-                for i, row in terms:
-                    k = shift + i
-                    num[k] = add[num[k]][row[c]]
-        del num[dd:]
+        num = list(self.coeffs)
+        quo = _divmod_lists(f, num, other.coeffs)
         return Poly._new(f, quo), Poly._new(f, num)
 
     def __floordiv__(self, other):
@@ -434,6 +449,185 @@ def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> 
     return out
 
 
+# --------------------------------------------------------- factorization
+# Square-free, distinct-degree and equal-degree factorization (von zur
+# Gathen-Gerhard, Modern Computer Algebra, ch. 14); the closed forms of
+# the paper read only the shape, which needs no equal-degree splitting.
+class _ModRing:
+    """F_q[t]/(s) for a monic s of degree n >= 1, on coefficient lists of
+    length n, with the q-th power map `frob`."""
+
+    def __init__(self, s: Poly):
+        f = s.field
+        self.field, self.n = f, s.degree
+        mul, neg = f._mul, f._neg
+        # (offset, mul row of -s_i) for each nonzero lower term of s
+        self.terms = [(i, mul[neg[c]]) for i, c in enumerate(s.coeffs[:-1]) if c]
+        self.packed = None
+
+    def reduce(self, a: list) -> list:
+        """a mod s, in place, padded to length n."""
+        add, n, terms = self.field._add, self.n, self.terms
+        for top in range(len(a) - 1, n - 1, -1):
+            c = a[top]
+            if c:
+                base = top - n
+                for i, row in terms:
+                    a[base + i] = add[a[base + i]][row[c]]
+        del a[n:]
+        a += [0] * (n - len(a))
+        return a
+
+    def _pack(self):
+        """Pack the F_p coordinates l of the rows u^k t^(qi) mod s, one
+        int per (i, k, l) with a slot of 1, 2, 4 or 8 bytes per coefficient,
+        wide enough for a sum of n*m products of two digits."""
+        f, n = self.field, self.n
+        p, m, coords = f.p, f.m, f._coords
+        bound = n * m * (p - 1) ** 2
+        self.fmt = next(c for c in "BHIQ" if bound < 1 << 8 * array(c).itemsize)
+        self.width = n * array(self.fmt).itemsize
+        by_uk = [f._mul[p ** k] for k in range(m)]
+        row = self.reduce([1])
+        self.packed = []
+        for _ in range(n):
+            self.packed.append([
+                [int.from_bytes(array(self.fmt, [coords[uk[x]][l] for x in row]),
+                                sys.byteorder) for l in range(m)]
+                for uk in by_uk])
+            row = self.reduce([0] * f.q + row)
+
+    def frob(self, a: list) -> list:
+        """a^q mod s.  The map is F_q-linear, a^q = sum a_i t^(qi), so with
+        a_i = sum_k d_k u^k (d_k in F_p) each coordinate of a^q is an
+        integer sum of packed rows, reduced mod p slot by slot."""
+        if self.packed is None:
+            self._pack()
+        f = self.field
+        p, m, coords = f.p, f.m, f._coords
+        sums = [0] * m
+        for c, by_k in zip(a, self.packed):
+            if c:
+                for d, packed in zip(coords[c], by_k):
+                    if d:
+                        for l in range(m):
+                            sums[l] += d * packed[l]
+        slots = [array(self.fmt, v.to_bytes(self.width, sys.byteorder))
+                 for v in sums]
+        if m == 1:
+            return [v % p for v in slots[0]]
+        by_coords = f._by_coords
+        return [by_coords[tuple(v % p for v in vs)] for vs in zip(*slots)]
+
+
+def _pth_root(c: Poly) -> Poly:
+    """The polynomial whose p-th power is c (c' = 0): coefficient c_(pj)
+    goes to degree j, raised to q/p, the inverse of x -> x^p on F_q."""
+    f = c.field
+    roots = [(f.element(a) ** (f.q // f.p)).index for a in range(f.q)]
+    return Poly._new(f, [roots[a] for a in c.coeffs[::f.p]])
+
+
+def squarefree_decomposition(g: Poly) -> list:
+    """[(s, k), ...] with g = lead(g) * prod s^k, k ascending, each s monic,
+    square-free and of degree >= 1, the s pairwise coprime: s is the
+    product of the irreducible factors of multiplicity exactly k.
+
+    Yun's loop peels the multiplicities prime to p off c = gcd(g, g');
+    what is left is a p-th power, decomposed through its p-th root."""
+    g = g.monic()
+    c = gcd(g, g.derivative())
+    if c.degree == 0:
+        return [(g, 1)]
+    out = []
+    w = g // c
+    k = 1
+    while w.degree >= 1:
+        y = gcd(w, c)
+        z = w // y
+        if z.degree >= 1:
+            out.append((z, k))
+        w, c = y, c // y
+        k += 1
+    if c.degree >= 1:
+        p = g.field.p
+        out += [(s, j * p) for s, j in squarefree_decomposition(_pth_root(c))]
+        out.sort(key=lambda sk: sk[1])
+    return out
+
+
+def _distinct_degree(s: Poly):
+    """Yield (d, product of the irreducible factors of degree d) of a monic
+    square-free s, d ascending: the degree-d factors are those that divide
+    t^(q^d) - t and no t^(q^i) - t with i < d."""
+    f = s.field
+    ring = _ModRing(s)
+    h = ring.reduce([0, 1])
+    d = 0
+    while 2 * (d + 1) <= s.degree:
+        d += 1
+        h = ring.frob(h)
+        h_minus_t = list(h)
+        h_minus_t[1] = f._add[h[1]][f._neg[1]]
+        u = gcd(s, Poly._new(f, h_minus_t))
+        if u.degree >= 1:
+            yield d, u
+            s = s // u
+            ring = _ModRing(s)
+            h = ring.reduce(h)
+    if s.degree >= 1:
+        yield s.degree, s
+
+
+def _equal_degree(u: Poly, d: int, rng) -> list:
+    """The monic irreducible factors of u, a monic product of distinct
+    irreducibles of degree d (Cantor-Zassenhaus, by the trace map).
+
+    Tr(a) = a + a^q + ... + a^(q^(d-1)) mod u lies in F_q modulo each
+    factor, so u = prod_c gcd(u, Tr(a) - c) over c in F_q; a random a
+    leaves u whole only when all r factors share one trace (q^(1-r)).
+    For odd q this takes the place of a^((q^d-1)/2), which costs d modular
+    products on top of the same d Frobenius steps and splits u in two."""
+    if u.degree == d:
+        return [u]
+    f = u.field
+    add = f._add
+    ring = _ModRing(u)
+    while True:
+        a = [rng.randrange(f.q) for _ in range(u.degree)]
+        tr = a
+        for _ in range(d - 1):
+            a = ring.frob(a)
+            tr = [add[x][y] for x, y in zip(tr, a)]
+        tr = Poly._new(f, tr)
+        parts, rest = [], u
+        for c in range(f.q):
+            v = gcd(rest, tr - Poly._new(f, [c]))
+            if v.degree >= 1:
+                parts.append(v)
+                rest = rest // v
+                if rest.degree < 1:
+                    break
+        if len(parts) > 1:
+            return [p for v in parts for p in _equal_degree(v, d, rng)]
+
+
+def _require_nonconstant(g: Poly) -> None:
+    if not isinstance(g.degree, int) or g.degree < 1:
+        raise ValueError("cannot factor a constant")
+
+
+def factor_shape(g: Poly) -> tuple:
+    """The sorted (degree, exponent) pairs of the irreducible factors of g,
+    with repeats, from square-free and distinct-degree factorization."""
+    _require_nonconstant(g)
+    shape = []
+    for s, k in squarefree_decomposition(g):
+        for d, u in _distinct_degree(s):
+            shape += [(d, k)] * (u.degree // d)
+    return tuple(sorted(shape))
+
+
 # ------------------------------------------------------- irreducibility
 _IRRED_CACHE: dict = {}
 _IRRED_LOCK = threading.Lock()
@@ -442,39 +636,34 @@ _IRRED_LOCK = threading.Lock()
 def monic_irreducibles(field: FieldSpec, degree: int) -> tuple:
     """All monic irreducibles of exact degree `degree`, in index order.
 
-    The table is memoized per (field, degree) and append-only."""
+    The table is memoized per (field, degree).  The read below takes no
+    lock: an entry is stored once, with setdefault under the lock, and
+    never replaced, so a racing read sees no entry (and builds the same
+    table) or the final one."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
     key = (field, degree)
     got = _IRRED_CACHE.get(key)
     if got is not None:
         return got
-    q = field.q
-    found = []
-    for k in range(q ** degree, 2 * q ** degree):
-        p = index_to_poly(field, k)
-        for d in range(1, degree // 2 + 1):
-            if any((p % r).is_zero() for r in monic_irreducibles(field, d)):
-                break
-        else:
-            found.append(p)
-    out = tuple(found)
+    found = tuple(p for p in degree_n_polys(field, degree, True)
+                  if is_irreducible(p))
     with _IRRED_LOCK:
-        _IRRED_CACHE.setdefault(key, out)
-    return _IRRED_CACHE[key]
+        return _IRRED_CACHE.setdefault(key, found)
 
 
 def is_irreducible(p: Poly) -> bool:
+    """Square-free with no factor of degree <= deg p / 2, by the
+    distinct-degree check, which stops at the first factor found."""
     d = p.degree
     if not isinstance(d, int) or d < 1:
         return False
-    pm = p.monic()
     if d == 1:
         return True
-    for dd in range(1, d // 2 + 1):
-        if any((pm % r).is_zero() for r in monic_irreducibles(p.field, dd)):
-            return False
-    return True
+    pm = p.monic()
+    if gcd(pm, pm.derivative()).degree != 0:
+        return False
+    return next(_distinct_degree(pm))[0] == d
 
 
 @dataclass(frozen=True)
@@ -500,35 +689,18 @@ class Factorization:
 
 
 def factorize(g: Poly) -> Factorization:
-    """Factor a nonzero polynomial by trial division with monic irreducibles
-
-    in (degree, index) order."""
-    if not isinstance(g.degree, int) or g.degree < 1:
-        raise ValueError("cannot factor a constant")
-    field = g.field
-    unit = field.element(g.leading)
-    rem = g.monic()
+    """Factor a nonconstant polynomial: square-free, distinct-degree and
+    equal-degree factorization, factors sorted by (degree, index).  The
+    splitting draws from a generator seeded here, so a call is
+    deterministic."""
+    _require_nonconstant(g)
+    rng = random.Random(0)
     factors = []
-    d = 1
-    while 2 * d <= rem.degree:
-        for p in monic_irreducibles(field, d):
-            e = 0
-            while True:
-                quo, r = divmod(rem, p)
-                if r.is_zero():
-                    rem = quo
-                    e += 1
-                else:
-                    break
-            if e:
-                factors.append((p, e))
-            if rem.degree < 2 * d:
-                break
-        d += 1
-    if isinstance(rem.degree, int) and rem.degree >= 1:
-        factors.append((rem, 1))
+    for s, k in squarefree_decomposition(g):
+        for d, u in _distinct_degree(s):
+            factors += [(p, k) for p in _equal_degree(u, d, rng)]
     factors.sort(key=lambda pe: (pe[0].degree, poly_to_index(pe[0])))
-    return Factorization(unit, tuple(factors))
+    return Factorization(g.field.element(g.leading), tuple(factors))
 
 
 def valuation(p: Poly, h: Poly, check: bool = True):
@@ -563,9 +735,14 @@ def monic_divisors(g: Poly) -> list:
 
 
 def gcd(a: Poly, b: Poly) -> Poly:
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    """Monic gcd (zero for two zeros), by Euclid on coefficient lists."""
+    b = a._check(b)
+    f = a.field
+    x, y = list(a.coeffs), list(b.coeffs)
+    while y:
+        _divmod_lists(f, x, y)
+        x, y = y, x
+    return Poly._new(f, x).monic()
 
 
 def xgcd(a: Poly, b: Poly):

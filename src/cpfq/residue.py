@@ -197,8 +197,14 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
                              f"got {v!r}")
     if "p" in obj and obj.get("m", 1) > 1:
         modulus = parse(field_make(obj["p"]), obj["field_modulus"], "u")
-        return field_make(obj["p"], obj["m"], modulus.coeffs)
-    return field_make(obj["q"])
+        field = field_make(obj["p"], obj["m"], modulus.coeffs)
+    else:
+        field = field_make(obj["q"])
+    for key in ("q", "p", "m"):
+        if key in obj and obj[key] != getattr(field, key):
+            raise ValueError(f"table field {key!r} = {obj[key]} does not fit "
+                             f"the field F_{field.q} = F_({field.p}^{field.m})")
+    return field
 
 
 # ---------------------------------------------------------------- CRT

@@ -1,9 +1,10 @@
 """Shared shorthand for the test suite: field construction by size q,
-polynomial parsing, monic enumeration, and the per-coefficient reference
-ring ops that the table-row arithmetic of `Poly` is checked against."""
+polynomial parsing, monic enumeration, the per-coefficient reference
+ring ops that the table-row arithmetic of `Poly` is checked against, and
+the trial-division factorization that `factorize` is checked against."""
 
 from cpfq.field import field_make
-from cpfq.polyring import Poly, index_to_poly, parse
+from cpfq.polyring import Poly, index_to_poly, parse, poly_to_index
 from cpfq.residue import FunctionTable, ResidueRing
 
 PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}
@@ -101,3 +102,54 @@ def ref_divmod(x, y):
             for i in range(dd + 1):
                 num[shift + i] = f.sub(num[shift + i], f.mul(c, den[i]))
     return Poly(f, quo), Poly(f, num[:dd])
+
+
+# ------------------------------------------- reference factorization
+# Trial division by every monic irreducible up to half the degree, in
+# (degree, index) order, with the irreducibles sieved the same way.
+_REF_IRRED: dict = {}
+
+
+def ref_monic_irreducibles(field, degree):
+    key = (field, degree)
+    if key not in _REF_IRRED:
+        _REF_IRRED[key] = [
+            p for p in monic_polys(field, degree)
+            if not any((p % r).is_zero()
+                       for d in range(1, degree // 2 + 1)
+                       for r in ref_monic_irreducibles(field, d))]
+    return _REF_IRRED[key]
+
+
+def ref_factor_pairs(g):
+    """[(P, e), ...] of the monic irreducible factors of g, sorted by
+    (degree, index)."""
+    field = g.field
+    rem = g.monic()
+    factors = []
+    d = 1
+    while 2 * d <= rem.degree:
+        for p in ref_monic_irreducibles(field, d):
+            e = 0
+            while True:
+                quo, r = divmod(rem, p)
+                if not r.is_zero():
+                    break
+                rem, e = quo, e + 1
+            if e:
+                factors.append((p, e))
+        d += 1
+    if rem.degree >= 1:
+        factors.append((rem, 1))
+    factors.sort(key=lambda pe: (pe[0].degree, poly_to_index(pe[0])))
+    return factors
+
+
+def ref_is_self_chen(g):
+    """The self-Chen condition read off the reference factorization."""
+    for p, e in ref_factor_pairs(g):
+        if g.field.q == 2 and (e >= 3 or (p.degree >= 2 and e >= 2)):
+            return False
+        if g.field.q != 2 and e >= 2:
+            return False
+    return True

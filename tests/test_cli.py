@@ -232,7 +232,12 @@ TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
     ({**TABLE_BODY, "q": 2, "f": 5}, "must be a string"),
     ({**TABLE_BODY, "q": 2, "values": 7}, "values must be a JSON object"),
     ([2, "t"], "must be a JSON object"),
-], ids=["q-str", "q-bool", "m-str", "p-str", "f-int", "values-int", "list"])
+    ({"q": 5, "p": 2, "m": 2, "field_modulus": "u^2+u+1", **TABLE_BODY},
+     "'q' = 5 does not fit the field F_4"),
+    ({"q": 3, "p": 2, "m": 1, "field_modulus": "u", **TABLE_BODY},
+     "'p' = 2 does not fit the field F_3"),
+], ids=["q-str", "q-bool", "m-str", "p-str", "f-int", "values-int", "list",
+        "q-not-p^m", "p-not-char"])
 def test_malformed_table_json_exits_1(capsys, tmp_path, obj, message):
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps(obj))
@@ -304,12 +309,13 @@ def test_console_script_installed():
 
 
 # ------------------------------------------------------- guard work is O(1)
-def run_cli_process(*argv):
-    env = dict(os.environ)
+def run_cli_process(*argv, timeout=10, env_extra=()):
+    env = dict(os.environ, **dict(env_extra))
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-m", "cpfq.cli", *argv],
-                          capture_output=True, text=True, env=env, timeout=10)
+                          capture_output=True, text=True, env=env,
+                          timeout=timeout)
 
 
 @pytest.mark.parametrize("argv", [
@@ -354,3 +360,106 @@ def test_decompose_negative_exponent_exits_1(capsys, identity_table):
                              "--P", "t", "--e", "-1", "--sigma", identity_table)
     assert code == 1 and out == ""
     assert "error" in json.loads(err)
+
+
+# ----------------------------------------------- factoring cannot hang
+@pytest.mark.parametrize("command", ["factor", "gamma", "count-poly"])
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_degree_200_moduli_answer(p, m, command):
+    """A seeded random g of degree 200: its large irreducible factors
+    would take trial division past any timeout."""
+    import random
+
+    from cpfq.field import field_make
+    from cpfq.polyring import Poly, parse, to_text
+
+    F = field_make(p, m)
+    rng = random.Random(200)
+    g = Poly(F, [rng.randrange(F.q) for _ in range(200)] + [1])
+    args = ("--q", str(p)) if m == 1 else ("--p", str(p), "--m", str(m))
+    f = ("--f", "t^3") if command == "count-poly" else ()
+    out = run_cli_process(command, *args, *f, "--g", to_text(g), timeout=20)
+    assert out.returncode == 0, out.stderr
+    if command == "factor":
+        factors = json.loads(out.stdout)["factors"]
+        assert sum(parse(F, P).degree * e for P, e in factors) == 200
+
+
+def test_count_poly_with_a_degree_32_factor_answers():
+    # t^40+t^3+1 = (degree 8) * (degree 32) over F_2
+    out = run_cli_process("count-poly", "--q", "2", "--f", "t^60",
+                          "--g", "t^40+t^3+1", timeout=20)
+    assert out.returncode == 0, out.stderr
+    # deg P = d <= deg f = 60 and e = 1 give d * 2^d for each factor
+    assert json.loads(out.stdout)["exponent"] == 8 * 2 ** 8 + 32 * 2 ** 32
+
+
+# --------------------------------------------- one parser per process
+def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch, tmp_path):
+    """A mixed sequence run twice through main() in one process prints,
+    for every command, exactly what a fresh `python -m cpfq.cli` prints."""
+    from cpfq.cli import build_parser
+    from cpfq.polyring import parse
+    from cpfq.residue import FunctionTable, ResidueRing
+    from helpers import make_field
+
+    F2 = make_field(2)
+    dom = ResidueRing(parse(F2, "t^2"))
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(FunctionTable.from_callable(dom, dom, lambda h: h).to_json())
+    split = tmp_path / "split.json"
+    g = parse(F2, "t^2+t")
+    split.write_text(FunctionTable.from_callable(
+        dom, ResidueRing(g), lambda h: h % g).to_json())
+    sequence = [
+        ("count-cpf", "--q", "2", "--f", "t^3", "--g", "t^3", "--decimal"),
+        ("count-poly", "--q", "3", "--f", "t^2", "--g", "t^3+t", "--format", "text"),
+        ("gamma", "--p", "2", "--m", "2", "--g", "t^4+ut^2+1"),
+        ("chen", "--q", "2", "--f", "t^2", "--g", "t^2+t"),
+        ("density", "--q", "3", "--empirical", "--max-degree", "3"),
+        ("factor", "--p", "3", "--m", "2", "--g", "t^4+2ut+1"),
+        ("enumerate", "--q", "2", "--f", "t^2"),
+        ("decompose", "--q", "2", "--f", "t^2", "--P", "t", "--e", "2",
+         "--sigma", str(sigma)),
+        ("characterize", "--q", "2", "--f", "t^2", "--g", "t^2+t",
+         "--sigma", str(split)),
+        ("verify", "--q", "2", "--what", "cpf-count", "--f", "t", "--g", "t^2"),
+        ("count-cpf", "--q", "2", "--f", "t"),          # usage error: exit 2
+        ("gamma", "--q", "2", "--g", "t^2+(v)t"),       # JSON error: exit 1
+        ("factor", "--q", "2", "--g", "t^40+t^3+1", "--format", "text"),
+    ]
+    # argparse wraps usage text to the terminal width: fix it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    want = []
+    for argv in sequence:
+        out = run_cli_process(*argv, env_extra={"COLUMNS": "80"})
+        want.append((out.returncode, out.stdout, out.stderr))
+    assert {w[0] for w in want} == {0, 1, 2}
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        for argv, expected in zip(sequence, want):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected, argv
+
+
+def test_closed_form_commands_do_not_load_numpy():
+    # numpy serves only the enumeration kernels and the oracle's F_p rows
+    code = ("import sys, io, contextlib; from cpfq.cli import main\n"
+            "for argv in (['factor', '--q', '2', '--g', 't^9+t'],\n"
+            "             ['count-poly', '--q', '3', '--f', 't^2', '--g', 't^4'],\n"
+            "             ['density', '--q', '2', '--empirical', '--max-degree', '4']):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0\n"
+            "print('numpy' in sys.modules)")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=20)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

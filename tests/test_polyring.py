@@ -3,16 +3,21 @@ index bijection a_k.  Everything here is exact; hypothesis supplies the
 random ring elements."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfq.chen import is_self_chen
+from cpfq.field import field_make
 from cpfq.polyring import (
     NEG_INF,
     ParseError,
     Poly,
+    degree_n_polys,
     enumerate_residues,
+    factor_shape,
     factorial,
     factorize,
     gcd,
@@ -23,12 +28,14 @@ from cpfq.polyring import (
     parse,
     poly_to_index,
     power_exceeds,
+    squarefree_decomposition,
     to_text,
     valuation,
     xgcd,
 )
 from helpers import (make_field, monic_polys, monic_upto, pol, ref_add,
-                     ref_divmod, ref_mul, ref_neg, ref_sub)
+                     ref_divmod, ref_factor_pairs, ref_is_self_chen,
+                     ref_monic_irreducibles, ref_mul, ref_neg, ref_sub)
 
 FIELDS = {q: make_field(q) for q in (2, 3, 4, 5)}
 
@@ -242,6 +249,108 @@ def test_monic_divisors():
     assert divs == {"t", "t+1", "t^2", "t^2+t", "t^3+t^2"}
     # count: prod (e_i + 1) - 1, constants excluded
     assert len(monic_divisors(pol(3, "t^4+2t^3+t^2"))) == 3 * 3 - 1
+
+
+def _shape(pairs):
+    return tuple(sorted((p.degree, e) for p, e in pairs))
+
+
+def assert_factors_like_trial_division(g):
+    """factorize, factor_shape, is_irreducible and is_self_chen on g
+    against trial division by the sieved irreducibles."""
+    ref = ref_factor_pairs(g)
+    fz = factorize(g)
+    assert list(fz.factors) == ref, g
+    assert fz.unit.index == g.leading
+    assert factor_shape(g) == _shape(fz.factors) == _shape(ref), g
+    assert is_irreducible(g) == (ref == [(g.monic(), 1)]), g
+    assert is_self_chen(g) == ref_is_self_chen(g), g
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 6), (4, 5), (9, 3)])
+def test_factorization_matches_trial_division_exhaustively(q, max_degree):
+    # every polynomial of degree 1..max_degree, all leading units
+    F = make_field(q)
+    for n in range(1, max_degree + 1):
+        for g in degree_n_polys(F, n, monic_only=False):
+            assert_factors_like_trial_division(g)
+
+
+@pytest.mark.parametrize("q, piece_degree", [(2, 12), (3, 8), (4, 6), (5, 5), (9, 4)])
+def test_factorization_matches_trial_division_at_degree_16_to_24(q, piece_degree):
+    """Seeded products of random monic pieces of degree <= piece_degree,
+    some squared or cubed, with total degree 16..24, so that trial division
+    needs irreducibles only up to piece_degree; over F_2 also fully random
+    polynomials of those degrees."""
+    F = make_field(q)
+    rng = random.Random(q)
+
+    def monic(n):
+        return Poly(F, [rng.randrange(q) for _ in range(n)] + [1])
+
+    for _ in range(30):
+        target = rng.randint(16, 24)
+        g = Poly(F, [rng.randrange(1, q)])
+        while g.degree < target:
+            n = rng.randint(1, min(piece_degree, target - g.degree))
+            e = rng.choice([1, 1, 1, 2, 3])
+            if g.degree + n * e <= 24:
+                g = g * monic(n) ** e
+        assert 16 <= g.degree <= 24
+        assert_factors_like_trial_division(g)
+    if q == 2:
+        for _ in range(30):
+            assert_factors_like_trial_division(monic(rng.randint(16, 24)))
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_factorize_reconstructs_at_degree_200(p, m):
+    F = field_make(p, m)
+    rng = random.Random(200)
+
+    def monic(n):
+        return Poly(F, [rng.randrange(F.q) for _ in range(n)] + [1])
+
+    a, b = monic(80), monic(20)
+    for g in (monic(200) * F.element(F.q - 1), a * b ** 2 * monic(80)):
+        assert g.degree == 200
+        fz = factorize(g)
+        assert fz.reconstruct() == g
+        assert all(e >= 1 and P.is_monic() for P, e in fz.factors)
+        assert factor_shape(g) == _shape(fz.factors)
+
+
+def test_squarefree_decomposition_in_characteristic_p():
+    # t^3 (t+1)^2 over F_3: the cube is a p-th power, found via its root
+    g = pol(3, "t^3") * pol(3, "t+1") ** 2
+    assert squarefree_decomposition(g) == [(pol(3, "t+1"), 2), (pol(3, "t"), 3)]
+    # over F_4 the p-th root raises coefficients to q/p: (t+u)^2 = t^2+u+1
+    F4 = FIELDS[4]
+    s = parse(F4, "t+u")
+    assert squarefree_decomposition(s ** 2 * parse(F4, "t")) == [
+        (parse(F4, "t"), 1), (s, 2)]
+    assert squarefree_decomposition(pol(2, "t^4+t^2") * pol(2, "t^2+t+1")) == [
+        (pol(2, "t^2+t+1"), 1), (pol(2, "t^2+t"), 2)]
+
+
+def test_monic_irreducibles_match_the_sieve():
+    for q, top in ((2, 8), (3, 5), (4, 4), (9, 2)):
+        F = make_field(q)
+        for d in range(1, top + 1):
+            assert list(monic_irreducibles(F, d)) == ref_monic_irreducibles(F, d)
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_int_scalar_is_an_integer_mod_p(q):
+    # as in FieldElement arithmetic, an int scalar is an integer mod p,
+    # not an element index: over F_4, (t+1) * 2 = 0
+    F = make_field(q)
+    g = parse(F, "t+1")
+    assert g * F.p == F.p * g == parse(F, "0")
+    assert g * (F.p + 1) == g
+    assert g * (F.p - 1) == -g
+    for n in range(-q, 2 * q):
+        assert g * n == g * (F.one() * n)
 
 
 # ------------------------------------------------------- index bijection
