@@ -77,13 +77,11 @@ def is_self_chen(g: Poly) -> bool:
     d = g.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("g must have degree >= 1")
-    if gcd(g, g.derivative()).degree == 0:
-        return True
     if g.field.q != 2:
-        return False
+        return gcd(g, g.derivative()).degree == 0
     t2t = Poly(g.field, [0, 1, 1])
-    return all(k == 2 and (t2t % s).is_zero()
-               for s, k in squarefree_decomposition(g) if k >= 2)
+    return all(k == 1 or (k == 2 and (t2t % s).is_zero())
+               for s, k in squarefree_decomposition(g))
 
 
 def squarefree_count(n: int, q: int) -> int:

@@ -17,9 +17,7 @@ order-dependence of derived quantities.
 from __future__ import annotations
 
 import random
-import sys
 import threading
-from array import array
 from dataclasses import dataclass
 from math import inf
 
@@ -178,7 +176,8 @@ class Poly:
         if isinstance(other, FieldElement):
             if other.spec is not f and other.spec != f:
                 raise ValueError("scalar from a different field")
-            other = other.index
+            row = f._mul[other.index]
+            return Poly._new(f, [row[c] for c in self.coeffs])
         if isinstance(other, int):
             # an int is an integer mod p, as in FieldElement arithmetic
             row = f._mul[other % f.p]
@@ -458,66 +457,28 @@ class _ModRing:
     length n, with the q-th power map `frob`."""
 
     def __init__(self, s: Poly):
-        f = s.field
-        self.field, self.n = f, s.degree
-        mul, neg = f._mul, f._neg
-        # (offset, mul row of -s_i) for each nonzero lower term of s
-        self.terms = [(i, mul[neg[c]]) for i, c in enumerate(s.coeffs[:-1]) if c]
-        self.packed = None
+        self.field, self.s, self.n = s.field, s.coeffs, s.degree
+        self.rows = [self.reduce([1])]
 
     def reduce(self, a: list) -> list:
         """a mod s, in place, padded to length n."""
-        add, n, terms = self.field._add, self.n, self.terms
-        for top in range(len(a) - 1, n - 1, -1):
-            c = a[top]
-            if c:
-                base = top - n
-                for i, row in terms:
-                    a[base + i] = add[a[base + i]][row[c]]
-        del a[n:]
-        a += [0] * (n - len(a))
+        _divmod_lists(self.field, a, self.s)
+        a += [0] * (self.n - len(a))
         return a
 
-    def _pack(self):
-        """Pack the F_p coordinates l of the rows u^k t^(qi) mod s, one
-        int per (i, k, l) with a slot of 1, 2, 4 or 8 bytes per coefficient,
-        wide enough for a sum of n*m products of two digits."""
-        f, n = self.field, self.n
-        p, m, coords = f.p, f.m, f._coords
-        bound = n * m * (p - 1) ** 2
-        self.fmt = next(c for c in "BHIQ" if bound < 1 << 8 * array(c).itemsize)
-        self.width = n * array(self.fmt).itemsize
-        by_uk = [f._mul[p ** k] for k in range(m)]
-        row = self.reduce([1])
-        self.packed = []
-        for _ in range(n):
-            self.packed.append([
-                [int.from_bytes(array(self.fmt, [coords[uk[x]][l] for x in row]),
-                                sys.byteorder) for l in range(m)]
-                for uk in by_uk])
-            row = self.reduce([0] * f.q + row)
-
     def frob(self, a: list) -> list:
-        """a^q mod s.  The map is F_q-linear, a^q = sum a_i t^(qi), so with
-        a_i = sum_k d_k u^k (d_k in F_p) each coordinate of a^q is an
-        integer sum of packed rows, reduced mod p slot by slot."""
-        if self.packed is None:
-            self._pack()
+        """a^q mod s.  The map is F_q-linear, a^q = sum a_i t^(qi), so it
+        is a sum of the rows t^(qi) mod s, each built when first needed."""
         f = self.field
-        p, m, coords = f.p, f.m, f._coords
-        sums = [0] * m
-        for c, by_k in zip(a, self.packed):
+        add, mul, rows = f._add, f._mul, self.rows
+        out = [0] * self.n
+        for i, c in enumerate(a):
             if c:
-                for d, packed in zip(coords[c], by_k):
-                    if d:
-                        for l in range(m):
-                            sums[l] += d * packed[l]
-        slots = [array(self.fmt, v.to_bytes(self.width, sys.byteorder))
-                 for v in sums]
-        if m == 1:
-            return [v % p for v in slots[0]]
-        by_coords = f._by_coords
-        return [by_coords[tuple(v % p for v in vs)] for vs in zip(*slots)]
+                while len(rows) <= i:
+                    rows.append(self.reduce([0] * f.q + rows[-1]))
+                mrow = mul[c]
+                out = [add[x][mrow[y]] for x, y in zip(out, rows[i])]
+        return out
 
 
 def _pth_root(c: Poly) -> Poly:

@@ -134,6 +134,27 @@ def test_characterize(capsys, tmp_path):
     assert [f["P"] for f in obj["factors"]] == ["t", "t+1"]
 
 
+@pytest.mark.parametrize("p, m, f, g, factors", [
+    (3, 2, "t", "t^2+t", ["t", "t+1"]),
+    (2, 2, "t^2", "t^2+ut+1", ["t^2+ut+1"]),
+])
+def test_characterize_over_extension_fields(capsys, tmp_path, p, m, f, g, factors):
+    # the CRT basis and eval_Qk invert units whose index is >= p
+    from cpfq.field import field_make
+    from cpfq.polyring import parse
+    from cpfq.residue import FunctionTable, ResidueRing
+
+    F = field_make(p, m)
+    dom, cod = ResidueRing(parse(F, f)), ResidueRing(parse(F, g))
+    path = tmp_path / "sigma.json"
+    path.write_text(FunctionTable.from_callable(
+        dom, cod, lambda h: (h * h + h) % cod.modulus).to_json())
+    obj = run_json(capsys, "characterize", "--p", str(p), "--m", str(m),
+                   "--f", f, "--g", g, "--sigma", str(path))
+    assert obj["cpf"] is True
+    assert [x["P"] for x in obj["factors"]] == factors
+
+
 def test_sigma_from_stdin(capsys, monkeypatch, identity_table):
     import io
     payload = open(identity_table).read()

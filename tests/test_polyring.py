@@ -157,6 +157,40 @@ def test_ring_ops_match_reference(abs_):
         a * other.element(1)
 
 
+@pytest.mark.parametrize("q", [4, 9])
+def test_field_element_scalar_is_the_element(q):
+    # a FieldElement scalar multiplies by the element itself, also for an
+    # index >= p: over F_4, (ut+1) * (u+1) = (u^2+u)t + u+1 = t+u+1
+    F = DIFF_FIELDS[q]
+    rng = random.Random(q)
+    for _ in range(20):
+        a = Poly(F, [rng.randrange(q) for _ in range(6)])
+        for s in range(q):
+            want = ref_mul(a, Poly(F, [s]))
+            assert a * F.element(s) == F.element(s) * a == want
+    F4 = DIFF_FIELDS[4]
+    assert parse(F4, "ut+1") * F4.element(3) == parse(F4, "t+u+1")
+
+
+@pytest.mark.parametrize("q", [4, 9])
+def test_xgcd_and_inv_unit_over_extension_fields(q):
+    from cpfq.residue import ResidueRing
+    F = DIFF_FIELDS[q]
+    g, x, y = xgcd(parse(F, "ut"), parse(F, "t+1"))
+    assert g == parse(F, "1")
+    assert x * parse(F, "ut") + y * parse(F, "t+1") == g
+    rng = random.Random(q)
+    ring = ResidueRing(parse(F, "t^3+u"))
+    for _ in range(30):
+        a, b = (Poly(F, [rng.randrange(q) for _ in range(5)]) for _ in "ab")
+        d, x, y = xgcd(a, b)
+        if d:
+            assert d.is_monic()
+        assert d == gcd(a, b) and x * a + y * b == d
+        if a and gcd(a, ring.modulus).degree == 0:
+            assert ring.mul(a, ring.inv_unit(a)) == parse(F, "1")
+
+
 def test_fields_differing_only_in_max_q_mix():
     from cpfq.field import field_make
     F, G = field_make(3), field_make(3, max_q=27)
@@ -312,7 +346,9 @@ def test_factorize_reconstructs_at_degree_200(p, m):
         return Poly(F, [rng.randrange(F.q) for _ in range(n)] + [1])
 
     a, b = monic(80), monic(20)
-    for g in (monic(200) * F.element(F.q - 1), a * b ** 2 * monic(80)):
+    unit = monic(200) * F.element(F.q - 1)
+    assert unit.leading == F.q - 1
+    for g in (unit, a * b ** 2 * monic(80)):
         assert g.degree == 200
         fz = factorize(g)
         assert fz.reconstruct() == g
