@@ -8,20 +8,21 @@ from .chen import (ChenVerdict, DensityReport, GAMMA_INF, chen_self_count,
                    density_empirical, density_exact, gamma, gamma_prime_power,
                    is_chen_pair, is_self_chen, squarefree_count)
 from .counting import (QExponent, count_cpf, count_cpf_local, count_polyfn,
-                       count_polyfn_local, deg_gcd_factorial,
-                       exponent_identity_check)
+                       count_polyfn_local)
 from .field import FieldElement, FieldSpec, field_make
 from .oracle import (CpCheck, EnumerationGuard, GuardExceeded, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
+                     count_polyfn_literal, deg_gcd_factorial,
                      encode_cp_problem, enumerate_cpf_tables,
+                     exponent_identity_check, factorial,
                      is_congruence_preserving, is_polynomial_function,
                      is_squarefree_gcd, polyfn_module, polyfn_submodule,
                      random_polynomial_function, random_table)
 from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
-                       enumerate_residues, factor_shape, factorial,
-                       factorize, gcd, index_to_poly, is_irreducible,
-                       monic_divisors, monic_irreducibles, parse,
-                       poly_to_index, to_text, valuation, xgcd)
+                       enumerate_residues, factor_shape, factorize, gcd,
+                       index_to_poly, is_irreducible, monic_divisors,
+                       monic_irreducibles, parse, poly_to_index, to_text,
+                       valuation, xgcd)
 from .residue import (FunctionTable, ResidueRing, crt_combine, crt_split,
                       reduce_mod)
 from .wagner import (BasisCoefficients, BasisReport, CrtReport, PSequence,
@@ -37,7 +38,7 @@ __all__ = [
     "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
     "census_self_chen", "census_squarefree", "chen_self_count",
     "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
-    "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
+    "count_polyfn_literal", "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
     "decompose", "deg_gcd_factorial", "degree_n_polys", "density_empirical",
     "density_exact", "encode_cp_problem", "enumerate_cpf_tables",
     "enumerate_residues", "eval_Qk", "exponent_identity_check", "factor_shape",

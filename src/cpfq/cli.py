@@ -86,8 +86,10 @@ def _cmd_count(args, kind: str):
     g = _parse_poly(field, args.g, "g")
     if kind == "cpf":
         c = counting.count_cpf(f, g)
+    elif args.literal:
+        c = oracle.count_polyfn_literal(f, g)
     else:
-        c = counting.count_polyfn(f, g, literal=args.literal)
+        c = counting.count_polyfn(f, g)
     out = {"q": field.q, "f": to_text(f), "g": to_text(g),
            "count": str(c), "exponent": c.exponent}
     if args.decimal:

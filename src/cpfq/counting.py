@@ -5,14 +5,16 @@ QExponent (base q plus a big-integer exponent) rather than as expanded
 integers.  M denotes the count of congruence-preserving functions
 A_f -> A_g, N the count of polynomial functions; N <= M always, with
 equality exactly on Chen pairs.
+
+Only closed forms live here; `oracle.count_polyfn_literal` recomputes N
+from every generalized factorial as the cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polyring import Poly, factor_shape, factorial, gcd, is_irreducible
-from .wagner import floor_log
+from .polyring import Poly, factor_shape, is_irreducible
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,15 @@ def _require_modulus_degree(p: Poly, name: str) -> int:
     return d
 
 
+def _require_pair(f: Poly, g: Poly) -> int:
+    """deg f, once f and g are moduli over one field."""
+    n = _require_modulus_degree(f, "f")
+    _require_modulus_degree(g, "g")
+    if g.field != f.field:
+        raise ValueError("f and g must share one field")
+    return n
+
+
 def _require_irreducible(p: Poly) -> int:
     d = _require_modulus_degree(p, "P")
     if not is_irreducible(p):
@@ -93,10 +104,7 @@ def _cpf_local_exponent(n: int, q: int, d: int, e: int) -> int:
 
 def count_cpf(f: Poly, g: Poly) -> QExponent:
     """Number of congruence-preserving functions A_f -> A_g."""
-    n = _require_modulus_degree(f, "f")
-    _require_modulus_degree(g, "g")
-    if g.field != f.field:
-        raise ValueError("f and g must share one field")
+    n = _require_pair(f, g)
     q = f.field.q
     return QExponent(q, sum(_cpf_local_exponent(n, q, d, e)
                             for d, e in factor_shape(g)))
@@ -141,34 +149,12 @@ def _polyfn_local_exponent(n: int, q: int, d: int, e: int) -> int:
     return d * (e * q ** n - s * (head + e * max(0, big_m - e)))
 
 
-LITERAL_DEGREE_GUARD = 4
-
-
-def count_polyfn(f: Poly, g: Poly, literal: bool = False, order=None) -> QExponent:
-    """Number of polynomial functions A_f -> A_g.
-
-    The default path subtracts valuations of the generalized factorials
-    through the factor shape of g; the literal path recomputes each
-    deg gcd(g, prod_{i<k}(a_k - a_i)) by actual gcd and is guarded to
-    deg f <= 4.  An element ordering may be supplied on the literal path
-    to probe order-independence of the result.
-    """
-    n = _require_modulus_degree(f, "f")
-    _require_modulus_degree(g, "g")
-    if g.field != f.field:
-        raise ValueError("f and g must share one field")
+def count_polyfn(f: Poly, g: Poly) -> QExponent:
+    """Number of polynomial functions A_f -> A_g, through the factor shape of g."""
+    n = _require_pair(f, g)
     q = f.field.q
-    if not literal:
-        if order is not None:
-            raise ValueError("orderings only apply to the literal path")
-        return QExponent(q, sum(_polyfn_local_exponent(n, q, d, e)
-                                for d, e in factor_shape(g)))
-    if n > LITERAL_DEGREE_GUARD:
-        raise ValueError(
-            f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
-    qn = q ** n
-    return QExponent(q, qn * g.degree - sum(
-        deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
+    return QExponent(q, sum(_polyfn_local_exponent(n, q, d, e)
+                            for d, e in factor_shape(g)))
 
 
 def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:
@@ -178,19 +164,3 @@ def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:
         raise ValueError("exponent must be >= 1")
     q = f.field.q
     return QExponent(q, _polyfn_local_exponent(n, q, d, e))
-
-
-def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
-    """deg gcd(g, prod_{i<k}(a_k - a_i)) by literal gcd computation."""
-    gm = g.monic()
-    fact = factorial(g.field, k, order=order, mod=gm)
-    d = gcd(gm, fact).degree
-    return d if isinstance(d, int) else 0
-
-
-def exponent_identity_check(n: int, e: int, d: int, q: int) -> bool:
-    """(q-1) * sum_{k=1}^{n-1} q^k min(e, floor(k/d))
-       == sum_{k=1}^{q^n - 1} min(e, floor(floor(log_q k) / d))."""
-    lhs = (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
-    rhs = sum(min(e, floor_log(q, k) // d) for k in range(1, q ** n))
-    return lhs == rhs

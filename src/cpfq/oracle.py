@@ -4,6 +4,10 @@ Everything here recomputes properties from first principles, bypassing the
 closed-form counting and classification modules, so that those can be
 validated against it.  All enumerations are bounded by an explicit
 EnumerationGuard and raise GuardExceeded instead of attempting large runs.
+
+The literal route to N takes every deg gcd(g, k!) by Euclid.  Its `order`
+relabels the digits of the a_k; N does not depend on it (Bhargava's
+P-orderings, J. reine angew. Math. 490, 1997).
 """
 
 from __future__ import annotations
@@ -12,10 +16,12 @@ from dataclasses import dataclass
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
+from .counting import QExponent, _require_pair
 from .field import FieldSpec
-from .polyring import (Poly, degree_n_polys, gcd, monic_divisors,
-                       poly_to_index, power_exceeds, valuation)
+from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
+                       monic_divisors, poly_to_index, power_exceeds, valuation)
 from .residue import FunctionTable, ResidueRing
+from .wagner import floor_log
 
 
 class GuardExceeded(RuntimeError):
@@ -187,6 +193,68 @@ def enumerate_cpf_tables(f: Poly, g: Poly,
         raise GuardExceeded(
             f"more than max_functions={guard.max_functions} tables to enumerate")
     return [prob.decode_row(row) for row in rows]
+
+
+# ------------------------------------------- literal generalized factorials
+LITERAL_DEGREE_GUARD = 4
+
+
+def _check_order(field: FieldSpec, order) -> tuple:
+    """The digit map of `order`: index order when None, else a permutation
+    of 0..q-1 fixing 0, so that a_0 = 0 stays first."""
+    digits = tuple(range(field.q)) if order is None else tuple(order)
+    if (len(digits) != field.q or set(digits) != set(range(field.q))
+            or digits[0] != 0):
+        raise ValueError("order must be a permutation of 0..q-1 starting at 0")
+    return digits
+
+
+def relabeled_index_to_poly(field: FieldSpec, k: int, order=None) -> Poly:
+    """a_k with each base-q digit c of k read as the field index order[c]."""
+    digits = _check_order(field, order)
+    return Poly._new(field, [digits[c] for c in index_to_poly(field, k).coeffs])
+
+
+def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> Poly:
+    """prod_{i<k} (a_k - a_i) over the relabeled a_i; with mod given, the
+
+    product is reduced mod `mod` at every step (gcd(mod, .) is unchanged
+    by that reduction)."""
+    ak = relabeled_index_to_poly(field, k, order)
+    out = Poly(field, [1])
+    for i in range(k):
+        out = out * (ak - relabeled_index_to_poly(field, i, order))
+        if mod is not None:
+            out = out % mod
+    return out
+
+
+def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
+    """deg gcd(g, prod_{i<k}(a_k - a_i)) by literal gcd computation."""
+    gm = g.monic()
+    return gcd(gm, factorial(g.field, k, order=order, mod=gm)).degree
+
+
+def count_polyfn_literal(f: Poly, g: Poly, order=None) -> QExponent:
+    """N = q^(q^n deg g - sum_{0<k<q^n} deg gcd(g, k!)) with every gcd
+
+    computed, for deg f = n <= LITERAL_DEGREE_GUARD; `order` relabels the
+    digits of the a_k."""
+    n = _require_pair(f, g)
+    if n > LITERAL_DEGREE_GUARD:
+        raise ValueError(
+            f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
+    qn = f.field.q ** n
+    return QExponent(f.field.q, qn * g.degree - sum(
+        deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
+
+
+def exponent_identity_check(n: int, e: int, d: int, q: int) -> bool:
+    """(q-1) * sum_{k=1}^{n-1} q^k min(e, floor(k/d))
+       == sum_{k=1}^{q^n - 1} min(e, floor(floor(log_q k) / d))."""
+    lhs = (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
+    rhs = sum(min(e, floor_log(q, k) // d) for k in range(1, q ** n))
+    return lhs == rhs
 
 
 # ---------------------------------------------- polynomial-function span

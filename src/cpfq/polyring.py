@@ -9,15 +9,12 @@ with the trusted constructor `Poly._new`, which only trims zeros.
 The module also fixes the canonical enumeration a_0, a_1, a_2, ... of A:
 a_k is the polynomial whose coefficient vector is the base-q digit string
 of k (so a_k for k < q are the field constants in index order, a_0 = 0,
-a_1 = 1).  An optional `order` argument replaces that digit-to-element
-map with any permutation fixing 0, which lets callers probe
-order-dependence of derived quantities.
+a_1 = 1).
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from dataclasses import dataclass
 from math import inf
 
@@ -368,40 +365,23 @@ def to_text(p: Poly, var: str = "t") -> str:
 
 
 # ------------------------------------------------------- index bijection
-def _check_order(field: FieldSpec, order):
-    # Any digit relabeling keeps a_k well defined; a_0 = 0 stays fixed so the
-    # zero representative is always first.
-    if order is None:
-        return None
-    order = tuple(order)
-    if (len(order) != field.q or set(order) != set(range(field.q))
-            or order[0] != 0):
-        raise ValueError("order must be a permutation of 0..q-1 starting at 0")
-    return order
-
-
-def index_to_poly(field: FieldSpec, k: int, order=None) -> Poly:
+def index_to_poly(field: FieldSpec, k: int) -> Poly:
     """a_k: the polynomial whose base-q digits of k give its coefficients."""
     if k < 0:
         raise ValueError("index must be nonnegative")
-    order = _check_order(field, order)
     q = field.q
     cs = []
     while k:
-        d = k % q
-        cs.append(order[d] if order else d)
+        cs.append(k % q)
         k //= q
     return Poly._new(field, cs)
 
 
-def poly_to_index(p: Poly, order=None) -> int:
-    order = _check_order(p.field, order)
+def poly_to_index(p: Poly) -> int:
     q = p.field.q
-    if order:
-        where = {e: i for i, e in enumerate(order)}
     k = 0
     for c in reversed(p.coeffs):
-        k = k * q + (where[c] if order else c)
+        k = k * q + c
     return k
 
 
@@ -433,19 +413,6 @@ def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
         base += [0] * (n - len(base))
         for lead in leads:
             yield Poly._new(field, base + [lead])
-
-
-def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> Poly:
-    """prod_{i<k} (a_k - a_i); with mod given, the product is reduced mod
-
-    `mod` at every step (gcd(mod, .) is unchanged by that reduction)."""
-    ak = index_to_poly(field, k, order)
-    out = Poly(field, [1])
-    for i in range(k):
-        out = out * (ak - index_to_poly(field, i, order))
-        if mod is not None:
-            out = out % mod
-    return out
 
 
 # --------------------------------------------------------- factorization
@@ -590,27 +557,12 @@ def factor_shape(g: Poly) -> tuple:
 
 
 # ------------------------------------------------------- irreducibility
-_IRRED_CACHE: dict = {}
-_IRRED_LOCK = threading.Lock()
-
-
 def monic_irreducibles(field: FieldSpec, degree: int) -> tuple:
-    """All monic irreducibles of exact degree `degree`, in index order.
-
-    The table is memoized per (field, degree).  The read below takes no
-    lock: an entry is stored once, with setdefault under the lock, and
-    never replaced, so a racing read sees no entry (and builds the same
-    table) or the final one."""
+    """All monic irreducibles of exact degree `degree`, in index order."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    key = (field, degree)
-    got = _IRRED_CACHE.get(key)
-    if got is not None:
-        return got
-    found = tuple(p for p in degree_n_polys(field, degree, True)
-                  if is_irreducible(p))
-    with _IRRED_LOCK:
-        return _IRRED_CACHE.setdefault(key, found)
+    return tuple(p for p in degree_n_polys(field, degree, True)
+                 if is_irreducible(p))
 
 
 def is_irreducible(p: Poly) -> bool:

@@ -16,6 +16,7 @@ with mu(k) = floor(floor(log_q k) / d).
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from math import inf
@@ -103,6 +104,10 @@ class PSequence:
         return out
 
 
+# PSequence(p) proves P irreducible, so the default sequence is built once per P
+_default_sequence = functools.lru_cache(maxsize=64)(PSequence)
+
+
 def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> Poly:
     """Q_k(h) mod P^e for h in A, as a canonical representative: the value
 
@@ -115,7 +120,7 @@ def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> P
     if e < 1:
         raise ValueError("exponent must be >= 1")
     if seq is None:
-        seq = PSequence(p)
+        seq = _default_sequence(p)
     elif seq.p != p:
         raise ValueError("sequence attached to a different P")
     ring = ResidueRing(p ** e)
@@ -226,7 +231,7 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
         raise ValueError("codomain modulus must be a prime power")
     p, e = fact.factors[0]
     if seq is None:
-        seq = PSequence(p)
+        seq = _default_sequence(p)
     elif seq.p != p:
         raise ValueError("sequence attached to a different P")
     n = sigma.domain.modulus.degree

@@ -15,11 +15,12 @@ import numpy as np
 
 from cpfq.chen import (GAMMA_INF, chen_self_count, density_empirical, gamma,
                        is_chen_pair, is_self_chen)
-from cpfq.counting import (count_cpf, count_polyfn, deg_gcd_factorial,
-                           exponent_identity_check)
+from cpfq.counting import count_cpf, count_polyfn
 from cpfq.oracle import (census_self_chen, census_squarefree,
-                         count_cpf_bruteforce, enumerate_cpf_tables,
-                         is_congruence_preserving, polyfn_module, random_table)
+                         count_cpf_bruteforce, count_polyfn_literal,
+                         deg_gcd_factorial, enumerate_cpf_tables,
+                         exponent_identity_check, is_congruence_preserving,
+                         polyfn_module, random_table)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
 from cpfq.wagner import PSequence, eval_Qk, is_cpf_via_basis, mu
@@ -75,12 +76,12 @@ def test_criterion_2_polyfn_count_matches_closure_and_literal_path():
         for f, g in grid_cells():
             n = count_polyfn(f, g)
             assert n.equals_int(polyfn_module(f, g).size), (str(f), str(g))
-            assert count_polyfn(f, g, literal=True) == n
+            assert count_polyfn_literal(f, g) == n
         # literal path exercised out to k = q^4 - 1 through a degree-4 domain
         f4 = parse(F2, "t^4")
         for gtext in GRID_G:
             g = parse(F2, gtext)
-            assert count_polyfn(f4, g, literal=True) == count_polyfn(f4, g)
+            assert count_polyfn_literal(f4, g) == count_polyfn(f4, g)
         # per-index agreement: deg gcd(g, k!) == sum_i d_i min(e_i, w_{d_i}(k))
         for gtext in GRID_G:
             g = parse(F2, gtext)

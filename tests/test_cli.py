@@ -39,6 +39,24 @@ def test_count_poly_golden(capsys):
     assert obj == {"q": 2, "f": "t^3", "g": "t^3", "count": "2^10", "exponent": 10}
 
 
+@pytest.mark.parametrize("argv,code,out,err", [
+    (["--q", "2", "--f", "t^2", "--g", "t^3+t"], 0,
+     '{"q": 2, "f": "t^2", "g": "t^3+t", "count": "2^8", "exponent": 8}\n', ""),
+    (["--q", "3", "--f", "t^2", "--g", "t^3+2t+1", "--decimal"], 0,
+     '{"q": 3, "f": "t^2", "g": "t^3+2t+1", "count": "3^27", "exponent": 27, '
+     '"decimal": 7625597484987}\n', ""),
+    (["--p", "2", "--m", "2", "--f", "t", "--g", "t^2+ut+1"], 0,
+     '{"q": 4, "f": "t", "g": "t^2+ut+1", "count": "4^8", "exponent": 8}\n', ""),
+    (["--q", "2", "--f", "t^4", "--g", "t^3+t^2", "--format", "text"], 0,
+     'q         2\nf         "t^4"\ng         "t^3+t^2"\ncount     "2^8"\n'
+     'exponent  8\n', ""),
+    (["--q", "2", "--f", "t^5", "--g", "t"], 1,
+     "", '{"error": "literal path guarded to deg f <= 4"}\n'),
+])
+def test_count_poly_literal_golden(capsys, argv, code, out, err):
+    assert run_cli(capsys, "count-poly", "--literal", *argv) == (code, out, err)
+
+
 def test_chen_golden(capsys):
     obj = run_json(capsys, "chen", "--q", "2", "--f", "t^2", "--g", "t^2+t")
     assert obj == {"chen_pair": True, "deg_f": 2, "gamma_g": "inf"}
@@ -473,6 +491,7 @@ def test_closed_form_commands_do_not_load_numpy():
     code = ("import sys, io, contextlib; from cpfq.cli import main\n"
             "for argv in (['factor', '--q', '2', '--g', 't^9+t'],\n"
             "             ['count-poly', '--q', '3', '--f', 't^2', '--g', 't^4'],\n"
+            "             ['count-poly', '--literal', '--q', '2', '--f', 't^2', '--g', 't^3+t'],\n"
             "             ['density', '--q', '2', '--empirical', '--max-degree', '4']):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"

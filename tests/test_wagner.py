@@ -285,6 +285,22 @@ def test_decompose_roundtrip_extension_field():
         assert decompose(sig).recompose(dom) == sig
 
 
+def test_decompose_proves_p_irreducible_once(monkeypatch):
+    import cpfq.wagner as wagner
+
+    calls = []
+    real = wagner.is_irreducible
+    monkeypatch.setattr(wagner, "is_irreducible",
+                        lambda p: calls.append(p) or real(p))
+    rng = random.Random(50)
+    dom = ring(3, "t")
+    cod = ResidueRing(pol(3, "t^2+1") ** 2)
+    for _ in range(50):
+        vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
+        decompose(FunctionTable(dom, cod, vals))
+    assert len(calls) <= 1
+
+
 def test_decompose_requires_prime_power_codomain():
     dom = ring(2, "t^2")
     sig = table(dom, ring(2, "t^2+t"), lambda h: pol(2, "0"))
