@@ -13,6 +13,7 @@ P-orderings, J. reine angew. Math. 490, 1997).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log2
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
@@ -197,6 +198,11 @@ def enumerate_cpf_tables(f: Poly, g: Poly,
 
 # ------------------------------------------- literal generalized factorials
 LITERAL_DEGREE_GUARD = 4
+# the route takes q^(2 deg f) / 2 factorial steps, each a product mod g of
+# degree < deg g, then q^deg f Euclid runs on g; at the bounds it runs for
+# a few seconds
+LITERAL_SIZE_LOG2 = 9    # on q^deg f
+LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
 
 
 def _check_order(field: FieldSpec, order) -> tuple:
@@ -238,14 +244,24 @@ def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
 def count_polyfn_literal(f: Poly, g: Poly, order=None) -> QExponent:
     """N = q^(q^n deg g - sum_{0<k<q^n} deg gcd(g, k!)) with every gcd
 
-    computed, for deg f = n <= LITERAL_DEGREE_GUARD; `order` relabels the
-    digits of the a_k."""
+    computed, for deg f = n <= LITERAL_DEGREE_GUARD, q^n <=
+    2^LITERAL_SIZE_LOG2 and q^(2n) deg g <= 2^LITERAL_WORK_LOG2; `order`
+    relabels the digits of the a_k."""
     n = _require_pair(f, g)
     if n > LITERAL_DEGREE_GUARD:
         raise ValueError(
             f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
-    qn = f.field.q ** n
-    return QExponent(f.field.q, qn * g.degree - sum(
+    q = f.field.q
+    if q ** n > 2 ** LITERAL_SIZE_LOG2:
+        raise ValueError(
+            f"literal path guarded to q^(deg f) <= 2^{LITERAL_SIZE_LOG2}, "
+            f"got {q}^{n} = 2^{n * log2(q):.2f}")
+    if q ** (2 * n) * g.degree > 2 ** LITERAL_WORK_LOG2:
+        raise ValueError(
+            f"literal path guarded to q^(2 deg f) * deg g <= 2^{LITERAL_WORK_LOG2}, "
+            f"got {q}^{2 * n} * {g.degree} = 2^{2 * n * log2(q) + log2(g.degree):.2f}")
+    qn = q ** n
+    return QExponent(q, qn * g.degree - sum(
         deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
 
 

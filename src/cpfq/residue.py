@@ -15,7 +15,7 @@ import json
 
 from .field import FieldSpec, field_make
 from .polyring import (Poly, enumerate_residues, factorize, index_to_poly,
-                       parse, poly_to_index, to_text, xgcd)
+                       parse, poly_to_index, power_exceeds, to_text, xgcd)
 
 
 class ResidueRing:
@@ -170,8 +170,12 @@ class FunctionTable:
         vals_in = obj["values"]
         if not isinstance(vals_in, dict):
             raise ValueError("table values must be a JSON object")
+        # with fewer keys than the q^deg f representatives, one of the first
+        # len(values) + 1 is missing: the scan stops there, never listing A_f
+        short = power_exceeds(field.q, dom.modulus.degree, len(vals_in))
         values = []
-        for h in dom.elements():
+        for k in range(len(vals_in) + 1 if short else dom.size):
+            h = index_to_poly(field, k)
             key = to_text(h)
             if key not in vals_in:
                 raise ValueError(f"missing value for representative {key!r}")

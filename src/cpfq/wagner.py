@@ -19,7 +19,6 @@ from __future__ import annotations
 import functools
 import threading
 from dataclasses import dataclass
-from math import inf
 
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
@@ -72,7 +71,15 @@ class PSequence:
         self.base = tuple(base)
         self.key = (p, tuple(poly_to_index(b) for b in self.base))
         self._powers = [Poly(self.field, [1])]
+        self._domains: dict = {}
         self._lock = threading.Lock()
+
+    # sequences with one key enumerate A alike, so they share basis contexts
+    def __eq__(self, other):
+        return isinstance(other, PSequence) and self.key == other.key
+
+    def __hash__(self):
+        return hash(self.key)
 
     def _power(self, i: int) -> Poly:
         with self._lock:
@@ -93,15 +100,18 @@ class PSequence:
             i += 1
         return out
 
-    def domain(self, n: int) -> list:
+    def domain(self, n: int) -> tuple:
         """b_0 .. b_{q^n - 1}: a bijective enumeration of the canonical
 
-        residues mod any degree-n modulus (asserted)."""
-        out = [self.element(k) for k in range(self.field.q ** n)]
+        residues mod any degree-n modulus (asserted once per n)."""
+        got = self._domains.get(n)
+        if got is not None:
+            return got
+        out = tuple(self.element(k) for k in range(self.field.q ** n))
         expect = set(enumerate_residues(index_to_poly(self.field, self.field.q ** n)))
         if set(out) != expect or len(set(out)) != len(out):
             raise AssertionError("b-sequence does not enumerate the residues")
-        return out
+        return self._domains.setdefault(n, out)
 
 
 # PSequence(p) proves P irreducible, so the default sequence is built once per P
@@ -116,7 +126,8 @@ def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> P
     Computes numerator prod_{j<k}(h - b_j) and denominator
     prod_{j<k}(b_k - b_j) exactly in A, checks P-integrality
     (v_P(num) >= v_P(den)), cancels P^v and inverts the remaining unit
-    denominator mod P^e."""
+    denominator mod P^e.  The basis table of `decompose` is built without
+    it, in O(q^(2n)) ring operations; this is that table's reference."""
     if e < 1:
         raise ValueError("exponent must be >= 1")
     if seq is None:
@@ -146,86 +157,160 @@ def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> P
     return ring.mul(ring.reduce(num_red), ring.inv_unit(ring.reduce(den_red)))
 
 
-_BASIS_CACHE: dict = {}
-_BASIS_LOCK = threading.Lock()
+class _BasisContext:
+    """The basis table of one (P-sequence, e, n), on residue indices.
 
+    An element of A_{P^e} is the index k of its canonical representative
+    a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
+    `positions[k]` = the index of b_k in A_f.  Products, differences, sums
+    and valuations in A_{P^e} go through Poly once per pair of indices and
+    are looked up after that."""
 
-def _basis_table(seq: PSequence, e: int, n: int) -> tuple:
-    """T[i][k] = B_i(b_k) for i <= k < q^n; zero below the diagonal.
+    def __init__(self, seq: PSequence, e: int, n: int):
+        self.seq = seq
+        self.ring = ResidueRing(seq.p ** e)
+        dom = seq.domain(n)
+        self.positions = tuple(poly_to_index(b) for b in dom)
+        q, d = seq.field.q, seq.d
+        self.mus = (None,) + tuple(mu(k, q, d) for k in range(1, len(dom)))
+        self._mul: dict = {}
+        self._sub: dict = {}
+        self._add: dict = {}
+        self._elements: dict = {}
+        self.columns = self._build(dom, e)
 
-    Built once per (P, base, e, n) and shared read-only."""
-    key = (seq.key, e, n)
-    got = _BASIS_CACHE.get(key)
-    if got is not None:
+    def _op(self, memo: dict, fn, a: int, b: int) -> int:
+        key = a * self.ring.size + b
+        got = memo.get(key)
+        if got is None:
+            field = self.ring.field
+            got = memo[key] = poly_to_index(
+                fn(index_to_poly(field, a), index_to_poly(field, b)))
         return got
-    size = seq.field.q ** n
-    dom = seq.domain(n)
-    rows = []
-    zero = Poly(seq.field)
-    for i in range(size):
-        row = [zero] * size
-        for k in range(i, size):
-            row[k] = eval_Qk(seq.p, e, i, dom[k], seq)
-        rows.append(tuple(row))
-    out = tuple(rows)
-    with _BASIS_LOCK:
-        _BASIS_CACHE.setdefault(key, out)
-    return _BASIS_CACHE[key]
+
+    def mul(self, a: int, b: int) -> int:
+        return self._op(self._mul, self.ring.mul, a, b)
+
+    def sub(self, a: int, b: int) -> int:
+        return self._op(self._sub, self.ring.sub, a, b)
+
+    def add(self, a: int, b: int) -> int:
+        return self._op(self._add, self.ring.add, a, b)
+
+    def residue(self, a: int) -> tuple:
+        """(the representative a_a, its P-valuation), once per index."""
+        got = self._elements.get(a)
+        if got is None:
+            h = index_to_poly(self.ring.field, a)
+            got = self._elements[a] = (h, valuation(self.seq.p, h, check=False))
+        return got
+
+    def _split(self, h: Poly) -> tuple:
+        """(v_P(h), index of h / P^v_P(h) mod P^e) for h != 0."""
+        v = 0
+        while True:
+            quo, r = divmod(h, self.seq.p)
+            if r:
+                return v, poly_to_index(self.ring.reduce(h))
+            h = quo
+            v += 1
+
+    def _build(self, dom: tuple, e: int) -> tuple:
+        """Column k, from the running pair (v_P, unit mod P^e) of
+        prod_{j<i}(b_k - b_j), i = 0 .. k: B_i(b_k) = P^(v - v_i) * unit *
+        unit_i^-1, or 0 once v - v_i >= e, where (v_i, unit_i) is the pair
+        of row i's denominator prod_{j<i}(b_i - b_j), which is column i's
+        pair at i.  O(q^(2n)) ring operations in all."""
+        mul, field = self.mul, self.ring.field
+        ppow = [poly_to_index(self.seq.p ** s) for s in range(e)]
+        rows = []  # (v_i, unit_i^-1) per row i
+        columns = []
+        for k, bk in enumerate(dom):
+            v, u = 0, 1
+            col = []
+            for i in range(k + 1):
+                if i == k:
+                    inv = self.ring.inv_unit(index_to_poly(field, u))
+                    rows.append((v, poly_to_index(inv)))
+                vd, ud_inv = rows[i]
+                if v < vd:
+                    raise ArithmeticError(
+                        f"B_{i} is not P-integral at b_{k}: v_P(num)={v} < v_P(den)={vd}")
+                col.append(0 if v - vd >= e else mul(ppow[v - vd], mul(u, ud_inv)))
+                if i < k:
+                    w, unit = self._split(bk - dom[i])
+                    v += w
+                    u = mul(u, unit)
+            columns.append(tuple(col))
+        return tuple(columns)
+
+    def coordinates(self, values) -> list:
+        """c with values[positions[k]] = sum_{i<=k} c_i B_i(b_k) for every k,
+        by triangular substitution along the b-sequence."""
+        mul, sub = self.mul, self.sub
+        out = []
+        for pos, col in zip(self.positions, self.columns):
+            acc = values[pos]
+            for c, t in zip(out, col):
+                if c and t:
+                    acc = sub(acc, mul(c, t))
+            out.append(acc)
+        return out
+
+    def values(self, coeffs) -> list:
+        """The table of sum_k c_k B_k, listed like A_f."""
+        mul, add = self.mul, self.add
+        out = [0] * len(self.positions)
+        for pos, col in zip(self.positions, self.columns):
+            acc = 0
+            for c, t in zip(coeffs, col):
+                if c and t:
+                    acc = add(acc, mul(c, t))
+            out[pos] = acc
+        return out
+
+
+# a context holds about q^(2n) / 2 table entries and its lookups
+BASIS_CACHE_SIZE = 32
+_context = functools.lru_cache(maxsize=BASIS_CACHE_SIZE)(_BasisContext)
 
 
 @dataclass(frozen=True)
 class BasisCoefficients:
     """Coordinates of a function A_f -> A_{P^e} in the B_k basis, listed in
 
-    b-sequence order."""
+    b-sequence order, with v_P(c_k) and mu(k) (mu(0) is None)."""
 
     p: Poly
     e: int
     deg_f: int
     coefficients: tuple  # canonical representatives in A_{P^e}
     seq: PSequence
-
-    @property
-    def mus(self) -> tuple:
-        q, d = self.p.field.q, self.p.degree
-        return (None,) + tuple(mu(k, q, d) for k in range(1, len(self.coefficients)))
-
-    @property
-    def valuations(self) -> tuple:
-        return tuple(valuation(self.p, c, check=False) for c in self.coefficients)
+    valuations: tuple
+    mus: tuple
 
     def cpf_failures(self) -> list:
         """Indices k >= 1 whose coordinate is not deep enough in the P-adic
 
         filtration (v_P(c_k) < mu(k))."""
-        out = []
-        for k in range(1, len(self.coefficients)):
-            if self.valuations[k] < self.mus[k]:
-                out.append(k)
-        return out
+        vals, mus = self.valuations, self.mus
+        return [k for k in range(1, len(vals)) if vals[k] < mus[k]]
 
     def is_cpf(self) -> bool:
         return not self.cpf_failures()
 
     def recompose(self, domain: ResidueRing) -> FunctionTable:
         """Rebuild the function table (inverse of decompose)."""
-        ring = ResidueRing(self.p ** self.e)
-        table = _basis_table(self.seq, self.e, self.deg_f)
-        size = len(self.coefficients)
-        dom = self.seq.domain(self.deg_f)
-        values = [None] * size
-        for k in range(size):
-            acc = Poly(self.p.field)
-            for i in range(k + 1):
-                acc = ring.add(acc, ring.mul(self.coefficients[i], table[i][k]))
-            values[poly_to_index(dom[k])] = acc
-        return FunctionTable(domain, ring, values)
+        ctx = _context(self.seq, self.e, self.deg_f)
+        ring = ctx.ring
+        values = ctx.values([poly_to_index(ring.reduce(c)) for c in self.coefficients])
+        return FunctionTable(domain, ring, [index_to_poly(ring.field, v) for v in values])
 
 
 def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoefficients:
     """Unique coordinates c_k with sigma = sum_k c_k B_k, by triangular
 
-    substitution along the b-sequence."""
+    substitution along the b-sequence on residue indices."""
     fact = sigma.codomain.factorization
     if len(fact.factors) != 1:
         raise ValueError("codomain modulus must be a prime power")
@@ -235,16 +320,11 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
     elif seq.p != p:
         raise ValueError("sequence attached to a different P")
     n = sigma.domain.modulus.degree
-    table = _basis_table(seq, e, n)
-    dom = seq.domain(n)
-    ring = ResidueRing(p ** e)
-    coeffs = []
-    for k in range(sigma.domain.size):
-        acc = ring.reduce(sigma.values[poly_to_index(dom[k])])
-        for i in range(k):
-            acc = ring.sub(acc, ring.mul(coeffs[i], table[i][k]))
-        coeffs.append(acc)
-    return BasisCoefficients(p, e, n, tuple(coeffs), seq)
+    ctx = _context(seq, e, n)
+    # canonical mod c * P^e is canonical mod P^e: both have degree de
+    coords = ctx.coordinates([poly_to_index(v) for v in sigma.values])
+    reps, vals = zip(*map(ctx.residue, coords))
+    return BasisCoefficients(p, e, n, reps, seq, vals, ctx.mus)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """Shared shorthand for the test suite: field construction by size q,
 polynomial parsing, monic enumeration, the per-coefficient reference
-ring ops that the table-row arithmetic of `Poly` is checked against, and
-the trial-division factorization that `factorize` is checked against."""
+ring ops that the table-row arithmetic of `Poly` is checked against, the
+trial-division factorization that `factorize` is checked against, and the
+Poly route of the basis decomposition that `decompose` is checked against."""
 
 from cpfq.field import field_make
-from cpfq.polyring import Poly, index_to_poly, parse, poly_to_index
+from cpfq.polyring import Poly, index_to_poly, parse, poly_to_index, valuation
 from cpfq.residue import FunctionTable, ResidueRing
+from cpfq.wagner import eval_Qk, mu
 
 PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}
 
@@ -153,3 +155,32 @@ def ref_is_self_chen(g):
         if g.field.q != 2 and e >= 2:
             return False
     return True
+
+
+# ------------------------------------------- reference basis decomposition
+# Every B_i(b_k) from eval_Qk's exact products, then triangular
+# substitution along the b-sequence with Poly sub/mul/reduce.
+def ref_basis_table(seq, e, n):
+    """T[i][k] = B_i(b_k) for i, k < q^n (zero for i > k)."""
+    dom = seq.domain(n)
+    zero = Poly(seq.field)
+    return [[eval_Qk(seq.p, e, i, dom[k], seq) if i <= k else zero
+             for k in range(len(dom))] for i in range(len(dom))]
+
+
+def ref_decompose(sigma, seq, table):
+    """(coefficients, valuations, cpf failures) of sigma: A_f -> A_{P^e}
+    in the basis of `seq`, with table = ref_basis_table(seq, e, deg f)."""
+    p, e = sigma.codomain.factorization.factors[0]
+    cod = ResidueRing(p ** e)
+    dom = seq.domain(sigma.domain.modulus.degree)
+    coeffs = []
+    for k in range(len(dom)):
+        acc = cod.reduce(sigma.values[poly_to_index(dom[k])])
+        for i in range(k):
+            acc = cod.sub(acc, cod.mul(coeffs[i], table[i][k]))
+        coeffs.append(acc)
+    vals = [valuation(p, c, check=False) for c in coeffs]
+    failures = [k for k in range(1, len(coeffs))
+                if vals[k] < mu(k, p.field.q, p.degree)]
+    return coeffs, vals, failures

@@ -366,8 +366,9 @@ def run_cli_process(*argv, timeout=10, env_extra=()):
     ("verify", "--q", "13", "--what", "poly-count", "--f", "t^12", "--g", "t^12"),
     ("verify", "--q", "13", "--what", "crt", "--f", "t^12", "--g", "t^12",
      "--samples", "1"),
+    ("count-poly", "--literal", "--p", "2", "--m", "4", "--f", "t^4", "--g", "t"),
 ], ids=["table-count", "density", "field-size", "field-prime", "poly-count",
-        "crt"])
+        "crt", "literal"])
 def test_huge_enumeration_refused_quickly(argv):
     out = run_cli_process(*argv)
     assert out.returncode == 1 and out.stdout == ""
@@ -380,6 +381,20 @@ def test_count_poly_does_not_visit_the_domain():
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == {"q": 2, "f": "t^30", "g": "t",
                                       "count": "2^2", "exponent": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--q", "2", "--f", "t^40", "--P", "t", "--e", "1"),
+    ("characterize", "--q", "2", "--f", "t^40", "--g", "t"),
+], ids=["decompose", "characterize"])
+def test_table_of_a_huge_domain_refused_quickly(tmp_path, argv):
+    # |A_f| = 2^40: loading stops at the first missing representative
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"q": 2, "f": "t^40", "g": "t", "values": {}}))
+    out = run_cli_process(*argv, "--sigma", str(path))
+    assert out.returncode == 1 and out.stdout == ""
+    assert json.loads(out.stderr) == {
+        "error": "cannot load function table: missing value for representative '0'"}
 
 
 def test_parse_degree_bound(capsys):

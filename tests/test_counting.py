@@ -136,6 +136,23 @@ def test_literal_guard():
         count_polyfn_literal(pol(2, "t^5"), pol(2, "t"))
 
 
+@pytest.mark.parametrize("q,ftext,gtext,message", [
+    (11, "t^3", "t^2+1", "q^(deg f) <= 2^9, got 11^3 = 2^10.38"),
+    (16, "t^4", "t", "q^(deg f) <= 2^9, got 16^4 = 2^16.00"),
+    (7, "t^3", "t^72+t+1", "q^(2 deg f) * deg g <= 2^23, got 7^6 * 72 = 2^23.01"),
+])
+def test_literal_size_guards_report_log2(q, ftext, gtext, message):
+    with pytest.raises(ValueError) as exc:
+        count_polyfn_literal(pol(q, ftext), pol(q, gtext))
+    assert str(exc.value) == "literal path guarded to " + message
+
+
+def test_literal_accepts_the_largest_prime_field_cube():
+    # 7^3 = 343 residues, under both guards
+    f, g = pol(7, "t^3"), pol(7, "t^2+1")
+    assert count_polyfn_literal(f, g) == count_polyfn(f, g)
+
+
 def test_order_independence():
     # relabeling the nonzero digits never changes N
     g3 = pol(3, "t^3+2t+1")

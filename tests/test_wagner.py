@@ -8,8 +8,10 @@ import random
 import pytest
 
 from cpfq.counting import count_cpf_local
-from cpfq.oracle import enumerate_cpf_tables, is_congruence_preserving
-from cpfq.polyring import index_to_poly, parse, to_text, valuation
+from cpfq.oracle import (enumerate_cpf_tables, is_congruence_preserving,
+                         random_polynomial_function, random_table)
+from cpfq.polyring import (index_to_poly, monic_irreducibles, parse, to_text,
+                           valuation)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import (
     PSequence,
@@ -20,7 +22,7 @@ from cpfq.wagner import (
     is_cpf_via_basis,
     mu,
 )
-from helpers import make_field, pol, ring, table
+from helpers import make_field, pol, ref_basis_table, ref_decompose, ring, table
 
 # the sweep set: three primes over F_2, two over F_3
 PRIMES = [(2, "t"), (2, "t+1"), (2, "t^2+t+1"), (3, "t"), (3, "t^2+1")]
@@ -455,3 +457,113 @@ def test_crt_characterize_reduction_table():
     sig = table(dom, cod, lambda h: h % pol(2, "t^2+t"))
     rep = crt_characterize(sig)
     assert rep.cpf and len(rep.parts) == 2
+
+
+# ------------------------------------- index route against the Poly route
+def first_irreducible(q, d):
+    return monic_irreducibles(make_field(q), d)[0]
+
+
+def alt_sequence(P):
+    """An admissible base other than index order: the polynomials after
+    0, 1 of the top degree block listed backwards."""
+    base = list(PSequence(P).base)
+    cut = 2 if P.degree == 1 else P.field.q
+    alt = base[:cut] + base[cut:][::-1]
+    assert alt != base
+    return PSequence(P, base=alt)
+
+
+# (q, P (None: the first monic irreducible of degree 2), e, deg f,
+#  enumerate every CP table, alternative base)
+REFERENCE_CELLS = [
+    (2, "t", 3, 2, True, False),
+    (2, "t", 2, 3, True, False),
+    (2, "t^2+t+1", 1, 2, True, True),
+    (2, "t^2+t+1", 2, 1, True, False),
+    (2, "t^2+t+1", 3, 2, False, True),
+    (3, "t", 2, 1, True, False),
+    (3, "t", 3, 2, False, False),
+    (3, "t^2+1", 1, 1, True, True),
+    (3, "t^2+1", 2, 2, False, True),
+    (4, "t", 1, 1, True, True),
+    (4, "t", 2, 1, False, False),
+    (4, None, 1, 1, False, True),
+    (9, "t", 2, 1, False, True),
+    (9, None, 1, 1, False, False),
+]
+
+
+def reference_cell_id(cell):
+    q, ptext, e, n, _, alt = cell
+    return f"F{q}-{ptext or 'deg2'}-e{e}-n{n}" + ("-alt" if alt else "")
+
+
+@pytest.mark.parametrize("cell", REFERENCE_CELLS, ids=reference_cell_id)
+def test_decompose_matches_poly_reference(cell):
+    q, ptext, e, n, enumerate_all, alt = cell
+    P = pol(q, ptext) if ptext else first_irreducible(q, 2)
+    dom = ResidueRing(pol(q, "t") ** n)
+    cod = ResidueRing(P ** e)
+    rng = random.Random(q * 1000 + e * 10 + n)
+    tables = [random_table(dom, cod, rng) for _ in range(30)]
+    tables += [random_polynomial_function(dom, cod, rng) for _ in range(10)]
+    if enumerate_all:
+        cp = enumerate_cpf_tables(dom.modulus, cod.modulus)
+        assert count_cpf_local(dom.modulus, P, e).equals_int(len(cp))
+        tables += cp
+    for seq in [PSequence(P)] + ([alt_sequence(P)] if alt else []):
+        ref = ref_basis_table(seq, e, n)
+        for sig in tables:
+            c = decompose(sig, seq)
+            coeffs, vals, failures = ref_decompose(sig, seq, ref)
+            assert c.coefficients == tuple(coeffs)
+            assert c.valuations == tuple(vals)
+            assert c.cpf_failures() == failures
+            assert c.recompose(dom) == sig
+
+
+@pytest.mark.parametrize("q,ptext,e,n", [
+    (2, "t", 3, 4), (2, "t+1", 2, 4), (2, "t^2+t+1", 2, 4), (3, "t", 2, 2),
+    (3, "t^2+1", 2, 2), (4, "t", 2, 2), (4, None, 1, 2), (9, "t", 2, 1),
+    (9, None, 1, 1)])
+def test_column_table_matches_eval_Qk(q, ptext, e, n):
+    from cpfq.wagner import _context
+
+    P = pol(q, ptext) if ptext else first_irreducible(q, 2)
+    seqs = [PSequence(P)] + ([alt_sequence(P)] if q > 3 or P.degree > 1 else [])
+    for seq in seqs:
+        ref = ref_basis_table(seq, e, n)
+        columns = _context(seq, e, n).columns
+        for k, col in enumerate(columns):
+            assert len(col) == k + 1
+            for i, entry in enumerate(col):
+                assert index_to_poly(P.field, entry) == ref[i][k], (i, k)
+            assert all(ref[i][k].is_zero() for i in range(k + 1, len(columns)))
+
+
+def test_basis_context_cache_is_bounded_and_keyed_by_sequence():
+    import cpfq.wagner as wagner
+
+    P = pol(2, "t")
+    dom = ring(2, "t")
+    for e in range(1, wagner.BASIS_CACHE_SIZE + 6):
+        decompose(table(dom, ResidueRing(P ** e), lambda h: h))
+    info = wagner._context.cache_info()
+    assert info.maxsize == wagner.BASIS_CACHE_SIZE
+    assert info.currsize <= info.maxsize
+    # a sequence built outside the default-sequence cache is another object
+    # with the same key, and gets the same context
+    seq = PSequence(P)
+    assert seq is not wagner._default_sequence(P)
+    assert wagner._context(seq, 2, 1) is wagner._context(wagner._default_sequence(P), 2, 1)
+    # the key holds the base block: another base gets its own context
+    P2 = pol(2, "t^2+t+1")
+    assert wagner._context(alt_sequence(P2), 2, 1) is not wagner._context(PSequence(P2), 2, 1)
+
+
+def test_domain_is_built_once_per_n(monkeypatch):
+    seq = PSequence(pol(3, "t^2+1"))
+    first = seq.domain(2)
+    monkeypatch.setattr(seq, "element", lambda k: pytest.fail("domain rebuilt"))
+    assert seq.domain(2) is first
