@@ -96,29 +96,29 @@ def squarefree_count(n: int, q: int) -> int:
 
 
 def chen_self_count(n: int, q: int = 2) -> int:
-    """Number of degree-n polynomials g over F_2 with (g, g) a Chen pair.
-
-    Over F_2 all leading coefficients are 1, so this counts monic g too."""
-    if q != 2:
-        raise ValueError("closed form available only for q = 2")
+    """Degree-n g over F_q (all leading coefficients) with (g, g) a Chen
+    pair.  Their Euler product differs from the square-free series only in
+    the q linear factors: no square of higher degree keeps gamma infinite."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    if n <= 3:
-        return (1, 2, 4, 6)[n]
-    sign = (-1) ** (n - 1)
-    num = 2 ** (n - 3) * 49 + sign * (3 * n - 13)
-    if num % 9:
-        raise AssertionError(f"closed form not integral at n={n}")
-    return num // 9
+    series = [squarefree_count(k, q) for k in range(n + 1)]
+    if _gamma_local(q, 1, 2) == GAMMA_INF:
+        for _ in range(q):  # times 1 + x + x^2, divided by 1 + x
+            s = [0, 0] + series
+            series = [s[k] + s[k + 1] + s[k + 2] for k in range(n + 1)]
+            for k in range(1, n + 1):
+                series[k] -= series[k - 1]
+    return (q - 1) * series[n]
 
 
 def density_exact(q: int) -> Fraction:
-    """Limit density of self-Chen moduli among polynomials over F_q."""
+    """Limit density of self-Chen moduli over F_q: the residue of the
+    chen_self_count series at its simple pole x = 1/q."""
     if q < 2:
         raise ValueError("q must be >= 2")
-    if q == 2:
-        return Fraction(49, 72)
-    return Fraction(q - 1, q)
+    y = Fraction(1, q)
+    linear = 1 + y + y * y if _gamma_local(q, 1, 2) == GAMMA_INF else 1 + y
+    return (1 - y) * (linear / (1 + y)) ** q
 
 
 @dataclass(frozen=True)
@@ -140,16 +140,15 @@ DENSITY_GUARD = 2 ** 22
 
 
 def density_empirical(field: FieldSpec, max_degree: int,
-                      monic_only: bool = False,
-                      guard: int = DENSITY_GUARD) -> DensityReport:
+                      monic_only: bool = False) -> DensityReport:
     """Census the self-Chen condition over every polynomial of degree
 
     1..max_degree (all leading coefficients, unless monic_only)."""
     q = field.q
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    if power_exceeds(q, max_degree, guard):
-        raise ValueError(f"q^max_degree exceeds the enumeration guard {guard}")
+    if power_exceeds(q, max_degree, DENSITY_GUARD):
+        raise ValueError(f"q^max_degree exceeds the enumeration guard {DENSITY_GUARD}")
     counts = []
     totals = []
     for n in range(1, max_degree + 1):

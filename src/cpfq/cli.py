@@ -166,6 +166,7 @@ def _cmd_decompose(args):
     g = sigma.codomain.modulus
     if args.e * p.degree != g.degree or (p ** args.e).monic() != g.monic():
         raise ValueError("function table codomain modulus is not P^e")
+    _guard_from_args(args).check_domain_pairs(f)
     report = wagner.is_cpf_via_basis(sigma)
     co = report.coefficients
     return {
@@ -187,6 +188,7 @@ def _cmd_characterize(args):
         raise ValueError("function table field does not match --q/--p")
     if sigma.domain.modulus != f or sigma.codomain.modulus != g:
         raise ValueError("function table moduli do not match --f/--g")
+    _guard_from_args(args).check_domain_pairs(f)
     rep = wagner.crt_characterize(sigma)
     factors = []
     for p, e, part in rep.parts:
@@ -240,10 +242,7 @@ def _verify_dispatch(args, field, guard):
         if args.n is None:
             raise ValueError("verify --what census needs --n")
         c = oracle.census_self_chen(field, args.n)
-        if field.q == 2:
-            formula = chen.chen_self_count(args.n)
-        else:
-            formula = (field.q - 1) * chen.squarefree_count(args.n, field.q)
+        formula = chen.chen_self_count(args.n, field.q)
         out = {"what": what, "q": field.q, "n": args.n,
                "formula": formula, "census": c.total, "match": formula == c.total}
         if c.components is not None:

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 from .polyring import Poly, factor_shape, is_irreducible
 
+DECIMAL_BITS = 64
+
 
 @dataclass(frozen=True)
 class QExponent:
@@ -33,12 +35,12 @@ class QExponent:
     def value(self) -> int:
         return self.q ** self.exponent
 
-    def decimal(self, guard_bits: int = 64):
-        """The expanded integer when it fits in guard_bits bits, else None."""
-        if self.exponent > guard_bits:
+    def decimal(self):
+        """The expanded integer when it fits in DECIMAL_BITS bits, else None."""
+        if self.exponent > DECIMAL_BITS:
             return None
         v = self.q ** self.exponent
-        return v if v.bit_length() <= guard_bits else None
+        return v if v.bit_length() <= DECIMAL_BITS else None
 
     def equals_int(self, n: int) -> bool:
         return n == self.value()

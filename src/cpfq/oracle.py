@@ -3,7 +3,8 @@
 Everything here recomputes properties from first principles, bypassing the
 closed-form counting and classification modules, so that those can be
 validated against it.  All enumerations are bounded by an explicit
-EnumerationGuard and raise GuardExceeded instead of attempting large runs.
+EnumerationGuard, the censuses by q^n <= chen.DENSITY_GUARD, and raise
+GuardExceeded instead of attempting large runs.
 
 The literal route to N takes every deg gcd(g, k!) by Euclid.  Its `order`
 relabels the digits of the a_k; N does not depend on it (Bhargava's
@@ -17,6 +18,7 @@ from math import log2
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
+from .chen import DENSITY_GUARD
 from .counting import QExponent, _require_pair
 from .field import FieldSpec
 from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
@@ -457,6 +459,16 @@ def random_polynomial_function(domain: ResidueRing, codomain: ResidueRing,
 
 
 # --------------------------------------------------------------- censuses
+def _check_census(q: int, n: int):
+    """Refuse a negative degree, and q^n > DENSITY_GUARD in O(1)."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    if power_exceeds(q, n, DENSITY_GUARD):
+        raise GuardExceeded(
+            f"census guarded to q^n <= 2^{log2(DENSITY_GUARD):.0f}, "
+            f"got {q}^{n} = 2^{n * log2(q):.2f}")
+
+
 def is_squarefree_gcd(g: Poly) -> bool:
     """Square-freeness by gcd with the formal derivative (no factorization)."""
     return gcd(g, g.derivative()).degree == 0
@@ -479,9 +491,8 @@ def census_self_chen(field: FieldSpec, n: int,
 
     For q = 2 the count is split by the valuations at t and t+1:
     both <= 1 / exactly the first = 2 / exactly the second = 2 / both = 2."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
     q = field.q
+    _check_census(q, n)
     total = 0
     comps = [0, 0, 0, 0]
     lin_t = Poly(field, [0, 1])
@@ -516,8 +527,7 @@ def census_self_chen(field: FieldSpec, n: int,
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
     """Count square-free degree-n polynomials by the gcd test."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
+    _check_census(field.q, n)
     if n == 0:
         return 1 if monic_only else field.q - 1
     return sum(1 for g in degree_n_polys(field, n, monic_only)

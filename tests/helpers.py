@@ -1,8 +1,12 @@
 """Shared shorthand for the test suite: field construction by size q,
 polynomial parsing, monic enumeration, the per-coefficient reference
 ring ops that the table-row arithmetic of `Poly` is checked against, the
-trial-division factorization that `factorize` is checked against, and the
-Poly route of the basis decomposition that `decompose` is checked against."""
+trial-division factorization that `factorize` is checked against, the
+Poly route of the basis decomposition that `decompose` is checked against,
+and the hand-derived self-Chen closed forms that the Euler-product counts
+and density are checked against."""
+
+from fractions import Fraction
 
 from cpfq.field import field_make
 from cpfq.polyring import Poly, index_to_poly, parse, poly_to_index, valuation
@@ -155,6 +159,22 @@ def ref_is_self_chen(g):
         if g.field.q != 2 and e >= 2:
             return False
     return True
+
+
+# ------------------------------------------- reference self-Chen closed forms
+def ref_chen_self_count_q2(n):
+    """Self-Chen polynomials of degree n over F_2: a table up to n = 3, then
+    (49 * 2^(n-3) + (-1)^(n-1) (3n - 13)) / 9."""
+    if n <= 3:
+        return (1, 2, 4, 6)[n]
+    num = 49 * 2 ** (n - 3) + (-1) ** (n - 1) * (3 * n - 13)
+    assert num % 9 == 0, n
+    return num // 9
+
+
+def ref_density(q):
+    """Limit density of self-Chen moduli: 49/72 at q = 2, (q - 1)/q otherwise."""
+    return Fraction(49, 72) if q == 2 else Fraction(q - 1, q)
 
 
 # ------------------------------------------- reference basis decomposition

@@ -7,6 +7,7 @@ import pytest
 
 from cpfq.chen import (
     GAMMA_INF,
+    _gamma_local,
     chen_self_count,
     density_empirical,
     density_exact,
@@ -18,7 +19,10 @@ from cpfq.chen import (
 )
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.oracle import census_self_chen, census_squarefree
-from helpers import make_field, monic_upto, pol
+from helpers import (make_field, monic_upto, pol, ref_chen_self_count_q2,
+                     ref_density)
+
+PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
 
 # ----------------------------------------------------------------- gamma
@@ -127,9 +131,30 @@ def test_chen_self_count_closed_form_is_integral():
         assert (2 ** (n - 3) * 49 + (-1) ** (n - 1) * (3 * n - 13)) % 9 == 0
 
 
-def test_chen_self_count_rejects_other_q():
-    with pytest.raises(ValueError):
-        chen_self_count(5, q=3)
+def test_chen_self_count_matches_reference_q2():
+    assert [chen_self_count(n) for n in range(301)] == \
+        [ref_chen_self_count_q2(n) for n in range(301)]
+
+
+def test_chen_self_count_matches_censuses():
+    # every (q, n) with q^n <= 2^12, a test budget inside the 2^22 census
+    # guard: at q = 2 both censuses take 10 s together at n = 16 already
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        F = make_field(q)
+        top = max(n for n in range(1, 13) if q ** n <= 2 ** 12)
+        per_degree = density_empirical(F, top).per_degree
+        for n in range(top + 1):
+            count = chen_self_count(n, q)
+            assert census_self_chen(F, n).total == count, (q, n)
+            assert n == 0 or per_degree[n - 1] == count, (q, n)
+
+
+def test_only_linear_squares_keep_gamma_infinite():
+    # what confines the Euler product of chen_self_count to linear factors
+    for q in PRIME_POWERS_TO_16:
+        assert _gamma_local(q, 1, 3) != GAMMA_INF
+        for d in range(2, 65):
+            assert _gamma_local(q, d, 2) != GAMMA_INF, (q, d)
 
 
 # ---------------------------------------------------------------- density
@@ -137,6 +162,11 @@ def test_density_exact():
     assert density_exact(2) == Fraction(49, 72)
     assert density_exact(3) == Fraction(2, 3)
     assert density_exact(5) == Fraction(4, 5)
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_16)
+def test_density_exact_matches_reference(q):
+    assert density_exact(q) == ref_density(q)
 
 
 def test_density_partial_sum_is_exact_rational():

@@ -93,6 +93,64 @@ def test_density_golden(capsys):
     assert obj["error"] == {"num": 1, "den": 56}
 
 
+def _census_out(q, n, count, components=None):
+    tail = f', "components": {json.dumps(components)}' if components else ""
+    return (f'{{"what": "census", "q": {q}, "n": {n}, "formula": {count}, '
+            f'"census": {count}, "match": true{tail}}}\n')
+
+
+CENSUS_DENSITY_GOLDEN = [
+    ("verify --q 2 --what census --n 0", 0, _census_out(2, 0, 1, [1, 0, 0, 0]), ""),
+    ("verify --q 2 --what census --n 1", 0, _census_out(2, 1, 2, [2, 0, 0, 0]), ""),
+    ("verify --q 2 --what census --n 4", 0, _census_out(2, 4, 11, [8, 1, 1, 1]), ""),
+    ("verify --q 2 --what census --n 7", 0,
+     _census_out(2, 7, 88, [64, 11, 11, 2]), ""),
+    ("verify --q 3 --what census --n 0", 0, _census_out(3, 0, 2), ""),
+    ("verify --q 3 --what census --n 1", 0, _census_out(3, 1, 6), ""),
+    ("verify --q 3 --what census --n 4", 0, _census_out(3, 4, 108), ""),
+    ("verify --q 3 --what census --n 7", 0, _census_out(3, 7, 2916), ""),
+    ("verify --q 5 --what census --n 0", 0, _census_out(5, 0, 4), ""),
+    ("verify --q 5 --what census --n 1", 0, _census_out(5, 1, 20), ""),
+    ("verify --q 5 --what census --n 4", 0, _census_out(5, 4, 2000), ""),
+    ("verify --q 5 --what census --n 7", 0, _census_out(5, 7, 250000), ""),
+    ("verify --p 2 --m 2 --what census --n 0", 0, _census_out(4, 0, 3), ""),
+    ("verify --p 2 --m 2 --what census --n 1", 0, _census_out(4, 1, 12), ""),
+    ("verify --p 2 --m 2 --what census --n 4", 0, _census_out(4, 4, 576), ""),
+    ("verify --p 2 --m 2 --what census --n 7", 0, _census_out(4, 7, 36864), ""),
+    ("verify --p 3 --m 2 --what census --n 0", 0, _census_out(9, 0, 8), ""),
+    ("verify --p 3 --m 2 --what census --n 1", 0, _census_out(9, 1, 72), ""),
+    ("verify --p 3 --m 2 --what census --n 4", 0, _census_out(9, 4, 46656), ""),
+    ("verify --q 3 --what census --n -1", 1, "",
+     '{"error": "degree must be >= 0"}\n'),
+    ("verify --q 3 --what census", 1, "",
+     '{"error": "verify --what census needs --n"}\n'),
+    ("density --q 2", 0, '{"q": 2, "rho": {"num": 49, "den": 72}}\n', ""),
+    ("density --q 2 --empirical --max-degree 5", 0,
+     '{"q": 2, "rho": {"num": 49, "den": 72}, "max_degree": 5, '
+     '"monic_only": false, "per_degree": [2, 4, 6, 11, 22], '
+     '"per_degree_total": [2, 4, 8, 16, 32], "fraction": {"num": 45, "den": 62}, '
+     '"error": {"num": 101, "den": 2232}}\n', ""),
+    ("density --q 3", 0, '{"q": 3, "rho": {"num": 2, "den": 3}}\n', ""),
+    ("density --q 3 --empirical --max-degree 5", 0,
+     '{"q": 3, "rho": {"num": 2, "den": 3}, "max_degree": 5, '
+     '"monic_only": false, "per_degree": [6, 12, 36, 108, 324], '
+     '"per_degree_total": [6, 18, 54, 162, 486], "fraction": {"num": 81, "den": 121}, '
+     '"error": {"num": 1, "den": 363}}\n', ""),
+    ("density --p 2 --m 2", 0, '{"q": 4, "rho": {"num": 3, "den": 4}}\n', ""),
+    ("density --p 2 --m 2 --empirical --max-degree 5", 0,
+     '{"q": 4, "rho": {"num": 3, "den": 4}, "max_degree": 5, '
+     '"monic_only": false, "per_degree": [12, 36, 144, 576, 2304], '
+     '"per_degree_total": [12, 48, 192, 768, 3072], '
+     '"fraction": {"num": 256, "den": 341}, "error": {"num": 1, "den": 1364}}\n', ""),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err", CENSUS_DENSITY_GOLDEN,
+                         ids=[cell[0] for cell in CENSUS_DENSITY_GOLDEN])
+def test_census_and_density_golden(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
 def test_extension_field_args(capsys):
     obj = run_json(capsys, "count-cpf", "--p", "2", "--m", "2",
                    "--f", "t", "--g", "t^2+ut")
@@ -367,8 +425,9 @@ def run_cli_process(*argv, timeout=10, env_extra=()):
     ("verify", "--q", "13", "--what", "crt", "--f", "t^12", "--g", "t^12",
      "--samples", "1"),
     ("count-poly", "--literal", "--p", "2", "--m", "4", "--f", "t^4", "--g", "t"),
+    ("verify", "--q", "13", "--what", "census", "--n", "12"),
 ], ids=["table-count", "density", "field-size", "field-prime", "poly-count",
-        "crt", "literal"])
+        "crt", "literal", "census"])
 def test_huge_enumeration_refused_quickly(argv):
     out = run_cli_process(*argv)
     assert out.returncode == 1 and out.stdout == ""
@@ -395,6 +454,27 @@ def test_table_of_a_huge_domain_refused_quickly(tmp_path, argv):
     assert out.returncode == 1 and out.stdout == ""
     assert json.loads(out.stderr) == {
         "error": "cannot load function table: missing value for representative '0'"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("decompose", "--q", "2", "--f", "t^12", "--P", "t", "--e", "3"),
+    ("characterize", "--q", "2", "--f", "t^12", "--g", "t^3"),
+], ids=["decompose", "characterize"])
+def test_basis_of_a_large_domain_refused_quickly(tmp_path, argv):
+    # a complete table with |A_f| = 2^12: the basis context would cost
+    # q^(2 deg f) = 2^24 ring operations, over --guard-functions
+    from cpfq.polyring import parse
+    from cpfq.residue import FunctionTable, ResidueRing
+    from helpers import make_field
+
+    F2 = make_field(2)
+    dom, cod = ResidueRing(parse(F2, "t^12")), ResidueRing(parse(F2, "t^3"))
+    path = tmp_path / "sigma.json"
+    path.write_text(FunctionTable.reduction(dom, cod).to_json())
+    out = run_cli_process(*argv, "--sigma", str(path))
+    assert out.returncode == 1 and out.stdout == ""
+    assert json.loads(out.stderr) == {
+        "error": "|A_f|^2 = 2^24 exceeds guard max_functions=1048576", "guard": True}
 
 
 def test_parse_degree_bound(capsys):

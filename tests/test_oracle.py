@@ -13,6 +13,7 @@ from cpfq.oracle import (
     EnumerationGuard,
     GuardExceeded,
     apply_coeff_poly,
+    census_self_chen,
     census_squarefree,
     count_cpf_bruteforce,
     encode_cp_problem,
@@ -236,6 +237,18 @@ def test_census_squarefree_units_scale():
 
 
 # ----------------------------------------------------------------- guards
+@pytest.mark.parametrize("census", [census_self_chen, census_squarefree])
+@pytest.mark.parametrize("q, n, got", [
+    (2, 23, "2^23 = 2^23.00"),
+    (13, 12, "13^12 = 2^44.41"),
+    (3, 10 ** 12, "3^1000000000000 = 2^1584962500721.16"),
+])
+def test_census_guard_reports_log2(census, q, n, got):
+    with pytest.raises(GuardExceeded) as exc:
+        census(make_field(q), n)
+    assert str(exc.value) == f"census guarded to q^n <= 2^22, got {got}"
+
+
 def test_exhaustive_guard():
     with pytest.raises(GuardExceeded):
         count_cpf_bruteforce(pol(2, "t^3"), pol(2, "t^3"))  # 8^8 > 2^20
