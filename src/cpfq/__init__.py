@@ -9,7 +9,7 @@ from .chen import (ChenVerdict, DensityReport, GAMMA_INF, chen_self_count,
                    is_chen_pair, is_self_chen, squarefree_count)
 from .counting import (QExponent, count_cpf, count_cpf_local, count_polyfn,
                        count_polyfn_local)
-from .field import FieldElement, FieldSpec, field_make
+from .field import FieldSpec, field_make
 from .oracle import (CpCheck, EnumerationGuard, GuardExceeded, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
                      count_polyfn_literal, deg_gcd_factorial,
@@ -33,9 +33,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisCoefficients", "BasisReport", "ChenVerdict", "CpCheck", "CrtReport",
-    "DensityReport", "EnumerationGuard", "Factorization", "FieldElement",
-    "FieldSpec", "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence",
-    "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
+    "DensityReport", "EnumerationGuard", "Factorization", "FieldSpec",
+    "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence", "ParseError",
+    "Poly", "PolyFnModule", "QExponent", "ResidueRing",
     "census_self_chen", "census_squarefree", "chen_self_count",
     "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
     "count_polyfn_literal", "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",

@@ -18,7 +18,8 @@ import time
 
 from . import chen, counting, oracle, wagner
 from .field import DEFAULT_MAX_Q, field_make
-from .polyring import ParseError, factor_shape, factorize, parse, to_text
+from .polyring import (GuardExceeded, ParseError, factor_shape, factorize,
+                       parse, to_text)
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
@@ -35,7 +36,7 @@ def _field_from_args(args):
                 f"--q must be prime (got {args.q}); for prime powers use "
                 "--p and --m") from None
     if args.p is not None:
-        m = args.m or 2
+        m = 2 if args.m is None else args.m
         modulus = None
         if args.field_modulus:
             modulus = parse(field_make(args.p), args.field_modulus, "u").coeffs
@@ -149,7 +150,7 @@ def _cmd_enumerate(args):
     ring = ResidueRing(f)
     guard = _guard_from_args(args)
     if ring.size > guard.max_functions:
-        raise ValueError(f"{ring.size} residues exceed the enumeration guard")
+        raise GuardExceeded(f"{ring.size} residues exceed the enumeration guard")
     return {"q": field.q, "f": to_text(f), "size": ring.size,
             "residues": [to_text(r) for r in ring.elements()]}
 
@@ -423,7 +424,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         out = args.fn(args)
-    except oracle.GuardExceeded as e:
+    except GuardExceeded as e:
         print(json.dumps({"error": str(e), "guard": True}), file=sys.stderr)
         return 1
     except (ValueError, ArithmeticError) as e:

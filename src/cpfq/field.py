@@ -1,11 +1,12 @@
 """Arithmetic in small finite fields F_q, q = p^m.
 
-Elements are canonical indices 0..q-1.  Index k is the polynomial a_k of
-polyring's index bijection over F_p, read in the variable u: its base-p
-digits are the coordinates, least significant first, so index 0 is zero
-and index 1 is one.  A FieldSpec precomputes full operation tables at
-construction (by polyring arithmetic mod the modulus when m > 1);
-everything downstream works on indices and stays exact.
+A field element is its index: one of the ints 0..q-1, with no wrapper
+type.  Index k is the polynomial a_k of polyring's index bijection over
+F_p, read in the variable u: its base-p digits are the coordinates, least
+significant first, so index 0 is zero and index 1 is one.  A FieldSpec
+precomputes full operation tables at construction (by polyring arithmetic
+mod the modulus when m > 1) and does all arithmetic on indices:
+add/sub/mul/neg/inv and pow.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ class FieldSpec:
     """F_{p^m} with all index-level operation tables precomputed."""
 
     __slots__ = ("p", "m", "q", "modulus", "modulus_poly", "_add", "_mul",
-                 "_neg", "_inv", "_coords", "_by_coords", "_texts",
-                 "_elements", "_hash")
+                 "_neg", "_inv", "_coords", "_by_coords", "_texts", "_hash")
 
     def __init__(self, p: int, m: int = 1, modulus: tuple | None = None,
                  max_q: int = DEFAULT_MAX_Q):
@@ -88,7 +88,6 @@ class FieldSpec:
         self._neg = tuple(neg)
         self._inv = (0,) + tuple(row.index(1) for row in self._mul[1:])
         self._by_coords = {c: k for k, c in enumerate(self._coords)}
-        self._elements = tuple(FieldElement(self, k) for k in range(q))
         self._hash = hash((p, m, modulus))
 
     # index-level arithmetic, used heavily by polyring
@@ -109,17 +108,15 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero field element")
         return self._inv[i]
 
-    def element(self, k: int) -> "FieldElement":
-        return self._elements[k]
-
-    def elements(self) -> tuple:
-        return self._elements
-
-    def zero(self) -> "FieldElement":
-        return self._elements[0]
-
-    def one(self) -> "FieldElement":
-        return self._elements[1]
+    def pow(self, i: int, n: int) -> int:
+        """i^n for n >= 0, by repeated squaring."""
+        result = 1
+        while n:
+            if n & 1:
+                result = self._mul[result][i]
+            i = self._mul[i][i]
+            n >>= 1
+        return result
 
     def coeffs_of(self, k: int) -> tuple:
         return self._coords[k]
@@ -149,91 +146,6 @@ class FieldSpec:
         from .polyring import to_text
         return (f"FieldSpec(p={self.p}, m={self.m}, "
                 f"modulus={to_text(self.modulus_poly, 'u')})")
-
-
-class FieldElement:
-    """Thin wrapper over a canonical index, with operator arithmetic."""
-
-    __slots__ = ("spec", "index")
-
-    def __init__(self, spec: FieldSpec, index: int):
-        if not 0 <= index < spec.q:
-            raise ValueError(f"element index {index} out of range for q={spec.q}")
-        self.spec = spec
-        self.index = index
-
-    @property
-    def coeffs(self) -> tuple:
-        return self.spec.coeffs_of(self.index)
-
-    def _other(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.spec != self.spec:
-                raise ValueError("elements from different fields")
-            return other.index
-        if isinstance(other, int):
-            return other % self.spec.p if self.spec.m > 1 else other % self.spec.q
-        return NotImplemented
-
-    def __add__(self, other):
-        j = self._other(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return self.spec.element(self.spec.add(self.index, j))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        j = self._other(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return self.spec.element(self.spec.sub(self.index, j))
-
-    def __neg__(self):
-        return self.spec.element(self.spec.neg(self.index))
-
-    def __mul__(self, other):
-        j = self._other(other)
-        if j is NotImplemented:
-            return NotImplemented
-        return self.spec.element(self.spec.mul(self.index, j))
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "FieldElement":
-        return self.spec.element(self.spec.inv(self.index))
-
-    def __pow__(self, n: int):
-        if self.index == 0 and n < 0:
-            raise ZeroDivisionError("inverse of zero field element")
-        result = 1
-        base = self.index if n >= 0 else self.spec.inv(self.index)
-        n = abs(n)
-        while n:
-            if n & 1:
-                result = self.spec.mul(result, base)
-            base = self.spec.mul(base, base)
-            n >>= 1
-        return self.spec.element(result)
-
-    def __bool__(self):
-        return self.index != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.index == other.index
-        if isinstance(other, int):
-            return self.index == self._other(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.spec, self.index))
-
-    def __repr__(self):
-        return f"FieldElement({self.spec.element_str(self.index)!r})"
-
-    def __str__(self):
-        return self.spec.element_str(self.index)
 
 
 def field_make(p: int, m: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:

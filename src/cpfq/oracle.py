@@ -3,8 +3,9 @@
 Everything here recomputes properties from first principles, bypassing the
 closed-form counting and classification modules, so that those can be
 validated against it.  All enumerations are bounded by an explicit
-EnumerationGuard, the censuses by q^n <= chen.DENSITY_GUARD, and raise
-GuardExceeded instead of attempting large runs.
+EnumerationGuard, the censuses by q^n <= chen.DENSITY_GUARD and the literal
+route by its own bounds; each raises GuardExceeded instead of attempting
+a large run.
 
 The literal route to N takes every deg gcd(g, k!) by Euclid.  Its `order`
 relabels the digits of the a_k; N does not depend on it (Bhargava's
@@ -18,17 +19,14 @@ from math import log2
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
-from .chen import DENSITY_GUARD
+from .chen import check_census_size
 from .counting import QExponent, _require_pair
 from .field import FieldSpec
-from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
-                       monic_divisors, poly_to_index, power_exceeds, valuation)
+from .polyring import (GuardExceeded, Poly, degree_n_polys, gcd,
+                       index_to_poly, monic_divisors, poly_to_index,
+                       power_exceeds, valuation)
 from .residue import FunctionTable, ResidueRing
 from .wagner import floor_log
-
-
-class GuardExceeded(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -251,15 +249,15 @@ def count_polyfn_literal(f: Poly, g: Poly, order=None) -> QExponent:
     relabels the digits of the a_k."""
     n = _require_pair(f, g)
     if n > LITERAL_DEGREE_GUARD:
-        raise ValueError(
+        raise GuardExceeded(
             f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
     q = f.field.q
     if q ** n > 2 ** LITERAL_SIZE_LOG2:
-        raise ValueError(
+        raise GuardExceeded(
             f"literal path guarded to q^(deg f) <= 2^{LITERAL_SIZE_LOG2}, "
             f"got {q}^{n} = 2^{n * log2(q):.2f}")
     if q ** (2 * n) * g.degree > 2 ** LITERAL_WORK_LOG2:
-        raise ValueError(
+        raise GuardExceeded(
             f"literal path guarded to q^(2 deg f) * deg g <= 2^{LITERAL_WORK_LOG2}, "
             f"got {q}^{2 * n} * {g.degree} = 2^{2 * n * log2(q) + log2(g.degree):.2f}")
     qn = q ** n
@@ -459,16 +457,6 @@ def random_polynomial_function(domain: ResidueRing, codomain: ResidueRing,
 
 
 # --------------------------------------------------------------- censuses
-def _check_census(q: int, n: int):
-    """Refuse a negative degree, and q^n > DENSITY_GUARD in O(1)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if power_exceeds(q, n, DENSITY_GUARD):
-        raise GuardExceeded(
-            f"census guarded to q^n <= 2^{log2(DENSITY_GUARD):.0f}, "
-            f"got {q}^{n} = 2^{n * log2(q):.2f}")
-
-
 def is_squarefree_gcd(g: Poly) -> bool:
     """Square-freeness by gcd with the formal derivative (no factorization)."""
     return gcd(g, g.derivative()).degree == 0
@@ -492,7 +480,7 @@ def census_self_chen(field: FieldSpec, n: int,
     For q = 2 the count is split by the valuations at t and t+1:
     both <= 1 / exactly the first = 2 / exactly the second = 2 / both = 2."""
     q = field.q
-    _check_census(q, n)
+    check_census_size(q, n)
     total = 0
     comps = [0, 0, 0, 0]
     lin_t = Poly(field, [0, 1])
@@ -527,7 +515,7 @@ def census_self_chen(field: FieldSpec, n: int,
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
     """Count square-free degree-n polynomials by the gcd test."""
-    _check_census(field.q, n)
+    check_census_size(field.q, n)
     if n == 0:
         return 1 if monic_only else field.q - 1
     return sum(1 for g in degree_n_polys(field, n, monic_only)

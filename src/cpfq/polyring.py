@@ -1,10 +1,12 @@
 """Exact univariate polynomial arithmetic over F_q: the ring A = F_q[t].
 
 Polynomials are immutable dense coefficient tuples of canonical field
-indices, low degree first, with no trailing zeros.  The zero polynomial
-has an empty tuple and degree -infinity (a float sentinel, never -1).
-`Poly(field, coeffs)` validates its input; ring ops build their results
-with the trusted constructor `Poly._new`, which only trims zeros.
+indices, low degree first, with no trailing zeros: a field element is its
+index, and a scalar is a constant polynomial.  The zero polynomial has an
+empty tuple and degree -infinity (a float sentinel, never -1).
+`Poly(field, coeffs)` takes ints and checks their range; ring ops build
+their results with the trusted constructor `Poly._new`, which only trims
+zeros.
 
 The module also fixes the canonical enumeration a_0, a_1, a_2, ... of A:
 a_k is the polynomial whose coefficient vector is the base-q digit string
@@ -18,7 +20,7 @@ import random
 from dataclasses import dataclass
 from math import inf
 
-from .field import FieldElement, FieldSpec
+from .field import FieldSpec
 
 NEG_INF = float("-inf")
 
@@ -60,14 +62,7 @@ class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
     def __init__(self, field: FieldSpec, coeffs=()):
-        cs = []
-        for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.spec != field:
-                    raise ValueError("coefficient from a different field")
-                cs.append(c.index)
-            else:
-                cs.append(int(c))
+        cs = [int(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         for c in cs:
@@ -169,17 +164,8 @@ class Poly:
         return Poly._new(f, [neg[c] for c in self.coeffs])
 
     def __mul__(self, other):
-        f = self.field
-        if isinstance(other, FieldElement):
-            if other.spec is not f and other.spec != f:
-                raise ValueError("scalar from a different field")
-            row = f._mul[other.index]
-            return Poly._new(f, [row[c] for c in self.coeffs])
-        if isinstance(other, int):
-            # an int is an integer mod p, as in FieldElement arithmetic
-            row = f._mul[other % f.p]
-            return Poly._new(f, [row[c] for c in self.coeffs])
         other = self._check(other)
+        f = self.field
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly._new(f, [])
@@ -192,8 +178,6 @@ class Poly:
                     if y:
                         out[j] = add[out[j]][mrow[y]]
         return Poly._new(f, out)
-
-    __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
@@ -393,6 +377,10 @@ def enumerate_residues(f: Poly) -> list:
     return [index_to_poly(f.field, k) for k in range(f.field.q ** d)]
 
 
+class GuardExceeded(ValueError):
+    """A request refused by a size guard before its work starts."""
+
+
 def power_exceeds(base: int, exponent: int, bound: int) -> bool:
     """Whether base^exponent > bound (base >= 1).  The bit lengths decide
 
@@ -452,7 +440,7 @@ def _pth_root(c: Poly) -> Poly:
     """The polynomial whose p-th power is c (c' = 0): coefficient c_(pj)
     goes to degree j, raised to q/p, the inverse of x -> x^p on F_q."""
     f = c.field
-    roots = [(f.element(a) ** (f.q // f.p)).index for a in range(f.q)]
+    roots = [f.pow(a, f.q // f.p) for a in range(f.q)]
     return Poly._new(f, [roots[a] for a in c.coeffs[::f.p]])
 
 
@@ -581,22 +569,21 @@ def is_irreducible(p: Poly) -> bool:
 
 @dataclass(frozen=True)
 class Factorization:
-    unit: FieldElement
+    unit: Poly      # the constant polynomial of the leading coefficient
     factors: tuple  # ((Poly, int), ...) monic irreducible, sorted by (deg, index)
 
     def reconstruct(self) -> Poly:
-        field = self.unit.spec
-        out = Poly(field, [self.unit.index])
+        out = self.unit
         for p, e in self.factors:
             out = out * p ** e
         return out
 
     def to_json(self):
-        return {"unit": str(self.unit),
+        return {"unit": to_text(self.unit),
                 "factors": [[to_text(p), e] for p, e in self.factors]}
 
     def __str__(self):
-        parts = [str(self.unit)]
+        parts = [to_text(self.unit)]
         parts += [f"({to_text(p)})^{e}" for p, e in self.factors]
         return " * ".join(parts)
 
@@ -613,7 +600,7 @@ def factorize(g: Poly) -> Factorization:
         for d, u in _distinct_degree(s):
             factors += [(p, k) for p in _equal_degree(u, d, rng)]
     factors.sort(key=lambda pe: (pe[0].degree, poly_to_index(pe[0])))
-    return Factorization(g.field.element(g.leading), tuple(factors))
+    return Factorization(Poly._new(g.field, [g.leading]), tuple(factors))
 
 
 def valuation(p: Poly, h: Poly, check: bool = True):
@@ -671,6 +658,5 @@ def xgcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    il = field.inv(r0.leading)
-    e = field.element(il)
+    e = Poly._new(field, [field.inv(r0.leading)])
     return r0 * e, s0 * e, t0 * e

@@ -72,7 +72,7 @@ class ResidueRing:
         g, x, _ = xgcd(a, self.modulus)
         if g.degree != 0:
             raise ValueError(f"{to_text(a)} is not a unit mod {to_text(self.modulus)}")
-        return self.reduce(x * self.field.element(self.field.inv(g.leading)))
+        return self.reduce(x)  # xgcd's g is monic, so g = 1
 
     def __eq__(self, other):
         return isinstance(other, ResidueRing) and self.modulus == other.modulus

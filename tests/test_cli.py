@@ -51,7 +51,7 @@ def test_count_poly_golden(capsys):
      'q         2\nf         "t^4"\ng         "t^3+t^2"\ncount     "2^8"\n'
      'exponent  8\n', ""),
     (["--q", "2", "--f", "t^5", "--g", "t"], 1,
-     "", '{"error": "literal path guarded to deg f <= 4"}\n'),
+     "", '{"error": "literal path guarded to deg f <= 4", "guard": true}\n'),
 ])
 def test_count_poly_literal_golden(capsys, argv, code, out, err):
     assert run_cli(capsys, "count-poly", "--literal", *argv) == (code, out, err)
@@ -314,6 +314,29 @@ def test_q_above_size_guard_reports_the_guard(capsys):
     assert code == 1 and out == ""
     error = json.loads(err)["error"]
     assert "field size guard" in error and "must be prime" not in error
+
+
+def test_extension_degree_zero_is_refused(capsys):
+    # --m 0 is a degree, not an absent --m (which means m = 2)
+    assert run_cli(capsys, "gamma", "--p", "2", "--m", "0", "--g", "t") == (
+        1, "", '{"error": "extension degree must be >= 1, got 0"}\n')
+    assert run_json(capsys, "gamma", "--p", "2", "--g", "t")["q"] == 4
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("density --q 3 --empirical --max-degree 300000000",
+     "census guarded to q^n <= 2^22, got 3^300000000 = 2^475488750.22"),
+    ("enumerate --q 2 --f t^21", "2097152 residues exceed the enumeration guard"),
+    ("count-poly --literal --q 11 --f t^3 --g t^2+1",
+     "literal path guarded to q^(deg f) <= 2^9, got 11^3 = 2^10.38"),
+    ("count-poly --literal --q 7 --f t^3 --g t^72+t+1",
+     "literal path guarded to q^(2 deg f) * deg g <= 2^23, "
+     "got 7^6 * 72 = 2^23.01"),
+], ids=["density", "enumerate", "literal-size", "literal-work"])
+def test_size_refusals_carry_the_guard_flag(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": message, "guard": True}
 
 
 TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cpfq.field import field_make
-from cpfq.polyring import NEG_INF, parse, to_text
+from cpfq.polyring import NEG_INF, Poly, parse, to_text
 from cpfq.residue import (
     FunctionTable,
     ResidueRing,
@@ -22,7 +22,8 @@ def test_reduce_canonical():
     R = ring(3, "t^2+1")
     rng = random.Random(11)
     for _ in range(100):
-        h = pol(3, "t^5") * R.field.element(rng.randrange(3)) + pol(3, "t^3+2t+1") * R.field.element(rng.randrange(3))
+        h = (pol(3, "t^5") * Poly(R.field, [rng.randrange(3)])
+             + pol(3, "t^3+2t+1") * Poly(R.field, [rng.randrange(3)]))
         r = R.reduce(h)
         assert r.degree is NEG_INF or r.degree < 2
         assert R.reduce(r) == r
