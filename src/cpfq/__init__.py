@@ -10,7 +10,8 @@ from .chen import (ChenVerdict, DensityReport, GAMMA_INF, chen_self_count,
 from .counting import (QExponent, count_cpf, count_cpf_local, count_polyfn,
                        count_polyfn_local)
 from .field import FieldSpec, field_make
-from .oracle import (CpCheck, EnumerationGuard, GuardExceeded, PolyFnModule,
+from .guards import EnumerationGuard, GuardExceeded
+from .oracle import (CpCheck, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
                      count_polyfn_literal, deg_gcd_factorial,
                      encode_cp_problem, enumerate_cpf_tables,

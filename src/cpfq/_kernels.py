@@ -66,17 +66,14 @@ def _grow(rows, mask):
     return np.concatenate([rows[parent], val[:, None]], axis=1)
 
 
-def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class,
-                           cap: int):
-    """All valid rows as an (n, D) array, or None when n would exceed cap."""
+def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """All valid rows as an (n, D) array; the caller bounds C^D."""
     import numpy as np
 
     rows = np.zeros((1, 0), dtype=np.int64)
     for j in range(D):
         rows = _grow(rows, _extend(rows, j, C, cons_ptr, cons_src, cons_div,
                                    cod_class))
-        if cap >= 0 and rows.shape[0] > cap:
-            return None
     return rows
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldSpec
-from .polyring import (GuardExceeded, Poly, degree_n_polys, factor_shape,
-                       gcd, is_irreducible, power_exceeds,
-                       squarefree_decomposition)
+from .guards import check_census
+from .polyring import (Poly, degree_n_polys, factor_shape, gcd,
+                       is_irreducible, squarefree_decomposition)
 
 GAMMA_INF = math.inf
 
@@ -137,20 +137,6 @@ class DensityReport:
         return abs(self.fraction - self.limit)
 
 
-DENSITY_GUARD = 2 ** 22
-
-
-def check_census_size(q: int, n: int):
-    """Refuse a negative degree, and a census of q^n > DENSITY_GUARD
-    polynomials, in O(1)."""
-    if n < 0:
-        raise ValueError("degree must be >= 0")
-    if power_exceeds(q, n, DENSITY_GUARD):
-        raise GuardExceeded(
-            f"census guarded to q^n <= 2^{math.log2(DENSITY_GUARD):.0f}, "
-            f"got {q}^{n} = 2^{n * math.log2(q):.2f}")
-
-
 def density_empirical(field: FieldSpec, max_degree: int,
                       monic_only: bool = False) -> DensityReport:
     """Census the self-Chen condition over every polynomial of degree
@@ -159,7 +145,7 @@ def density_empirical(field: FieldSpec, max_degree: int,
     q = field.q
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    check_census_size(q, max_degree)
+    check_census(q, max_degree)
     counts = []
     totals = []
     for n in range(1, max_degree + 1):

@@ -17,9 +17,9 @@ import sys
 import time
 
 from . import chen, counting, oracle, wagner
-from .field import DEFAULT_MAX_Q, field_make
-from .polyring import (GuardExceeded, ParseError, factor_shape, factorize,
-                       parse, to_text)
+from .field import field_make
+from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded
+from .polyring import ParseError, factor_shape, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
@@ -29,9 +29,9 @@ def _field_from_args(args):
     if args.q is not None:
         try:
             return field_make(args.q, 1, None)
+        except GuardExceeded:
+            raise
         except ValueError:
-            if args.q > DEFAULT_MAX_Q:
-                raise  # the field size guard's own message
             raise ValueError(
                 f"--q must be prime (got {args.q}); for prime powers use "
                 "--p and --m") from None
@@ -51,13 +51,10 @@ def _parse_poly(field, text, name):
         raise ValueError(f"malformed polynomial for --{name}: {e}") from None
 
 
-def _guard_from_args(args) -> oracle.EnumerationGuard:
-    kw = {}
-    if getattr(args, "guard_functions", None):
-        kw["max_functions"] = args.guard_functions
-    if getattr(args, "guard_degree", None):
-        kw["max_degree"] = args.guard_degree
-    return oracle.EnumerationGuard(**kw)
+def _guard_from_args(args) -> EnumerationGuard:
+    # an absent or zero flag keeps the default bound
+    return EnumerationGuard(args.guard_functions or DEFAULT_GUARD.max_functions,
+                            args.guard_degree or DEFAULT_GUARD.max_degree)
 
 
 def _render_gamma(g):
@@ -148,9 +145,7 @@ def _cmd_enumerate(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
     ring = ResidueRing(f)
-    guard = _guard_from_args(args)
-    if ring.size > guard.max_functions:
-        raise GuardExceeded(f"{ring.size} residues exceed the enumeration guard")
+    _guard_from_args(args).check_residues(f)
     return {"q": field.q, "f": to_text(f), "size": ring.size,
             "residues": [to_text(r) for r in ring.elements()]}
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 
-DEFAULT_MAX_Q = 16
+from .guards import check_field
 
 _SPEC_CACHE: dict = {}
 _SPEC_LOCK = threading.Lock()
@@ -36,18 +36,14 @@ class FieldSpec:
     __slots__ = ("p", "m", "q", "modulus", "modulus_poly", "_add", "_mul",
                  "_neg", "_inv", "_coords", "_by_coords", "_texts", "_hash")
 
-    def __init__(self, p: int, m: int = 1, modulus: tuple | None = None,
-                 max_q: int = DEFAULT_MAX_Q):
+    def __init__(self, p: int, m: int = 1, modulus: tuple | None = None):
         # polyring imports this module, so its codec is imported here
         from .polyring import (Poly, index_to_poly, is_irreducible,
-                               monic_irreducibles, poly_to_index,
-                               power_exceeds, to_text)
+                               monic_irreducibles, poly_to_index, to_text)
         if m < 1:
             raise ValueError(f"extension degree must be >= 1, got {m}")
-        # decided before p is tested or p^m built, so both stay cheap
-        if power_exceeds(p, m, max_q):
-            raise ValueError(
-                f"q = {p}^{m} exceeds the field size guard {max_q}")
+        if p >= 2:  # decided before p is tested or p^m built: both stay cheap
+            check_field(p, m)
         if not _is_prime(p):
             raise ValueError(f"characteristic must be prime, got {p}")
         q = p ** m
@@ -61,7 +57,7 @@ class FieldSpec:
             self._texts = tuple(str(k) for k in range(p))
             self._coords = tuple((k,) for k in range(p))
         else:
-            fp = field_make(p, max_q=max_q)
+            fp = field_make(p)
             if modulus is None:
                 modulus = monic_irreducibles(fp, m)[0].coeffs
             modulus = tuple(int(c) % p for c in modulus)
@@ -148,15 +144,18 @@ class FieldSpec:
                 f"modulus={to_text(self.modulus_poly, 'u')})")
 
 
-def field_make(p: int, m: int = 1, modulus=None, max_q: int = DEFAULT_MAX_Q) -> FieldSpec:
+def field_make(p: int, m: int = 1, modulus=None) -> FieldSpec:
     """Build (and cache) the field F_{p^m}; modulus defaults to the first
 
-    monic irreducible of degree m in index order."""
-    key = (p, m, tuple(modulus) if modulus is not None else None, max_q)
+    monic irreducible of degree m in index order.  A field is cached under
+    its reduced modulus, so the cache holds one entry per irreducible
+    modulus and one per default under the field size guard."""
+    key = (p, m, None if modulus is None else tuple(modulus))
     spec = _SPEC_CACHE.get(key)
     if spec is not None:
         return spec
     # built outside the lock: building F_{p^m} asks for F_p
-    spec = FieldSpec(p, m, modulus, max_q=max_q)
+    spec = FieldSpec(p, m, modulus)
+    key = (p, m, None if modulus is None else spec.modulus)
     with _SPEC_LOCK:
         return _SPEC_CACHE.setdefault(key, spec)

@@ -1,0 +1,101 @@
+"""Size guards: every refusal of oversized work, in one place.
+
+Each check decides its bound exactly and in O(1) before the work starts
+(`power_exceeds` never builds a power too large to hold) and refuses with
+a GuardExceeded of one shape, "<what> guarded to <expr> <= 2^<b>, got
+<base>^<exp> = 2^<x.xx>"; the degree bound drops the log2 parts.  The two
+settable bounds are the fields of EnumerationGuard (the CLI's
+--guard-functions and --guard-degree); the others are constants.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+FIELD_LOG2 = 4           # q <= 16: operation tables of q^2 entries
+CENSUS_LOG2 = 16         # q^n polynomials walked by a census or density
+# the literal route takes q^(2 deg f) / 2 factorial steps, each a product
+# mod g of degree < deg g, then q^deg f Euclid runs on g: a few seconds
+LITERAL_SIZE_LOG2 = 9    # on q^deg f
+LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
+
+
+class GuardExceeded(ValueError):
+    """A request refused by a size guard before its work starts."""
+
+
+def power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """Whether base^exponent > bound (base >= 1).  The bit lengths decide
+
+    first, as base^exponent >= 2^(exponent * (bits(base) - 1)), so a
+    power too large to build is never built."""
+    if exponent * (base.bit_length() - 1) > bound.bit_length():
+        return True
+    return base ** exponent > bound
+
+
+def check_power(what: str, expr: str, base: int, exponent: int, bound: int,
+                factor: int = 1):
+    """Refuse base^exponent * factor > bound (base, factor, bound >= 1)."""
+    if power_exceeds(base, exponent, bound // factor):
+        b = math.log2(bound)
+        got = f"{base}^{exponent}" + (f" * {factor}" if factor > 1 else "")
+        raise GuardExceeded(
+            f"{what} guarded to {expr} <= 2^{b:.{0 if b.is_integer() else 2}f}, "
+            f"got {got} = 2^{exponent * math.log2(base) + math.log2(factor):.2f}")
+
+
+def check_field(p: int, m: int):
+    check_power("field size", "q", p, m, 2 ** FIELD_LOG2)
+
+
+def check_census(q: int, n: int):
+    if n < 0:
+        raise ValueError("degree must be >= 0")
+    check_power("census", "q^n", q, n, 2 ** CENSUS_LOG2)
+
+
+def check_literal(q: int, n: int, deg_g: int):
+    check_power("literal path", "q^(deg f)", q, n, 2 ** LITERAL_SIZE_LOG2)
+    check_power("literal path", "q^(2 deg f) * deg g", q, 2 * n,
+                2 ** LITERAL_WORK_LOG2, factor=deg_g)
+
+
+@dataclass(frozen=True)
+class EnumerationGuard:
+    """max_functions bounds every enumeration of the oracles and the CLI
+    (|A_g|^|A_f| tables, |A_f|^2 pairs, the residues of A_f, the
+    polynomial functions); max_degree bounds deg f and deg g."""
+
+    max_functions: int = 2 ** 20
+    max_degree: int = 12
+
+    def __post_init__(self):
+        if self.max_functions < 1:
+            raise ValueError("max_functions must be >= 1")
+
+    def check_degrees(self, *polys):
+        for p in polys:
+            if p.degree > self.max_degree:
+                raise GuardExceeded(f"degree guarded to deg f, deg g <= "
+                                    f"{self.max_degree}, got {p.degree}")
+
+    def check_total_functions(self, domain_size: int, codomain_size: int):
+        check_power("table count", "|A_g|^|A_f|", codomain_size, domain_size,
+                    self.max_functions)
+
+    def check_domain_pairs(self, f):
+        """The polynomial-function span, the CRT check and the basis
+        context cost time growing with |A_f|^2."""
+        check_power("domain pairs", "|A_f|^2", f.field.q, 2 * f.degree,
+                    self.max_functions)
+
+    def check_residues(self, f):
+        check_power("residues", "|A_f|", f.field.q, f.degree, self.max_functions)
+
+    def check_closure(self, p: int, rank: int):
+        check_power("polynomial functions", "p^rank", p, rank, self.max_functions)
+
+
+DEFAULT_GUARD = EnumerationGuard()

@@ -2,10 +2,9 @@
 
 Everything here recomputes properties from first principles, bypassing the
 closed-form counting and classification modules, so that those can be
-validated against it.  All enumerations are bounded by an explicit
-EnumerationGuard, the censuses by q^n <= chen.DENSITY_GUARD and the literal
-route by its own bounds; each raises GuardExceeded instead of attempting
-a large run.
+validated against it.  Every enumeration, census and the literal route
+is bounded by a check of `guards`, which raises GuardExceeded instead of
+attempting a large run.
 
 The literal route to N takes every deg gcd(g, k!) by Euclid.  Its `order`
 relabels the digits of the a_k; N does not depend on it (Bhargava's
@@ -15,53 +14,16 @@ P-orderings, J. reine angew. Math. 490, 1997).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
-from .chen import check_census_size
 from .counting import QExponent, _require_pair
 from .field import FieldSpec
-from .polyring import (GuardExceeded, Poly, degree_n_polys, gcd,
-                       index_to_poly, monic_divisors, poly_to_index,
-                       power_exceeds, valuation)
+from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
+from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
+                       monic_divisors, poly_to_index, valuation)
 from .residue import FunctionTable, ResidueRing
 from .wagner import floor_log
-
-
-@dataclass(frozen=True)
-class EnumerationGuard:
-    max_functions: int = 2 ** 20   # bound on |A_g|^|A_f| for table enumeration
-    max_closure: int = 2 ** 20     # bound on enumerated polynomial-function sets
-    max_degree: int = 12           # bound on deg f, deg g
-    max_q: int = 16                # bound on the field size
-
-    def check_degrees(self, *polys: Poly):
-        for p in polys:
-            if p.degree > self.max_degree:
-                raise GuardExceeded(
-                    f"degree {p.degree} exceeds guard max_degree={self.max_degree}")
-            if p.field.q > self.max_q:
-                raise GuardExceeded(
-                    f"q={p.field.q} exceeds guard max_q={self.max_q}")
-
-    def check_total_functions(self, domain_size: int, codomain_size: int):
-        if power_exceeds(codomain_size, domain_size, self.max_functions):
-            raise GuardExceeded(
-                f"{codomain_size}^{domain_size} tables exceed guard "
-                f"max_functions={self.max_functions}")
-
-    def check_domain_pairs(self, f: Poly):
-        """Refuse |A_f|^2 > max_functions, in O(1): the polynomial-function
-        span and the CRT check cost time growing with |A_f|^2."""
-        q, n = f.field.q, f.degree
-        if power_exceeds(q, 2 * n, self.max_functions):
-            raise GuardExceeded(
-                f"|A_f|^2 = {q}^{2 * n} exceeds guard "
-                f"max_functions={self.max_functions}")
-
-
-DEFAULT_GUARD = EnumerationGuard()
 
 
 # ---------------------------------------------------- definitional check
@@ -158,6 +120,16 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
                      labels[:, :codomain.size])
 
 
+def _guarded_problem(f: Poly, g: Poly, guard: EnumerationGuard) -> tuple:
+    """The encoding of (f, g) within the guard, with the kernel arguments."""
+    guard.check_degrees(f, g)
+    domain, codomain = ResidueRing(f), ResidueRing(g)
+    guard.check_total_functions(domain.size, codomain.size)
+    prob = encode_cp_problem(domain, codomain)
+    return (prob, domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
+            prob.cons_div, prob.cod_class)
+
+
 def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
                          guard: EnumerationGuard = DEFAULT_GUARD) -> int:
     """Count congruence-preserving tables A_f -> A_g by enumeration.
@@ -165,13 +137,7 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     engine "exhaustive" visits all |A_g|^|A_f| tables and checks each;
     engine "backtracking" extends tables one position at a time, pruning
     on the first violated congruence."""
-    guard.check_degrees(f, g)
-    domain = ResidueRing(f)
-    codomain = ResidueRing(g)
-    guard.check_total_functions(domain.size, codomain.size)
-    prob = encode_cp_problem(domain, codomain)
-    args = (domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
-            prob.cons_div, prob.cod_class)
+    _, *args = _guarded_problem(f, g, guard)
     if engine == "exhaustive":
         return _kernels.count_exhaustive(*args)
     if engine == "backtracking":
@@ -182,29 +148,11 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
 def enumerate_cpf_tables(f: Poly, g: Poly,
                          guard: EnumerationGuard = DEFAULT_GUARD) -> list:
     """All congruence-preserving tables, by backtracking enumeration."""
-    guard.check_degrees(f, g)
-    domain = ResidueRing(f)
-    codomain = ResidueRing(g)
-    guard.check_total_functions(domain.size, codomain.size)
-    prob = encode_cp_problem(domain, codomain)
-    rows = _kernels.enumerate_backtracking(
-        domain.size, codomain.size, prob.cons_ptr, prob.cons_src, prob.cons_div,
-        prob.cod_class, cap=guard.max_functions)
-    if rows is None:
-        raise GuardExceeded(
-            f"more than max_functions={guard.max_functions} tables to enumerate")
-    return [prob.decode_row(row) for row in rows]
+    prob, *args = _guarded_problem(f, g, guard)
+    return [prob.decode_row(row) for row in _kernels.enumerate_backtracking(*args)]
 
 
 # ------------------------------------------- literal generalized factorials
-LITERAL_DEGREE_GUARD = 4
-# the route takes q^(2 deg f) / 2 factorial steps, each a product mod g of
-# degree < deg g, then q^deg f Euclid runs on g; at the bounds it runs for
-# a few seconds
-LITERAL_SIZE_LOG2 = 9    # on q^deg f
-LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
-
-
 def _check_order(field: FieldSpec, order) -> tuple:
     """The digit map of `order`: index order when None, else a permutation
     of 0..q-1 fixing 0, so that a_0 = 0 stays first."""
@@ -244,22 +192,11 @@ def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
 def count_polyfn_literal(f: Poly, g: Poly, order=None) -> QExponent:
     """N = q^(q^n deg g - sum_{0<k<q^n} deg gcd(g, k!)) with every gcd
 
-    computed, for deg f = n <= LITERAL_DEGREE_GUARD, q^n <=
-    2^LITERAL_SIZE_LOG2 and q^(2n) deg g <= 2^LITERAL_WORK_LOG2; `order`
-    relabels the digits of the a_k."""
+    computed, within the size and work bounds of `guards.check_literal`;
+    `order` relabels the digits of the a_k."""
     n = _require_pair(f, g)
-    if n > LITERAL_DEGREE_GUARD:
-        raise GuardExceeded(
-            f"literal path guarded to deg f <= {LITERAL_DEGREE_GUARD}")
     q = f.field.q
-    if q ** n > 2 ** LITERAL_SIZE_LOG2:
-        raise GuardExceeded(
-            f"literal path guarded to q^(deg f) <= 2^{LITERAL_SIZE_LOG2}, "
-            f"got {q}^{n} = 2^{n * log2(q):.2f}")
-    if q ** (2 * n) * g.degree > 2 ** LITERAL_WORK_LOG2:
-        raise GuardExceeded(
-            f"literal path guarded to q^(2 deg f) * deg g <= 2^{LITERAL_WORK_LOG2}, "
-            f"got {q}^{2 * n} * {g.degree} = 2^{2 * n * log2(q) + log2(g.degree):.2f}")
+    check_literal(q, n, g.degree)
     qn = q ** n
     return QExponent(q, qn * g.degree - sum(
         deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
@@ -403,10 +340,8 @@ class PolyFnModule:
         return not vec.any()
 
     def members(self) -> list:
-        """Every polynomial function, when within the closure guard."""
-        if self.size > self.guard.max_closure:
-            raise GuardExceeded(
-                f"closure size {self.size} exceeds max_closure={self.guard.max_closure}")
+        """Every polynomial function, when within the guard."""
+        self.guard.check_closure(self.p, self.rank)
         import numpy as np
 
         vectors = [np.zeros(self.length, dtype=np.int64)]
@@ -480,7 +415,7 @@ def census_self_chen(field: FieldSpec, n: int,
     For q = 2 the count is split by the valuations at t and t+1:
     both <= 1 / exactly the first = 2 / exactly the second = 2 / both = 2."""
     q = field.q
-    check_census_size(q, n)
+    check_census(q, n)
     total = 0
     comps = [0, 0, 0, 0]
     lin_t = Poly(field, [0, 1])
@@ -515,7 +450,7 @@ def census_self_chen(field: FieldSpec, n: int,
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
     """Count square-free degree-n polynomials by the gcd test."""
-    check_census_size(field.q, n)
+    check_census(field.q, n)
     if n == 0:
         return 1 if monic_only else field.q - 1
     return sum(1 for g in degree_n_polys(field, n, monic_only)

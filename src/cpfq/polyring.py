@@ -377,20 +377,6 @@ def enumerate_residues(f: Poly) -> list:
     return [index_to_poly(f.field, k) for k in range(f.field.q ** d)]
 
 
-class GuardExceeded(ValueError):
-    """A request refused by a size guard before its work starts."""
-
-
-def power_exceeds(base: int, exponent: int, bound: int) -> bool:
-    """Whether base^exponent > bound (base >= 1).  The bit lengths decide
-
-    first, as base^exponent >= 2^(exponent * (bits(base) - 1)), so a
-    power too large to build is never built."""
-    if exponent * (base.bit_length() - 1) > bound.bit_length():
-        return True
-    return base ** exponent > bound
-
-
 def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
     """Every polynomial of exact degree n, by index of its lower n
 

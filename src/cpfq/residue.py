@@ -14,8 +14,9 @@ from __future__ import annotations
 import json
 
 from .field import FieldSpec, field_make
+from .guards import power_exceeds
 from .polyring import (Poly, enumerate_residues, factorize, index_to_poly,
-                       parse, poly_to_index, power_exceeds, to_text, xgcd)
+                       parse, poly_to_index, to_text, xgcd)
 
 
 class ResidueRing:

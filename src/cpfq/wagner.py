@@ -205,27 +205,21 @@ class _BasisContext:
             got = self._elements[a] = (h, valuation(self.seq.p, h, check=False))
         return got
 
-    def _split(self, h: Poly) -> tuple:
-        """(v_P(h), index of h / P^v_P(h) mod P^e) for h != 0."""
-        v = 0
-        while True:
-            quo, r = divmod(h, self.seq.p)
-            if r:
-                return v, poly_to_index(self.ring.reduce(h))
-            h = quo
-            v += 1
-
     def _build(self, dom: tuple, e: int) -> tuple:
         """Column k, from the running pair (v_P, unit mod P^e) of
         prod_{j<i}(b_k - b_j), i = 0 .. k: B_i(b_k) = P^(v - v_i) * unit *
         unit_i^-1, or 0 once v - v_i >= e, where (v_i, unit_i) is the pair
         of row i's denominator prod_{j<i}(b_i - b_j), which is column i's
-        pair at i.  O(q^(2n)) ring operations in all."""
-        mul, field = self.mul, self.ring.field
-        ppow = [poly_to_index(self.seq.p ** s) for s in range(e)]
+        pair at i.  O(q^(2n)) ring operations in all.  With w the lowest
+        base-q^d digit where k and j differ, b_k - b_j is P^w times b_{k //
+        q^(dw)} - b_{j // q^(dw)}, a unit: its lowest P-adic digit is not 0."""
+        mul, sub, field = self.mul, self.sub, self.ring.field
+        s = field.q ** self.seq.d
+        ppow = [poly_to_index(self.seq.p ** w) for w in range(e)]
+        red = [poly_to_index(self.ring.reduce(b)) for b in dom]  # b_x mod P^e
         rows = []  # (v_i, unit_i^-1) per row i
         columns = []
-        for k, bk in enumerate(dom):
+        for k in range(len(dom)):
             v, u = 0, 1
             col = []
             for i in range(k + 1):
@@ -238,9 +232,11 @@ class _BasisContext:
                         f"B_{i} is not P-integral at b_{k}: v_P(num)={v} < v_P(den)={vd}")
                 col.append(0 if v - vd >= e else mul(ppow[v - vd], mul(u, ud_inv)))
                 if i < k:
-                    w, unit = self._split(bk - dom[i])
-                    v += w
-                    u = mul(u, unit)
+                    a, b = k, i
+                    while a % s == b % s:
+                        a, b = a // s, b // s
+                        v += 1
+                    u = mul(u, sub(red[a], red[b]))
             columns.append(tuple(col))
         return tuple(columns)
 

@@ -137,8 +137,8 @@ def test_chen_self_count_matches_reference_q2():
 
 
 def test_chen_self_count_matches_censuses():
-    # every (q, n) with q^n <= 2^12, a test budget inside the 2^22 census
-    # guard: at q = 2 both censuses take 10 s together at n = 16 already
+    # every (q, n) with q^n <= 2^12, a test budget inside the 2^16 census
+    # guard: at q = 2 both censuses take 10 s together at n = 16
     for q in (2, 3, 4, 5, 7, 8, 9):
         F = make_field(q)
         top = max(n for n in range(1, 13) if q ** n <= 2 ** 12)

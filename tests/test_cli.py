@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -50,8 +51,11 @@ def test_count_poly_golden(capsys):
     (["--q", "2", "--f", "t^4", "--g", "t^3+t^2", "--format", "text"], 0,
      'q         2\nf         "t^4"\ng         "t^3+t^2"\ncount     "2^8"\n'
      'exponent  8\n', ""),
-    (["--q", "2", "--f", "t^5", "--g", "t"], 1,
-     "", '{"error": "literal path guarded to deg f <= 4", "guard": true}\n'),
+    (["--q", "2", "--f", "t^5", "--g", "t"], 0,
+     '{"q": 2, "f": "t^5", "g": "t", "count": "2^2", "exponent": 2}\n', ""),
+    (["--q", "2", "--f", "t^10", "--g", "t"], 1,
+     "", '{"error": "literal path guarded to q^(deg f) <= 2^9, got 2^10 = 2^10.00", '
+     '"guard": true}\n'),
 ])
 def test_count_poly_literal_golden(capsys, argv, code, out, err):
     assert run_cli(capsys, "count-poly", "--literal", *argv) == (code, out, err)
@@ -112,7 +116,8 @@ CENSUS_DENSITY_GOLDEN = [
     ("verify --q 5 --what census --n 0", 0, _census_out(5, 0, 4), ""),
     ("verify --q 5 --what census --n 1", 0, _census_out(5, 1, 20), ""),
     ("verify --q 5 --what census --n 4", 0, _census_out(5, 4, 2000), ""),
-    ("verify --q 5 --what census --n 7", 0, _census_out(5, 7, 250000), ""),
+    ("verify --q 5 --what census --n 7", 1, "",
+     '{"error": "census guarded to q^n <= 2^16, got 5^7 = 2^16.25", "guard": true}\n'),
     ("verify --p 2 --m 2 --what census --n 0", 0, _census_out(4, 0, 3), ""),
     ("verify --p 2 --m 2 --what census --n 1", 0, _census_out(4, 1, 12), ""),
     ("verify --p 2 --m 2 --what census --n 4", 0, _census_out(4, 4, 576), ""),
@@ -323,20 +328,47 @@ def test_extension_degree_zero_is_refused(capsys):
     assert run_json(capsys, "gamma", "--p", "2", "--g", "t")["q"] == 4
 
 
+# the one shape of every refusal: "<what> guarded to <expr> <= 2^<b>, got
+# <base>^<exp> = 2^<x.xx>", without the log2 parts for the degree bound
+GUARD_MESSAGE = re.compile(
+    r"[\w |^]+ guarded to \S.* <= (2\^\d+(\.\d\d)?, got \d+\^\d+( \* \d+)? "
+    r"= 2\^\d+\.\d\d|\d+, got \d+)")
+
+
 @pytest.mark.parametrize("argv, message", [
+    ("gamma --q 17 --g t", "field size guarded to q <= 2^4, got 17^1 = 2^4.09"),
+    ("count-cpf --p 2 --m 5 --f t --g t",
+     "field size guarded to q <= 2^4, got 2^5 = 2^5.00"),
+    ("verify --q 2 --what crt --f t^13 --g t",
+     "degree guarded to deg f, deg g <= 12, got 13"),
+    ("verify --q 2 --what cpf-count --f t --g t^2 --guard-degree 1",
+     "degree guarded to deg f, deg g <= 1, got 2"),
+    ("verify --q 2 --what cpf-count --f t^3 --g t^3",
+     "table count guarded to |A_g|^|A_f| <= 2^20, got 8^8 = 2^24.00"),
+    ("verify --q 2 --what cpf-count --f t^3 --g t^3 --guard-functions 1000000",
+     "table count guarded to |A_g|^|A_f| <= 2^19.93, got 8^8 = 2^24.00"),
+    ("verify --q 2 --what poly-count --f t^11 --g t",
+     "domain pairs guarded to |A_f|^2 <= 2^20, got 2^22 = 2^22.00"),
+    ("enumerate --q 2 --f t^21", "residues guarded to |A_f| <= 2^20, got 2^21 = 2^21.00"),
+    ("verify --q 2 --what census --n 17",
+     "census guarded to q^n <= 2^16, got 2^17 = 2^17.00"),
+    ("density --q 2 --empirical --max-degree 17",
+     "census guarded to q^n <= 2^16, got 2^17 = 2^17.00"),
     ("density --q 3 --empirical --max-degree 300000000",
-     "census guarded to q^n <= 2^22, got 3^300000000 = 2^475488750.22"),
-    ("enumerate --q 2 --f t^21", "2097152 residues exceed the enumeration guard"),
+     "census guarded to q^n <= 2^16, got 3^300000000 = 2^475488750.22"),
     ("count-poly --literal --q 11 --f t^3 --g t^2+1",
      "literal path guarded to q^(deg f) <= 2^9, got 11^3 = 2^10.38"),
     ("count-poly --literal --q 7 --f t^3 --g t^72+t+1",
      "literal path guarded to q^(2 deg f) * deg g <= 2^23, "
      "got 7^6 * 72 = 2^23.01"),
-], ids=["density", "enumerate", "literal-size", "literal-work"])
+], ids=["field-size", "field-power", "degree", "degree-flag", "table-count",
+        "table-count-flag", "domain-pairs", "enumerate", "census", "density",
+        "density-huge", "literal-size", "literal-work"])
 def test_size_refusals_carry_the_guard_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": message, "guard": True}
+    assert GUARD_MESSAGE.fullmatch(message)
 
 
 TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
@@ -449,8 +481,10 @@ def run_cli_process(*argv, timeout=10, env_extra=()):
      "--samples", "1"),
     ("count-poly", "--literal", "--p", "2", "--m", "4", "--f", "t^4", "--g", "t"),
     ("verify", "--q", "13", "--what", "census", "--n", "12"),
+    ("density", "--q", "2", "--empirical", "--max-degree", "17"),
+    ("enumerate", "--q", "2", "--f", "t^40"),
 ], ids=["table-count", "density", "field-size", "field-prime", "poly-count",
-        "crt", "literal", "census"])
+        "crt", "literal", "census", "density-next", "enumerate"])
 def test_huge_enumeration_refused_quickly(argv):
     out = run_cli_process(*argv)
     assert out.returncode == 1 and out.stdout == ""
@@ -497,7 +531,24 @@ def test_basis_of_a_large_domain_refused_quickly(tmp_path, argv):
     out = run_cli_process(*argv, "--sigma", str(path))
     assert out.returncode == 1 and out.stdout == ""
     assert json.loads(out.stderr) == {
-        "error": "|A_f|^2 = 2^24 exceeds guard max_functions=1048576", "guard": True}
+        "error": "domain pairs guarded to |A_f|^2 <= 2^20, got 2^24 = 2^24.00",
+        "guard": True}
+
+
+def test_largest_basis_context_decomposes_quickly(tmp_path):
+    # |A_f| = 2^10 into t^3: the largest F_2 domain under the |A_f|^2 bound
+    import random
+
+    from cpfq.oracle import random_table
+    from helpers import ring
+
+    path = tmp_path / "sigma.json"
+    table = random_table(ring(2, "t^10"), ring(2, "t^3"), random.Random(5))
+    path.write_text(table.to_json())
+    out = run_cli_process("decompose", "--q", "2", "--f", "t^10", "--P", "t",
+                          "--e", "3", "--sigma", str(path))
+    assert out.returncode == 0, out.stderr
+    assert len(json.loads(out.stdout)["coefficients"]) == 2 ** 10
 
 
 def test_parse_degree_bound(capsys):

@@ -11,6 +11,7 @@ from cpfq.counting import (
     count_polyfn,
     count_polyfn_local,
 )
+from cpfq.guards import GuardExceeded
 from cpfq.oracle import (count_polyfn_literal, deg_gcd_factorial,
                          exponent_identity_check)
 from cpfq.polyring import factorize
@@ -132,8 +133,11 @@ def test_literal_matches_valuation_path_q3():
 
 
 def test_literal_guard():
-    with pytest.raises(ValueError):
-        count_polyfn_literal(pol(2, "t^5"), pol(2, "t"))
+    # deg f is bounded only through q^deg f: 2^5 residues pass, 2^10 do not
+    assert count_polyfn_literal(pol(2, "t^5"), pol(2, "t")) == count_polyfn(
+        pol(2, "t^5"), pol(2, "t"))
+    with pytest.raises(GuardExceeded):
+        count_polyfn_literal(pol(2, "t^10"), pol(2, "t"))
 
 
 @pytest.mark.parametrize("q,ftext,gtext,message", [

@@ -4,7 +4,8 @@ import hashlib
 
 import pytest
 
-from cpfq.field import DEFAULT_MAX_Q, FieldSpec, field_make
+from cpfq.field import FieldSpec, field_make
+from cpfq.guards import GuardExceeded
 from cpfq.polyring import Poly, parse
 from helpers import make_field
 
@@ -115,12 +116,37 @@ def test_coeff_round_trip():
 
 
 def test_size_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardExceeded):
         field_make(17)
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardExceeded):
         field_make(2, 5)
-    assert field_make(13).q == 13 <= DEFAULT_MAX_Q
-    assert field_make(17, max_q=17).q == 17
+    assert field_make(13).q == 13
+    assert field_make(2, 4).q == 16
+
+
+def test_field_cache_is_bounded():
+    # every field under the size guard, by its default modulus and by every
+    # irreducible one, given reduced and unreduced: one entry per key
+    from cpfq import field
+    from cpfq.polyring import monic_irreducibles
+
+    expected = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        for m in range(1, 5):
+            if p ** m > 16:
+                continue
+            field_make(p, m)
+            expected += 1
+            if m == 1:
+                continue
+            for mod in monic_irreducibles(field_make(p), m):
+                c = mod.coeffs
+                spec = field_make(p, m, c)
+                assert field_make(p, m, [x + p * (i + 1) for i, x in enumerate(c)]) is spec
+                assert field_make(p, m, [x - p for x in c]) is spec
+                expected += 1
+    assert expected == 19
+    assert len(field._SPEC_CACHE) == expected
 
 
 def test_bad_characteristic():

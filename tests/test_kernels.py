@@ -36,13 +36,10 @@ def test_engines_agree_with_each_other(monkeypatch, chunk):
 def test_enumerate_returns_exactly_the_rows():
     pr = encode_cp_problem(ring(2, "t^2"), ring(2, "t^2"))
     args = _args(pr)
-    rows = _kernels.enumerate_backtracking(*args, cap=100)
-    assert rows is not None
+    rows = _kernels.enumerate_backtracking(*args)
     assert len(rows) == 64
     for row in rows:
         assert pr.check_row(np.asarray(row, dtype=np.int64))
-    # cap below the true count reports overflow as None
-    assert _kernels.enumerate_backtracking(*args, cap=63) is None
 
 
 def test_count_backtracking_memory_is_bounded(monkeypatch):

@@ -1,6 +1,7 @@
 """Brute-force oracles against closed forms: the definitional checker,
 both counting engines, monomial-closure membership, and the guards."""
 
+import dataclasses
 import hashlib
 import random
 
@@ -8,10 +9,9 @@ import numpy as np
 import pytest
 
 from cpfq.counting import count_cpf, count_polyfn
+from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
+                         check_census)
 from cpfq.oracle import (
-    DEFAULT_GUARD,
-    EnumerationGuard,
-    GuardExceeded,
     apply_coeff_poly,
     census_self_chen,
     census_squarefree,
@@ -246,7 +246,15 @@ def test_census_squarefree_units_scale():
 def test_census_guard_reports_log2(census, q, n, got):
     with pytest.raises(GuardExceeded) as exc:
         census(make_field(q), n)
-    assert str(exc.value) == f"census guarded to q^n <= 2^22, got {got}"
+    assert str(exc.value) == f"census guarded to q^n <= 2^16, got {got}"
+
+
+def test_census_guard_admits_the_acceptance_sizes():
+    # criterion 5 runs the square-free census at q = 3, n = 10: 2^15.85
+    check_census(3, 10)
+    check_census(2, 16)
+    with pytest.raises(GuardExceeded):
+        check_census(5, 7)
 
 
 def test_exhaustive_guard():
@@ -264,14 +272,19 @@ def test_degree_guard():
 
 
 def test_closure_guard():
-    # rank computation is cheap and always allowed; materializing is not
-    tight = EnumerationGuard(max_closure=8)
+    # rank computation is cheap and always allowed; materializing is not:
+    # |A_f|^2 = 16 passes max_functions = 32, the 64 functions do not
+    tight = EnumerationGuard(max_functions=32)
     mod = polyfn_module(pol(2, "t^2"), pol(2, "t^2"), guard=tight)
     assert mod.size == 64
-    with pytest.raises(GuardExceeded):
+    with pytest.raises(GuardExceeded) as exc:
         mod.members()
+    assert str(exc.value) == ("polynomial functions guarded to p^rank <= 2^5, "
+                              "got 2^6 = 2^6.00")
     with pytest.raises(GuardExceeded):
         polyfn_submodule(pol(2, "t^2"), pol(2, "t^2"), guard=tight)
+    exact = EnumerationGuard(max_functions=64)
+    assert len(polyfn_submodule(pol(2, "t^2"), pol(2, "t^2"), guard=exact)) == 64
 
 
 def test_enumeration_guard():
@@ -281,7 +294,6 @@ def test_enumeration_guard():
 
 
 def test_default_guard_values():
-    assert DEFAULT_GUARD.max_functions == 2 ** 20
-    assert DEFAULT_GUARD.max_closure == 2 ** 20
-    assert DEFAULT_GUARD.max_degree == 12
-    assert DEFAULT_GUARD.max_q == 16
+    assert DEFAULT_GUARD == EnumerationGuard(max_functions=2 ** 20, max_degree=12)
+    assert [f.name for f in dataclasses.fields(EnumerationGuard)] == [
+        "max_functions", "max_degree"]

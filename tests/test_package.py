@@ -21,11 +21,23 @@ def test_moved_oracle_names_stay_exported():
 
 
 def test_guard_exceeded_is_one_value_error():
-    # defined beside power_exceeds; oracle and the package re-export it
-    from cpfq import oracle, polyring
-    assert cpfq.GuardExceeded is oracle.GuardExceeded is polyring.GuardExceeded
+    # defined beside power_exceeds; the package re-exports it
+    from cpfq import guards
+    assert cpfq.GuardExceeded is guards.GuardExceeded
+    assert cpfq.EnumerationGuard is guards.EnumerationGuard
     assert issubclass(cpfq.GuardExceeded, ValueError)
     assert "FieldElement" not in cpfq.__all__
+
+
+def test_every_refusal_is_raised_in_guards():
+    from pathlib import Path
+
+    src = Path(cpfq.__file__).resolve().parent
+    raising = sorted(path.name for path in src.glob("*.py")
+                     if "GuardExceeded(" in path.read_text(encoding="utf-8"))
+    assert raising == ["guards.py"]
+    for fn in (cpfq.FieldSpec, cpfq.field_make):
+        assert "max_q" not in inspect.signature(fn).parameters
 
 
 def test_closed_form_and_codec_take_no_probe_knobs():

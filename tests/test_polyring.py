@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cpfq.chen import is_self_chen
 from cpfq.field import field_make
+from cpfq.guards import power_exceeds
 from cpfq.oracle import factorial, relabeled_index_to_poly
 from cpfq.polyring import (
     NEG_INF,
@@ -27,7 +28,6 @@ from cpfq.polyring import (
     monic_irreducibles,
     parse,
     poly_to_index,
-    power_exceeds,
     squarefree_decomposition,
     to_text,
     valuation,
@@ -188,9 +188,9 @@ def test_xgcd_and_inv_unit_over_extension_fields(q):
             assert ring.mul(a, ring.inv_unit(a)) == parse(F, "1")
 
 
-def test_fields_differing_only_in_max_q_mix():
-    from cpfq.field import field_make
-    F, G = field_make(3), field_make(3, max_q=27)
+def test_equal_fields_built_apart_mix():
+    from cpfq.field import FieldSpec, field_make
+    F, G = field_make(3), FieldSpec(3)
     assert F is not G and F == G
     a, b = parse(F, "t^2+2"), parse(G, "2t+1")
     assert a + b == parse(F, "t^2+2t") == parse(G, "t^2+2t")
