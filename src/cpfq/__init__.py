@@ -14,7 +14,8 @@ from .guards import EnumerationGuard, GuardExceeded
 from .oracle import (CpCheck, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
                      count_polyfn_literal, deg_gcd_factorial,
-                     encode_cp_problem, enumerate_cpf_tables,
+                     encode_cp_problem, enumerate_cpf_rows,
+                     enumerate_cpf_tables,
                      exponent_identity_check, factorial,
                      is_congruence_preserving, is_polynomial_function,
                      is_squarefree_gcd, polyfn_module, polyfn_submodule,
@@ -26,22 +27,23 @@ from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
                        valuation, xgcd)
 from .residue import (FunctionTable, ResidueRing, crt_combine, crt_split,
                       reduce_mod)
-from .wagner import (BasisCoefficients, BasisReport, CrtReport, PSequence,
-                     crt_characterize, decompose, eval_Qk, is_cpf_via_basis,
-                     mu)
+from .wagner import (BasisBatch, BasisCoefficients, BasisReport, CrtReport,
+                     PSequence, crt_characterize, decompose, decompose_rows,
+                     eval_Qk, is_cpf_via_basis, mu)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisCoefficients", "BasisReport", "ChenVerdict", "CpCheck", "CrtReport",
-    "DensityReport", "EnumerationGuard", "Factorization", "FieldSpec",
-    "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence", "ParseError",
-    "Poly", "PolyFnModule", "QExponent", "ResidueRing",
+    "BasisBatch", "BasisCoefficients", "BasisReport", "ChenVerdict", "CpCheck",
+    "CrtReport", "DensityReport", "EnumerationGuard", "Factorization",
+    "FieldSpec", "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence",
+    "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
     "census_self_chen", "census_squarefree", "chen_self_count",
     "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
     "count_polyfn_literal", "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
-    "decompose", "deg_gcd_factorial", "degree_n_polys", "density_empirical",
-    "density_exact", "encode_cp_problem", "enumerate_cpf_tables",
+    "decompose", "decompose_rows", "deg_gcd_factorial", "degree_n_polys",
+    "density_empirical", "density_exact", "encode_cp_problem",
+    "enumerate_cpf_rows", "enumerate_cpf_tables",
     "enumerate_residues", "eval_Qk", "exponent_identity_check", "factor_shape",
     "factorial", "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
     "index_to_poly", "is_chen_pair", "is_congruence_preserving",

@@ -19,7 +19,7 @@ import time
 from . import chen, counting, oracle, wagner
 from .field import field_make
 from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded
-from .polyring import ParseError, factor_shape, factorize, parse, to_text
+from .polyring import ParseError, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
 
@@ -52,9 +52,15 @@ def _parse_poly(field, text, name):
 
 
 def _guard_from_args(args) -> EnumerationGuard:
-    # an absent or zero flag keeps the default bound
-    return EnumerationGuard(args.guard_functions or DEFAULT_GUARD.max_functions,
-                            args.guard_degree or DEFAULT_GUARD.max_degree)
+    # an absent flag keeps the default bound
+    functions, degree = args.guard_functions, args.guard_degree
+    if functions is not None and functions < 1:
+        raise ValueError(f"--guard-functions must be >= 1, got {functions}")
+    if degree is not None and degree < 0:
+        raise ValueError(f"--guard-degree must be >= 0, got {degree}")
+    return EnumerationGuard(
+        DEFAULT_GUARD.max_functions if functions is None else functions,
+        DEFAULT_GUARD.max_degree if degree is None else degree)
 
 
 def _render_gamma(g):
@@ -248,19 +254,20 @@ def _verify_dispatch(args, field, guard):
 
 
 def _verify_basis(args, field, guard, f, g):
-    if len(factor_shape(g)) != 1:
-        raise ValueError("verify --what basis needs a prime power --g")
-    tables = oracle.enumerate_cpf_tables(f, g, guard=guard)
-    all_cp_pass = all(wagner.is_cpf_via_basis(tb).cpf for tb in tables)
-    rng = random.Random(args.seed)
+    # one pair of rings, so g is factored once for every step below
     dom, cod = ResidueRing(f), ResidueRing(g)
+    if len(cod.factorization.factors) != 1:
+        raise ValueError("verify --what basis needs a prime power --g")
+    rows = oracle.enumerate_cpf_rows(dom, cod, guard=guard)
+    all_cp_pass = bool(wagner.decompose_rows(rows, cod, f.degree).is_cpf().all())
+    rng = random.Random(args.seed)
     agree = 0
     for _ in range(args.samples):
         tb = oracle.random_table(dom, cod, rng)
         if wagner.is_cpf_via_basis(tb).cpf == oracle.is_congruence_preserving(tb).ok:
             agree += 1
     return {"what": "basis", "q": field.q, "f": to_text(f), "g": to_text(g),
-            "cp_tables": len(tables), "all_cp_pass": all_cp_pass,
+            "cp_tables": len(rows), "all_cp_pass": all_cp_pass,
             "samples": args.samples, "agreements": agree,
             "match": all_cp_pass and agree == args.samples}
 

@@ -19,6 +19,10 @@ CENSUS_LOG2 = 16         # q^n polynomials walked by a census or density
 # mod g of degree < deg g, then q^deg f Euclid runs on g: a few seconds
 LITERAL_SIZE_LOG2 = 9    # on q^deg f
 LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
+# dense mul and sub tables of A_{P^e} for the batched basis solve; an
+# enumeration within max_functions = 2^20 never reaches it (C^D <= 2^20
+# with |A_f| = D >= 2 gives C^2 <= 2^20)
+BASIS_TABLE_LOG2 = 20    # on |A_{P^e}|^2
 
 
 class GuardExceeded(ValueError):
@@ -60,6 +64,10 @@ def check_literal(q: int, n: int, deg_g: int):
     check_power("literal path", "q^(deg f)", q, n, 2 ** LITERAL_SIZE_LOG2)
     check_power("literal path", "q^(2 deg f) * deg g", q, 2 * n,
                 2 ** LITERAL_WORK_LOG2, factor=deg_g)
+
+
+def check_basis_tables(q: int, degree: int):
+    check_power("basis tables", "|A_{P^e}|^2", q, 2 * degree, 2 ** BASIS_TABLE_LOG2)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .counting import QExponent, _require_pair
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
 from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
-                       monic_divisors, poly_to_index, valuation)
+                       poly_to_index, valuation)
 from .residue import FunctionTable, ResidueRing
 from .wagner import floor_log
 
@@ -45,11 +45,8 @@ def is_congruence_preserving(sigma: FunctionTable) -> CpCheck:
 
     Returns the first counterexample triple when the check fails."""
     reps = sigma.domain.elements()
-    for h in monic_divisors(sigma.codomain.modulus):
-        classes: dict = {}
-        for i, r in enumerate(reps):
-            classes.setdefault(r % h, []).append(i)
-        for members in classes.values():
+    for h in sigma.codomain.divisors:
+        for members in sigma.domain.classes(h):
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     i, j = members[a], members[b]
@@ -80,16 +77,11 @@ class CpProblem:
                     return False
         return True
 
-    def decode_row(self, row) -> FunctionTable:
-        cod = self.codomain.elements()
-        return FunctionTable(self.domain, self.codomain,
-                             [cod[int(v)] for v in row])
-
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
     import numpy as np
 
-    divisors = monic_divisors(codomain.modulus)
+    divisors = codomain.divisors
     # both rings list their residues as a_0, a_1, ..., so one table of
     # labels index(a_k mod h) serves the domain and the codomain
     reps = max(domain, codomain, key=lambda ring: ring.size).elements()
@@ -120,10 +112,10 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
                      labels[:, :codomain.size])
 
 
-def _guarded_problem(f: Poly, g: Poly, guard: EnumerationGuard) -> tuple:
-    """The encoding of (f, g) within the guard, with the kernel arguments."""
-    guard.check_degrees(f, g)
-    domain, codomain = ResidueRing(f), ResidueRing(g)
+def _guarded_problem(domain: ResidueRing, codomain: ResidueRing,
+                     guard: EnumerationGuard) -> tuple:
+    """The encoding of A_f -> A_g within the guard, with the kernel arguments."""
+    guard.check_degrees(domain.modulus, codomain.modulus)
     guard.check_total_functions(domain.size, codomain.size)
     prob = encode_cp_problem(domain, codomain)
     return (prob, domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
@@ -137,7 +129,7 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     engine "exhaustive" visits all |A_g|^|A_f| tables and checks each;
     engine "backtracking" extends tables one position at a time, pruning
     on the first violated congruence."""
-    _, *args = _guarded_problem(f, g, guard)
+    _, *args = _guarded_problem(ResidueRing(f), ResidueRing(g), guard)
     if engine == "exhaustive":
         return _kernels.count_exhaustive(*args)
     if engine == "backtracking":
@@ -145,11 +137,23 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     raise ValueError(f"unknown engine {engine!r}")
 
 
+def enumerate_cpf_rows(domain: ResidueRing, codomain: ResidueRing,
+                       guard: EnumerationGuard = DEFAULT_GUARD) -> np.ndarray:
+    """All congruence-preserving tables A_f -> A_g as the backtracking
+
+    kernel's rows: an (M, |A_f|) int array of A_g residue indices, each row
+    listed like A_f."""
+    _, *args = _guarded_problem(domain, codomain, guard)
+    return _kernels.enumerate_backtracking(*args)
+
+
 def enumerate_cpf_tables(f: Poly, g: Poly,
                          guard: EnumerationGuard = DEFAULT_GUARD) -> list:
-    """All congruence-preserving tables, by backtracking enumeration."""
-    prob, *args = _guarded_problem(f, g, guard)
-    return [prob.decode_row(row) for row in _kernels.enumerate_backtracking(*args)]
+    """All congruence-preserving tables, decoded from enumerate_cpf_rows."""
+    dom, cod = ResidueRing(f), ResidueRing(g)
+    values = cod.elements()
+    return [FunctionTable(dom, cod, [values[v] for v in row])
+            for row in enumerate_cpf_rows(dom, cod, guard).tolist()]
 
 
 # ------------------------------------------- literal generalized factorials

@@ -564,6 +564,21 @@ class Factorization:
             out = out * p ** e
         return out
 
+    def monic_divisors(self) -> list:
+        """All monic divisors with degree >= 1, sorted by (degree, index)."""
+        one = Poly._new(self.unit.field, [1])
+        divs = [one]
+        for p, e in self.factors:
+            grown = []
+            pw = one
+            for _ in range(e + 1):
+                grown += [d * pw for d in divs]
+                pw = pw * p
+            divs = grown
+        out = [d for d in divs if d.degree >= 1]
+        out.sort(key=lambda d: (d.degree, poly_to_index(d)))
+        return out
+
     def to_json(self):
         return {"unit": to_text(self.unit),
                 "factors": [[to_text(p), e] for p, e in self.factors]}
@@ -606,18 +621,7 @@ def valuation(p: Poly, h: Poly, check: bool = True):
 
 def monic_divisors(g: Poly) -> list:
     """All monic divisors of g with degree >= 1, sorted by (degree, index)."""
-    fact = factorize(g)
-    divs = [Poly(g.field, [1])]
-    for p, e in fact.factors:
-        grown = []
-        pw = Poly(g.field, [1])
-        for _ in range(e + 1):
-            grown += [d * pw for d in divs]
-            pw = pw * p
-        divs = grown
-    out = [d for d in divs if isinstance(d.degree, int) and d.degree >= 1]
-    out.sort(key=lambda d: (d.degree, poly_to_index(d)))
-    return out
+    return factorize(g).monic_divisors()
 
 
 def gcd(a: Poly, b: Poly) -> Poly:

@@ -15,12 +15,16 @@ import json
 
 from .field import FieldSpec, field_make
 from .guards import power_exceeds
-from .polyring import (Poly, enumerate_residues, factorize, index_to_poly,
-                       parse, poly_to_index, to_text, xgcd)
+from .polyring import (Factorization, Poly, enumerate_residues, factorize,
+                       index_to_poly, parse, poly_to_index, to_text, xgcd)
 
 
 class ResidueRing:
-    """A_f for a fixed modulus f with deg f >= 1."""
+    """A_f for a fixed modulus f with deg f >= 1.
+
+    What depends only on f (its factorization, monic divisors and prime
+    power rings, the classes of A_f mod a divisor) is computed once per
+    ring object and kept on it."""
 
     def __init__(self, modulus: Poly):
         d = modulus.degree
@@ -31,12 +35,48 @@ class ResidueRing:
         self.size = self.field.q ** d
         self._elements = None
         self._factorization = None
+        self._divisors = None
+        self._prime_powers = None
+        self._classes: dict = {}
 
     @property
     def factorization(self):
         if self._factorization is None:
             self._factorization = factorize(self.modulus)
         return self._factorization
+
+    @property
+    def divisors(self) -> list:
+        """The monic divisors of the modulus with degree >= 1."""
+        if self._divisors is None:
+            self._divisors = self.factorization.monic_divisors()
+        return self._divisors
+
+    @property
+    def prime_powers(self) -> tuple:
+        """A_{P^e} for each prime power P^e of the modulus, in factor
+
+        order, each ring built knowing its factorization."""
+        if self._prime_powers is None:
+            rings = []
+            for p, e in self.factorization.factors:
+                ring = ResidueRing(p ** e)
+                ring._factorization = Factorization(Poly(self.field, [1]), ((p, e),))
+                rings.append(ring)
+            self._prime_powers = tuple(rings)
+        return self._prime_powers
+
+    def classes(self, h: Poly) -> tuple:
+        """The residue indices grouped by their residue mod h: each group
+
+        in index order, the groups by their first member."""
+        got = self._classes.get(h)
+        if got is None:
+            groups: dict = {}
+            for i, r in enumerate(self.elements()):
+                groups.setdefault(r % h, []).append(i)
+            got = self._classes[h] = tuple(map(tuple, groups.values()))
+        return got
 
     def reduce(self, h: Poly) -> Poly:
         if h.field != self.field:
@@ -216,12 +256,8 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
 def crt_split(sigma: FunctionTable) -> list:
     """One table per prime power P_i^{e_i} of the codomain modulus, each
     value reduced into A_{P_i^{e_i}}."""
-    out = []
-    for p, e in sigma.codomain.factorization.factors:
-        ring = ResidueRing(p ** e)
-        out.append(FunctionTable(sigma.domain, ring,
-                                 [ring.reduce(v) for v in sigma.values]))
-    return out
+    return [FunctionTable(sigma.domain, ring, [ring.reduce(v) for v in sigma.values])
+            for ring in sigma.codomain.prime_powers]
 
 
 def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:

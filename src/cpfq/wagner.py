@@ -20,6 +20,7 @@ import functools
 import threading
 from dataclasses import dataclass
 
+from .guards import check_basis_tables
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
 from .residue import FunctionTable, ResidueRing, crt_split
@@ -164,10 +165,12 @@ class _BasisContext:
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
     `positions[k]` = the index of b_k in A_f.  Products, differences, sums
     and valuations in A_{P^e} go through Poly once per pair of indices and
-    are looked up after that."""
+    are looked up after that; `solve` works on dense numpy tables of them
+    instead, built on its first call."""
 
     def __init__(self, seq: PSequence, e: int, n: int):
         self.seq = seq
+        self.e = e
         self.ring = ResidueRing(seq.p ** e)
         dom = seq.domain(n)
         self.positions = tuple(poly_to_index(b) for b in dom)
@@ -177,6 +180,7 @@ class _BasisContext:
         self._sub: dict = {}
         self._add: dict = {}
         self._elements: dict = {}
+        self._tables = None
         self.columns = self._build(dom, e)
 
     def _op(self, memo: dict, fn, a: int, b: int) -> int:
@@ -253,6 +257,49 @@ class _BasisContext:
             out.append(acc)
         return out
 
+    def tables(self) -> tuple:
+        """(mul, sub, val): dense numpy tables of A_{P^e} on indices from
+
+        the ring's Poly ops, with val[a] = v_P(a_a) (inf at 0), built once
+        within guards.check_basis_tables."""
+        if self._tables is None:
+            import numpy as np
+
+            ring = self.ring
+            check_basis_tables(ring.field.q, ring.modulus.degree)
+            polys = ring.elements()
+
+            def table(fn):  # indices < 2^10 under the guard
+                return np.array([[poly_to_index(fn(a, b)) for b in polys]
+                                 for a in polys], dtype=np.int16)
+
+            val = np.array([self.residue(a)[1] for a in range(ring.size)])
+            self._tables = (table(ring.mul), table(ring.sub), val)
+        return self._tables
+
+    def solve(self, values):
+        """`coordinates` of B tables at once: values is a (B, N) int array
+
+        of A_{P^e} indices, each row listed like A_f; row b of the (B, N)
+        result is `coordinates(values[b])`."""
+        import numpy as np
+
+        mul, sub, _ = self.tables()
+        values = np.asarray(values, dtype=np.int64)
+        if values.ndim != 2 or values.shape[1] != len(self.positions):
+            raise ValueError(f"expected (B, {len(self.positions)}) values, "
+                             f"got shape {values.shape}")
+        if values.size and not 0 <= values.min() <= values.max() < self.ring.size:
+            raise ValueError("values are not residue indices of A_{P^e}")
+        out = np.empty(values.shape, dtype=np.int64)
+        for k, (pos, col) in enumerate(zip(self.positions, self.columns)):
+            acc = values[:, pos]
+            for i, t in enumerate(col[:k]):
+                if t:
+                    acc = sub[acc, mul[out[:, i], t]]
+            out[:, k] = acc
+        return out
+
     def values(self, coeffs) -> list:
         """The table of sum_k c_k B_k, listed like A_f."""
         mul, add = self.mul, self.add
@@ -303,11 +350,13 @@ class BasisCoefficients:
         return FunctionTable(domain, ring, [index_to_poly(ring.field, v) for v in values])
 
 
-def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoefficients:
-    """Unique coordinates c_k with sigma = sum_k c_k B_k, by triangular
+def _prime_power_context(codomain: ResidueRing, n: int,
+                         seq: PSequence | None) -> _BasisContext:
+    """The basis context of deg f = n into A_g, g = P^e up to a unit.  A
 
-    substitution along the b-sequence on residue indices."""
-    fact = sigma.codomain.factorization
+    canonical residue mod c * P^e is canonical mod P^e (both have degree
+    de), so the residue indices of A_g are those of A_{P^e}."""
+    fact = codomain.factorization
     if len(fact.factors) != 1:
         raise ValueError("codomain modulus must be a prime power")
     p, e = fact.factors[0]
@@ -315,12 +364,50 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
         seq = _default_sequence(p)
     elif seq.p != p:
         raise ValueError("sequence attached to a different P")
+    return _context(seq, e, n)
+
+
+def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoefficients:
+    """Unique coordinates c_k with sigma = sum_k c_k B_k, by triangular
+
+    substitution along the b-sequence on residue indices."""
     n = sigma.domain.modulus.degree
-    ctx = _context(seq, e, n)
-    # canonical mod c * P^e is canonical mod P^e: both have degree de
+    ctx = _prime_power_context(sigma.codomain, n, seq)
     coords = ctx.coordinates([poly_to_index(v) for v in sigma.values])
     reps, vals = zip(*map(ctx.residue, coords))
-    return BasisCoefficients(p, e, n, reps, seq, vals, ctx.mus)
+    return BasisCoefficients(ctx.seq.p, ctx.e, n, reps, ctx.seq, vals, ctx.mus)
+
+
+@dataclass(frozen=True, eq=False)
+class BasisBatch:
+    """Coordinates of B functions A_f -> A_{P^e}: row b lists the residue
+
+    indices of c_0 .. c_{N-1} of table b in b-sequence order, with
+    v_P(c_k) (inf for c_k = 0) and mu(k) (0 at k = 0, which asks nothing)."""
+
+    coefficients: np.ndarray  # (B, N) int
+    valuations: np.ndarray    # (B, N) float
+    mus: np.ndarray           # (N,) int
+
+    def is_cpf(self) -> np.ndarray:
+        """Per table, v_P(c_k) >= mu(k) for every k >= 1."""
+        return (self.valuations >= self.mus).all(axis=1)
+
+
+def decompose_rows(values, codomain: ResidueRing, n: int,
+                   seq: PSequence | None = None) -> BasisBatch:
+    """`decompose` of B tables A_f -> A_g (deg f = n, g = P^e up to a unit)
+
+    in one batched triangular substitution: values is a (B, q^n) int array
+    of A_g residue indices, each row listed like A_f, as the rows of
+    `oracle.enumerate_cpf_rows`.  The dense tables of A_{P^e} it runs on
+    are refused by guards.check_basis_tables past |A_{P^e}|^2 = 2^20."""
+    import numpy as np
+
+    ctx = _prime_power_context(codomain, n, seq)
+    coords = ctx.solve(values)
+    return BasisBatch(coords, ctx.tables()[2][coords],
+                      np.array((0,) + ctx.mus[1:], dtype=np.int64))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numpy as np
 
 from cpfq.chen import (GAMMA_INF, chen_self_count, density_empirical, gamma,
                        is_chen_pair, is_self_chen)
-from cpfq.counting import count_cpf, count_polyfn
+from cpfq.counting import _polyfn_local_exponent, _w, count_cpf, count_polyfn
 from cpfq.oracle import (census_self_chen, census_squarefree,
                          count_cpf_bruteforce, count_polyfn_literal,
                          deg_gcd_factorial, enumerate_cpf_tables,
@@ -23,7 +23,7 @@ from cpfq.oracle import (census_self_chen, census_squarefree,
                          polyfn_module, random_table)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
-from cpfq.wagner import PSequence, eval_Qk, is_cpf_via_basis, mu
+from cpfq.wagner import PSequence, decompose_rows, eval_Qk, is_cpf_via_basis, mu
 from helpers import make_field, monic_upto, pol
 
 
@@ -277,3 +277,30 @@ def test_criterion_9_exponent_identity():
                 for e in range(1, 6):
                     for d in range(1, 4):
                         assert exponent_identity_check(n, e, d, q), (q, n, e, d)
+
+
+def test_polynomiality_criterion_on_the_batch_coordinates():
+    # sigma: A_f -> A_{P^e} is polynomial iff v_P(c_k) >= min(e, w(k)) for
+    # every k >= 1, on every table of the grid's prime power cells; the
+    # coordinate vectors that pass number q^(polynomial-function exponent)
+    cells = strict = 0
+    for f, g in grid_cells():
+        cod = ResidueRing(g)
+        if len(cod.factorization.factors) != 1:
+            continue
+        (p, e), = cod.factorization.factors
+        q, n, d = f.field.q, f.degree, p.degree
+        dom = ResidueRing(f)
+        rows = np.array(list(itertools.product(range(cod.size), repeat=dom.size)))
+        batch = decompose_rows(rows, cod, n)
+        need = np.array([0] + [min(e, _w(k, q, d)) for k in range(1, dom.size)])
+        polynomial = (batch.valuations >= need).all(axis=1)
+        module = polyfn_module(f, g)
+        elements = cod.elements()
+        for row, verdict in zip(rows.tolist(), polynomial.tolist()):
+            tab = FunctionTable(dom, cod, [elements[v] for v in row])
+            assert module.contains(tab) == verdict, (str(f), str(g), row)
+        assert int(polynomial.sum()) == q ** _polyfn_local_exponent(n, q, d, e)
+        cells += 1
+        strict += not polynomial.all()
+    assert (cells, strict) == (10, 4)

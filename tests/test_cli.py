@@ -349,6 +349,8 @@ GUARD_MESSAGE = re.compile(
      "table count guarded to |A_g|^|A_f| <= 2^19.93, got 8^8 = 2^24.00"),
     ("verify --q 2 --what poly-count --f t^11 --g t",
      "domain pairs guarded to |A_f|^2 <= 2^20, got 2^22 = 2^22.00"),
+    ("verify --q 2 --what basis --f t --g t^11 --guard-functions 10000000",
+     "basis tables guarded to |A_{P^e}|^2 <= 2^20, got 2^22 = 2^22.00"),
     ("enumerate --q 2 --f t^21", "residues guarded to |A_f| <= 2^20, got 2^21 = 2^21.00"),
     ("verify --q 2 --what census --n 17",
      "census guarded to q^n <= 2^16, got 2^17 = 2^17.00"),
@@ -362,13 +364,31 @@ GUARD_MESSAGE = re.compile(
      "literal path guarded to q^(2 deg f) * deg g <= 2^23, "
      "got 7^6 * 72 = 2^23.01"),
 ], ids=["field-size", "field-power", "degree", "degree-flag", "table-count",
-        "table-count-flag", "domain-pairs", "enumerate", "census", "density",
-        "density-huge", "literal-size", "literal-work"])
+        "table-count-flag", "domain-pairs", "basis-tables", "enumerate", "census",
+        "density", "density-huge", "literal-size", "literal-work"])
 def test_size_refusals_carry_the_guard_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": message, "guard": True}
     assert GUARD_MESSAGE.fullmatch(message)
+
+
+@pytest.mark.parametrize("flags, message", [
+    ("--guard-functions 0", "--guard-functions must be >= 1, got 0"),
+    ("--guard-functions -3", "--guard-functions must be >= 1, got -3"),
+    ("--guard-degree -1", "--guard-degree must be >= 0, got -1"),
+    ("--guard-degree 0", "degree guarded to deg f, deg g <= 0, got 1"),
+    ("--guard-functions 1", "table count guarded to |A_g|^|A_f| <= 2^0, "
+     "got 2^2 = 2^2.00"),
+], ids=["functions-0", "functions-negative", "degree-negative", "degree-0",
+        "functions-1"])
+def test_guard_flags_are_bounds_as_given(capsys, flags, message):
+    # a zero degree bound is a bound, not the default; a bound under the
+    # least meaningful value is refused
+    code, out, err = run_cli(capsys, "verify", "--q", "2", "--what", "cpf-count",
+                             "--f", "t", "--g", "t", *flags.split())
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == message
 
 
 TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
@@ -551,6 +571,16 @@ def test_largest_basis_context_decomposes_quickly(tmp_path):
     assert len(json.loads(out.stdout)["coefficients"]) == 2 ** 10
 
 
+def test_basis_check_of_every_enumerated_table_is_batched():
+    # 2^18 CP tables t^2 -> t^5, judged in one batched solve (6.8 s when
+    # each table was decomposed on its own)
+    out = run_cli_process("verify", "--q", "2", "--what", "basis", "--f", "t^2",
+                          "--g", "t^5", "--guard-functions", "10000000")
+    assert out.returncode == 0, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["cp_tables"] == 2 ** 18 and obj["match"]
+
+
 def test_parse_degree_bound(capsys):
     from cpfq.polyring import MAX_PARSE_DEGREE
     code, out, err = run_cli(capsys, "chen", "--q", "2", "--f",
@@ -655,13 +685,26 @@ def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch, tmp_pa
             assert (code, captured.out, captured.err) == expected, argv
 
 
-def test_closed_form_commands_do_not_load_numpy():
-    # numpy serves only the enumeration kernels and the oracle's F_p rows
+def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
+    # numpy serves only the enumeration kernels, the batched basis solve
+    # and the oracle's F_p rows: one table decomposes without it
+    import random
+
+    from cpfq.oracle import random_table
+    from helpers import ring
+
+    sigma = tmp_path / "crt.json"
+    sigma.write_text(random_table(ring(2, "t^3"), ring(2, "t^3+t^2"),
+                                  random.Random(2)).to_json())
     code = ("import sys, io, contextlib; from cpfq.cli import main\n"
             "for argv in (['factor', '--q', '2', '--g', 't^9+t'],\n"
             "             ['count-poly', '--q', '3', '--f', 't^2', '--g', 't^4'],\n"
             "             ['count-poly', '--literal', '--q', '2', '--f', 't^2', '--g', 't^3+t'],\n"
-            "             ['density', '--q', '2', '--empirical', '--max-degree', '4']):\n"
+            "             ['density', '--q', '2', '--empirical', '--max-degree', '4'],\n"
+            "             ['decompose', '--q', '2', '--f', 't^2', '--P', 't', '--e', '2',\n"
+            f"              '--sigma', {identity_table!r}],\n"
+            "             ['characterize', '--q', '2', '--f', 't^3', '--g', 't^3+t^2',\n"
+            f"              '--sigma', {str(sigma)!r}]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"
             "print('numpy' in sys.modules)")

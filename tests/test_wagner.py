@@ -8,15 +8,18 @@ import random
 import pytest
 
 from cpfq.counting import count_cpf_local
-from cpfq.oracle import (enumerate_cpf_tables, is_congruence_preserving,
-                         random_polynomial_function, random_table)
-from cpfq.polyring import (index_to_poly, monic_irreducibles, parse, to_text,
-                           valuation)
+from cpfq.guards import GuardExceeded, check_basis_tables
+from cpfq.oracle import (enumerate_cpf_rows, enumerate_cpf_tables,
+                         is_congruence_preserving, random_polynomial_function,
+                         random_table)
+from cpfq.polyring import (index_to_poly, monic_irreducibles, parse,
+                           poly_to_index, to_text, valuation)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import (
     PSequence,
     crt_characterize,
     decompose,
+    decompose_rows,
     eval_Qk,
     floor_log,
     is_cpf_via_basis,
@@ -567,3 +570,72 @@ def test_domain_is_built_once_per_n(monkeypatch):
     first = seq.domain(2)
     monkeypatch.setattr(seq, "element", lambda k: pytest.fail("domain rebuilt"))
     assert seq.domain(2) is first
+
+
+# ----------------------------------------------------- batched solve
+# (q, f, P, e, admissible base of the P-sequence or None, enumerate the
+# CP tables too); every cell also decomposes 200 random tables and 50
+# random polynomial functions
+BATCH_CELLS = [
+    (2, "t^2", "t", 3, None, True),
+    (2, "t^3", "t^2+t+1", 1, ("0", "1", "t+1", "t"), True),
+    (2, "t^4", "t+1", 2, None, False),
+    (3, "t^2", "t", 1, None, True),
+    (3, "t", "t^2+1", 1, None, True),
+    (3, "t^2+1", "t+2", 2, None, False),
+    (4, "t", "t+u", 1, None, True),
+    (4, "t^2", "t+u", 2, None, False),
+]
+
+
+@pytest.mark.parametrize("q, ftext, ptext, e, base, enumerate_", BATCH_CELLS)
+def test_batch_equals_decompose(q, ftext, ptext, e, base, enumerate_):
+    import numpy as np
+
+    f, P = pol(q, ftext), pol(q, ptext)
+    dom, cod = ResidueRing(f), ResidueRing(P ** e)
+    seq = None if base is None else PSequence(P, base=[pol(q, b) for b in base])
+    rng = random.Random(13)
+    rows = [[rng.randrange(cod.size) for _ in range(dom.size)] for _ in range(200)]
+    rows += [[poly_to_index(v) for v in random_polynomial_function(dom, cod, rng).values]
+             for _ in range(50)]
+    cp_rows = enumerate_cpf_rows(dom, cod).tolist() if enumerate_ else []
+    batch = decompose_rows(np.array(cp_rows + rows), cod, f.degree, seq)
+    verdicts = batch.is_cpf().tolist()
+    assert all(verdicts[:len(cp_rows)])
+    elements = cod.elements()
+    for row, coords, vals, ok in zip(cp_rows + rows, batch.coefficients.tolist(),
+                                     batch.valuations.tolist(), verdicts):
+        co = decompose(FunctionTable(dom, cod, [elements[v] for v in row]), seq)
+        assert coords == [poly_to_index(c) for c in co.coefficients]
+        assert vals == list(co.valuations)
+        assert ok == co.is_cpf()
+    if not enumerate_:  # the random draws hit both verdicts
+        assert set(verdicts[-250:]) == {True, False}
+
+
+def test_batch_input_checked():
+    import numpy as np
+
+    cod = ResidueRing(pol(2, "t") ** 2)
+    with pytest.raises(ValueError, match="expected"):
+        decompose_rows(np.zeros((3, 2), dtype=int), cod, 2)
+    with pytest.raises(ValueError, match="residue indices"):
+        decompose_rows(np.full((1, 4), 4), cod, 2)
+    with pytest.raises(ValueError, match="prime power"):
+        decompose_rows(np.zeros((1, 4), dtype=int), ring(2, "t^2+t"), 2)
+    assert decompose_rows(np.zeros((0, 4), dtype=int), cod, 2).is_cpf().shape == (0,)
+
+
+def test_batch_tables_refused_past_the_bound():
+    import numpy as np
+
+    # |A_{P^e}| = 2^11: 2^22 table entries
+    with pytest.raises(GuardExceeded) as exc:
+        decompose_rows(np.zeros((1, 2), dtype=int), ResidueRing(pol(2, "t") ** 11), 1)
+    assert str(exc.value) == \
+        "basis tables guarded to |A_{P^e}|^2 <= 2^20, got 2^22 = 2^22.00"
+    # the largest codomain admitted has 2^10 elements (its Poly-built
+    # tables take about 19 s, so only the guard is asked here)
+    check_basis_tables(2, 10)
+    check_basis_tables(4, 5)
