@@ -13,8 +13,9 @@ from fractions import Fraction
 
 from .field import FieldSpec
 from .guards import check_census
-from .polyring import (Poly, degree_n_polys, factor_shape, gcd,
-                       is_irreducible, squarefree_decomposition)
+from .polyring import (Poly, _derivative_lists, _divmod_f2, _gcd_lists,
+                       _packed, _packed_polys, _squarefree_f2, factor_shape,
+                       is_irreducible)
 
 GAMMA_INF = math.inf
 
@@ -70,6 +71,19 @@ def is_chen_pair(f: Poly, g: Poly) -> ChenVerdict:
     return ChenVerdict(n < gg, n, gg)
 
 
+def _self_chen_f2(a: int) -> bool:
+    """The q = 2 condition on a packed g (0b110 is t^2+t)."""
+    return all(k == 1 or (k == 2 and not _divmod_f2(0b110, s)[1])
+               for s, k in _squarefree_f2(a))
+
+
+def _self_chen_test(field: FieldSpec):
+    """The self-Chen test on one packed candidate of _packed_polys."""
+    if field.q == 2:
+        return _self_chen_f2
+    return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
+
+
 def is_self_chen(g: Poly) -> bool:
     """Whether (g, g) is a Chen pair, read off the square-free
     decomposition g = prod s_k^k.  For q > 2, g must be square-free.  For
@@ -78,11 +92,7 @@ def is_self_chen(g: Poly) -> bool:
     d = g.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("g must have degree >= 1")
-    if g.field.q != 2:
-        return gcd(g, g.derivative()).degree == 0
-    t2t = Poly(g.field, [0, 1, 1])
-    return all(k == 1 or (k == 2 and (t2t % s).is_zero())
-               for s, k in squarefree_decomposition(g))
+    return _self_chen_test(g.field)(_packed(g))
 
 
 def squarefree_count(n: int, q: int) -> int:
@@ -146,16 +156,12 @@ def density_empirical(field: FieldSpec, max_degree: int,
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     check_census(q, max_degree)
+    test = _self_chen_test(field)
     counts = []
     totals = []
     for n in range(1, max_degree + 1):
-        hits = 0
-        total = 0
-        for g in degree_n_polys(field, n, monic_only):
-            total += 1
-            if is_self_chen(g):
-                hits += 1
-        counts.append(hits)
-        totals.append(total)
+        verdicts = [test(g) for g in _packed_polys(field, n, monic_only)]
+        counts.append(sum(verdicts))
+        totals.append(len(verdicts))
     return DensityReport(q, max_degree, monic_only, tuple(counts), tuple(totals),
                          Fraction(sum(counts), sum(totals)), density_exact(q))

@@ -20,8 +20,9 @@ from . import _kernels
 from .counting import QExponent, _require_pair
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
-from .polyring import (Poly, degree_n_polys, gcd, index_to_poly,
-                       poly_to_index, valuation)
+from .polyring import (Poly, _derivative_f2, _derivative_lists, _divmod_f2,
+                       _gcd_f2, _gcd_lists, _packed, _packed_polys, gcd,
+                       index_to_poly, poly_to_index)
 from .residue import FunctionTable, ResidueRing
 from .wagner import floor_log
 
@@ -396,9 +397,16 @@ def random_polynomial_function(domain: ResidueRing, codomain: ResidueRing,
 
 
 # --------------------------------------------------------------- censuses
+def _squarefree_test(field: FieldSpec):
+    """The gcd square-freeness test on one packed candidate of _packed_polys."""
+    if field.q == 2:
+        return lambda a: _gcd_f2(a, _derivative_f2(a)) == 1
+    return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
+
+
 def is_squarefree_gcd(g: Poly) -> bool:
     """Square-freeness by gcd with the formal derivative (no factorization)."""
-    return gcd(g, g.derivative()).degree == 0
+    return _squarefree_test(g.field)(_packed(g))
 
 
 @dataclass(frozen=True)
@@ -418,44 +426,28 @@ def census_self_chen(field: FieldSpec, n: int,
 
     For q = 2 the count is split by the valuations at t and t+1:
     both <= 1 / exactly the first = 2 / exactly the second = 2 / both = 2."""
-    q = field.q
-    check_census(q, n)
-    total = 0
+    check_census(field.q, n)
+    squarefree = _squarefree_test(field)
+    if field.q != 2:
+        total = sum(map(squarefree, _packed_polys(field, n, monic_only)))
+        return SelfChenCensus(n, total, None)
     comps = [0, 0, 0, 0]
-    lin_t = Poly(field, [0, 1])
-    lin_t1 = Poly(field, [1, 1])
-    for g in degree_n_polys(field, n, monic_only):
-        if q == 2:
-            v0 = valuation(lin_t, g, check=False)
-            v1 = valuation(lin_t1, g, check=False)
-            if v0 > 2 or v1 > 2:
-                continue
-            rest = g
-            for _ in range(v0):
-                rest = rest // lin_t
-            for _ in range(v1):
-                rest = rest // lin_t1
-            if not is_squarefree_gcd(rest):
-                continue
-            total += 1
-            if v0 <= 1 and v1 <= 1:
-                comps[0] += 1
-            elif v0 == 2 and v1 <= 1:
-                comps[1] += 1
-            elif v1 == 2 and v0 <= 1:
-                comps[2] += 1
-            else:
-                comps[3] += 1
-        else:
-            if is_squarefree_gcd(g):
-                total += 1
-    return SelfChenCensus(n, total, tuple(comps) if q == 2 else None)
+    for g in _packed_polys(field, n, monic_only):
+        v0 = (g & -g).bit_length() - 1  # at t: the trailing zero bits
+        if v0 > 2:
+            continue
+        rest, v1 = g >> v0, 0
+        while v1 <= 2:  # at t+1 = 0b11, by division, stopping past 2
+            quo, r = _divmod_f2(rest, 0b11)
+            if r:
+                break
+            rest, v1 = quo, v1 + 1
+        if v1 <= 2 and squarefree(rest):
+            comps[(v0 == 2) + 2 * (v1 == 2)] += 1
+    return SelfChenCensus(n, sum(comps), tuple(comps))
 
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
     """Count square-free degree-n polynomials by the gcd test."""
     check_census(field.q, n)
-    if n == 0:
-        return 1 if monic_only else field.q - 1
-    return sum(1 for g in degree_n_polys(field, n, monic_only)
-               if is_squarefree_gcd(g))
+    return sum(map(_squarefree_test(field), _packed_polys(field, n, monic_only)))

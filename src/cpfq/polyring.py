@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from math import inf
 
 from .field import FieldSpec
@@ -56,6 +57,85 @@ def _divmod_lists(f: FieldSpec, num: list, den) -> list:
     while num and num[-1] == 0:
         num.pop()
     return quo
+
+
+def _gcd_lists(f: FieldSpec, x: list, y: list) -> list:
+    """A gcd of the coefficient lists x and y (not made monic), by Euclid
+    through _divmod_lists; both lists are consumed."""
+    while y:
+        _divmod_lists(f, x, y)
+        x, y = y, x
+    return x
+
+
+def _derivative_lists(f: FieldSpec, cs) -> list:
+    """The formal derivative of a coefficient list, trimmed."""
+    mul, p = f._mul, f.p
+    out = [mul[c][i % p] for i, c in enumerate(cs) if i]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+# F_2[t] packed: a polynomial is the int whose bit k is its t^k
+# coefficient, which is also its index k of a_k.  Addition is XOR and
+# multiplication by t^s a shift.
+def _divmod_f2(a: int, b: int) -> tuple:
+    """(quotient, remainder) of a by a nonzero b, by shift-XOR."""
+    db = b.bit_length()
+    quo = 0
+    while True:
+        s = a.bit_length() - db
+        if s < 0:
+            return quo, a
+        quo |= 1 << s
+        a ^= b << s
+
+
+def _gcd_f2(a: int, b: int) -> int:
+    """gcd by Euclid on _divmod_f2 (monic: F_2 has one unit)."""
+    while b:
+        a, b = b, _divmod_f2(a, b)[1]
+    return a
+
+
+def _derivative_f2(a: int) -> int:
+    """Only the odd powers survive: bit 2j + 1 goes to bit 2j."""
+    k = (a.bit_length() + 1) >> 1
+    return (a >> 1) & (((1 << 2 * k) - 1) // 3)
+
+
+def _sqrt_f2(a: int) -> int:
+    """The square root of a square (every set bit even): bit 2j -> bit j."""
+    r, j = 0, 0
+    while a:
+        if a & 1:
+            r |= 1 << j
+        a >>= 2
+        j += 1
+    return r
+
+
+def _squarefree_f2(a: int) -> list:
+    """squarefree_decomposition of a nonzero a: Yun's loop, then the
+    square root of what is left."""
+    c = _gcd_f2(a, _derivative_f2(a))
+    if c == 1:
+        return [(a, 1)]
+    out = []
+    w = _divmod_f2(a, c)[0]
+    k = 1
+    while w > 1:
+        y = _gcd_f2(w, c)
+        z = _divmod_f2(w, y)[0]
+        if z > 1:
+            out.append((z, k))
+        w, c = y, _divmod_f2(c, y)[0]
+        k += 1
+    if c > 1:
+        out += [(s, 2 * j) for s, j in _squarefree_f2(_sqrt_f2(c))]
+        out.sort(key=lambda sk: sk[1])
+    return out
 
 
 class Poly:
@@ -215,10 +295,7 @@ class Poly:
         return Poly._new(self.field, [0] * k + list(self.coeffs))
 
     def derivative(self) -> "Poly":
-        f = self.field
-        mul, p = f._mul, f.p
-        return Poly._new(f, [mul[c][i % p]
-                             for i, c in enumerate(self.coeffs) if i])
+        return Poly._new(self.field, _derivative_lists(self.field, self.coeffs))
 
     def __str__(self):
         return to_text(self)
@@ -377,16 +454,36 @@ def enumerate_residues(f: Poly) -> list:
     return [index_to_poly(f.field, k) for k in range(f.field.q ** d)]
 
 
+def _degree_n_lists(field: FieldSpec, n: int, monic_only: bool):
+    """degree_n_polys as coefficient lists, each list new."""
+    leads = [1] if monic_only else range(1, field.q)
+    # product varies its last digit fastest, index order the lowest
+    for low in product(range(field.q), repeat=n):
+        base = low[::-1]
+        for lead in leads:
+            yield [*base, lead]
+
+
 def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
     """Every polynomial of exact degree n, by index of its lower n
 
     coefficients and then by leading coefficient (1 only if monic_only)."""
-    leads = [1] if monic_only else range(1, field.q)
-    for low in range(field.q ** n):
-        base = list(index_to_poly(field, low).coeffs)
-        base += [0] * (n - len(base))
-        for lead in leads:
-            yield Poly._new(field, base + [lead])
+    for cs in _degree_n_lists(field, n, monic_only):
+        yield Poly._new(field, cs)
+
+
+def _packed_polys(field: FieldSpec, n: int, monic_only: bool):
+    """degree_n_polys in the packed form of the censuses, in its order:
+    over F_2 a polynomial is its index, so they are range(2^n, 2^(n+1))
+    (every one monic); otherwise they are coefficient lists."""
+    if field.q == 2:
+        return range(1 << n, 2 << n)
+    return _degree_n_lists(field, n, monic_only)
+
+
+def _packed(g: Poly):
+    """g in the packed form of _packed_polys (a new list for q != 2)."""
+    return poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
 
 
 # --------------------------------------------------------- factorization
@@ -628,11 +725,7 @@ def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero for two zeros), by Euclid on coefficient lists."""
     b = a._check(b)
     f = a.field
-    x, y = list(a.coeffs), list(b.coeffs)
-    while y:
-        _divmod_lists(f, x, y)
-        x, y = y, x
-    return Poly._new(f, x).monic()
+    return Poly._new(f, _gcd_lists(f, list(a.coeffs), list(b.coeffs))).monic()
 
 
 def xgcd(a: Poly, b: Poly):

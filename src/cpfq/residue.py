@@ -12,6 +12,7 @@ with the value keys in index order (extension fields additionally carry
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 from .field import FieldSpec, field_make
 from .guards import power_exceeds
@@ -260,6 +261,22 @@ def crt_split(sigma: FunctionTable) -> list:
             for ring in sigma.codomain.prime_powers]
 
 
+@lru_cache(maxsize=16)
+def _crt_idempotents(g: Poly, moduli: tuple) -> tuple:
+    """(A_g, the e_i with e_i = 1 mod moduli[i] and 0 mod the others),
+
+    kept per modulus: the xgcds run once for every combine into A_g."""
+    ring = ResidueRing(g)
+    basis = []
+    for pe in moduli:
+        m_i = g.monic() // pe
+        gg, x, _ = xgcd(m_i, pe)
+        if gg.degree != 0:
+            raise ValueError("prime power moduli must be pairwise coprime")
+        basis.append(ring.reduce(m_i * x))
+    return ring, tuple(basis)
+
+
 def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
     """Inverse of crt_split: tables over pairwise coprime prime powers with
 
@@ -290,14 +307,7 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
         if (modulus.monic() != g):
             raise ValueError("modulus does not match the prime power moduli")
         g = modulus
-    ring = ResidueRing(g)
-    basis = []
-    for _, pe in parts:
-        m_i = g.monic() // pe
-        gg, x, _ = xgcd(m_i, pe)
-        if gg.degree != 0:
-            raise ValueError("prime power moduli must be pairwise coprime")
-        basis.append(ring.reduce(m_i * x))
+    ring, basis = _crt_idempotents(g, tuple(pe for _, pe in parts))
     values = []
     for i in range(domain.size):
         acc = Poly(field)

@@ -8,6 +8,7 @@ import pytest
 from cpfq.chen import (
     GAMMA_INF,
     _gamma_local,
+    _self_chen_test,
     chen_self_count,
     density_empirical,
     density_exact,
@@ -18,9 +19,11 @@ from cpfq.chen import (
     squarefree_count,
 )
 from cpfq.counting import count_cpf, count_polyfn
-from cpfq.oracle import census_self_chen, census_squarefree
+from cpfq.oracle import (_squarefree_test, census_self_chen, census_squarefree,
+                         is_squarefree_gcd)
+from cpfq.polyring import _packed_polys, degree_n_polys, gcd, poly_to_index
 from helpers import (make_field, monic_upto, pol, ref_chen_self_count_q2,
-                     ref_density)
+                     ref_density, ref_is_self_chen)
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -98,6 +101,39 @@ def test_squarefree_census_matches_closed_form():
         F = make_field(q)
         for n in range(0, 11 if q == 2 else 8):
             assert census_squarefree(F, n) == squarefree_count(n, q)
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 5), (4, 3)])
+def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
+    """Each census route's test, fed the packed candidates its loop walks,
+    against the reference factorization and the Poly gcd.  Only q = 2 is
+    packed as an int: F_4 (p = 2) stays on coefficient lists."""
+    F = make_field(q)
+    self_chen, squarefree = _self_chen_test(F), _squarefree_test(F)
+    for n in range(1, max_degree + 1):
+        polys = list(degree_n_polys(F, n, monic_only=False))
+        packed = list(_packed_polys(F, n, monic_only=False))
+        if q == 2:
+            assert packed == [poly_to_index(g) for g in polys]
+        else:
+            assert packed == [list(g.coeffs) for g in polys]
+        for g, c in zip(polys, packed):
+            want_sf = gcd(g, g.derivative()).degree == 0
+            assert is_self_chen(g) == ref_is_self_chen(g), g
+            assert is_squarefree_gcd(g) == want_sf, g
+            # the list route consumes its candidate, so it goes last
+            assert squarefree(c if q == 2 else list(c)) == want_sf, g
+            assert self_chen(c) == ref_is_self_chen(g), g
+
+
+@pytest.mark.parametrize("q, n, total, components", [
+    (2, 0, 1, (1, 0, 0, 0)), (2, 1, 2, (2, 0, 0, 0)),
+    (3, 0, 2, None), (3, 1, 6, None)])
+def test_self_chen_census_of_constants_and_linears(q, n, total, components):
+    # over F_2 the constant g = 1 is the packed candidate 1: square-free,
+    # with both valuations 0
+    c = census_self_chen(make_field(q), n)
+    assert (c.total, c.components) == (total, components)
 
 
 def test_squarefree_closed_form_values():

@@ -687,7 +687,8 @@ def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch, tmp_pa
 
 def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
     # numpy serves only the enumeration kernels, the batched basis solve
-    # and the oracle's F_p rows: one table decomposes without it
+    # and the oracle's F_p rows: one table decomposes without it, and the
+    # censuses, whose peak memory the benchmark bounds, never load it
     import random
 
     from cpfq.oracle import random_table
@@ -701,6 +702,9 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
             "             ['count-poly', '--q', '3', '--f', 't^2', '--g', 't^4'],\n"
             "             ['count-poly', '--literal', '--q', '2', '--f', 't^2', '--g', 't^3+t'],\n"
             "             ['density', '--q', '2', '--empirical', '--max-degree', '4'],\n"
+            "             ['density', '--q', '3', '--empirical', '--max-degree', '3'],\n"
+            "             ['verify', '--q', '2', '--what', 'census', '--n', '6'],\n"
+            "             ['verify', '--q', '3', '--what', 'census', '--n', '4'],\n"
             "             ['decompose', '--q', '2', '--f', 't^2', '--P', 't', '--e', '2',\n"
             f"              '--sigma', {identity_table!r}],\n"
             "             ['characterize', '--q', '2', '--f', 't^3', '--g', 't^3+t^2',\n"

@@ -17,6 +17,12 @@ from cpfq.polyring import (
     NEG_INF,
     ParseError,
     Poly,
+    _derivative_f2,
+    _divmod_f2,
+    _gcd_f2,
+    _pth_root,
+    _sqrt_f2,
+    _squarefree_f2,
     degree_n_polys,
     enumerate_residues,
     factor_shape,
@@ -234,6 +240,47 @@ def test_gcd_divides_and_xgcd(ab):
     d, s, t = xgcd(a, b)
     assert d == g
     assert s * a + t * b == d
+
+
+# ------------------------------------- F_2 packed kernel against the lists
+def _f2(k):
+    return index_to_poly(FIELDS[2], k)
+
+
+def test_f2_packed_unary_kernels_exhaustively():
+    """Every a of degree <= 10: derivative, square root and square-free
+    decomposition of the int against the Poly route."""
+    for k in range(1 << 11):
+        a = _f2(k)
+        assert _derivative_f2(k) == poly_to_index(a.derivative()), a
+        assert _sqrt_f2(k) == poly_to_index(_pth_root(a)), a
+        assert _sqrt_f2(poly_to_index(a * a)) == k, a
+        if k:
+            assert [(_f2(s), e) for s, e in _squarefree_f2(k)] == \
+                squarefree_decomposition(a), a
+
+
+def _assert_f2_pair(i, j):
+    a, b = _f2(i), _f2(j)
+    quo, rem = _divmod_f2(i, j)
+    assert (_f2(quo), _f2(rem)) == divmod(a, b), (a, b)
+    assert _f2(_gcd_f2(i, j)) == gcd(a, b), (a, b)
+
+
+def test_f2_packed_divmod_and_gcd_exhaustively():
+    # every pair of degree <= 7, the divisor nonzero
+    for i in range(1 << 8):
+        for j in range(1, 1 << 8):
+            _assert_f2_pair(i, j)
+    assert _gcd_f2(0, 0) == 0
+
+
+def test_f2_packed_kernels_at_degree_200():
+    rng = random.Random(2)
+    for _ in range(2000):
+        i = rng.getrandbits(rng.randint(1, 201))
+        j = rng.getrandbits(rng.randint(1, 201)) or 1
+        _assert_f2_pair(i, j)
 
 
 # ----------------------------------------------------------- factorization

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from cpfq.field import field_make
-from cpfq.polyring import NEG_INF, Poly, parse, to_text
+from cpfq.polyring import NEG_INF, Poly, parse, to_text, xgcd
 from cpfq.residue import (
     FunctionTable,
     ResidueRing,
@@ -179,6 +179,26 @@ def test_crt_combine_non_monic_modulus():
     assert back == sig
     # default combine yields the monic product
     assert to_text(crt_combine(parts).codomain.modulus) == "t^3+t"
+
+
+def test_crt_combine_keeps_the_idempotents_per_modulus(monkeypatch):
+    from cpfq import residue
+
+    calls = []
+
+    def counted_xgcd(a, b):
+        calls.append((a, b))
+        return xgcd(a, b)
+
+    monkeypatch.setattr(residue, "xgcd", counted_xgcd)
+    residue._crt_idempotents.cache_clear()
+    rng = random.Random(5)
+    dom, cod = ring(3, "t"), ring(3, "t^3+2t^2+t")  # t (t+1)^2
+    for _ in range(3):
+        vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
+        sig = FunctionTable(dom, cod, vals)
+        assert crt_combine(crt_split(sig), modulus=cod.modulus) == sig
+        assert len(calls) == 2  # one per prime power, on the first combine
 
 
 def test_crt_combine_errors():
