@@ -11,7 +11,8 @@ import time
 
 from cpfq.counting import count_cpf
 from cpfq.field import field_make
-from cpfq.oracle import EnumerationGuard, count_cpf_bruteforce
+from cpfq.guards import EnumerationGuard
+from cpfq.oracle import count_cpf_bruteforce
 from cpfq.polyring import parse
 
 # (engine, f, g): exhaustive walks |A_g|^|A_f| rows, so it gets the

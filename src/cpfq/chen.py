@@ -13,9 +13,8 @@ from fractions import Fraction
 
 from .field import FieldSpec
 from .guards import check_census
-from .polyring import (Poly, _derivative_lists, _divmod_f2, _gcd_lists,
-                       _packed, _packed_polys, _squarefree_f2, factor_shape,
-                       is_irreducible)
+from .oracle import census_self_chen
+from .polyring import Poly, factor_shape, is_irreducible, squarefree_decomposition
 
 GAMMA_INF = math.inf
 
@@ -71,28 +70,19 @@ def is_chen_pair(f: Poly, g: Poly) -> ChenVerdict:
     return ChenVerdict(n < gg, n, gg)
 
 
-def _self_chen_f2(a: int) -> bool:
-    """The q = 2 condition on a packed g (0b110 is t^2+t)."""
-    return all(k == 1 or (k == 2 and not _divmod_f2(0b110, s)[1])
-               for s, k in _squarefree_f2(a))
-
-
-def _self_chen_test(field: FieldSpec):
-    """The self-Chen test on one packed candidate of _packed_polys."""
-    if field.q == 2:
-        return _self_chen_f2
-    return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
-
-
 def is_self_chen(g: Poly) -> bool:
     """Whether (g, g) is a Chen pair, read off the square-free
-    decomposition g = prod s_k^k.  For q > 2, g must be square-free.  For
-    q = 2, s_2 must divide t^2+t (only linear factors squared) and s_k = 1
-    for k >= 3 (no cubes)."""
+    decomposition g = prod s_k^k: gamma(g) is infinite when every k is 1,
+    or when k = 2 only where linear squares keep gamma infinite (q = 2)
+    and s_2 divides t^q - t (only linear factors squared)."""
     d = g.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("g must have degree >= 1")
-    return _self_chen_test(g.field)(_packed(g))
+    q = g.field.q
+    free = _gamma_local(q, 1, 2) == GAMMA_INF
+    t = Poly(g.field, [0, 1])
+    return all(k == 1 or (k == 2 and free and ((t ** q - t) % s).is_zero())
+               for s, k in squarefree_decomposition(g))
 
 
 def squarefree_count(n: int, q: int) -> int:
@@ -151,17 +141,15 @@ def density_empirical(field: FieldSpec, max_degree: int,
                       monic_only: bool = False) -> DensityReport:
     """Census the self-Chen condition over every polynomial of degree
 
-    1..max_degree (all leading coefficients, unless monic_only)."""
+    1..max_degree (all leading coefficients, unless monic_only), one
+    oracle.census_self_chen per degree."""
     q = field.q
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     check_census(q, max_degree)
-    test = _self_chen_test(field)
-    counts = []
-    totals = []
-    for n in range(1, max_degree + 1):
-        verdicts = [test(g) for g in _packed_polys(field, n, monic_only)]
-        counts.append(sum(verdicts))
-        totals.append(len(verdicts))
-    return DensityReport(q, max_degree, monic_only, tuple(counts), tuple(totals),
+    degrees = range(1, max_degree + 1)
+    counts = tuple(census_self_chen(field, n, monic_only).total for n in degrees)
+    units = 1 if monic_only else q - 1
+    totals = tuple(units * q ** n for n in degrees)
+    return DensityReport(q, max_degree, monic_only, counts, totals,
                          Fraction(sum(counts), sum(totals)), density_exact(q))

@@ -26,6 +26,8 @@ from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 def _field_from_args(args):
     if args.q is not None and args.p is not None:
         raise ValueError("give either --q (prime field) or --p/--m, not both")
+    if args.p is None and (args.m is not None or args.field_modulus is not None):
+        raise ValueError("--m and --field-modulus need --p")
     if args.q is not None:
         try:
             return field_make(args.q, 1, None)
@@ -212,6 +214,8 @@ def _cmd_verify(args):
 
 def _verify_dispatch(args, field, guard):
     what = args.what
+    if what in ("basis", "crt") and args.samples < 0:
+        raise ValueError(f"--samples must be >= 0, got {args.samples}")
     if what in ("cpf-count", "poly-count", "chen", "basis", "crt"):
         if not args.f or not args.g:
             raise ValueError(f"verify --what {what} needs --f and --g")

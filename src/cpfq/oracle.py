@@ -20,9 +20,9 @@ from . import _kernels
 from .counting import QExponent, _require_pair
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
-from .polyring import (Poly, _derivative_f2, _derivative_lists, _divmod_f2,
-                       _gcd_f2, _gcd_lists, _packed, _packed_polys, gcd,
-                       index_to_poly, poly_to_index)
+from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
+                       _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly,
+                       poly_to_index)
 from .residue import FunctionTable, ResidueRing
 from .wagner import floor_log
 
@@ -397,6 +397,20 @@ def random_polynomial_function(domain: ResidueRing, codomain: ResidueRing,
 
 
 # --------------------------------------------------------------- censuses
+def _packed_polys(field: FieldSpec, n: int, monic_only: bool):
+    """degree_n_polys in the packed form of the censuses, in its order:
+    over F_2 a polynomial is its index, so they are range(2^n, 2^(n+1))
+    (every one monic); otherwise they are coefficient lists."""
+    if field.q == 2:
+        return range(1 << n, 2 << n)
+    return _degree_n_lists(field, n, monic_only)
+
+
+def _packed(g: Poly):
+    """g in the packed form of _packed_polys (a new list for q != 2)."""
+    return poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
+
+
 def _squarefree_test(field: FieldSpec):
     """The gcd square-freeness test on one packed candidate of _packed_polys."""
     if field.q == 2:
@@ -419,18 +433,16 @@ class SelfChenCensus:
 def census_self_chen(field: FieldSpec, n: int,
                      monic_only: bool = False) -> SelfChenCensus:
     """Count degree-n moduli g with every congruence-preserving function
-
     A_g -> A_g polynomial, testing each g directly by valuations and the
-
     gcd square-freeness test (no factorization, no closed forms).
 
-    For q = 2 the count is split by the valuations at t and t+1:
-    both <= 1 / exactly the first = 2 / exactly the second = 2 / both = 2."""
-    check_census(field.q, n)
-    squarefree = _squarefree_test(field)
+    For q != 2 these g are the square-free ones, counted by
+    census_squarefree.  For q = 2 the count is split by the valuations at
+    t and t+1: both <= 1 / exactly the first = 2 / exactly the second = 2 /
+    both = 2."""
     if field.q != 2:
-        total = sum(map(squarefree, _packed_polys(field, n, monic_only)))
-        return SelfChenCensus(n, total, None)
+        return SelfChenCensus(n, census_squarefree(field, n, monic_only), None)
+    check_census(field.q, n)
     comps = [0, 0, 0, 0]
     for g in _packed_polys(field, n, monic_only):
         v0 = (g & -g).bit_length() - 1  # at t: the trailing zero bits
@@ -442,7 +454,7 @@ def census_self_chen(field: FieldSpec, n: int,
             if r:
                 break
             rest, v1 = quo, v1 + 1
-        if v1 <= 2 and squarefree(rest):
+        if v1 <= 2 and _gcd_f2(rest, _derivative_f2(rest)) == 1:
             comps[(v0 == 2) + 2 * (v1 == 2)] += 1
     return SelfChenCensus(n, sum(comps), tuple(comps))
 

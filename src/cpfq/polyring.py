@@ -105,39 +105,6 @@ def _derivative_f2(a: int) -> int:
     return (a >> 1) & (((1 << 2 * k) - 1) // 3)
 
 
-def _sqrt_f2(a: int) -> int:
-    """The square root of a square (every set bit even): bit 2j -> bit j."""
-    r, j = 0, 0
-    while a:
-        if a & 1:
-            r |= 1 << j
-        a >>= 2
-        j += 1
-    return r
-
-
-def _squarefree_f2(a: int) -> list:
-    """squarefree_decomposition of a nonzero a: Yun's loop, then the
-    square root of what is left."""
-    c = _gcd_f2(a, _derivative_f2(a))
-    if c == 1:
-        return [(a, 1)]
-    out = []
-    w = _divmod_f2(a, c)[0]
-    k = 1
-    while w > 1:
-        y = _gcd_f2(w, c)
-        z = _divmod_f2(w, y)[0]
-        if z > 1:
-            out.append((z, k))
-        w, c = y, _divmod_f2(c, y)[0]
-        k += 1
-    if c > 1:
-        out += [(s, 2 * j) for s, j in _squarefree_f2(_sqrt_f2(c))]
-        out.sort(key=lambda sk: sk[1])
-    return out
-
-
 class Poly:
     __slots__ = ("field", "coeffs", "_hash")
 
@@ -470,20 +437,6 @@ def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
     coefficients and then by leading coefficient (1 only if monic_only)."""
     for cs in _degree_n_lists(field, n, monic_only):
         yield Poly._new(field, cs)
-
-
-def _packed_polys(field: FieldSpec, n: int, monic_only: bool):
-    """degree_n_polys in the packed form of the censuses, in its order:
-    over F_2 a polynomial is its index, so they are range(2^n, 2^(n+1))
-    (every one monic); otherwise they are coefficient lists."""
-    if field.q == 2:
-        return range(1 << n, 2 << n)
-    return _degree_n_lists(field, n, monic_only)
-
-
-def _packed(g: Poly):
-    """g in the packed form of _packed_polys (a new list for q != 2)."""
-    return poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
 
 
 # --------------------------------------------------------- factorization

@@ -8,7 +8,6 @@ import pytest
 from cpfq.chen import (
     GAMMA_INF,
     _gamma_local,
-    _self_chen_test,
     chen_self_count,
     density_empirical,
     density_exact,
@@ -19,9 +18,9 @@ from cpfq.chen import (
     squarefree_count,
 )
 from cpfq.counting import count_cpf, count_polyfn
-from cpfq.oracle import (_squarefree_test, census_self_chen, census_squarefree,
-                         is_squarefree_gcd)
-from cpfq.polyring import _packed_polys, degree_n_polys, gcd, poly_to_index
+from cpfq.oracle import (_packed_polys, _squarefree_test, census_self_chen,
+                         census_squarefree, is_squarefree_gcd)
+from cpfq.polyring import degree_n_polys, gcd, poly_to_index
 from helpers import (make_field, monic_upto, pol, ref_chen_self_count_q2,
                      ref_density, ref_is_self_chen)
 
@@ -103,13 +102,14 @@ def test_squarefree_census_matches_closed_form():
             assert census_squarefree(F, n) == squarefree_count(n, q)
 
 
-@pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 5), (4, 3)])
+@pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 5), (4, 3), (5, 4)])
 def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
-    """Each census route's test, fed the packed candidates its loop walks,
-    against the reference factorization and the Poly gcd.  Only q = 2 is
-    packed as an int: F_4 (p = 2) stays on coefficient lists."""
+    """The census's square-free test, fed the packed candidates its loop
+    walks, against the Poly gcd, and is_self_chen on each candidate against
+    the reference factorization.  Only q = 2 is packed as an int: F_4
+    (p = 2) stays on coefficient lists."""
     F = make_field(q)
-    self_chen, squarefree = _self_chen_test(F), _squarefree_test(F)
+    squarefree = _squarefree_test(F)
     for n in range(1, max_degree + 1):
         polys = list(degree_n_polys(F, n, monic_only=False))
         packed = list(_packed_polys(F, n, monic_only=False))
@@ -121,9 +121,8 @@ def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
             want_sf = gcd(g, g.derivative()).degree == 0
             assert is_self_chen(g) == ref_is_self_chen(g), g
             assert is_squarefree_gcd(g) == want_sf, g
-            # the list route consumes its candidate, so it goes last
-            assert squarefree(c if q == 2 else list(c)) == want_sf, g
-            assert self_chen(c) == ref_is_self_chen(g), g
+            # the list route consumes its candidate
+            assert squarefree(c) == want_sf, g
 
 
 @pytest.mark.parametrize("q, n, total, components", [

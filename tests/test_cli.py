@@ -147,6 +147,16 @@ CENSUS_DENSITY_GOLDEN = [
      '"monic_only": false, "per_degree": [12, 36, 144, 576, 2304], '
      '"per_degree_total": [12, 48, 192, 768, 3072], '
      '"fraction": {"num": 256, "den": 341}, "error": {"num": 1, "den": 1364}}\n', ""),
+    ("density --q 3 --empirical --max-degree 5 --monic-only", 0,
+     '{"q": 3, "rho": {"num": 2, "den": 3}, "max_degree": 5, '
+     '"monic_only": true, "per_degree": [3, 6, 18, 54, 162], '
+     '"per_degree_total": [3, 9, 27, 81, 243], "fraction": {"num": 81, "den": 121}, '
+     '"error": {"num": 1, "den": 363}}\n', ""),
+    ("density --p 2 --m 2 --empirical --max-degree 5 --monic-only", 0,
+     '{"q": 4, "rho": {"num": 3, "den": 4}, "max_degree": 5, '
+     '"monic_only": true, "per_degree": [4, 12, 48, 192, 768], '
+     '"per_degree_total": [4, 16, 64, 256, 1024], '
+     '"fraction": {"num": 256, "den": 341}, "error": {"num": 1, "den": 1364}}\n', ""),
 ]
 
 
@@ -154,6 +164,19 @@ CENSUS_DENSITY_GOLDEN = [
                          ids=[cell[0] for cell in CENSUS_DENSITY_GOLDEN])
 def test_census_and_density_golden(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [
+    "density --q 3 --empirical --max-degree 5 --monic-only",
+    "density --p 2 --m 2 --empirical --max-degree 5 --monic-only"])
+def test_monic_only_density_counts_one_leading_unit(capsys, argv):
+    # a self-Chen g stays self-Chen under each of the q - 1 units
+    from cpfq.chen import chen_self_count
+
+    obj = run_json(capsys, *argv.split())
+    q = obj["q"]
+    assert [(q - 1) * c for c in obj["per_degree"]] == \
+        [chen_self_count(n, q) for n in range(1, 6)]
 
 
 def test_extension_field_args(capsys):
@@ -389,6 +412,20 @@ def test_guard_flags_are_bounds_as_given(capsys, flags, message):
                              "--f", "t", "--g", "t", *flags.split())
     assert (code, out) == (1, "")
     assert json.loads(err)["error"] == message
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("verify --q 2 --what basis --f t --g t^2 --samples -3",
+     "--samples must be >= 0, got -3"),
+    ("verify --q 2 --what crt --f t --g t^2 --samples -3",
+     "--samples must be >= 0, got -3"),
+    ("gamma --q 2 --m 3 --g t^2", "--m and --field-modulus need --p"),
+    ("gamma --q 2 --field-modulus u^2+u+1 --g t^2",
+     "--m and --field-modulus need --p"),
+], ids=["basis-samples", "crt-samples", "m-with-q", "field-modulus-with-q"])
+def test_flags_out_of_range_or_context_are_refused(capsys, argv, message):
+    assert run_cli(capsys, *argv.split()) == (
+        1, "", json.dumps({"error": message}) + "\n")
 
 
 TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
