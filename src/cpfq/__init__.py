@@ -14,12 +14,8 @@ from .guards import EnumerationGuard, GuardExceeded
 from .oracle import (CpCheck, PolyFnModule,
                      census_self_chen, census_squarefree, count_cpf_bruteforce,
                      count_polyfn_literal, deg_gcd_factorial,
-                     encode_cp_problem, enumerate_cpf_rows,
-                     enumerate_cpf_tables,
-                     exponent_identity_check, factorial,
-                     is_congruence_preserving, is_polynomial_function,
-                     is_squarefree_gcd, polyfn_module, polyfn_submodule,
-                     random_polynomial_function, random_table)
+                     encode_cp_problem, enumerate_cpf_rows, factorial,
+                     is_congruence_preserving, polyfn_module, random_table)
 from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
                        enumerate_residues, factor_shape, factorize, gcd,
                        index_to_poly, is_irreducible, monic_divisors,
@@ -40,16 +36,14 @@ __all__ = [
     "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
     "census_self_chen", "census_squarefree", "chen_self_count",
     "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
-    "count_polyfn_literal", "count_polyfn_local", "crt_characterize", "crt_combine", "crt_split",
-    "decompose", "decompose_rows", "deg_gcd_factorial", "degree_n_polys",
-    "density_empirical", "density_exact", "encode_cp_problem",
-    "enumerate_cpf_rows", "enumerate_cpf_tables",
-    "enumerate_residues", "eval_Qk", "exponent_identity_check", "factor_shape",
-    "factorial", "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
-    "index_to_poly", "is_chen_pair", "is_congruence_preserving",
-    "is_cpf_via_basis", "is_irreducible", "is_polynomial_function",
-    "is_self_chen", "is_squarefree_gcd", "monic_divisors",
-    "monic_irreducibles", "mu", "parse", "poly_to_index", "polyfn_module",
-    "polyfn_submodule", "random_polynomial_function", "random_table",
+    "count_polyfn_literal", "count_polyfn_local", "crt_characterize",
+    "crt_combine", "crt_split", "decompose", "decompose_rows",
+    "deg_gcd_factorial", "degree_n_polys", "density_empirical",
+    "density_exact", "encode_cp_problem", "enumerate_cpf_rows",
+    "enumerate_residues", "eval_Qk", "factor_shape", "factorial", "factorize",
+    "field_make", "gamma", "gamma_prime_power", "gcd", "index_to_poly",
+    "is_chen_pair", "is_congruence_preserving", "is_cpf_via_basis",
+    "is_irreducible", "is_self_chen", "monic_divisors", "monic_irreducibles",
+    "mu", "parse", "poly_to_index", "polyfn_module", "random_table",
     "reduce_mod", "squarefree_count", "to_text", "valuation", "xgcd",
 ]

@@ -2,11 +2,12 @@
 
 A function A_f -> A_g is a row sigma[0..D-1] of codomain residue indices,
 one per domain representative.  Congruence preservation is encoded as
-constraints: for each monic divisor h of g and each domain pair i < j
-congruent mod h, the values must satisfy
+constraints: for each monic divisor h of g and each domain position j
+after the first member i of its class mod h, the values must satisfy
     cod_class[h][sigma[i]] == cod_class[h][sigma[j]]
 where cod_class[h][c] labels the residue of codomain representative c
-mod h.  Constraints are stored CSR-style by the later position j:
+mod h; equality is transitive, so the whole class then agrees.
+Constraints are stored CSR-style by the later position j:
 cons_ptr[j]..cons_ptr[j+1] index (cons_src, cons_div) pairs, so position
 j only ever refers to earlier positions.  That makes the same arrays
 serve both engines:

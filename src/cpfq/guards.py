@@ -73,8 +73,8 @@ def check_basis_tables(q: int, degree: int):
 @dataclass(frozen=True)
 class EnumerationGuard:
     """max_functions bounds every enumeration of the oracles and the CLI
-    (|A_g|^|A_f| tables, |A_f|^2 pairs, the residues of A_f, the
-    polynomial functions); max_degree bounds deg f and deg g."""
+    (|A_g|^|A_f| tables, |A_f|^2 pairs, the residues of A_f); max_degree
+    bounds deg f and deg g."""
 
     max_functions: int = 2 ** 20
     max_degree: int = 12
@@ -101,9 +101,6 @@ class EnumerationGuard:
 
     def check_residues(self, f):
         check_power("residues", "|A_f|", f.field.q, f.degree, self.max_functions)
-
-    def check_closure(self, p: int, rank: int):
-        check_power("polynomial functions", "p^rank", p, rank, self.max_functions)
 
 
 DEFAULT_GUARD = EnumerationGuard()

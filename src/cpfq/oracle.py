@@ -6,9 +6,8 @@ validated against it.  Every enumeration, census and the literal route
 is bounded by a check of `guards`, which raises GuardExceeded instead of
 attempting a large run.
 
-The literal route to N takes every deg gcd(g, k!) by Euclid.  Its `order`
-relabels the digits of the a_k; N does not depend on it (Bhargava's
-P-orderings, J. reine angew. Math. 490, 1997).
+The literal route to N takes every deg gcd(g, k!) by Euclid, with the
+generalized factorials k! over the a_k in index order.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
                        _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly,
                        poly_to_index)
 from .residue import FunctionTable, ResidueRing
-from .wagner import floor_log
 
 
 # ---------------------------------------------------- definitional check
@@ -66,7 +64,7 @@ class CpProblem:
     codomain: ResidueRing
     divisors: list
     cons_ptr: np.ndarray   # CSR offsets by later position j
-    cons_src: np.ndarray   # earlier position i of each constraint
+    cons_src: np.ndarray   # first member i of the class of j mod the divisor
     cons_div: np.ndarray   # divisor index of each constraint
     cod_class: np.ndarray  # residue label of codomain rep c mod divisor h
 
@@ -80,37 +78,32 @@ class CpProblem:
 
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
+    """The constraints of A_f -> A_g from the classes of A_f mod each monic
+
+    divisor h of g: each later member of a class against its first member
+    (equality is transitive, so these |class| - 1 imply every pair), and
+    cod_class[h][c] the first member of c's class in A_g, which is the
+    index of a_c mod h."""
     import numpy as np
 
     divisors = codomain.divisors
-    # both rings list their residues as a_0, a_1, ..., so one table of
-    # labels index(a_k mod h) serves the domain and the codomain
-    reps = max(domain, codomain, key=lambda ring: ring.size).elements()
-    labels = np.array([[poly_to_index(r % h) for r in reps] for h in divisors],
-                      dtype=np.int64)
-    dom_class = labels[:, :domain.size]
     by_pos: list = [[] for _ in range(domain.size)]
-    for hi in range(len(divisors)):
-        classes: dict = {}
-        for i in range(domain.size):
-            classes.setdefault(int(dom_class[hi, i]), []).append(i)
-        for members in classes.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    by_pos[members[b]].append((members[a], hi))
-    ptr = [0]
-    src = []
-    div = []
-    for j in range(domain.size):
-        for i, hi in by_pos[j]:
-            src.append(i)
-            div.append(hi)
-        ptr.append(len(src))
+    cod_class = []
+    for hi, h in enumerate(divisors):
+        for first, *rest in domain.classes(h):
+            for j in rest:
+                by_pos[j].append((first, hi))
+        label = [0] * codomain.size
+        for members in codomain.classes(h):
+            for c in members:
+                label[c] = members[0]
+        cod_class.append(label)
+    pairs = [pair for row in by_pos for pair in row]
     return CpProblem(domain, codomain, divisors,
-                     np.asarray(ptr, dtype=np.int64),
-                     np.asarray(src, dtype=np.int64),
-                     np.asarray(div, dtype=np.int64),
-                     labels[:, :codomain.size])
+                     np.cumsum([0] + [len(row) for row in by_pos], dtype=np.int64),
+                     np.asarray([i for i, _ in pairs], dtype=np.int64),
+                     np.asarray([hi for _, hi in pairs], dtype=np.int64),
+                     np.asarray(cod_class, dtype=np.int64))
 
 
 def _guarded_problem(domain: ResidueRing, codomain: ResidueRing,
@@ -148,82 +141,39 @@ def enumerate_cpf_rows(domain: ResidueRing, codomain: ResidueRing,
     return _kernels.enumerate_backtracking(*args)
 
 
-def enumerate_cpf_tables(f: Poly, g: Poly,
-                         guard: EnumerationGuard = DEFAULT_GUARD) -> list:
-    """All congruence-preserving tables, decoded from enumerate_cpf_rows."""
-    dom, cod = ResidueRing(f), ResidueRing(g)
-    values = cod.elements()
-    return [FunctionTable(dom, cod, [values[v] for v in row])
-            for row in enumerate_cpf_rows(dom, cod, guard).tolist()]
-
-
 # ------------------------------------------- literal generalized factorials
-def _check_order(field: FieldSpec, order) -> tuple:
-    """The digit map of `order`: index order when None, else a permutation
-    of 0..q-1 fixing 0, so that a_0 = 0 stays first."""
-    digits = tuple(range(field.q)) if order is None else tuple(order)
-    if (len(digits) != field.q or set(digits) != set(range(field.q))
-            or digits[0] != 0):
-        raise ValueError("order must be a permutation of 0..q-1 starting at 0")
-    return digits
+def factorial(field: FieldSpec, k: int, mod: Poly | None = None) -> Poly:
+    """prod_{i<k} (a_k - a_i); with mod given, the product is reduced mod
 
-
-def relabeled_index_to_poly(field: FieldSpec, k: int, order=None) -> Poly:
-    """a_k with each base-q digit c of k read as the field index order[c]."""
-    digits = _check_order(field, order)
-    return Poly._new(field, [digits[c] for c in index_to_poly(field, k).coeffs])
-
-
-def factorial(field: FieldSpec, k: int, order=None, mod: Poly | None = None) -> Poly:
-    """prod_{i<k} (a_k - a_i) over the relabeled a_i; with mod given, the
-
-    product is reduced mod `mod` at every step (gcd(mod, .) is unchanged
-    by that reduction)."""
-    ak = relabeled_index_to_poly(field, k, order)
+    `mod` at every step (gcd(mod, .) is unchanged by that reduction)."""
+    ak = index_to_poly(field, k)
     out = Poly(field, [1])
     for i in range(k):
-        out = out * (ak - relabeled_index_to_poly(field, i, order))
+        out = out * (ak - index_to_poly(field, i))
         if mod is not None:
             out = out % mod
     return out
 
 
-def deg_gcd_factorial(g: Poly, k: int, order=None) -> int:
+def deg_gcd_factorial(g: Poly, k: int) -> int:
     """deg gcd(g, prod_{i<k}(a_k - a_i)) by literal gcd computation."""
     gm = g.monic()
-    return gcd(gm, factorial(g.field, k, order=order, mod=gm)).degree
+    return gcd(gm, factorial(g.field, k, mod=gm)).degree
 
 
-def count_polyfn_literal(f: Poly, g: Poly, order=None) -> QExponent:
+def count_polyfn_literal(f: Poly, g: Poly) -> QExponent:
     """N = q^(q^n deg g - sum_{0<k<q^n} deg gcd(g, k!)) with every gcd
 
-    computed, within the size and work bounds of `guards.check_literal`;
-    `order` relabels the digits of the a_k."""
+    computed, within the size and work bounds of `guards.check_literal`."""
     n = _require_pair(f, g)
     q = f.field.q
     check_literal(q, n, g.degree)
     qn = q ** n
     return QExponent(q, qn * g.degree - sum(
-        deg_gcd_factorial(g, k, order=order) for k in range(1, qn)))
-
-
-def exponent_identity_check(n: int, e: int, d: int, q: int) -> bool:
-    """(q-1) * sum_{k=1}^{n-1} q^k min(e, floor(k/d))
-       == sum_{k=1}^{q^n - 1} min(e, floor(floor(log_q k) / d))."""
-    lhs = (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
-    rhs = sum(min(e, floor_log(q, k) // d) for k in range(1, q ** n))
-    return lhs == rhs
+        deg_gcd_factorial(g, k) for k in range(1, qn)))
 
 
 # ---------------------------------------------- polynomial-function span
-def apply_coeff_poly(coeffs, h: Poly, g: Poly) -> Poly:
-    """Evaluate F(h) mod g for F given by A-coefficients (low degree first)."""
-    acc = Poly(h.field)
-    for c in reversed(list(coeffs)):
-        acc = (acc * h + c) % g
-    return acc
-
-
 class PolyFnModule:
     """The set of polynomial functions A_f -> A_g, as the F_p row space of
 
@@ -242,7 +192,6 @@ class PolyFnModule:
         guard.check_domain_pairs(domain.modulus)
         self.domain = domain
         self.codomain = codomain
-        self.guard = guard
         field = domain.field
         self.p = field.p
         self._m = field.m
@@ -290,21 +239,6 @@ class PolyFnModule:
                     pos += 1
         return out
 
-    def _decode_vector(self, vec) -> FunctionTable:
-        field = self.domain.field
-        values = []
-        pos = 0
-        block = self._degg * self._m
-        for _ in range(self.domain.size):
-            chunk = vec[pos:pos + block]
-            pos += block
-            coeffs = []
-            for a in range(self._degg):
-                coords = chunk[a * self._m:(a + 1) * self._m]
-                coeffs.append(field.from_coeffs(list(int(c) for c in coords)))
-            values.append(Poly(field, coeffs))
-        return FunctionTable(self.domain, self.codomain, values)
-
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         vec = vec % self.p
         for piv in sorted(self._pivots):
@@ -344,56 +278,18 @@ class PolyFnModule:
         vec = self._reduce(self._encode_values(list(sigma.values)))
         return not vec.any()
 
-    def members(self) -> list:
-        """Every polynomial function, when within the guard."""
-        self.guard.check_closure(self.p, self.rank)
-        import numpy as np
-
-        vectors = [np.zeros(self.length, dtype=np.int64)]
-        for piv in sorted(self._pivots):
-            row = self._pivots[piv]
-            vectors = [(v + c * row) % self.p
-                       for v in vectors for c in range(self.p)]
-        return [self._decode_vector(v) for v in vectors]
-
 
 def polyfn_module(f: Poly, g: Poly,
                   guard: EnumerationGuard = DEFAULT_GUARD) -> PolyFnModule:
     return PolyFnModule(ResidueRing(f), ResidueRing(g), guard)
 
 
-def polyfn_submodule(f: Poly, g: Poly,
-                     guard: EnumerationGuard = DEFAULT_GUARD) -> list:
-    """All polynomial functions A_f -> A_g (guarded enumeration)."""
-    return polyfn_module(f, g, guard).members()
-
-
-def is_polynomial_function(sigma: FunctionTable,
-                           module: PolyFnModule | None = None,
-                           guard: EnumerationGuard = DEFAULT_GUARD) -> bool:
-    if module is None:
-        module = PolyFnModule(sigma.domain, sigma.codomain, guard)
-    return module.contains(sigma)
-
-
 # --------------------------------------------------------- random tables
 def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
-    cod = codomain.elements()
+    """|A_f| values drawn uniformly from A_g by their residue indices."""
     return FunctionTable(domain, codomain,
-                         [cod[rng.randrange(codomain.size)]
+                         [codomain.element(rng.randrange(codomain.size))
                           for _ in range(domain.size)])
-
-
-def random_polynomial_function(domain: ResidueRing, codomain: ResidueRing,
-                               rng, n_coeffs: int | None = None) -> FunctionTable:
-    """sigma(hbar) = F(h) mod g for F with random A_g coefficients."""
-    if n_coeffs is None:
-        n_coeffs = domain.size + 1
-    coeffs = [codomain.element(rng.randrange(codomain.size))
-              for _ in range(n_coeffs)]
-    g = codomain.modulus
-    return FunctionTable(domain, codomain,
-                         [apply_coeff_poly(coeffs, h, g) for h in domain.elements()])
 
 
 # --------------------------------------------------------------- censuses
@@ -406,21 +302,11 @@ def _packed_polys(field: FieldSpec, n: int, monic_only: bool):
     return _degree_n_lists(field, n, monic_only)
 
 
-def _packed(g: Poly):
-    """g in the packed form of _packed_polys (a new list for q != 2)."""
-    return poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
-
-
 def _squarefree_test(field: FieldSpec):
     """The gcd square-freeness test on one packed candidate of _packed_polys."""
     if field.q == 2:
         return lambda a: _gcd_f2(a, _derivative_f2(a)) == 1
     return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
-
-
-def is_squarefree_gcd(g: Poly) -> bool:
-    """Square-freeness by gcd with the formal derivative (no factorization)."""
-    return _squarefree_test(g.field)(_packed(g))
 
 
 @dataclass(frozen=True)

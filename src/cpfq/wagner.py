@@ -163,8 +163,8 @@ class _BasisContext:
 
     An element of A_{P^e} is the index k of its canonical representative
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
-    `positions[k]` = the index of b_k in A_f.  Products, differences, sums
-    and valuations in A_{P^e} go through Poly once per pair of indices and
+    `positions[k]` = the index of b_k in A_f.  Products, differences and
+    valuations in A_{P^e} go through Poly once per pair of indices and
     are looked up after that; `solve` works on dense numpy tables of them
     instead, built on its first call."""
 
@@ -178,7 +178,6 @@ class _BasisContext:
         self.mus = (None,) + tuple(mu(k, q, d) for k in range(1, len(dom)))
         self._mul: dict = {}
         self._sub: dict = {}
-        self._add: dict = {}
         self._elements: dict = {}
         self._tables = None
         self.columns = self._build(dom, e)
@@ -197,9 +196,6 @@ class _BasisContext:
 
     def sub(self, a: int, b: int) -> int:
         return self._op(self._sub, self.ring.sub, a, b)
-
-    def add(self, a: int, b: int) -> int:
-        return self._op(self._add, self.ring.add, a, b)
 
     def residue(self, a: int) -> tuple:
         """(the representative a_a, its P-valuation), once per index."""
@@ -300,18 +296,6 @@ class _BasisContext:
             out[:, k] = acc
         return out
 
-    def values(self, coeffs) -> list:
-        """The table of sum_k c_k B_k, listed like A_f."""
-        mul, add = self.mul, self.add
-        out = [0] * len(self.positions)
-        for pos, col in zip(self.positions, self.columns):
-            acc = 0
-            for c, t in zip(coeffs, col):
-                if c and t:
-                    acc = add(acc, mul(c, t))
-            out[pos] = acc
-        return out
-
 
 # a context holds about q^(2n) / 2 table entries and its lookups
 BASIS_CACHE_SIZE = 32
@@ -341,13 +325,6 @@ class BasisCoefficients:
 
     def is_cpf(self) -> bool:
         return not self.cpf_failures()
-
-    def recompose(self, domain: ResidueRing) -> FunctionTable:
-        """Rebuild the function table (inverse of decompose)."""
-        ctx = _context(self.seq, self.e, self.deg_f)
-        ring = ctx.ring
-        values = ctx.values([poly_to_index(ring.reduce(c)) for c in self.coefficients])
-        return FunctionTable(domain, ring, [index_to_poly(ring.field, v) for v in values])
 
 
 def _prime_power_context(codomain: ResidueRing, n: int,

@@ -3,15 +3,23 @@ polynomial parsing, monic enumeration, the per-coefficient reference
 ring ops that the table-row arithmetic of `Poly` is checked against, the
 trial-division factorization that `factorize` is checked against, the
 Poly route of the basis decomposition that `decompose` is checked against,
-and the hand-derived self-Chen closed forms that the Euler-product counts
-and density are checked against."""
+the hand-derived self-Chen closed forms that the Euler-product counts
+and density are checked against, and the oracle references that only
+the tests use: the all-pairs constraint encoding, decoded table lists,
+random polynomial functions, the members of the polynomial-function
+span, the digit-relabeled literal route and the exponent identity."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from cpfq.counting import QExponent
 from cpfq.field import field_make
-from cpfq.polyring import Poly, index_to_poly, parse, poly_to_index, valuation
+from cpfq.guards import DEFAULT_GUARD
+from cpfq.oracle import CpProblem, _squarefree_test, enumerate_cpf_rows
+from cpfq.polyring import Poly, gcd, index_to_poly, parse, poly_to_index, valuation
 from cpfq.residue import FunctionTable, ResidueRing
-from cpfq.wagner import eval_Qk, mu
+from cpfq.wagner import _context, eval_Qk, floor_log, mu
 
 PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}
 
@@ -204,3 +212,138 @@ def ref_decompose(sigma, seq, table):
     failures = [k for k in range(1, len(coeffs))
                 if vals[k] < mu(k, p.field.q, p.degree)]
     return coeffs, vals, failures
+
+
+def recompose(coeffs, domain):
+    """The table of sum_k c_k B_k (the inverse of decompose), by Poly ring
+    ops of A_{P^e} over the basis context's columns."""
+    ctx = _context(coeffs.seq, coeffs.e, coeffs.deg_f)
+    ring = ctx.ring
+    values = [None] * len(ctx.positions)
+    for pos, col in zip(ctx.positions, ctx.columns):
+        acc = Poly(ring.field)
+        for c, t in zip(coeffs.coefficients, col):
+            acc = ring.add(acc, ring.mul(c, index_to_poly(ring.field, t)))
+        values[pos] = acc
+    return FunctionTable(domain, ring, values)
+
+
+# ------------------------------------------- oracle references
+def ref_encode_cp_problem(domain, codomain):
+    """The all-pairs encoding: every pair i < j of a class of A_f mod each
+    divisor h, with one table of labels index(a_k mod h) over the larger
+    ring serving the domain classes and cod_class."""
+    divisors = codomain.divisors
+    reps = max(domain, codomain, key=lambda ring: ring.size).elements()
+    labels = np.array([[poly_to_index(r % h) for r in reps] for h in divisors],
+                      dtype=np.int64)
+    dom_class = labels[:, :domain.size]
+    by_pos = [[] for _ in range(domain.size)]
+    for hi in range(len(divisors)):
+        classes = {}
+        for i in range(domain.size):
+            classes.setdefault(int(dom_class[hi, i]), []).append(i)
+        for members in classes.values():
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    by_pos[members[b]].append((members[a], hi))
+    ptr = [0]
+    src = []
+    div = []
+    for j in range(domain.size):
+        for i, hi in by_pos[j]:
+            src.append(i)
+            div.append(hi)
+        ptr.append(len(src))
+    return CpProblem(domain, codomain, divisors,
+                     np.asarray(ptr, dtype=np.int64),
+                     np.asarray(src, dtype=np.int64),
+                     np.asarray(div, dtype=np.int64),
+                     labels[:, :codomain.size])
+
+
+def enumerate_cpf_tables(f, g, guard=DEFAULT_GUARD):
+    """All congruence-preserving tables, decoded from enumerate_cpf_rows."""
+    dom, cod = ResidueRing(f), ResidueRing(g)
+    values = cod.elements()
+    return [FunctionTable(dom, cod, [values[v] for v in row])
+            for row in enumerate_cpf_rows(dom, cod, guard).tolist()]
+
+
+def apply_coeff_poly(coeffs, h, g):
+    """Evaluate F(h) mod g for F given by A-coefficients (low degree first)."""
+    acc = Poly(h.field)
+    for c in reversed(list(coeffs)):
+        acc = (acc * h + c) % g
+    return acc
+
+
+def random_polynomial_function(domain, codomain, rng, n_coeffs=None):
+    """sigma(hbar) = F(h) mod g for F with random A_g coefficients."""
+    if n_coeffs is None:
+        n_coeffs = domain.size + 1
+    coeffs = [codomain.element(rng.randrange(codomain.size))
+              for _ in range(n_coeffs)]
+    g = codomain.modulus
+    return FunctionTable(domain, codomain,
+                         [apply_coeff_poly(coeffs, h, g) for h in domain.elements()])
+
+
+def polyfn_members(module):
+    """Every function of a PolyFnModule: each F_p combination of its
+    reduced basis, decoded block by block (deg g coefficients of m
+    coordinates per domain representative)."""
+    field, p = module.domain.field, module.p
+    vectors = [np.zeros(module.length, dtype=np.int64)]
+    for row in module._pivots.values():
+        vectors = [(v + c * row) % p for v in vectors for c in range(p)]
+    m, block = field.m, module.codomain.modulus.degree * field.m
+    tables = []
+    for vec in vectors:
+        values = []
+        for start in range(0, module.length, block):
+            chunk = [int(c) for c in vec[start:start + block]]
+            values.append(Poly(field, [field.from_coeffs(chunk[a:a + m])
+                                       for a in range(0, block, m)]))
+        tables.append(FunctionTable(module.domain, module.codomain, values))
+    return tables
+
+
+def is_squarefree_gcd(g):
+    """The census's gcd square-freeness test on g, packed as the census
+    packs its candidates (over F_2 the index, otherwise the coefficients)."""
+    packed = poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
+    return _squarefree_test(g.field)(packed)
+
+
+def relabeled_index_to_poly(field, k, order):
+    """a_k with each base-q digit c of k read as the field index order[c];
+    order is a permutation of 0..q-1 fixing 0, so a_0 = 0 stays first."""
+    if (len(order) != field.q or set(order) != set(range(field.q))
+            or order[0] != 0):
+        raise ValueError("order must be a permutation of 0..q-1 starting at 0")
+    return Poly(field, [order[c] for c in index_to_poly(field, k).coeffs])
+
+
+def relabeled_count_polyfn_literal(f, g, order):
+    """count_polyfn_literal with the generalized factorials k! taken over
+    the relabeled a_k; N does not depend on the labeling (Bhargava's
+    P-orderings, J. reine angew. Math. 490, 1997)."""
+    field, qn = f.field, f.field.q ** f.degree
+    gm = g.monic()
+    total = 0
+    for k in range(1, qn):
+        ak = relabeled_index_to_poly(field, k, order)
+        fact = Poly(field, [1])
+        for i in range(k):
+            fact = fact * (ak - relabeled_index_to_poly(field, i, order)) % gm
+        total += gcd(gm, fact).degree
+    return QExponent(field.q, qn * g.degree - total)
+
+
+def exponent_identity_check(n, e, d, q):
+    """(q-1) * sum_{k=1}^{n-1} q^k min(e, floor(k/d))
+       == sum_{k=1}^{q^n - 1} min(e, floor(floor(log_q k) / d))."""
+    lhs = (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n))
+    rhs = sum(min(e, floor_log(q, k) // d) for k in range(1, q ** n))
+    return lhs == rhs

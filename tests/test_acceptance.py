@@ -18,13 +18,13 @@ from cpfq.chen import (GAMMA_INF, chen_self_count, density_empirical, gamma,
 from cpfq.counting import _polyfn_local_exponent, _w, count_cpf, count_polyfn
 from cpfq.oracle import (census_self_chen, census_squarefree,
                          count_cpf_bruteforce, count_polyfn_literal,
-                         deg_gcd_factorial, enumerate_cpf_tables,
-                         exponent_identity_check, is_congruence_preserving,
+                         deg_gcd_factorial, is_congruence_preserving,
                          polyfn_module, random_table)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
 from cpfq.wagner import PSequence, decompose_rows, eval_Qk, is_cpf_via_basis, mu
-from helpers import make_field, monic_upto, pol
+from helpers import (enumerate_cpf_tables, exponent_identity_check,
+                     make_field, monic_upto, pol)
 
 
 @contextmanager

@@ -19,10 +19,10 @@ from cpfq.chen import (
 )
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.oracle import (_packed_polys, _squarefree_test, census_self_chen,
-                         census_squarefree, is_squarefree_gcd)
+                         census_squarefree)
 from cpfq.polyring import degree_n_polys, gcd, poly_to_index
-from helpers import (make_field, monic_upto, pol, ref_chen_self_count_q2,
-                     ref_density, ref_is_self_chen)
+from helpers import (is_squarefree_gcd, make_field, monic_upto, pol,
+                     ref_chen_self_count_q2, ref_density, ref_is_self_chen)
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 

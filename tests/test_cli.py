@@ -608,6 +608,16 @@ def test_largest_basis_context_decomposes_quickly(tmp_path):
     assert len(json.loads(out.stdout)["coefficients"]) == 2 ** 10
 
 
+@pytest.mark.parametrize("gtext", ["t^6+t", "t^12+t"])
+def test_samples_of_a_huge_codomain_never_list_it(gtext):
+    # |A_g| = 2^24 and 2^48 over F_16: each sampled table draws its |A_f|
+    # values by residue index, without listing A_g
+    out = run_cli_process("verify", "--p", "2", "--m", "4", "--what", "crt",
+                          "--f", "t", "--g", gtext, "--samples", "1", timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["match"] is True
+
+
 def test_basis_check_of_every_enumerated_table_is_batched():
     # 2^18 CP tables t^2 -> t^5, judged in one batched solve (6.8 s when
     # each table was decomposed on its own)

@@ -12,10 +12,10 @@ from cpfq.counting import (
     count_polyfn_local,
 )
 from cpfq.guards import GuardExceeded
-from cpfq.oracle import (count_polyfn_literal, deg_gcd_factorial,
-                         exponent_identity_check)
+from cpfq.oracle import count_polyfn_literal, deg_gcd_factorial
 from cpfq.polyring import factorize
-from helpers import make_field, monic_upto, pol
+from helpers import (exponent_identity_check, make_field, monic_upto, pol,
+                     relabeled_count_polyfn_literal)
 
 
 # ------------------------------------------------------------- QExponent
@@ -162,13 +162,13 @@ def test_order_independence():
     g3 = pol(3, "t^3+2t+1")
     f3 = pol(3, "t^2")
     base = count_polyfn_literal(f3, g3)
-    assert base == count_polyfn_literal(f3, g3, order=(0, 2, 1)) == count_polyfn(f3, g3)
+    assert base == relabeled_count_polyfn_literal(f3, g3, (0, 2, 1)) == count_polyfn(f3, g3)
 
     g4 = pol(4, "t^2+ut+1")
     f4 = pol(4, "t^2")
     base4 = count_polyfn_literal(f4, g4)
     for order in [(0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 2, 1)]:
-        assert count_polyfn_literal(f4, g4, order=order) == base4
+        assert relabeled_count_polyfn_literal(f4, g4, order) == base4
     assert base4 == count_polyfn(f4, g4)
 
 

@@ -3,6 +3,7 @@ both counting engines, monomial-closure membership, and the guards."""
 
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import numpy as np
@@ -11,23 +12,23 @@ import pytest
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
                          check_census)
+from cpfq import _kernels
 from cpfq.oracle import (
-    apply_coeff_poly,
     census_self_chen,
     census_squarefree,
     count_cpf_bruteforce,
     encode_cp_problem,
-    enumerate_cpf_tables,
+    enumerate_cpf_rows,
     is_congruence_preserving,
-    is_polynomial_function,
     polyfn_module,
-    polyfn_submodule,
-    random_polynomial_function,
     random_table,
 )
 from cpfq.polyring import index_to_poly, to_text
 from cpfq.residue import FunctionTable, ResidueRing
-from helpers import make_field, monic_polys, monic_upto, pol, ring, table
+from helpers import (apply_coeff_poly, enumerate_cpf_tables, make_field,
+                     monic_polys, monic_upto, pol, polyfn_members,
+                     random_polynomial_function, ref_encode_cp_problem, ring,
+                     table)
 
 
 # ----------------------------------------------------------- the checker
@@ -75,6 +76,26 @@ def test_polynomial_functions_are_cp(q):
             assert problem.check_row(row)
 
 
+def _digest(prob):
+    h = hashlib.sha256()
+    for a in (prob.cons_ptr, prob.cons_src, prob.cons_div, prob.cod_class):
+        h.update(repr(a.shape).encode())
+        h.update(a.astype(np.int64).tobytes())
+    return h.hexdigest()[:16]
+
+
+# (q, f, g) of the pinned all-pairs encodings, with their digests
+ENCODED_CELLS = {(2, "t^2", "t^3+t"): "3a907c98d77be054",
+                 (2, "t^3", "t^2"): "80723bb2a8a81f57",
+                 (3, "t^2", "t^2+2t"): "cf74c624e22d894f",
+                 (3, "t", "t^3+t"): "892d4452135a5d3e",
+                 (5, "t", "t^2+t"): "84f9d8174e152be7",
+                 (4, "t", "t^2+ut"): "169ad7a6fe3905f8",
+                 (4, "t^2", "t^2+u"): "707c0e48dd35059a",
+                 (8, "t", "t^2+t"): "7900e1ffe74bff18",
+                 (9, "t", "t^2"): "536e96551f4f9ada"}
+
+
 def test_encoded_checker_matches_naive():
     rng = random.Random(61)
     for (q, ftext, gtext) in [(2, "t^2", "t^3+t"), (3, "t", "t^2"),
@@ -85,25 +106,68 @@ def test_encoded_checker_matches_naive():
             sig = random_table(dom, cod, rng)
             row = np.array([cod.index(v) for v in sig.values], dtype=np.int64)
             assert problem.check_row(row) == is_congruence_preserving(sig).ok
-    # the encoded arrays, as the numpy long division (prime q) and the
-    # per-residue reduction (extension q) built them before one a_k mod h
-    # label table served both rings
-    digests = {(2, "t^2", "t^3+t"): "3a907c98d77be054",
-               (2, "t^3", "t^2"): "80723bb2a8a81f57",
-               (3, "t^2", "t^2+2t"): "cf74c624e22d894f",
-               (3, "t", "t^3+t"): "892d4452135a5d3e",
-               (5, "t", "t^2+t"): "84f9d8174e152be7",
-               (4, "t", "t^2+ut"): "169ad7a6fe3905f8",
-               (4, "t^2", "t^2+u"): "707c0e48dd35059a",
-               (8, "t", "t^2+t"): "7900e1ffe74bff18",
-               (9, "t", "t^2"): "536e96551f4f9ada"}
-    for (q, ftext, gtext), digest in digests.items():
-        prob = encode_cp_problem(ring(q, ftext), ring(q, gtext))
-        h = hashlib.sha256()
-        for a in (prob.cons_ptr, prob.cons_src, prob.cons_div, prob.cod_class):
-            h.update(repr(a.shape).encode())
-            h.update(a.astype(np.int64).tobytes())
-        assert h.hexdigest()[:16] == digest
+    # the all-pairs reference arrays, as the numpy long division (prime q)
+    # and the per-residue reduction (extension q) built them before one
+    # a_k mod h label table served both rings
+    for (q, ftext, gtext), digest in ENCODED_CELLS.items():
+        assert _digest(ref_encode_cp_problem(ring(q, ftext), ring(q, gtext))) == digest
+
+
+def test_random_table_draws_like_the_listed_elements():
+    # one randrange per value, read as a residue index: the same tables as
+    # indexing the listed elements of A_g
+    for q, ftext, gtext in [(2, "t^2", "t^3+t"), (3, "t", "t^2"), (4, "t", "t^2+ut")]:
+        dom, cod = ring(q, ftext), ring(q, gtext)
+        for seed in range(10):
+            rng = random.Random(seed)
+            want = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
+            assert random_table(dom, cod, random.Random(seed)).values == tuple(want)
+
+
+def _triples(prob):
+    """(j, i, divisor index) of every constraint, in CSR order."""
+    return [(j, int(prob.cons_src[c]), int(prob.cons_div[c]))
+            for j in range(prob.domain.size)
+            for c in range(prob.cons_ptr[j], prob.cons_ptr[j + 1])]
+
+
+GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
+              for gtext in ("t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2")]
+
+
+@pytest.mark.parametrize("q, ftext, gtext", list(ENCODED_CELLS) + GRID_CELLS)
+def test_star_encoding_is_the_all_pairs_one_from_first_members(q, ftext, gtext):
+    # the src constraints are the reference constraints whose source is the
+    # first member of its class, one per later member: sum (|class| - 1)
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    prob, ref = encode_cp_problem(dom, cod), ref_encode_cp_problem(dom, cod)
+    firsts = [{members[0] for members in dom.classes(h)} for h in cod.divisors]
+    assert _triples(prob) == [(j, i, hi) for j, i, hi in _triples(ref)
+                              if i in firsts[hi]]
+    assert len(prob.cons_src) == sum(len(members) - 1 for h in cod.divisors
+                                     for members in dom.classes(h))
+    assert prob.cod_class.dtype == ref.cod_class.dtype
+    assert prob.cod_class.tobytes() == ref.cod_class.tobytes()
+    assert prob.cod_class.shape == ref.cod_class.shape
+
+
+@pytest.mark.parametrize("q, ftext, gtext", GRID_CELLS)
+def test_star_and_all_pairs_encodings_agree_on_the_grid(q, ftext, gtext):
+    # every table of the acceptance grid's enumeration cells gets the same
+    # check_row verdict, and all three kernels the same result, under both
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    prob, ref = encode_cp_problem(dom, cod), ref_encode_cp_problem(dom, cod)
+    rows = np.array(list(itertools.product(range(cod.size), repeat=dom.size)),
+                    dtype=np.int64)
+    verdicts = [prob.check_row(row) for row in rows]
+    assert verdicts == [ref.check_row(row) for row in rows]
+    args = [(dom.size, cod.size, p.cons_ptr, p.cons_src, p.cons_div, p.cod_class)
+            for p in (prob, ref)]
+    for kernel in (_kernels.count_exhaustive, _kernels.count_backtracking):
+        assert kernel(*args[0]) == kernel(*args[1]) == sum(verdicts)
+    star, pairs = (_kernels.enumerate_backtracking(*a) for a in args)
+    assert np.array_equal(star, pairs)
+    assert star.tolist() == rows[verdicts].tolist()
 
 
 # --------------------------------------------------- counts vs closed form
@@ -181,7 +245,6 @@ def test_enumerate_cpf_tables():
     dom = ResidueRing(f)
     cod = ResidueRing(g)
     found = set(tables)
-    import itertools
     others = 0
     for combo in itertools.product(cod.elements(), repeat=4):
         sig = FunctionTable(dom, cod, list(combo))
@@ -195,16 +258,14 @@ def test_enumerate_cpf_tables():
 def test_closure_members_are_exactly_polynomial_functions():
     f, g = pol(2, "t^2"), pol(2, "t^2")
     mod = polyfn_module(f, g)
-    members = polyfn_submodule(f, g)
+    members = polyfn_members(mod)
     assert len(members) == mod.size == 64
     member_set = set(members)
     assert len(member_set) == 64
     dom, cod = ResidueRing(f), ResidueRing(g)
-    import itertools
     for combo in itertools.product(cod.elements(), repeat=4):
         sig = FunctionTable(dom, cod, list(combo))
         assert mod.contains(sig) == (sig in member_set)
-        assert is_polynomial_function(sig, module=mod) == (sig in member_set)
     for sig in members:
         assert is_congruence_preserving(sig).ok
 
@@ -272,25 +333,17 @@ def test_degree_guard():
 
 
 def test_closure_guard():
-    # rank computation is cheap and always allowed; materializing is not:
-    # |A_f|^2 = 16 passes max_functions = 32, the 64 functions do not
+    # the span is sized by its rank, within the |A_f|^2 guard only:
+    # |A_f|^2 = 16 passes max_functions = 32, the 64 functions need not
     tight = EnumerationGuard(max_functions=32)
     mod = polyfn_module(pol(2, "t^2"), pol(2, "t^2"), guard=tight)
     assert mod.size == 64
-    with pytest.raises(GuardExceeded) as exc:
-        mod.members()
-    assert str(exc.value) == ("polynomial functions guarded to p^rank <= 2^5, "
-                              "got 2^6 = 2^6.00")
-    with pytest.raises(GuardExceeded):
-        polyfn_submodule(pol(2, "t^2"), pol(2, "t^2"), guard=tight)
-    exact = EnumerationGuard(max_functions=64)
-    assert len(polyfn_submodule(pol(2, "t^2"), pol(2, "t^2"), guard=exact)) == 64
 
 
 def test_enumeration_guard():
     tight = EnumerationGuard(max_functions=100)
     with pytest.raises(GuardExceeded):
-        enumerate_cpf_tables(pol(2, "t^2"), pol(2, "t^2"), guard=tight)
+        enumerate_cpf_rows(ring(2, "t^2"), ring(2, "t^2"), guard=tight)
 
 
 def test_default_guard_values():

@@ -14,8 +14,7 @@ def test_all_exports_only_public_names():
 
 def test_moved_oracle_names_stay_exported():
     from cpfq import oracle
-    for name in ("count_polyfn_literal", "deg_gcd_factorial",
-                 "exponent_identity_check", "factorial"):
+    for name in ("count_polyfn_literal", "deg_gcd_factorial", "factorial"):
         assert name in cpfq.__all__
         assert getattr(cpfq, name) is getattr(oracle, name)
 

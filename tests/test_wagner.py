@@ -9,9 +9,7 @@ import pytest
 
 from cpfq.counting import count_cpf_local
 from cpfq.guards import GuardExceeded, check_basis_tables
-from cpfq.oracle import (enumerate_cpf_rows, enumerate_cpf_tables,
-                         is_congruence_preserving, random_polynomial_function,
-                         random_table)
+from cpfq.oracle import enumerate_cpf_rows, is_congruence_preserving, random_table
 from cpfq.polyring import (index_to_poly, monic_irreducibles, parse,
                            poly_to_index, to_text, valuation)
 from cpfq.residue import FunctionTable, ResidueRing
@@ -25,7 +23,9 @@ from cpfq.wagner import (
     is_cpf_via_basis,
     mu,
 )
-from helpers import make_field, pol, ref_basis_table, ref_decompose, ring, table
+from helpers import (enumerate_cpf_tables, make_field, pol,
+                     random_polynomial_function, recompose, ref_basis_table,
+                     ref_decompose, ring, table)
 
 # the sweep set: three primes over F_2, two over F_3
 PRIMES = [(2, "t"), (2, "t+1"), (2, "t^2+t+1"), (3, "t"), (3, "t^2+1")]
@@ -246,7 +246,7 @@ def test_decompose_roundtrip_exhaustive():
     dom, cod = ring(2, "t^2"), ring(2, "t^2")
     for sig in all_tables(dom, cod):
         c = decompose(sig)
-        assert c.recompose(dom) == sig
+        assert recompose(c, dom) == sig
 
 
 def test_coefficient_space_roundtrip_exhaustive():
@@ -277,7 +277,7 @@ def test_decompose_roundtrip_random():
         for _ in range(40):
             vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
             sig = FunctionTable(dom, cod, vals)
-            assert decompose(sig).recompose(dom) == sig
+            assert recompose(decompose(sig), dom) == sig
 
 
 def test_decompose_roundtrip_extension_field():
@@ -287,7 +287,7 @@ def test_decompose_roundtrip_extension_field():
     for _ in range(20):
         vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
         sig = FunctionTable(dom, cod, vals)
-        assert decompose(sig).recompose(dom) == sig
+        assert recompose(decompose(sig), dom) == sig
 
 
 def test_decompose_proves_p_irreducible_once(monkeypatch):
@@ -523,7 +523,7 @@ def test_decompose_matches_poly_reference(cell):
             assert c.coefficients == tuple(coeffs)
             assert c.valuations == tuple(vals)
             assert c.cpf_failures() == failures
-            assert c.recompose(dom) == sig
+            assert recompose(c, dom) == sig
 
 
 @pytest.mark.parametrize("q,ptext,e,n", [
