@@ -15,14 +15,18 @@ from cpfq.guards import EnumerationGuard
 from cpfq.oracle import count_cpf_bruteforce
 from cpfq.polyring import parse
 
-# (engine, f, g): exhaustive walks |A_g|^|A_f| rows, so it gets the
-# smaller cell; backtracking prunes and can afford a deg-4 domain
+# (engine, q, f, g): exhaustive checks all |A_g|^|A_f| rows, so it gets
+# the smaller cells; backtracking walks only the valid prefixes of the
+# referenced positions and can afford a deg-4 domain, 3^21 tables at
+# q = 3, and 2^64 tables into an irreducible octic (no constraints)
 CELLS = [
-    ("exhaustive", "t^3", "t^3"),
-    ("exhaustive", "t^2", "t^4+t+1"),
-    ("backtracking", "t^3", "t^3"),
-    ("backtracking", "t^4", "t^3"),
-    ("backtracking", "t^4", "t^4+t^3"),
+    ("exhaustive", 2, "t^3", "t^3"),
+    ("exhaustive", 2, "t^2", "t^4+t+1"),
+    ("backtracking", 2, "t^3", "t^3"),
+    ("backtracking", 2, "t^4", "t^3"),
+    ("backtracking", 2, "t^4", "t^4+t^3"),
+    ("backtracking", 3, "t^2", "t^3"),
+    ("backtracking", 2, "t^3", "t^8+t^4+t^3+t+1"),
 ]
 
 GUARD = EnumerationGuard(max_functions=2 ** 70)
@@ -42,15 +46,15 @@ def main():
     ap.add_argument("--repeats", type=int, default=3)
     args = ap.parse_args()
 
-    F2 = field_make(2)
-    print(f"{'engine':<13} {'f':<5} {'g':<9} {'count':<7} {'time (s)':>10}")
-    for engine, ftext, gtext in CELLS:
-        f, g = parse(F2, ftext), parse(F2, gtext)
+    print(f"{'engine':<13} {'q':<2} {'f':<5} {'g':<16} {'count':<7} {'time (s)':>10}")
+    for engine, q, ftext, gtext in CELLS:
+        F = field_make(q)
+        f, g = parse(F, ftext), parse(F, gtext)
         expect = count_cpf(f, g)
         dt, got = best_of(args.repeats, lambda: count_cpf_bruteforce(
             f, g, engine=engine, guard=GUARD))
-        assert expect.equals_int(got), (engine, ftext, gtext, got)
-        print(f"{engine:<13} {ftext:<5} {gtext:<9} {str(expect):<7} {dt:>10.4f}")
+        assert expect.equals_int(got), (engine, q, ftext, gtext, got)
+        print(f"{engine:<13} {q:<2} {ftext:<5} {gtext:<16} {str(expect):<7} {dt:>10.4f}")
 
 
 if __name__ == "__main__":

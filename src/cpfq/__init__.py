@@ -21,8 +21,7 @@ from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
                        index_to_poly, is_irreducible, monic_divisors,
                        monic_irreducibles, parse, poly_to_index, to_text,
                        valuation, xgcd)
-from .residue import (FunctionTable, ResidueRing, crt_combine, crt_split,
-                      reduce_mod)
+from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 from .wagner import (BasisBatch, BasisCoefficients, BasisReport, CrtReport,
                      PSequence, crt_characterize, decompose, decompose_rows,
                      eval_Qk, is_cpf_via_basis, mu)
@@ -45,5 +44,5 @@ __all__ = [
     "is_chen_pair", "is_congruence_preserving", "is_cpf_via_basis",
     "is_irreducible", "is_self_chen", "monic_divisors", "monic_irreducibles",
     "mu", "parse", "poly_to_index", "polyfn_module", "random_table",
-    "reduce_mod", "squarefree_count", "to_text", "valuation", "xgcd",
+    "squarefree_count", "to_text", "valuation", "xgcd",
 ]

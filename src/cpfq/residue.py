@@ -126,11 +126,6 @@ class ResidueRing:
         return f"ResidueRing({to_text(self.modulus)!r})"
 
 
-def reduce_mod(h: Poly, g: Poly) -> Poly:
-    """Canonical representative of h mod g (deg g >= 1)."""
-    return ResidueRing(g).reduce(h)
-
-
 class FunctionTable:
     """A function A_f -> A_g tabulated on canonical representatives."""
 

@@ -56,21 +56,23 @@ class PSequence:
         self.p = p
         self.field = p.field
         self.d = p.degree
-        q = self.field.q
-        default = [index_to_poly(self.field, k) for k in range(q ** self.d)]
-        if base is None:
-            base = default
-        else:
-            base = list(base)
-            if sorted(poly_to_index(b) for b in base) != list(range(q ** self.d)):
+        # the default base (index order) is not listed: a domain of degree
+        # n < d reads only its first q^n entries, each by index_to_poly
+        order = None
+        if base is not None:
+            base = tuple(base)
+            order = tuple(poly_to_index(b) for b in base)
+            if sorted(order) != list(range(self.field.q ** self.d)):
                 raise ValueError("base must enumerate all polynomials of degree < d")
-            if base[0] != default[0] or base[1] != default[1]:
+            if order[:2] != (0, 1):
                 raise ValueError("base must start with 0, 1")
             degs = [len(b.coeffs) for b in base]
             if degs != sorted(degs):
                 raise ValueError("base degrees must be nondecreasing")
-        self.base = tuple(base)
-        self.key = (p, tuple(poly_to_index(b) for b in self.base))
+            if order == tuple(sorted(order)):
+                base = order = None
+        self._base = base
+        self.key = (p, order)
         self._powers = [Poly(self.field, [1])]
         self._domains: dict = {}
         self._lock = threading.Lock()
@@ -81,6 +83,15 @@ class PSequence:
 
     def __hash__(self):
         return hash(self.key)
+
+    def _digit(self, r: int) -> Poly:
+        """b_r for r < q^d."""
+        return index_to_poly(self.field, r) if self._base is None else self._base[r]
+
+    @property
+    def base(self) -> tuple:
+        """The base block b_0 .. b_{q^d - 1}."""
+        return tuple(self._digit(r) for r in range(self.field.q ** self.d))
 
     def _power(self, i: int) -> Poly:
         with self._lock:
@@ -96,7 +107,7 @@ class PSequence:
         out = Poly(self.field)
         i = 0
         while k:
-            out = out + self.base[k % step] * self._power(i)
+            out = out + self._digit(k % step) * self._power(i)
             k //= step
             i += 1
         return out

@@ -1,18 +1,21 @@
 """Shared shorthand for the test suite: field construction by size q,
-polynomial parsing, monic enumeration, the per-coefficient reference
-ring ops that the table-row arithmetic of `Poly` is checked against, the
-trial-division factorization that `factorize` is checked against, the
-Poly route of the basis decomposition that `decompose` is checked against,
-the hand-derived self-Chen closed forms that the Euler-product counts
-and density are checked against, and the oracle references that only
-the tests use: the all-pairs constraint encoding, decoded table lists,
-random polynomial functions, the members of the polynomial-function
-span, the digit-relabeled literal route and the exponent identity."""
+polynomial parsing, monic enumeration, reduction mod g, the
+per-coefficient reference ring ops that the table-row arithmetic of
+`Poly` is checked against, the trial-division factorization that
+`factorize` is checked against, the Poly route of the basis decomposition
+that `decompose` is checked against, the hand-derived self-Chen closed
+forms that the Euler-product counts and density are checked against, and
+the oracle references that only the tests use: the all-pairs constraint
+encoding, the odometer and full-depth counts that the `_kernels` counts
+are checked against, decoded table lists, random polynomial functions,
+the members of the polynomial-function span, the digit-relabeled literal
+route and the exponent identity."""
 
 from fractions import Fraction
 
 import numpy as np
 
+from cpfq import _kernels
 from cpfq.counting import QExponent
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
@@ -51,6 +54,11 @@ def monic_upto(field, max_degree, min_degree=1):
 
 def ring(q, text):
     return ResidueRing(pol(q, text))
+
+
+def reduce_mod(h, g):
+    """Canonical representative of h mod g (deg g >= 1)."""
+    return ResidueRing(g).reduce(h)
 
 
 def table(domain, codomain, fn):
@@ -229,6 +237,11 @@ def recompose(coeffs, domain):
 
 
 # ------------------------------------------- oracle references
+# the enumeration cells of the acceptance grid
+GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
+              for gtext in ("t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2")]
+
+
 def ref_encode_cp_problem(domain, codomain):
     """The all-pairs encoding: every pair i < j of a class of A_f mod each
     divisor h, with one table of labels index(a_k mod h) over the larger
@@ -260,6 +273,42 @@ def ref_encode_cp_problem(domain, codomain):
                      np.asarray(src, dtype=np.int64),
                      np.asarray(div, dtype=np.int64),
                      labels[:, :codomain.size])
+
+
+def ref_count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """The odometer count: every one of the C^D rows, in chunks of
+    _kernels._CHUNK, as D digit arrays checked constraint by constraint."""
+    total = C ** D
+    count = 0
+    flat = [(j, cons_src[c], cons_div[c])
+            for j in range(D) for c in range(cons_ptr[j], cons_ptr[j + 1])]
+    for start in range(0, total, _kernels._CHUNK):
+        idx = np.arange(start, min(start + _kernels._CHUNK, total), dtype=np.int64)
+        digits = [(idx // C ** j) % C for j in range(D)]
+        valid = np.ones(idx.shape[0], dtype=bool)
+        for j, i, h in flat:
+            valid &= cod_class[h][digits[j]] == cod_class[h][digits[i]]
+        count += int(valid.sum())
+    return count
+
+
+def ref_count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """The full-depth count: every valid prefix is walked depth-first in
+    blocks of about _kernels._CHUNK // C, and the last position counted."""
+    args = (C, cons_ptr, cons_src, cons_div, cod_class)
+    block = max(1, _kernels._CHUNK // C)
+    count = 0
+    stack = [(0, np.zeros((1, 0), dtype=np.int64))]
+    while stack:
+        j, rows = stack.pop()
+        mask = _kernels._extend(rows, j, *args)
+        if j == D - 1:
+            count += int(mask.sum())
+            continue
+        grown = _kernels._grow(rows, mask)
+        for start in range(0, grown.shape[0], block):
+            stack.append((j + 1, grown[start:start + block]))
+    return count
 
 
 def enumerate_cpf_tables(f, g, guard=DEFAULT_GUARD):

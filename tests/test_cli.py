@@ -628,6 +628,35 @@ def test_basis_check_of_every_enumerated_table_is_batched():
     assert obj["cp_tables"] == 2 ** 18 and obj["match"]
 
 
+def test_backtracking_counts_past_the_referenced_prefix():
+    # 3^21 CP tables of 27^9 = 3^27: only the 27^3 prefixes of the three
+    # referenced positions are walked
+    out = run_cli_process("verify", "--q", "3", "--what", "cpf-count",
+                          "--f", "t^2", "--g", "t^3", "--engine", "backtracking",
+                          "--guard-functions", "10000000000000")
+    assert out.returncode == 0, out.stderr
+    assert '"oracle": 10460353203, "match": true' in out.stdout
+
+
+def test_characterize_reads_only_the_base_block_it_needs(tmp_path):
+    # t^12+t has two irreducible factors of degree 5 over F_16: their base
+    # blocks hold 2^20 polynomials each, of which a domain of degree 2
+    # reads 2^8
+    from cpfq.field import field_make
+    from cpfq.polyring import parse
+    from cpfq.residue import FunctionTable, ResidueRing
+
+    F = field_make(2, 4)
+    g = parse(F, "t^12+t")
+    dom, cod = ResidueRing(parse(F, "t^2")), ResidueRing(g)
+    path = tmp_path / "sigma.json"
+    path.write_text(FunctionTable.from_callable(dom, cod, lambda h: h % g).to_json())
+    out = run_cli_process("characterize", "--p", "2", "--m", "4", "--f", "t^2",
+                          "--g", "t^12+t", "--sigma", str(path), timeout=6)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["cpf"] is True
+
+
 def test_parse_degree_bound(capsys):
     from cpfq.polyring import MAX_PARSE_DEGREE
     code, out, err = run_cli(capsys, "chen", "--q", "2", "--f",

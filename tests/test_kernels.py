@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from cpfq import _kernels
-from cpfq.oracle import encode_cp_problem
-from helpers import ring
+from cpfq.counting import count_cpf
+from cpfq.guards import EnumerationGuard
+from cpfq.oracle import count_cpf_bruteforce, encode_cp_problem
+from helpers import (GRID_CELLS, pol, ref_count_backtracking,
+                     ref_count_exhaustive, ring)
+
+CELLS = [(2, "t^2", "t^2"), (2, "t^2", "t^3+t"), (2, "t^3", "t^2"),
+         (3, "t", "t^2"), (3, "t^2", "t"), (4, "t", "t^2+ut")]
 
 
-def problems():
-    cells = [(2, "t^2", "t^2"), (2, "t^2", "t^3+t"), (2, "t^3", "t^2"),
-             (3, "t", "t^2"), (3, "t^2", "t"), (4, "t", "t^2+ut")]
+def problems(cells=CELLS):
     for (q, ftext, gtext) in cells:
         yield encode_cp_problem(ring(q, ftext), ring(q, gtext))
 
@@ -31,6 +35,29 @@ def test_engines_agree_with_each_other(monkeypatch, chunk):
     for pr in problems():
         assert (_kernels.count_backtracking(*_args(pr))
                 == _kernels.count_exhaustive(*_args(pr)))
+
+
+@pytest.mark.parametrize("chunk", [_kernels._CHUNK, 16], ids=["full", "small"])
+def test_counts_equal_the_odometer_and_full_depth_references(monkeypatch, chunk):
+    # the broadcast exhaustive count against the odometer over every row,
+    # and the count split at the referenced prefix against the walk to
+    # full depth, on these cells and the acceptance grid's
+    monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+    for pr in problems(CELLS + GRID_CELLS):
+        args = _args(pr)
+        assert _kernels.count_exhaustive(*args) == ref_count_exhaustive(*args)
+        assert _kernels.count_backtracking(*args) == ref_count_backtracking(*args)
+
+
+def test_count_backtracking_past_int64():
+    # t^3 -> an irreducible octic over F_2: no divisor of g has degree < 3,
+    # so all 256^8 = 2^64 tables preserve congruences; the count and each
+    # prefix's product of 256^7 pass int64 (neither reference reaches it)
+    f, g = pol(2, "t^3"), pol(2, "t^8+t^4+t^3+t+1")
+    count = count_cpf_bruteforce(f, g, engine="backtracking",
+                                 guard=EnumerationGuard(max_functions=2 ** 70))
+    assert count == 2 ** 64
+    assert count_cpf(f, g).equals_int(count)
 
 
 def test_enumerate_returns_exactly_the_rows():

@@ -25,8 +25,8 @@ from cpfq.oracle import (
 )
 from cpfq.polyring import index_to_poly, to_text
 from cpfq.residue import FunctionTable, ResidueRing
-from helpers import (apply_coeff_poly, enumerate_cpf_tables, make_field,
-                     monic_polys, monic_upto, pol, polyfn_members,
+from helpers import (GRID_CELLS, apply_coeff_poly, enumerate_cpf_tables,
+                     make_field, monic_polys, monic_upto, pol, polyfn_members,
                      random_polynomial_function, ref_encode_cp_problem, ring,
                      table)
 
@@ -129,10 +129,6 @@ def _triples(prob):
     return [(j, int(prob.cons_src[c]), int(prob.cons_div[c]))
             for j in range(prob.domain.size)
             for c in range(prob.cons_ptr[j], prob.cons_ptr[j + 1])]
-
-
-GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
-              for gtext in ("t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2")]
 
 
 @pytest.mark.parametrize("q, ftext, gtext", list(ENCODED_CELLS) + GRID_CELLS)

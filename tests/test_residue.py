@@ -13,9 +13,8 @@ from cpfq.residue import (
     ResidueRing,
     crt_combine,
     crt_split,
-    reduce_mod,
 )
-from helpers import make_field, pol, ring, table
+from helpers import make_field, pol, reduce_mod, ring, table
 
 
 def test_reduce_canonical():

@@ -560,8 +560,11 @@ def test_basis_context_cache_is_bounded_and_keyed_by_sequence():
     seq = PSequence(P)
     assert seq is not wagner._default_sequence(P)
     assert wagner._context(seq, 2, 1) is wagner._context(wagner._default_sequence(P), 2, 1)
-    # the key holds the base block: another base gets its own context
+    # so does one given the index-order base block explicitly
     P2 = pol(2, "t^2+t+1")
+    assert [poly_to_index(b) for b in PSequence(P2).base] == [0, 1, 2, 3]
+    assert PSequence(P2, base=PSequence(P2).base).key == PSequence(P2).key
+    # the key holds the base block: another base gets its own context
     assert wagner._context(alt_sequence(P2), 2, 1) is not wagner._context(PSequence(P2), 2, 1)
 
 
