@@ -18,7 +18,7 @@ import time
 
 from . import chen, counting, oracle, wagner
 from .field import field_make
-from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded
+from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded, check_samples
 from .polyring import ParseError, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
@@ -262,6 +262,11 @@ def _verify_basis(args, field, guard, f, g):
     dom, cod = ResidueRing(f), ResidueRing(g)
     if len(cod.factorization.factors) != 1:
         raise ValueError("verify --what basis needs a prime power --g")
+    # the enumeration's own guards first, so that the samples are refused
+    # before any work and every earlier refusal keeps its message
+    guard.check_degrees(f, g)
+    guard.check_total_functions(dom.size, cod.size)
+    check_samples(field.q, f.degree, args.samples)
     rows = oracle.enumerate_cpf_rows(dom, cod, guard=guard)
     all_cp_pass = bool(wagner.decompose_rows(rows, cod, f.degree).is_cpf().all())
     rng = random.Random(args.seed)
@@ -279,6 +284,7 @@ def _verify_basis(args, field, guard, f, g):
 def _verify_crt(args, field, guard, f, g):
     guard.check_degrees(f, g)
     guard.check_domain_pairs(f)
+    check_samples(field.q, f.degree, args.samples)
     rng = random.Random(args.seed)
     dom, cod = ResidueRing(f), ResidueRing(g)
     roundtrip_ok = True

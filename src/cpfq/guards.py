@@ -23,6 +23,10 @@ LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
 # enumeration within max_functions = 2^20 never reaches it (C^D <= 2^20
 # with |A_f| = D >= 2 gives C^2 <= 2^20)
 BASIS_TABLE_LOG2 = 20    # on |A_{P^e}|^2
+# the random tables of verify --what crt and basis: every value drawn is
+# split, checked and (crt) combined; the default 200 samples pass at the
+# largest |A_f| = 2^10 of the domain pair bound (2^17.64)
+SAMPLES_LOG2 = 18        # on samples * |A_f|
 
 
 class GuardExceeded(ValueError):
@@ -64,6 +68,12 @@ def check_literal(q: int, n: int, deg_g: int):
     check_power("literal path", "q^(deg f)", q, n, 2 ** LITERAL_SIZE_LOG2)
     check_power("literal path", "q^(2 deg f) * deg g", q, 2 * n,
                 2 ** LITERAL_WORK_LOG2, factor=deg_g)
+
+
+def check_samples(q: int, n: int, samples: int):
+    if samples:
+        check_power("sampled values", "samples * |A_f|", q, n, 2 ** SAMPLES_LOG2,
+                    factor=samples)
 
 
 def check_basis_tables(q: int, degree: int):

@@ -20,9 +20,8 @@ from .counting import QExponent, _require_pair
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
-                       _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly,
-                       poly_to_index)
-from .residue import FunctionTable, ResidueRing
+                       _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly)
+from .residue import ColumnMap, FunctionTable, ResidueRing
 
 
 # ---------------------------------------------------- definitional check
@@ -184,7 +183,9 @@ class PolyFnModule:
     is the stopping proof that all monomials are covered (or until the
     span is already the full function space, which is stronger).
     Functions are encoded as F_p vectors of length |A_f| * deg g * m,
-    and membership is reduction against a reduced-row-echelon basis."""
+    and membership is reduction against a reduced-row-echelon basis.
+    While building, values are coefficient lists: multiplication by t mod
+    g is a ColumnMap, by u in F_q a scalar on each coefficient."""
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing,
                  guard: EnumerationGuard = DEFAULT_GUARD):
@@ -199,45 +200,56 @@ class PolyFnModule:
         self.length = domain.size * self._degg * self._m
         self._pivots: dict = {}
         g = codomain.modulus
-        reps = domain.elements()
-        t = Poly(field, [0, 1])
-        u = Poly(field, [field.from_coeffs([0, 1])]) if field.m > 1 else None
-        monomial = [Poly(field, [1]) % g for _ in reps]
+        dg = self._degg
+        reps = [r.coeffs for r in domain.elements()]
+        add, mul = field._add, field._mul
+        times_t = ColumnMap(dg, g, lambda v: v.shift(1))
+        high = ColumnMap(domain.modulus.degree - 1, g, lambda v: v.shift(dg))
+        u_row = mul[field.from_coeffs([0, 1])] if field.m > 1 else None
+
+        def times_rep(v, r):
+            """v r mod g: the schoolbook product, its terms from t^(deg g)
+            on folded back by `high`."""
+            prod = [0] * (dg + len(r))  # one spare slot: r = 0 leaves dg
+            for i, a in enumerate(v):
+                if a:
+                    row = mul[a]
+                    for k, b in enumerate(r, i):
+                        prod[k] = add[prod[k]][row[b]]
+            return high.add_into(prod[:dg], prod[dg:])
+
+        monomial = [[1] + [0] * (dg - 1) for _ in reps]
         seen = set()
         self.n_monomials = 0
         while True:
             if len(self._pivots) == self.length:
                 break
-            key = tuple(poly_to_index(v) for v in monomial)
+            key = tuple(map(tuple, monomial))
             if key in seen:
                 break
             seen.add(key)
             self.n_monomials += 1
             # all A_g-scalar multiples of this monomial, via an F_p basis of A_g
-            scaled_a = list(monomial)
-            for _ in range(self._degg):
-                scaled_b = list(scaled_a)
+            scaled_a = monomial
+            for _ in range(dg):
+                scaled_b = scaled_a
                 for _ in range(self._m):
                     self._add_row(self._encode_values(scaled_b))
-                    if field.m > 1:
-                        scaled_b = [(v * u) % g for v in scaled_b]
-                scaled_a = [(v * t) % g for v in scaled_a]
-            monomial = [(v * r) % g for v, r in zip(monomial, reps)]
+                    if u_row is not None:
+                        scaled_b = [[u_row[c] for c in v] for v in scaled_b]
+                scaled_a = [times_t.add_into([0] * dg, v) for v in scaled_a]
+            monomial = [times_rep(v, r) for v, r in zip(monomial, reps)]
 
     def _encode_values(self, values) -> np.ndarray:
+        """The F_p vector of a table given by its values' coefficients."""
         import numpy as np
 
-        field = self.domain.field
-        out = np.zeros(self.length, dtype=np.int64)
-        pos = 0
-        for v in values:
-            cs = v.coeffs
-            for a in range(self._degg):
-                idx = cs[a] if a < len(cs) else 0
-                for coord in field.coeffs_of(idx):
-                    out[pos] = coord
-                    pos += 1
-        return out
+        coords, dg = self.domain.field._coords, self._degg
+        out = []
+        for cs in values:
+            for a in range(dg):
+                out.extend(coords[cs[a] if a < len(cs) else 0])
+        return np.array(out, dtype=np.int64)
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
         vec = vec % self.p
@@ -275,7 +287,7 @@ class PolyFnModule:
     def contains(self, sigma: FunctionTable) -> bool:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
-        vec = self._reduce(self._encode_values(list(sigma.values)))
+        vec = self._reduce(self._encode_values([v.coeffs for v in sigma.values]))
         return not vec.any()
 
 

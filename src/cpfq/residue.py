@@ -135,10 +135,11 @@ class FunctionTable:
         values = tuple(values)
         if len(values) != domain.size:
             raise ValueError(f"expected {domain.size} values, got {len(values)}")
+        field, width = codomain.field, codomain.modulus.degree
         for v in values:
-            if not isinstance(v, Poly) or v.field != codomain.field:
+            if not isinstance(v, Poly) or v.field != field:
                 raise ValueError("values must be codomain polynomials")
-            if poly_to_index(v) >= codomain.size:
+            if len(v.coeffs) > width:  # degree >= deg g
                 raise ValueError("value is not a canonical codomain representative")
         self.domain = domain
         self.codomain = codomain
@@ -248,28 +249,78 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
     return field
 
 
+# ------------------------------------------------------ linear column maps
+class ColumnMap:
+    """An F_q-linear map into A_g, kept as the images of t^j.
+
+    columns[j] is the coefficient tuple, padded to deg g, of image(t^j) mod
+    g for each j below the source degree; the images are computed once
+    with Poly ops.  A value with coefficients cs (at most one per column)
+    then maps to sum_j cs[j] columns[j]: deg_in * deg_out lookups in the
+    field's tables, with no Poly ring op and no table over A_g, so one
+    map serves every size of ring."""
+
+    __slots__ = ("field", "width", "columns")
+
+    def __init__(self, degree: int, target: Poly, image):
+        field = target.field
+        self.field = field
+        self.width = target.degree
+        cols = []
+        for j in range(degree):
+            cs = (image(Poly(field, [1]).shift(j)) % target).coeffs
+            cols.append(cs + (0,) * (self.width - len(cs)))
+        self.columns = tuple(cols)
+
+    def add_into(self, out: list, cs) -> list:
+        """out += the image of the value with coefficients cs, in place."""
+        add, mul = self.field._add, self.field._mul
+        for c, col in zip(cs, self.columns):
+            if c:
+                row = mul[c]
+                for k, x in enumerate(col):
+                    if x:
+                        out[k] = add[out[k]][row[x]]
+        return out
+
+    def __call__(self, v: Poly) -> Poly:
+        return Poly._new(self.field, self.add_into([0] * self.width, v.coeffs))
+
+
 # ---------------------------------------------------------------- CRT
+@lru_cache(maxsize=16)
+def _reduction_map(degree: int, modulus: Poly) -> ColumnMap:
+    """h -> h mod modulus on the residues of degree < `degree`."""
+    return ColumnMap(degree, modulus, lambda h: h)
+
+
 def crt_split(sigma: FunctionTable) -> list:
     """One table per prime power P_i^{e_i} of the codomain modulus, each
     value reduced into A_{P_i^{e_i}}."""
-    return [FunctionTable(sigma.domain, ring, [ring.reduce(v) for v in sigma.values])
-            for ring in sigma.codomain.prime_powers]
+    degree = sigma.codomain.modulus.degree
+    out = []
+    for ring in sigma.codomain.prime_powers:
+        reduce = _reduction_map(degree, ring.modulus)
+        out.append(FunctionTable(sigma.domain, ring, map(reduce, sigma.values)))
+    return out
 
 
 @lru_cache(maxsize=16)
 def _crt_idempotents(g: Poly, moduli: tuple) -> tuple:
-    """(A_g, the e_i with e_i = 1 mod moduli[i] and 0 mod the others),
+    """(A_g, for each moduli[i] the map v -> v e_i mod g), where e_i = 1
 
-    kept per modulus: the xgcds run once for every combine into A_g."""
+    mod moduli[i] and 0 mod the others: kept per modulus, so the xgcds
+    run once for every combine into A_g."""
     ring = ResidueRing(g)
-    basis = []
+    maps = []
     for pe in moduli:
         m_i = g.monic() // pe
         gg, x, _ = xgcd(m_i, pe)
         if gg.degree != 0:
             raise ValueError("prime power moduli must be pairwise coprime")
-        basis.append(ring.reduce(m_i * x))
-    return ring, tuple(basis)
+        e_i = ring.reduce(m_i * x)
+        maps.append(ColumnMap(pe.degree, g, lambda v, e_i=e_i: v * e_i))
+    return ring, tuple(maps)
 
 
 def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
@@ -302,11 +353,11 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
         if (modulus.monic() != g):
             raise ValueError("modulus does not match the prime power moduli")
         g = modulus
-    ring, basis = _crt_idempotents(g, tuple(pe for _, pe in parts))
+    ring, maps = _crt_idempotents(g, tuple(pe for _, pe in parts))
     values = []
-    for i in range(domain.size):
-        acc = Poly(field)
-        for (tb, _), b in zip(parts, basis):
-            acc = ring.add(acc, ring.mul(tb.values[i], b))
-        values.append(acc)
+    for vs in zip(*(tb.values for tb, _ in parts)):
+        acc = [0] * g.degree
+        for lift, v in zip(maps, vs):
+            lift.add_into(acc, v.coeffs)
+        values.append(Poly._new(field, acc))
     return FunctionTable(domain, ring, values)

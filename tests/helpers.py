@@ -4,8 +4,10 @@ per-coefficient reference ring ops that the table-row arithmetic of
 `Poly` is checked against, the trial-division factorization that
 `factorize` is checked against, the Poly route of the basis decomposition
 that `decompose` is checked against, the hand-derived self-Chen closed
-forms that the Euler-product counts and density are checked against, and
-the oracle references that only the tests use: the all-pairs constraint
+forms that the Euler-product counts and density are checked against, the
+Poly-op CRT split and combine and polynomial-function span that the
+`residue.ColumnMap` routes are checked against, and the oracle
+references that only the tests use: the all-pairs constraint
 encoding, the odometer and full-depth counts that the `_kernels` counts
 are checked against, decoded table lists, random polynomial functions,
 the members of the polynomial-function span, the digit-relabeled literal
@@ -19,8 +21,10 @@ from cpfq import _kernels
 from cpfq.counting import QExponent
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
-from cpfq.oracle import CpProblem, _squarefree_test, enumerate_cpf_rows
-from cpfq.polyring import Poly, gcd, index_to_poly, parse, poly_to_index, valuation
+from cpfq.oracle import (CpProblem, PolyFnModule, _squarefree_test,
+                         enumerate_cpf_rows)
+from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index, valuation,
+                           xgcd)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import _context, eval_Qk, floor_log, mu
 
@@ -240,6 +244,65 @@ def recompose(coeffs, domain):
 # the enumeration cells of the acceptance grid
 GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
               for gtext in ("t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2")]
+
+
+# ------------------------------------------- residue map references
+def ref_crt_split(sigma):
+    """crt_split by one Poly reduction per value."""
+    return [FunctionTable(sigma.domain, ring, [ring.reduce(v) for v in sigma.values])
+            for ring in sigma.codomain.prime_powers]
+
+
+def ref_crt_combine(tables, modulus):
+    """crt_combine into A_modulus by Poly ring ops: sum_i v_i e_i mod g,
+
+    each e_i = 1 mod its prime power and 0 mod the others by one xgcd."""
+    ring = ResidueRing(modulus)
+    acc = [Poly(ring.field)] * tables[0].domain.size
+    for tb in tables:
+        pe = tb.codomain.modulus
+        m_i = modulus.monic() // pe
+        _, x, _ = xgcd(m_i, pe)
+        e_i = ring.reduce(m_i * x)
+        acc = [ring.add(a, ring.mul(v, e_i)) for a, v in zip(acc, tb.values)]
+    return FunctionTable(tables[0].domain, ring, acc)
+
+
+class RefPolyFnModule(PolyFnModule):
+    """PolyFnModule with its generators built by Poly ring ops: each
+    monomial table, its multiples by t and by u, every value reduced mod g.
+    A row space has one reduced echelon basis, so both builds must end
+    with the same pivot rows."""
+
+    def __init__(self, domain, codomain):
+        field = domain.field
+        self.domain, self.codomain = domain, codomain
+        self.p, self._m = field.p, field.m
+        self._degg = codomain.modulus.degree
+        self.length = domain.size * self._degg * self._m
+        self._pivots = {}
+        g = codomain.modulus
+        reps = domain.elements()
+        t = Poly(field, [0, 1])
+        u = Poly(field, [field.from_coeffs([0, 1])]) if field.m > 1 else None
+        monomial = [Poly(field, [1]) % g for _ in reps]
+        seen = set()
+        self.n_monomials = 0
+        while len(self._pivots) < self.length:
+            key = tuple(poly_to_index(v) for v in monomial)
+            if key in seen:
+                break
+            seen.add(key)
+            self.n_monomials += 1
+            scaled_a = list(monomial)
+            for _ in range(self._degg):
+                scaled_b = list(scaled_a)
+                for _ in range(self._m):
+                    self._add_row(self._encode_values([v.coeffs for v in scaled_b]))
+                    if u is not None:
+                        scaled_b = [(v * u) % g for v in scaled_b]
+                scaled_a = [(v * t) % g for v in scaled_a]
+            monomial = [(v * r) % g for v, r in zip(monomial, reps)]
 
 
 def ref_encode_cp_problem(domain, codomain):

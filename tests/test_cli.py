@@ -386,14 +386,31 @@ GUARD_MESSAGE = re.compile(
     ("count-poly --literal --q 7 --f t^3 --g t^72+t+1",
      "literal path guarded to q^(2 deg f) * deg g <= 2^23, "
      "got 7^6 * 72 = 2^23.01"),
+    ("verify --q 2 --what crt --f t --g t --samples 1000000000000",
+     "sampled values guarded to samples * |A_f| <= 2^18, "
+     "got 2^1 * 1000000000000 = 2^40.86"),
+    ("verify --q 2 --what basis --f t^2 --g t --samples 65537",
+     "sampled values guarded to samples * |A_f| <= 2^18, got 2^2 * 65537 = 2^18.00"),
 ], ids=["field-size", "field-power", "degree", "degree-flag", "table-count",
         "table-count-flag", "domain-pairs", "basis-tables", "enumerate", "census",
-        "density", "density-huge", "literal-size", "literal-work"])
+        "density", "density-huge", "literal-size", "literal-work", "samples-crt",
+        "samples-basis"])
 def test_size_refusals_carry_the_guard_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
     assert json.loads(err) == {"error": message, "guard": True}
     assert GUARD_MESSAGE.fullmatch(message)
+
+
+def test_samples_bound_admits_the_default_at_the_largest_domain():
+    # the domain pair bound admits |A_f| up to 2^10, where 200 samples
+    # draw 2^17.64 values
+    from cpfq.guards import GuardExceeded, check_samples
+
+    for samples in (0, 1, 200, 256):
+        check_samples(2, 10, samples)
+    with pytest.raises(GuardExceeded):
+        check_samples(2, 10, 257)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -614,6 +631,15 @@ def test_samples_of_a_huge_codomain_never_list_it(gtext):
     # values by residue index, without listing A_g
     out = run_cli_process("verify", "--p", "2", "--m", "4", "--what", "crt",
                           "--f", "t", "--g", gtext, "--samples", "1", timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["match"] is True
+
+
+def test_crt_check_maps_values_by_columns():
+    # 200 tables of 2^10 values split into A_t and A_{(t+1)^4} and combined
+    # back by column maps (6.5 s with one Poly reduction or product per value)
+    out = run_cli_process("verify", "--q", "2", "--what", "crt", "--f", "t^10",
+                          "--g", "t^5+t", timeout=5)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["match"] is True
 

@@ -25,10 +25,10 @@ from cpfq.oracle import (
 )
 from cpfq.polyring import index_to_poly, to_text
 from cpfq.residue import FunctionTable, ResidueRing
-from helpers import (GRID_CELLS, apply_coeff_poly, enumerate_cpf_tables,
-                     make_field, monic_polys, monic_upto, pol, polyfn_members,
-                     random_polynomial_function, ref_encode_cp_problem, ring,
-                     table)
+from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly,
+                     enumerate_cpf_tables, make_field, monic_polys, monic_upto,
+                     pol, polyfn_members, random_polynomial_function,
+                     ref_encode_cp_problem, ring, table)
 
 
 # ----------------------------------------------------------- the checker
@@ -217,6 +217,30 @@ def test_formula_vs_oracle_extension_field():
         g = pol(4, gtext)
         assert count_cpf(f, g).equals_int(count_cpf_bruteforce(f, g))
         assert count_polyfn(f, g).equals_int(polyfn_module(f, g).size)
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    (4, "t^2", "t^2+ut"),    # t (t+u)
+    (4, "t^2", "t^3+t"),     # t (t+1)^2
+    (9, "t^2", "t^2+t"),     # t (t+1)
+    (9, "t^2", "t^3+t^2"),   # t^2 (t+1)
+])
+def test_span_over_extension_fields_matches_the_poly_reference(q, ftext, gtext):
+    # the u-scaled generators exist only for m > 1: the column-map span
+    # has the closed-form size and the reduced basis of the Poly-op span
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    mod = polyfn_module(dom.modulus, cod.modulus)
+    ref = RefPolyFnModule(dom, cod)
+    assert count_polyfn(dom.modulus, cod.modulus).equals_int(mod.size)
+    assert mod.n_monomials == ref.n_monomials
+    assert sorted(mod._pivots) == sorted(ref._pivots)
+    assert all(np.array_equal(row, ref._pivots[piv]) for piv, row in mod._pivots.items())
+    rng = random.Random(q)
+    for _ in range(10):
+        member = random_polynomial_function(dom, cod, rng)
+        assert mod.contains(member) and ref.contains(member)
+        sig = random_table(dom, cod, rng)
+        assert mod.contains(sig) == ref.contains(sig)
 
 
 def test_frozen_oracle_counts():

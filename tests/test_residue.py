@@ -1,20 +1,25 @@
 """Residue ring reduction, function tables with their JSON form, and the
 CRT split/combine pair."""
 
+import itertools
 import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpfq.field import field_make
 from cpfq.polyring import NEG_INF, Poly, parse, to_text, xgcd
 from cpfq.residue import (
+    ColumnMap,
     FunctionTable,
     ResidueRing,
     crt_combine,
     crt_split,
 )
-from helpers import make_field, pol, reduce_mod, ring, table
+from helpers import (GRID_CELLS, make_field, pol, reduce_mod, ref_crt_combine,
+                     ref_crt_split, ring, table)
 
 
 def test_reduce_canonical():
@@ -198,6 +203,59 @@ def test_crt_combine_keeps_the_idempotents_per_modulus(monkeypatch):
         sig = FunctionTable(dom, cod, vals)
         assert crt_combine(crt_split(sig), modulus=cod.modulus) == sig
         assert len(calls) == 2  # one per prime power, on the first combine
+
+
+# the column maps of crt_split and crt_combine against the Poly-op routes
+def _check_crt_against_references(sig):
+    parts = crt_split(sig)
+    assert parts == ref_crt_split(sig)
+    g = sig.codomain.modulus
+    assert crt_combine(parts, modulus=g) == ref_crt_combine(parts, g) == sig
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    cell for cell in GRID_CELLS if cell[2] in ("t^2+t", "t^3+t^2")])
+def test_crt_maps_match_poly_references_on_every_grid_table(q, ftext, gtext):
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    for combo in itertools.product(cod.elements(), repeat=dom.size):
+        _check_crt_against_references(FunctionTable(dom, cod, combo))
+
+
+def test_crt_maps_match_poly_references_non_monic_modulus():
+    # 1000 of the 27^3 tables A_t -> A_g over F_3, g = 2 t (t^2+1) given
+    # as the modulus
+    rng = random.Random(41)
+    dom, cod = ring(3, "t"), ResidueRing(pol(3, "2t^3+2t"))
+    for _ in range(1000):
+        vals = [cod.element(rng.randrange(cod.size)) for _ in range(dom.size)]
+        _check_crt_against_references(FunctionTable(dom, cod, vals))
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    (4, "t", "t^3+t"),       # t (t+1)^2
+    (4, "t^2", "t^2+ut"),    # t (t+u)
+    (9, "t", "t^3+t"),       # t (t-i) (t+i), i^2 = -1
+    (9, "t", "t^3+t^2"),     # t^2 (t+1)
+])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_crt_maps_match_poly_references_over_extension_fields(q, ftext, gtext, data):
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    idx = data.draw(st.lists(st.integers(0, cod.size - 1),
+                             min_size=dom.size, max_size=dom.size))
+    _check_crt_against_references(FunctionTable(dom, cod, map(cod.element, idx)))
+
+
+@pytest.mark.parametrize("q,gtext,htext", [
+    (2, "t^4+t^3", "t^3+t+1"), (3, "2t^3+2t", "t^2+2"), (9, "ut^2+1", "t^3+ut")])
+def test_column_map_applies_a_product_mod_g(q, gtext, htext):
+    # v -> v h mod g on every residue of degree < 3, by columns and by Poly ops
+    g, h = pol(q, gtext), pol(q, htext)
+    times_h = ColumnMap(3, g, lambda v: v * h)
+    assert len(times_h.columns) == 3
+    assert all(len(col) == g.degree for col in times_h.columns)
+    for v in ring(q, "t^3").elements():
+        assert times_h(v) == v * h % g
 
 
 def test_crt_combine_errors():
