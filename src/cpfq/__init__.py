@@ -18,31 +18,28 @@ from .oracle import (CpCheck, PolyFnModule,
                      is_congruence_preserving, polyfn_module, random_table)
 from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
                        enumerate_residues, factor_shape, factorize, gcd,
-                       index_to_poly, is_irreducible, monic_divisors,
-                       monic_irreducibles, parse, poly_to_index, to_text,
-                       valuation, xgcd)
+                       index_to_poly, is_irreducible, monic_irreducibles,
+                       parse, poly_to_index, to_text, valuation, xgcd)
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
-from .wagner import (BasisBatch, BasisCoefficients, BasisReport, CrtReport,
-                     PSequence, crt_characterize, decompose, decompose_rows,
-                     eval_Qk, is_cpf_via_basis, mu)
+from .wagner import (BasisBatch, BasisCoefficients, PSequence, decompose,
+                     decompose_rows, eval_Qk, mu)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisBatch", "BasisCoefficients", "BasisReport", "ChenVerdict", "CpCheck",
-    "CrtReport", "DensityReport", "EnumerationGuard", "Factorization",
-    "FieldSpec", "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence",
-    "ParseError", "Poly", "PolyFnModule", "QExponent", "ResidueRing",
-    "census_self_chen", "census_squarefree", "chen_self_count",
-    "count_cpf", "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
-    "count_polyfn_literal", "count_polyfn_local", "crt_characterize",
-    "crt_combine", "crt_split", "decompose", "decompose_rows",
-    "deg_gcd_factorial", "degree_n_polys", "density_empirical",
-    "density_exact", "encode_cp_problem", "enumerate_cpf_rows",
-    "enumerate_residues", "eval_Qk", "factor_shape", "factorial", "factorize",
-    "field_make", "gamma", "gamma_prime_power", "gcd", "index_to_poly",
-    "is_chen_pair", "is_congruence_preserving", "is_cpf_via_basis",
-    "is_irreducible", "is_self_chen", "monic_divisors", "monic_irreducibles",
-    "mu", "parse", "poly_to_index", "polyfn_module", "random_table",
-    "squarefree_count", "to_text", "valuation", "xgcd",
+    "BasisBatch", "BasisCoefficients", "ChenVerdict", "CpCheck",
+    "DensityReport", "EnumerationGuard", "Factorization", "FieldSpec",
+    "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence", "ParseError",
+    "Poly", "PolyFnModule", "QExponent", "ResidueRing", "census_self_chen",
+    "census_squarefree", "chen_self_count", "count_cpf",
+    "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
+    "count_polyfn_literal", "count_polyfn_local", "crt_combine", "crt_split",
+    "decompose", "decompose_rows", "deg_gcd_factorial", "degree_n_polys",
+    "density_empirical", "density_exact", "encode_cp_problem",
+    "enumerate_cpf_rows", "enumerate_residues", "eval_Qk", "factor_shape",
+    "factorial", "factorize", "field_make", "gamma", "gamma_prime_power",
+    "gcd", "index_to_poly", "is_chen_pair", "is_congruence_preserving",
+    "is_irreducible", "is_self_chen", "monic_irreducibles", "mu", "parse",
+    "poly_to_index", "polyfn_module", "random_table", "squarefree_count",
+    "to_text", "valuation", "xgcd",
 ]

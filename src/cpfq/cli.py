@@ -171,14 +171,13 @@ def _cmd_decompose(args):
     if args.e * p.degree != g.degree or (p ** args.e).monic() != g.monic():
         raise ValueError("function table codomain modulus is not P^e")
     _guard_from_args(args).check_domain_pairs(f)
-    report = wagner.is_cpf_via_basis(sigma)
-    co = report.coefficients
+    co = wagner.decompose(sigma)
     return {
         "q": field.q, "f": to_text(f), "P": to_text(p), "e": args.e,
         "coefficients": [to_text(c) for c in co.coefficients],
         "mu": list(co.mus),
         "valuations": ["inf" if v == math.inf else v for v in co.valuations],
-        "cpf": report.cpf,
+        "cpf": co.is_cpf(),
         "failures": co.cpf_failures(),
     }
 
@@ -193,13 +192,13 @@ def _cmd_characterize(args):
     if sigma.domain.modulus != f or sigma.codomain.modulus != g:
         raise ValueError("function table moduli do not match --f/--g")
     _guard_from_args(args).check_domain_pairs(f)
-    rep = wagner.crt_characterize(sigma)
-    factors = []
-    for p, e, part in rep.parts:
-        factors.append({"P": to_text(p), "e": e, "cpf": part.cpf,
-                        "failures": part.coefficients.cpf_failures()})
+    # the coordinate criterion on each prime power of g; the verdict is
+    # their conjunction
+    parts = [wagner.decompose(part) for part in crt_split(sigma)]
+    factors = [{"P": to_text(co.p), "e": co.e, "cpf": co.is_cpf(),
+                "failures": co.cpf_failures()} for co in parts]
     return {"q": field.q, "f": to_text(f), "g": to_text(g),
-            "cpf": rep.cpf, "factors": factors}
+            "cpf": all(x["cpf"] for x in factors), "factors": factors}
 
 
 def _cmd_verify(args):
@@ -273,7 +272,7 @@ def _verify_basis(args, field, guard, f, g):
     agree = 0
     for _ in range(args.samples):
         tb = oracle.random_table(dom, cod, rng)
-        if wagner.is_cpf_via_basis(tb).cpf == oracle.is_congruence_preserving(tb).ok:
+        if wagner.decompose(tb).is_cpf() == oracle.is_congruence_preserving(tb).ok:
             agree += 1
     return {"what": "basis", "q": field.q, "f": to_text(f), "g": to_text(g),
             "cp_tables": len(rows), "all_cp_pass": all_cp_pass,

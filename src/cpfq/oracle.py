@@ -67,14 +67,6 @@ class CpProblem:
     cons_div: np.ndarray   # divisor index of each constraint
     cod_class: np.ndarray  # residue label of codomain rep c mod divisor h
 
-    def check_row(self, row) -> bool:
-        for j in range(len(row)):
-            for c in range(self.cons_ptr[j], self.cons_ptr[j + 1]):
-                h = self.cons_div[c]
-                if self.cod_class[h, row[j]] != self.cod_class[h, row[self.cons_src[c]]]:
-                    return False
-        return True
-
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
     """The constraints of A_f -> A_g from the classes of A_f mod each monic
@@ -105,13 +97,13 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
                      np.asarray(cod_class, dtype=np.int64))
 
 
-def _guarded_problem(domain: ResidueRing, codomain: ResidueRing,
-                     guard: EnumerationGuard) -> tuple:
-    """The encoding of A_f -> A_g within the guard, with the kernel arguments."""
+def _kernel_args(domain: ResidueRing, codomain: ResidueRing,
+                 guard: EnumerationGuard) -> tuple:
+    """The kernel arguments of the encoding of A_f -> A_g, within the guard."""
     guard.check_degrees(domain.modulus, codomain.modulus)
     guard.check_total_functions(domain.size, codomain.size)
     prob = encode_cp_problem(domain, codomain)
-    return (prob, domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
+    return (domain.size, codomain.size, prob.cons_ptr, prob.cons_src,
             prob.cons_div, prob.cod_class)
 
 
@@ -122,7 +114,7 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     engine "exhaustive" visits all |A_g|^|A_f| tables and checks each;
     engine "backtracking" extends tables one position at a time, pruning
     on the first violated congruence."""
-    _, *args = _guarded_problem(ResidueRing(f), ResidueRing(g), guard)
+    args = _kernel_args(ResidueRing(f), ResidueRing(g), guard)
     if engine == "exhaustive":
         return _kernels.count_exhaustive(*args)
     if engine == "backtracking":
@@ -136,7 +128,7 @@ def enumerate_cpf_rows(domain: ResidueRing, codomain: ResidueRing,
 
     kernel's rows: an (M, |A_f|) int array of A_g residue indices, each row
     listed like A_f."""
-    _, *args = _guarded_problem(domain, codomain, guard)
+    args = _kernel_args(domain, codomain, guard)
     return _kernels.enumerate_backtracking(*args)
 
 

@@ -669,11 +669,6 @@ def valuation(p: Poly, h: Poly, check: bool = True):
         v += 1
 
 
-def monic_divisors(g: Poly) -> list:
-    """All monic divisors of g with degree >= 1, sorted by (degree, index)."""
-    return factorize(g).monic_divisors()
-
-
 def gcd(a: Poly, b: Poly) -> Poly:
     """Monic gcd (zero for two zeros), by Euclid on coefficient lists."""
     b = a._check(b)

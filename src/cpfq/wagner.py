@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .guards import check_basis_tables
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
-from .residue import FunctionTable, ResidueRing, crt_split
+from .residue import FunctionTable, ResidueRing
 
 
 def floor_log(q: int, k: int) -> int:
@@ -396,54 +396,3 @@ def decompose_rows(values, codomain: ResidueRing, n: int,
     coords = ctx.solve(values)
     return BasisBatch(coords, ctx.tables()[2][coords],
                       np.array((0,) + ctx.mus[1:], dtype=np.int64))
-
-
-@dataclass(frozen=True)
-class BasisReport:
-    cpf: bool
-    coefficients: BasisCoefficients
-
-    def rows(self) -> list:
-        """(k, mu(k), v_P(c_k), ok) per coordinate; mu(0) is undefined."""
-        co = self.coefficients
-        out = []
-        for k in range(len(co.coefficients)):
-            m = co.mus[k]
-            v = co.valuations[k]
-            ok = True if k == 0 else v >= m
-            out.append((k, m, v, ok))
-        return out
-
-    def __bool__(self):
-        return self.cpf
-
-
-def is_cpf_via_basis(sigma: FunctionTable, seq: PSequence | None = None) -> BasisReport:
-    """Congruence preservation decided through the coordinate criterion
-
-    v_P(c_k) >= mu(k), k >= 1."""
-    co = decompose(sigma, seq)
-    return BasisReport(co.is_cpf(), co)
-
-
-@dataclass(frozen=True)
-class CrtReport:
-    cpf: bool
-    parts: tuple  # ((P, e, BasisReport), ...) per prime power of g
-
-    def __bool__(self):
-        return self.cpf
-
-
-def crt_characterize(sigma: FunctionTable) -> CrtReport:
-    """Split along the codomain factorization and apply the coordinate
-
-    criterion on each prime power; the verdict is the conjunction."""
-    parts = []
-    verdict = True
-    for part in crt_split(sigma):
-        p, e = part.codomain.factorization.factors[0]
-        rep = is_cpf_via_basis(part)
-        verdict = verdict and rep.cpf
-        parts.append((p, e, rep))
-    return CrtReport(verdict, tuple(parts))

@@ -8,10 +8,11 @@ forms that the Euler-product counts and density are checked against, the
 Poly-op CRT split and combine and polynomial-function span that the
 `residue.ColumnMap` routes are checked against, and the oracle
 references that only the tests use: the all-pairs constraint
-encoding, the odometer and full-depth counts that the `_kernels` counts
-are checked against, decoded table lists, random polynomial functions,
-the members of the polynomial-function span, the digit-relabeled literal
-route and the exponent identity."""
+encoding, the row check of an encoding, the odometer and full-depth
+counts that the `_kernels` counts are checked against, decoded table
+lists, random polynomial functions, the members of the
+polynomial-function span, the digit-relabeled literal route and the
+exponent identity."""
 
 from fractions import Fraction
 
@@ -336,6 +337,18 @@ def ref_encode_cp_problem(domain, codomain):
                      np.asarray(src, dtype=np.int64),
                      np.asarray(div, dtype=np.int64),
                      labels[:, :codomain.size])
+
+
+def check_row(prob, row):
+    """Whether one table row of A_g residue indices meets every constraint
+
+    of the encoding prob, checked one constraint at a time."""
+    for j in range(len(row)):
+        for c in range(prob.cons_ptr[j], prob.cons_ptr[j + 1]):
+            h = prob.cons_div[c]
+            if prob.cod_class[h, row[j]] != prob.cod_class[h, row[prob.cons_src[c]]]:
+                return False
+    return True
 
 
 def ref_count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class):

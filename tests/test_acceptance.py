@@ -22,7 +22,7 @@ from cpfq.oracle import (census_self_chen, census_squarefree,
                          polyfn_module, random_table)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
-from cpfq.wagner import PSequence, decompose_rows, eval_Qk, is_cpf_via_basis, mu
+from cpfq.wagner import PSequence, decompose, decompose_rows, eval_Qk, mu
 from helpers import (enumerate_cpf_tables, exponent_identity_check,
                      make_field, monic_upto, pol)
 
@@ -168,18 +168,18 @@ def test_criterion_6_basis_criterion_equals_definitional_check():
             cod = ResidueRing(parse(F2, ptext) ** e)
             assert cod.size ** dom.size <= 2 ** 20
             for tab in all_tables(dom, cod):
-                assert bool(is_cpf_via_basis(tab)) == \
+                assert decompose(tab).is_cpf() == \
                     bool(is_congruence_preserving(tab)), (ptext, e)
         f3, p2 = parse(F2, "t^3"), parse(F2, "t") ** 2
         dom3, cod3 = ResidueRing(f3), ResidueRing(p2)
         rng = random.Random(61)
         for _ in range(10 ** 4):
             tab = random_table(dom3, cod3, rng)
-            assert bool(is_cpf_via_basis(tab)) == bool(is_congruence_preserving(tab))
+            assert decompose(tab).is_cpf() == bool(is_congruence_preserving(tab))
         cp_tables = enumerate_cpf_tables(f3, p2)
         assert count_cpf(f3, p2).equals_int(len(cp_tables))
         for tab in cp_tables:
-            assert is_cpf_via_basis(tab) and is_congruence_preserving(tab)
+            assert decompose(tab).is_cpf() and is_congruence_preserving(tab)
 
 
 SEQ_PRIMES = [(2, "t"), (2, "t+1"), (2, "t^2+t+1"), (3, "t"), (3, "t^2+1")]

@@ -238,6 +238,58 @@ def test_characterize(capsys, tmp_path):
     assert [f["P"] for f in obj["factors"]] == ["t", "t+1"]
 
 
+def _table_file(tmp_path, f, g, values):
+    path = tmp_path / "sigma.json"
+    path.write_text(json.dumps({"q": 2, "f": f, "g": g, "values": values}))
+    return str(path)
+
+
+CHARACTERIZE_MIXED = {
+    "q": 2, "f": "t^2", "g": "t^3+t^2", "cpf": False,
+    "factors": [{"P": "t", "e": 2, "cpf": True, "failures": []},
+                {"P": "t+1", "e": 1, "cpf": False, "failures": [2, 3]}]}
+
+CHARACTERIZE_MIXED_TEXT = """\
+q        2
+f        "t^2"
+g        "t^3+t^2"
+cpf      false
+factors:
+  P         "t"
+  e         2
+  cpf       true
+  failures  []
+  P         "t+1"
+  e         1
+  cpf       false
+  failures  [2, 3]
+"""
+
+
+def test_characterize_golden_with_verdicts_that_differ(capsys, tmp_path):
+    # g = t^2 (t+1): the table preserves congruences mod t^2 (e = 2) but
+    # not mod t+1, so the whole verdict is false
+    path = _table_file(tmp_path, "t^2", "t^3+t^2", {
+        "0": "t^2+t", "1": "t^2+t", "t": "0", "t+1": "t^2"})
+    argv = ("characterize", "--q", "2", "--f", "t^2", "--g", "t^3+t^2",
+            "--sigma", path)
+    assert run_json(capsys, *argv) == CHARACTERIZE_MIXED
+    assert run_cli(capsys, *argv, "--format", "text") == (
+        0, CHARACTERIZE_MIXED_TEXT, "")
+
+
+def test_decompose_golden_failing_at_e_3(capsys, tmp_path):
+    path = _table_file(tmp_path, "t^2", "t^3", {
+        "0": "0", "1": "1", "t": "1", "t+1": "t^2+1"})
+    obj = run_json(capsys, "decompose", "--q", "2", "--f", "t^2",
+                   "--P", "t", "--e", "3", "--sigma", path)
+    assert obj == {"q": 2, "f": "t^2", "P": "t", "e": 3,
+                   "coefficients": ["0", "1", "t+1", "t^2+1"],
+                   "mu": [None, 0, 1, 1],
+                   "valuations": ["inf", 0, 0, 0],
+                   "cpf": False, "failures": [2, 3]}
+
+
 @pytest.mark.parametrize("p, m, f, g, factors", [
     (3, 2, "t", "t^2+t", ["t", "t+1"]),
     (2, 2, "t^2", "t^2+ut+1", ["t^2+ut+1"]),

@@ -9,7 +9,7 @@ from cpfq import _kernels
 from cpfq.counting import count_cpf
 from cpfq.guards import EnumerationGuard
 from cpfq.oracle import count_cpf_bruteforce, encode_cp_problem
-from helpers import (GRID_CELLS, pol, ref_count_backtracking,
+from helpers import (GRID_CELLS, check_row, pol, ref_count_backtracking,
                      ref_count_exhaustive, ring)
 
 CELLS = [(2, "t^2", "t^2"), (2, "t^2", "t^3+t"), (2, "t^3", "t^2"),
@@ -66,7 +66,7 @@ def test_enumerate_returns_exactly_the_rows():
     rows = _kernels.enumerate_backtracking(*args)
     assert len(rows) == 64
     for row in rows:
-        assert pr.check_row(np.asarray(row, dtype=np.int64))
+        assert check_row(pr, np.asarray(row, dtype=np.int64))
 
 
 def test_count_backtracking_memory_is_bounded(monkeypatch):

@@ -25,7 +25,7 @@ from cpfq.oracle import (
 )
 from cpfq.polyring import index_to_poly, to_text
 from cpfq.residue import FunctionTable, ResidueRing
-from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly,
+from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
                      enumerate_cpf_tables, make_field, monic_polys, monic_upto,
                      pol, polyfn_members, random_polynomial_function,
                      ref_encode_cp_problem, ring, table)
@@ -73,7 +73,7 @@ def test_polynomial_functions_are_cp(q):
         for _ in range(200):
             sig = random_polynomial_function(dom, cod, rng, n_coeffs=rng.randrange(1, 8))
             row = np.array([cod.index(v) for v in sig.values], dtype=np.int64)
-            assert problem.check_row(row)
+            assert check_row(problem, row)
 
 
 def _digest(prob):
@@ -105,7 +105,7 @@ def test_encoded_checker_matches_naive():
         for _ in range(120):
             sig = random_table(dom, cod, rng)
             row = np.array([cod.index(v) for v in sig.values], dtype=np.int64)
-            assert problem.check_row(row) == is_congruence_preserving(sig).ok
+            assert check_row(problem, row) == is_congruence_preserving(sig).ok
     # the all-pairs reference arrays, as the numpy long division (prime q)
     # and the per-residue reduction (extension q) built them before one
     # a_k mod h label table served both rings
@@ -155,8 +155,8 @@ def test_star_and_all_pairs_encodings_agree_on_the_grid(q, ftext, gtext):
     prob, ref = encode_cp_problem(dom, cod), ref_encode_cp_problem(dom, cod)
     rows = np.array(list(itertools.product(range(cod.size), repeat=dom.size)),
                     dtype=np.int64)
-    verdicts = [prob.check_row(row) for row in rows]
-    assert verdicts == [ref.check_row(row) for row in rows]
+    verdicts = [check_row(prob, row) for row in rows]
+    assert verdicts == [check_row(ref, row) for row in rows]
     args = [(dom.size, cod.size, p.cons_ptr, p.cons_src, p.cons_div, p.cod_class)
             for p in (prob, ref)]
     for kernel in (_kernels.count_exhaustive, _kernels.count_backtracking):

@@ -64,3 +64,47 @@ def test_traced_names_resolve():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_removed_wrappers_stay_removed():
+    # decompose returns the whole basis verdict, crt_split plus decompose
+    # the CRT one, and Factorization.monic_divisors the divisors
+    from cpfq import polyring, wagner
+    removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
+                        "crt_characterize"),
+               polyring: ("monic_divisors",)}
+    for module, names in removed.items():
+        for name in names:
+            assert name not in cpfq.__all__
+            assert not hasattr(module, name), name
+            assert not hasattr(cpfq, name), name
+
+
+def test_readme_results_table_resolves():
+    # every `cpfq.<module>` (`name`, ...) entry of the results table names an
+    # attribute, and every acceptance test it names is defined
+    import ast
+    import importlib
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parent.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Results of the paper", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[1:-1] for line in section.splitlines()
+            if line.startswith("|") and "`" in line]
+    assert len(rows) == 6
+    tree = ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for _, where, tests in rows:
+        entries = re.findall(r"`cpfq\.(\w+)` \(([^)]*)\)", where)
+        assert entries, where
+        for module, names in entries:
+            mod = importlib.import_module(f"cpfq.{module}")
+            for name in re.findall(r"`([\w.]+)`", names):
+                obj = mod
+                for part in name.split("."):
+                    assert hasattr(obj, part), (module, name)
+                    obj = getattr(obj, part)
+        named = re.findall(r"`(test_\w+)`", tests)
+        assert named and set(named) <= defined, tests

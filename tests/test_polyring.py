@@ -28,7 +28,6 @@ from cpfq.polyring import (
     gcd,
     index_to_poly,
     is_irreducible,
-    monic_divisors,
     monic_irreducibles,
     parse,
     poly_to_index,
@@ -318,10 +317,10 @@ def test_irreducible_counts():
 
 def test_monic_divisors():
     g = pol(2, "t^3+t^2")  # t^2 (t+1)
-    divs = {to_text(d) for d in monic_divisors(g)}
+    divs = {to_text(d) for d in factorize(g).monic_divisors()}
     assert divs == {"t", "t+1", "t^2", "t^2+t", "t^3+t^2"}
     # count: prod (e_i + 1) - 1, constants excluded
-    assert len(monic_divisors(pol(3, "t^4+2t^3+t^2"))) == 3 * 3 - 1
+    assert len(factorize(pol(3, "t^4+2t^3+t^2")).monic_divisors()) == 3 * 3 - 1
 
 
 def _shape(pairs):

@@ -12,15 +12,13 @@ from cpfq.guards import GuardExceeded, check_basis_tables
 from cpfq.oracle import enumerate_cpf_rows, is_congruence_preserving, random_table
 from cpfq.polyring import (index_to_poly, monic_irreducibles, parse,
                            poly_to_index, to_text, valuation)
-from cpfq.residue import FunctionTable, ResidueRing
+from cpfq.residue import FunctionTable, ResidueRing, crt_split
 from cpfq.wagner import (
     PSequence,
-    crt_characterize,
     decompose,
     decompose_rows,
     eval_Qk,
     floor_log,
-    is_cpf_via_basis,
     mu,
 )
 from helpers import (enumerate_cpf_tables, make_field, pol,
@@ -320,8 +318,7 @@ def test_criterion_matches_checker_exhaustively(ptext, e):
     cod = ResidueRing(pol(2, ptext) ** e)
     agree = 0
     for sig in all_tables(dom, cod):
-        rep = is_cpf_via_basis(sig)
-        assert rep.cpf == bool(is_congruence_preserving(sig))
+        assert decompose(sig).is_cpf() == bool(is_congruence_preserving(sig))
         agree += 1
     assert agree == cod.size ** 4
 
@@ -330,7 +327,7 @@ def test_criterion_matches_checker_q3():
     dom = ring(3, "t")
     cod = ResidueRing(pol(3, "t") ** 2)
     for sig in all_tables(dom, cod):
-        assert is_cpf_via_basis(sig).cpf == bool(is_congruence_preserving(sig))
+        assert decompose(sig).is_cpf() == bool(is_congruence_preserving(sig))
 
 
 def test_criterion_matches_checker_random_larger():
@@ -340,10 +337,10 @@ def test_criterion_matches_checker_random_larger():
     for _ in range(2000):
         vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
         sig = FunctionTable(dom, cod, vals)
-        assert is_cpf_via_basis(sig).cpf == bool(is_congruence_preserving(sig))
+        assert decompose(sig).is_cpf() == bool(is_congruence_preserving(sig))
     # and every actually-CP table passes
     for sig in enumerate_cpf_tables(pol(2, "t^3"), pol(2, "t^2")):
-        assert is_cpf_via_basis(sig).cpf
+        assert decompose(sig).is_cpf()
 
 
 def test_criterion_failure_reports_position():
@@ -354,10 +351,9 @@ def test_criterion_failure_reports_position():
     seq = PSequence(P)
     vals = [eval_Qk(P, 2, 2, h, seq=seq) for h in dom.elements()]
     sig = FunctionTable(dom, cod, vals)
-    rep = is_cpf_via_basis(sig)
-    assert not rep.cpf
-    bad = [k for (k, mk, vk, ok) in rep.rows() if not ok]
-    assert bad == [2]
+    co = decompose(sig)
+    assert not co.is_cpf()
+    assert co.cpf_failures() == [2]
     chk = is_congruence_preserving(sig)
     assert not chk.ok and to_text(chk.divisor) == "t"
 
@@ -403,8 +399,8 @@ def test_verdict_under_alternative_ordering():
     for _ in range(150):
         vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
         sig = FunctionTable(dom, cod, vals)
-        v1 = is_cpf_via_basis(sig).cpf
-        v2 = is_cpf_via_basis(sig, seq=alt).cpf
+        v1 = decompose(sig).is_cpf()
+        v2 = decompose(sig, seq=alt).is_cpf()
         assert v1 == v2 == bool(is_congruence_preserving(sig))
     # CP tables built from admissible coefficients keep verdict True
     default = PSequence(P)
@@ -419,8 +415,8 @@ def test_verdict_under_alternative_ordering():
             sum(((eval_Qk(P, 2, k, h, seq=default) * coeffs[k]) for k in range(dom.size)),
                 pol(2, "0")) % (P ** 2)
             for h in dom.elements()])
-        assert is_cpf_via_basis(sig).cpf
-        assert is_cpf_via_basis(sig, seq=alt).cpf
+        assert decompose(sig).is_cpf()
+        assert decompose(sig, seq=alt).is_cpf()
         seen_true += 1
     assert seen_true == 60
 
@@ -437,7 +433,7 @@ def test_verdict_alternative_ordering_q3():
     for _ in range(100):
         vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
         sig = FunctionTable(dom, cod, vals)
-        assert is_cpf_via_basis(sig).cpf == is_cpf_via_basis(sig, seq=alt).cpf
+        assert decompose(sig).is_cpf() == decompose(sig, seq=alt).is_cpf()
 
 
 # ---------------------------------------------------------------- CRT form
@@ -449,17 +445,23 @@ def test_crt_characterize_matches_naive():
         for _ in range(300):
             vals = [cod.elements()[rng.randrange(cod.size)] for _ in range(dom.size)]
             sig = FunctionTable(dom, cod, vals)
-            rep = crt_characterize(sig)
-            assert rep.cpf == bool(is_congruence_preserving(sig))
-            assert rep.cpf == all(sub.cpf for (_, _, sub) in rep.parts)
+            parts = crt_split(sig)
+            verdicts = [decompose(part).is_cpf() for part in parts]
+            assert all(verdicts) == bool(is_congruence_preserving(sig))
+            # and each prime power's verdict is the definitional one there
+            assert verdicts == [bool(is_congruence_preserving(part))
+                                for part in parts]
 
 
 def test_crt_characterize_reduction_table():
     dom = ring(2, "t^2")
     cod = ring(2, "t^2+t")
     sig = table(dom, cod, lambda h: h % pol(2, "t^2+t"))
-    rep = crt_characterize(sig)
-    assert rep.cpf and len(rep.parts) == 2
+    parts = crt_split(sig)
+    verdicts = [decompose(part).is_cpf() for part in parts]
+    assert verdicts == [True, True]
+    assert verdicts == [bool(is_congruence_preserving(part)) for part in parts]
+    assert bool(is_congruence_preserving(sig))
 
 
 # ------------------------------------- index route against the Poly route
