@@ -18,7 +18,8 @@ import time
 
 from . import chen, counting, oracle, wagner
 from .field import field_make
-from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded, check_samples
+from .guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
+                     check_factor_degree, check_samples)
 from .polyring import ParseError, factorize, parse, to_text
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 
@@ -51,6 +52,13 @@ def _parse_poly(field, text, name):
         return parse(field, text)
     except ParseError as e:
         raise ValueError(f"malformed polynomial for --{name}: {e}") from None
+
+
+def _parse_modulus(field, text, name):
+    """A polynomial the command factors, within guards.check_factor_degree."""
+    g = _parse_poly(field, text, name)
+    check_factor_degree(g)
+    return g
 
 
 def _guard_from_args(args) -> EnumerationGuard:
@@ -89,11 +97,12 @@ def _load_sigma(path) -> FunctionTable:
 def _cmd_count(args, kind: str):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
-    g = _parse_poly(field, args.g, "g")
-    if kind == "cpf":
-        c = counting.count_cpf(f, g)
-    elif args.literal:
+    literal = kind == "poly" and args.literal  # by gcds: g is not factored
+    g = (_parse_poly if literal else _parse_modulus)(field, args.g, "g")
+    if literal:
         c = oracle.count_polyfn_literal(f, g)
+    elif kind == "cpf":
+        c = counting.count_cpf(f, g)
     else:
         c = counting.count_polyfn(f, g)
     out = {"q": field.q, "f": to_text(f), "g": to_text(g),
@@ -109,7 +118,7 @@ def _cmd_count(args, kind: str):
 
 def _cmd_gamma(args):
     field = _field_from_args(args)
-    g = _parse_poly(field, args.g, "g")
+    g = _parse_modulus(field, args.g, "g")
     value = chen.gamma(g)
     return {"q": field.q, "g": to_text(g), "gamma": _render_gamma(value)}
 
@@ -117,7 +126,7 @@ def _cmd_gamma(args):
 def _cmd_chen(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
-    g = _parse_poly(field, args.g, "g")
+    g = _parse_modulus(field, args.g, "g")
     verdict = chen.is_chen_pair(f, g)
     return {"chen_pair": verdict.chen_pair, "deg_f": verdict.deg_f,
             "gamma_g": _render_gamma(verdict.gamma_g)}
@@ -141,7 +150,7 @@ def _cmd_density(args):
 
 def _cmd_factor(args):
     field = _field_from_args(args)
-    g = _parse_poly(field, args.g, "g")
+    g = _parse_modulus(field, args.g, "g")
     fact = factorize(g)
     out = {"q": field.q, "g": to_text(g)}
     out.update(fact.to_json())
@@ -168,6 +177,7 @@ def _cmd_decompose(args):
     if sigma.domain.modulus != f:
         raise ValueError("function table domain modulus does not match --f")
     g = sigma.codomain.modulus
+    check_factor_degree(g)
     if args.e * p.degree != g.degree or (p ** args.e).monic() != g.monic():
         raise ValueError("function table codomain modulus is not P^e")
     _guard_from_args(args).check_domain_pairs(f)
@@ -185,7 +195,7 @@ def _cmd_decompose(args):
 def _cmd_characterize(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
-    g = _parse_poly(field, args.g, "g")
+    g = _parse_modulus(field, args.g, "g")
     sigma = _load_sigma(args.sigma)
     if sigma.domain.field != field:
         raise ValueError("function table field does not match --q/--p")
@@ -219,7 +229,7 @@ def _verify_dispatch(args, field, guard):
         if not args.f or not args.g:
             raise ValueError(f"verify --what {what} needs --f and --g")
         f = _parse_poly(field, args.f, "f")
-        g = _parse_poly(field, args.g, "g")
+        g = _parse_modulus(field, args.g, "g")
     if what == "cpf-count":
         formula = counting.count_cpf(f, g)
         got = oracle.count_cpf_bruteforce(f, g, engine=args.engine, guard=guard)

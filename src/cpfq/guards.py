@@ -3,7 +3,7 @@
 Each check decides its bound exactly and in O(1) before the work starts
 (`power_exceeds` never builds a power too large to hold) and refuses with
 a GuardExceeded of one shape, "<what> guarded to <expr> <= 2^<b>, got
-<base>^<exp> = 2^<x.xx>"; the degree bound drops the log2 parts.  The two
+<base>^<exp> = 2^<x.xx>"; the degree bounds drop the log2 parts.  The two
 settable bounds are the fields of EnumerationGuard (the CLI's
 --guard-functions and --guard-degree); the others are constants.
 """
@@ -21,12 +21,19 @@ LITERAL_SIZE_LOG2 = 9    # on q^deg f
 LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
 # dense mul and sub tables of A_{P^e} for the batched basis solve; an
 # enumeration within max_functions = 2^20 never reaches it (C^D <= 2^20
-# with |A_f| = D >= 2 gives C^2 <= 2^20)
+# with |A_f| = D >= 2 gives C^2 <= 2^20).  The same size marks the residue
+# rings that keep index data built by digits (ResidueRing.indexed)
 BASIS_TABLE_LOG2 = 20    # on |A_{P^e}|^2
 # the random tables of verify --what crt and basis: every value drawn is
 # split, checked and (crt) combined; the default 200 samples pass at the
 # largest |A_f| = 2^10 of the domain pair bound (2^17.64)
 SAMPLES_LOG2 = 18        # on samples * |A_f|
+# factoring g runs up to deg g / 2 distinct-degree steps, each a Frobenius
+# map and a gcd at degree deg g: about deg(g)^3 table lookups.  At the
+# bound an irreducible g takes 1-3 s to factor over F_2 .. F_16 (F_16 the
+# slowest), and characterize or decompose, which then prove its factor
+# irreducible again, up to about 5.5 s as a whole process
+FACTOR_DEGREE = 300      # on deg g of every modulus the CLI factors
 
 
 class GuardExceeded(ValueError):
@@ -74,6 +81,12 @@ def check_samples(q: int, n: int, samples: int):
     if samples:
         check_power("sampled values", "samples * |A_f|", q, n, 2 ** SAMPLES_LOG2,
                     factor=samples)
+
+
+def check_factor_degree(g):
+    if g.degree > FACTOR_DEGREE:
+        raise GuardExceeded(f"factorization guarded to deg g <= {FACTOR_DEGREE}, "
+                            f"got {g.degree}")
 
 
 def check_basis_tables(q: int, degree: int):

@@ -290,10 +290,11 @@ def polyfn_module(f: Poly, g: Poly,
 
 # --------------------------------------------------------- random tables
 def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
-    """|A_f| values drawn uniformly from A_g by their residue indices."""
-    return FunctionTable(domain, codomain,
-                         [codomain.element(rng.randrange(codomain.size))
-                          for _ in range(domain.size)])
+    """|A_f| values drawn uniformly from A_g by their residue indices, each
+
+    value `codomain.element` of its index (shared in an indexed ring)."""
+    ks = [rng.randrange(codomain.size) for _ in range(domain.size)]
+    return FunctionTable._new(domain, codomain, map(codomain.element, ks), ks)
 
 
 # --------------------------------------------------------------- censuses

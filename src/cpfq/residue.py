@@ -15,7 +15,7 @@ import json
 from functools import lru_cache
 
 from .field import FieldSpec, field_make
-from .guards import power_exceeds
+from .guards import BASIS_TABLE_LOG2, power_exceeds
 from .polyring import (Factorization, Poly, enumerate_residues, factorize,
                        index_to_poly, parse, poly_to_index, to_text, xgcd)
 
@@ -25,7 +25,10 @@ class ResidueRing:
 
     What depends only on f (its factorization, monic divisors and prime
     power rings, the classes of A_f mod a divisor) is computed once per
-    ring object and kept on it."""
+    ring object and kept on it.  A ring with |A_f|^2 <= 2^BASIS_TABLE_LOG2
+    is *indexed*: its listed residues are shared by every ring of its
+    field and degree, so values drawn from them compare by identity, and
+    its operation tables on residue indices are built by base-q digits."""
 
     def __init__(self, modulus: Poly):
         d = modulus.degree
@@ -34,11 +37,13 @@ class ResidueRing:
         self.modulus = modulus
         self.field = modulus.field
         self.size = self.field.q ** d
+        self.indexed = not power_exceeds(self.field.q, 2 * d, 2 ** BASIS_TABLE_LOG2)
         self._elements = None
         self._factorization = None
         self._divisors = None
         self._prime_powers = None
         self._classes: dict = {}
+        self._tables = None
 
     @property
     def factorization(self):
@@ -84,14 +89,20 @@ class ResidueRing:
             raise ValueError("polynomial over a different field")
         return h % self.modulus
 
-    def elements(self) -> list:
+    def elements(self) -> list | tuple:
+        """The canonical residues in index order; an indexed ring shares
+        one tuple with every ring of its field and degree."""
         if self._elements is None:
-            self._elements = enumerate_residues(self.modulus)
+            self._elements = (_shared_residues(self.field, self.modulus.degree)
+                              if self.indexed else enumerate_residues(self.modulus))
         return self._elements
 
     def element(self, index: int) -> Poly:
+        """a_index; in an indexed ring the listed, shared object."""
         if not 0 <= index < self.size:
             raise ValueError(f"residue index {index} out of range")
+        if self.indexed:
+            return self.elements()[index]
         return index_to_poly(self.field, index)
 
     def index(self, rep: Poly) -> int:
@@ -108,6 +119,37 @@ class ResidueRing:
 
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
+
+    def tables(self) -> tuple:
+        """(add, sub, mul): numpy tables of the ring operations on residue
+
+        indices of an indexed ring, built once by base-q digits with no Poly
+        op per entry.  add and sub act digit by digit in F_q; row a of mul is
+        the index table of the F_q-linear map b -> a b, whose column j is a
+        t^j mod g, the index map of `times t` applied j times to a."""
+        if self._tables is None:
+            if not self.indexed:
+                raise ValueError("operation tables need |A|^2 <= "
+                                 f"2^{BASIS_TABLE_LOG2}")
+            import numpy as np
+
+            field, n = self.field, self.modulus.degree
+            add = _digitwise(field._add, n)
+            sub = _digitwise([[row[y] for y in field._neg] for row in field._add], n)
+            scale = [_digitwise(row, n) for row in field._mul]  # c * x
+            times_t = np.array(ColumnMap(n, self.modulus, lambda v: v.shift(1))
+                               .index_table())
+            mul = np.zeros((self.size, 1), dtype=np.int16)
+            shifted = np.arange(self.size)  # a t^j mod g, for j = 0 .. n-1
+            for _ in range(n):
+                mul = np.concatenate(
+                    [mul] + [add[mul, scale[c][shifted][:, None]]
+                             for c in range(1, field.q)], axis=1)
+                shifted = times_t[shifted]
+            for table in (add, sub, mul):
+                table.flags.writeable = False  # shared by every caller
+            self._tables = (add, sub, mul)
+        return self._tables
 
     def inv_unit(self, a: Poly) -> Poly:
         """Inverse of a unit (gcd(a, modulus) = 1)."""
@@ -126,10 +168,47 @@ class ResidueRing:
         return f"ResidueRing({to_text(self.modulus)!r})"
 
 
+@lru_cache(maxsize=32)
+def _shared_residues(field: FieldSpec, n: int) -> tuple:
+    """The residues of degree < n, listed once per (field, n) for the
+    indexed rings of degree n."""
+    return tuple(index_to_poly(field, k) for k in range(field.q ** n))
+
+
+def _digitwise(base, n: int):
+    """The numpy table, with one axis of q^n residue indices per operand,
+
+    of an F_q operation applied digit by digit, from its table `base` on
+    F_q (one axis of q entries per operand): each step appends a lowest
+    digit on every axis, out[q x + a, ...] = q out[x, ...] + base[a, ...]."""
+    import numpy as np
+
+    base = np.array(base, dtype=np.int16)
+    q, k = base.shape[0], base.ndim
+    out = base
+    for _ in range(n - 1):
+        m = out.shape[0]
+        out = (q * out.reshape((m, 1) * k) + base.reshape((1, q) * k)
+               ).reshape((m * q,) * k)
+    return out
+
+
+def _add_indices(field: FieldSpec, x: int, y: int) -> int:
+    """The index of a_x + a_y: digit by digit in F_q."""
+    q, add = field.q, field._add
+    out, place = 0, 1
+    while x or y:
+        x, a = divmod(x, q)
+        y, b = divmod(y, q)
+        out += add[a][b] * place
+        place *= q
+    return out
+
+
 class FunctionTable:
     """A function A_f -> A_g tabulated on canonical representatives."""
 
-    __slots__ = ("domain", "codomain", "values", "_hash")
+    __slots__ = ("domain", "codomain", "values", "_indices", "_hash")
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing, values):
         values = tuple(values)
@@ -144,7 +223,31 @@ class FunctionTable:
         self.domain = domain
         self.codomain = codomain
         self.values = values
+        self._indices = None
         self._hash = None
+
+    @classmethod
+    def _new(cls, domain: ResidueRing, codomain: ResidueRing, values,
+             indices=None) -> "FunctionTable":
+        """Trusted constructor, like Poly._new, for the tables the library
+
+        builds itself: values holds one canonical codomain representative
+        per domain residue in index order, and indices, when given, their
+        residue indices.  Nothing is checked."""
+        tb = object.__new__(cls)
+        tb.domain = domain
+        tb.codomain = codomain
+        tb.values = tuple(values)
+        tb._indices = None if indices is None else tuple(indices)
+        tb._hash = None
+        return tb
+
+    @property
+    def indices(self) -> tuple:
+        """The residue index of every value, computed once."""
+        if self._indices is None:
+            self._indices = tuple(map(poly_to_index, self.values))
+        return self._indices
 
     @classmethod
     def from_callable(cls, domain: ResidueRing, codomain: ResidueRing, fn):
@@ -258,9 +361,10 @@ class ColumnMap:
     with Poly ops.  A value with coefficients cs (at most one per column)
     then maps to sum_j cs[j] columns[j]: deg_in * deg_out lookups in the
     field's tables, with no Poly ring op and no table over A_g, so one
-    map serves every size of ring."""
+    map serves every size of ring.  On a small source, `index_table`
+    lists the image of every residue index."""
 
-    __slots__ = ("field", "width", "columns")
+    __slots__ = ("field", "width", "columns", "_index")
 
     def __init__(self, degree: int, target: Poly, image):
         field = target.field
@@ -271,6 +375,7 @@ class ColumnMap:
             cs = (image(Poly(field, [1]).shift(j)) % target).coeffs
             cols.append(cs + (0,) * (self.width - len(cs)))
         self.columns = tuple(cols)
+        self._index = None
 
     def add_into(self, out: list, cs) -> list:
         """out += the image of the value with coefficients cs, in place."""
@@ -286,6 +391,25 @@ class ColumnMap:
     def __call__(self, v: Poly) -> Poly:
         return Poly._new(self.field, self.add_into([0] * self.width, v.coeffs))
 
+    def index_table(self) -> tuple:
+        """The image index of every source index i < q^degree, built once
+
+        by digits: with c t^j the top term of i, image(i) = image(i - c t^j)
+        + c columns[j], the sum taken digit by digit in F_q."""
+        if self._index is None:
+            field = self.field
+            q, mul = field.q, field._mul
+            out = [0]
+            for col in self.columns:
+                low = list(out)  # the images of i < q^j
+                for c in range(1, q):
+                    v = 0
+                    for x in reversed(col):
+                        v = v * q + mul[c][x]
+                    out += [_add_indices(field, x, v) for x in low]
+            self._index = tuple(out)
+        return self._index
+
 
 # ---------------------------------------------------------------- CRT
 @lru_cache(maxsize=16)
@@ -296,21 +420,45 @@ def _reduction_map(degree: int, modulus: Poly) -> ColumnMap:
 
 def crt_split(sigma: FunctionTable) -> list:
     """One table per prime power P_i^{e_i} of the codomain modulus, each
-    value reduced into A_{P_i^{e_i}}."""
-    degree = sigma.codomain.modulus.degree
+
+    value reduced into A_{P_i^{e_i}}: through the index table of the
+    reduction when the codomain is indexed, else by its columns."""
+    cod = sigma.codomain
+    degree = cod.modulus.degree
     out = []
-    for ring in sigma.codomain.prime_powers:
+    for ring in cod.prime_powers:
         reduce = _reduction_map(degree, ring.modulus)
-        out.append(FunctionTable(sigma.domain, ring, map(reduce, sigma.values)))
+        if cod.indexed:
+            image = reduce.index_table()
+            ks = [image[k] for k in sigma.indices]
+            values = map(ring.elements().__getitem__, ks)
+            out.append(FunctionTable._new(sigma.domain, ring, values, ks))
+        else:
+            out.append(FunctionTable._new(sigma.domain, ring,
+                                          map(reduce, sigma.values)))
     return out
+
+
+def _crt_keys(indices, moduli) -> list:
+    """The key sum_i k_i w_i of each tuple (k_0, k_1, ...) of part indices,
+
+    w_i = prod_{j<i} |A_{moduli[j]}|: its position in the combine's table."""
+    keys, w = None, 1
+    for ks, pe in zip(indices, moduli):
+        keys = list(ks) if keys is None else [k + w * x for k, x in zip(keys, ks)]
+        w *= pe.field.q ** pe.degree
+    return keys
 
 
 @lru_cache(maxsize=16)
 def _crt_idempotents(g: Poly, moduli: tuple) -> tuple:
-    """(A_g, for each moduli[i] the map v -> v e_i mod g), where e_i = 1
+    """(A_g, for each moduli[i] the map v -> v e_i mod g, and for an
 
-    mod moduli[i] and 0 mod the others: kept per modulus, so the xgcds
-    run once for every combine into A_g."""
+    indexed A_g the inverse of the split), where e_i = 1 mod moduli[i] and
+    0 mod the others: kept per modulus, so the xgcds run once for every
+    combine into A_g.  The inverse lists, by `_crt_keys` of the part
+    indices, the index of sum_i v_i e_i; it is built from the index
+    tables of the maps, one part at a time."""
     ring = ResidueRing(g)
     maps = []
     for pe in moduli:
@@ -320,7 +468,33 @@ def _crt_idempotents(g: Poly, moduli: tuple) -> tuple:
             raise ValueError("prime power moduli must be pairwise coprime")
         e_i = ring.reduce(m_i * x)
         maps.append(ColumnMap(pe.degree, g, lambda v, e_i=e_i: v * e_i))
-    return ring, tuple(maps)
+    inverse = None
+    if ring.indexed:
+        inverse = (0,)
+        for lift in maps:
+            inverse = tuple(_add_indices(ring.field, x, y)
+                            for y in lift.index_table() for x in inverse)
+    return ring, tuple(maps), inverse
+
+
+@lru_cache(maxsize=16)
+def _prime_power_moduli(codomains: tuple) -> tuple:
+    """(P_i^{e_i} of each codomain modulus, their monic product), with each
+
+    modulus checked to be a prime power and the P_i distinct."""
+    pes, seen = [], set()
+    g = Poly(codomains[0].field, [1])
+    for ring in codomains:
+        fact = ring.factorization
+        if len(fact.factors) != 1:
+            raise ValueError("each codomain modulus must be a prime power")
+        p, e = fact.factors[0]
+        if p in seen:
+            raise ValueError("prime power moduli must be pairwise coprime")
+        seen.add(p)
+        pes.append(p ** e)
+        g = g * pes[-1]
+    return tuple(pes), g
 
 
 def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
@@ -332,32 +506,22 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
     if not tables:
         raise ValueError("need at least one table")
     domain = tables[0].domain
-    field = domain.field
-    parts = []
-    seen = set()
-    for tb in tables:
-        if tb.domain != domain:
-            raise ValueError("tables must share one domain")
-        fact = tb.codomain.factorization
-        if len(fact.factors) != 1:
-            raise ValueError("each codomain modulus must be a prime power")
-        p, e = fact.factors[0]
-        if p in seen:
-            raise ValueError("prime power moduli must be pairwise coprime")
-        seen.add(p)
-        parts.append((tb, p ** e))
-    g = Poly(field, [1])
-    for _, pe in parts:
-        g = g * pe
+    if any(tb.domain != domain for tb in tables):
+        raise ValueError("tables must share one domain")
+    moduli, g = _prime_power_moduli(tuple(tb.codomain for tb in tables))
     if modulus is not None:
-        if (modulus.monic() != g):
+        if modulus.monic() != g:
             raise ValueError("modulus does not match the prime power moduli")
         g = modulus
-    ring, maps = _crt_idempotents(g, tuple(pe for _, pe in parts))
+    ring, maps, inverse = _crt_idempotents(g, moduli)
+    if inverse is not None:
+        ks = [inverse[k] for k in _crt_keys([tb.indices for tb in tables], moduli)]
+        return FunctionTable._new(domain, ring, map(ring.elements().__getitem__, ks), ks)
+    field = domain.field
     values = []
-    for vs in zip(*(tb.values for tb, _ in parts)):
+    for vs in zip(*(tb.values for tb in tables)):
         acc = [0] * g.degree
         for lift, v in zip(maps, vs):
             lift.add_into(acc, v.coeffs)
         values.append(Poly._new(field, acc))
-    return FunctionTable(domain, ring, values)
+    return FunctionTable._new(domain, ring, values)

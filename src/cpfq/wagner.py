@@ -176,8 +176,8 @@ class _BasisContext:
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
     `positions[k]` = the index of b_k in A_f.  Products, differences and
     valuations in A_{P^e} go through Poly once per pair of indices and
-    are looked up after that; `solve` works on dense numpy tables of them
-    instead, built on its first call."""
+    are looked up after that; `solve` works on the ring's dense numpy
+    tables instead, read on its first call."""
 
     def __init__(self, seq: PSequence, e: int, n: int):
         self.seq = seq
@@ -265,23 +265,18 @@ class _BasisContext:
         return out
 
     def tables(self) -> tuple:
-        """(mul, sub, val): dense numpy tables of A_{P^e} on indices from
+        """(mul, sub, val): the ring's digit-built numpy tables of A_{P^e}
 
-        the ring's Poly ops, with val[a] = v_P(a_a) (inf at 0), built once
-        within guards.check_basis_tables."""
+        on indices, with val[a] = v_P(a_a) (inf at 0), read once within
+        guards.check_basis_tables."""
         if self._tables is None:
             import numpy as np
 
             ring = self.ring
             check_basis_tables(ring.field.q, ring.modulus.degree)
-            polys = ring.elements()
-
-            def table(fn):  # indices < 2^10 under the guard
-                return np.array([[poly_to_index(fn(a, b)) for b in polys]
-                                 for a in polys], dtype=np.int16)
-
+            _, sub, mul = ring.tables()
             val = np.array([self.residue(a)[1] for a in range(ring.size)])
-            self._tables = (table(ring.mul), table(ring.sub), val)
+            self._tables = (mul, sub, val)
         return self._tables
 
     def solve(self, values):
@@ -361,7 +356,7 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
     substitution along the b-sequence on residue indices."""
     n = sigma.domain.modulus.degree
     ctx = _prime_power_context(sigma.codomain, n, seq)
-    coords = ctx.coordinates([poly_to_index(v) for v in sigma.values])
+    coords = ctx.coordinates(sigma.indices)
     reps, vals = zip(*map(ctx.residue, coords))
     return BasisCoefficients(ctx.seq.p, ctx.e, n, reps, ctx.seq, vals, ctx.mus)
 

@@ -3,16 +3,17 @@ polynomial parsing, monic enumeration, reduction mod g, the
 per-coefficient reference ring ops that the table-row arithmetic of
 `Poly` is checked against, the trial-division factorization that
 `factorize` is checked against, the Poly route of the basis decomposition
-that `decompose` is checked against, the hand-derived self-Chen closed
-forms that the Euler-product counts and density are checked against, the
-Poly-op CRT split and combine and polynomial-function span that the
-`residue.ColumnMap` routes are checked against, and the oracle
-references that only the tests use: the all-pairs constraint
-encoding, the row check of an encoding, the odometer and full-depth
-counts that the `_kernels` counts are checked against, decoded table
-lists, random polynomial functions, the members of the
-polynomial-function span, the digit-relabeled literal route and the
-exponent identity."""
+that `decompose` is checked against and the Poly-op basis tables of its
+batched solve, the hand-derived self-Chen closed forms that the
+Euler-product counts and density are checked against, the Poly-op ring
+tables, CRT split and combine and polynomial-function span that the
+digit-built tables and the `residue.ColumnMap` routes are checked
+against, and the oracle references that only the tests use: the
+all-pairs constraint encoding, the row check of an encoding, the
+odometer and full-depth counts that the `_kernels` counts are checked
+against, decoded table lists, random polynomial functions, the members
+of the polynomial-function span, the digit-relabeled literal route and
+the exponent identity."""
 
 from fractions import Fraction
 
@@ -241,6 +242,21 @@ def recompose(coeffs, domain):
     return FunctionTable(domain, ring, values)
 
 
+def ref_basis_tables(ctx):
+    """(mul, sub, val) of `_BasisContext.tables()` by one Poly ring op of
+
+    A_{P^e} per entry, with val[a] = v_P(a_a) (inf at 0)."""
+    ring = ctx.ring
+    polys = ring.elements()
+
+    def table(fn):
+        return np.array([[poly_to_index(fn(a, b)) for b in polys] for a in polys],
+                        dtype=np.int16)
+
+    val = np.array([ctx.residue(a)[1] for a in range(ring.size)])
+    return table(ring.mul), table(ring.sub), val
+
+
 # ------------------------------------------- oracle references
 # the enumeration cells of the acceptance grid
 GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
@@ -248,6 +264,14 @@ GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
 
 
 # ------------------------------------------- residue map references
+def ref_ring_tables(ring):
+    """(add, sub, mul) of `ResidueRing.tables()` as nested lists, by one
+    Poly ring op per entry."""
+    els = ring.elements()
+    return tuple([[poly_to_index(op(a, b)) for b in els] for a in els]
+                 for op in (ring.add, ring.sub, ring.mul))
+
+
 def ref_crt_split(sigma):
     """crt_split by one Poly reduction per value."""
     return [FunctionTable(sigma.domain, ring, [ring.reduce(v) for v in sigma.values])

@@ -443,10 +443,11 @@ GUARD_MESSAGE = re.compile(
      "got 2^1 * 1000000000000 = 2^40.86"),
     ("verify --q 2 --what basis --f t^2 --g t --samples 65537",
      "sampled values guarded to samples * |A_f| <= 2^18, got 2^2 * 65537 = 2^18.00"),
+    ("gamma --q 2 --g t^301+t+1", "factorization guarded to deg g <= 300, got 301"),
 ], ids=["field-size", "field-power", "degree", "degree-flag", "table-count",
         "table-count-flag", "domain-pairs", "basis-tables", "enumerate", "census",
         "density", "density-huge", "literal-size", "literal-work", "samples-crt",
-        "samples-basis"])
+        "samples-basis", "factor-degree"])
 def test_size_refusals_carry_the_guard_flag(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, out) == (1, "")
@@ -696,6 +697,17 @@ def test_crt_check_maps_values_by_columns():
     assert json.loads(out.stdout)["match"] is True
 
 
+def test_basis_check_at_the_largest_codomain_reads_digit_built_tables():
+    # 2^20 CP tables t -> t^10, judged on the mul and sub tables of the
+    # largest admitted A_{P^e} (2^10 elements; 18 s with one Poly op per
+    # table entry)
+    out = run_cli_process("verify", "--q", "2", "--what", "basis", "--f", "t",
+                          "--g", "t^10", timeout=10)
+    assert out.returncode == 0, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["cp_tables"] == 2 ** 20 and obj["match"]
+
+
 def test_basis_check_of_every_enumerated_table_is_batched():
     # 2^18 CP tables t^2 -> t^5, judged in one batched solve (6.8 s when
     # each table was decomposed on its own)
@@ -776,6 +788,49 @@ def test_degree_200_moduli_answer(p, m, command):
     if command == "factor":
         factors = json.loads(out.stdout)["factors"]
         assert sum(parse(F, P).degree * e for P, e in factors) == 200
+
+
+@pytest.mark.parametrize("command", ["gamma", "characterize", "decompose",
+                                     "verify"])
+def test_moduli_past_the_factored_degree_are_refused(tmp_path, command):
+    # refused before any factoring: gamma of t^1000+t^3+1 over F_2 took
+    # about 7 s, and of t^3000+t^3+1 did not finish in 60 s
+    from cpfq.guards import FACTOR_DEGREE
+    from cpfq.residue import FunctionTable, ResidueRing
+    from helpers import pol, ring
+
+    g = f"t^{FACTOR_DEGREE + 1}+t+1"
+    path = tmp_path / "sigma.json"
+    path.write_text(FunctionTable.reduction(ring(2, "t"), ResidueRing(pol(2, g)))
+                    .to_json())
+    argv = {"gamma": ["--g", g],
+            "characterize": ["--f", "t", "--g", g, "--sigma", str(path)],
+            "decompose": ["--f", "t", "--P", g, "--e", "1", "--sigma", str(path)],
+            "verify": ["--what", "crt", "--f", "t", "--g", g,
+                       "--guard-degree", "1000"]}[command]
+    out = run_cli_process(command, "--q", "2", *argv, timeout=5)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert json.loads(out.stderr) == {
+        "error": f"factorization guarded to deg g <= {FACTOR_DEGREE}, "
+                 f"got {FACTOR_DEGREE + 1}", "guard": True}
+
+
+def test_largest_factored_degree_answers():
+    # a seeded g of the largest admitted degree over F_16, the slowest
+    # field to factor in
+    import random
+
+    from cpfq.field import field_make
+    from cpfq.guards import FACTOR_DEGREE
+    from cpfq.polyring import Poly, to_text
+
+    F = field_make(2, 4)
+    rng = random.Random(FACTOR_DEGREE)
+    g = Poly(F, [rng.randrange(16) for _ in range(FACTOR_DEGREE)] + [1])
+    out = run_cli_process("gamma", "--p", "2", "--m", "4", "--g", to_text(g),
+                          timeout=30)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["gamma"] == "inf"
 
 
 def test_count_poly_with_a_degree_32_factor_answers():

@@ -1,0 +1,180 @@
+"""The command line under hypothesis: polynomial texts, field flags,
+--samples and the guard flags, driven through main().  Every outcome is
+exit 0 with one JSON object on stdout, exit 1 with one JSON error object
+on stderr, or exit 2 with a usage error.  The strategies keep the work
+admitted by the guards small (low degrees, small censuses and
+enumerations); the inputs past each bound are drawn from edge values,
+which the guards refuse in O(1)."""
+
+import contextlib
+import io
+import json
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from cpfq.cli import main
+from cpfq.guards import FACTOR_DEGREE
+from cpfq.polyring import MAX_PARSE_DEGREE
+
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_outcome(argv):
+    code, out, err = run(argv)
+    if code == 0:
+        assert isinstance(json.loads(out), dict), argv
+        # the only note on stderr is --decimal's render guard
+        assert err == "" or err.startswith("note: "), (argv, err)
+    elif code == 1:
+        assert out == "", argv
+        obj = json.loads(err)
+        assert isinstance(obj, dict) and isinstance(obj["error"], str), argv
+    else:
+        assert code == 2 and out == "", (argv, code, err)
+        assert err.startswith("usage: "), (argv, err)
+
+
+# edge exponents: past the factorization bound, at and past the parse bound
+EDGE_EXPONENTS = st.sampled_from([FACTOR_DEGREE + 1, MAX_PARSE_DEGREE,
+                                  MAX_PARSE_DEGREE + 1, 10 ** 30])
+COEFFICIENTS = ["", "", "", "1", "2", "2", "u", "(u+1)"]
+JUNK_COEFFICIENTS = ["7", "3*", "(", ")", "()", "v", "-", "²", "(t)", "u^99999"]
+SEPARATORS = ["+", "-", "+ "]
+JUNK_SEPARATORS = ["+-", "*", "", "^", "++", "t"]
+
+
+def one_in_four(junk, clean):
+    return st.integers(0, 3).flatmap(lambda i: junk if i == 0 else clean)
+
+
+def poly_texts(max_exponent):
+    """Sums of terms c t^k with k <= max_exponent: one text in six with an
+    edge exponent and one in four with junk among the coefficients and
+    separators; or short raw text."""
+
+    @st.composite
+    def grammar(draw):
+        junk = draw(st.integers(0, 3)) == 0
+        edge = draw(st.integers(0, 5)) == 0
+        coefficients = st.sampled_from(COEFFICIENTS + JUNK_COEFFICIENTS * junk)
+        separators = st.sampled_from(SEPARATORS + JUNK_SEPARATORS * junk)
+        text = ""
+        for i in range(draw(st.integers(1, 4))):
+            k = draw(EDGE_EXPONENTS if edge and not i else st.integers(0, max_exponent))
+            text += (draw(separators) if i else "") + draw(coefficients) + (
+                "" if k == 0 else "t" if k == 1 else f"t^{k}")
+        return text
+
+    # six characters hold no admitted modulus that is slow to factor
+    raw = st.text(alphabet="t^u+-()*0123456789 ", max_size=6)
+    return one_in_four(raw, grammar())
+
+
+FIELDS = st.sampled_from([["--q", "2"], ["--q", "3"], ["--q", "5"], ["--q", "13"],
+                          ["--p", "2"], ["--p", "3", "--m", "2"],
+                          ["--p", "2", "--m", "3"], ["--p", "2", "--m", "4"],
+                          ["--p", "3", "--m", "2", "--field-modulus", "u^2+2u+2"],
+                          ["--p", "2", "--m", "1"], ["--p", "5", "--m", "1"]])
+FIELD_MODULI = (st.sampled_from(["u^2+u+1", "u^2+1", "u^2+2u+2", "u^3+u+1",
+                                 "u^4+u+1", "u^2", "u^2+u", "0", "t", "(u"])
+                | st.text(alphabet="u^+-()0123 ", max_size=6))
+
+
+@st.composite
+def junk_fields(draw):
+    kind = draw(st.sampled_from(["q", "p", "both", "none", "m-alone"]))
+    small = st.integers(-3, 17) | st.sampled_from([2 ** 61 - 1, 10 ** 30])
+    flags = []
+    if kind in ("q", "both"):
+        flags += ["--q", str(draw(small))]
+    if kind in ("p", "both"):
+        flags += ["--p", str(draw(small))]
+    if kind in ("p", "m-alone"):
+        m = draw(st.none() | st.integers(-2, 5) | st.just(10 ** 8))
+        if m is not None:
+            flags += ["--m", str(m)]
+        modulus = draw(st.none() | FIELD_MODULI)
+        if modulus is not None:
+            flags += ["--field-modulus", modulus]
+    return flags
+
+
+@settings(max_examples=500, deadline=None)
+@given(command=st.sampled_from(["count-cpf", "count-poly", "gamma", "chen",
+                                "factor", "enumerate", "density"]),
+       field=one_in_four(junk_fields(), FIELDS), f=poly_texts(5), g=poly_texts(5),
+       extra=st.lists(st.sampled_from(["--decimal", "--literal", "--empirical",
+                                       "--monic-only"]), max_size=2),
+       max_degree=st.integers(-2, 3) | st.sampled_from([17, 300000000]),
+       functions=st.none() | st.integers(-2, 2 ** 20) | st.just(10 ** 30))
+@example(command="gamma", field=["--q", "2"], f="t", g=f"t^{FACTOR_DEGREE + 1}",
+         extra=[], max_degree=1, functions=None)
+@example(command="density", field=["--q", "2"], f="t", g="t", extra=["--empirical"],
+         max_degree=-1, functions=None)
+# refused since earlier changes: --m 0 was read as m = 2, and --m next to
+# --q was ignored
+@example(command="gamma", field=["--p", "2", "--m", "0"], f="t", g="t", extra=[],
+         max_degree=1, functions=None)
+@example(command="gamma", field=["--q", "2", "--m", "3"], f="t", g="t", extra=[],
+         max_degree=1, functions=None)
+@example(command="count-poly", field=["--q", "2"], f="t", g=f"t^{MAX_PARSE_DEGREE}",
+         extra=["--literal"], max_degree=1, functions=None)
+def test_fuzz_commands(command, field, f, g, extra, max_degree, functions):
+    argv = [command, *field]
+    if command in ("count-cpf", "count-poly", "chen", "enumerate"):
+        argv += ["--f", f]
+    if command in ("count-cpf", "count-poly", "gamma", "chen", "factor"):
+        argv += ["--g", g]
+    if command == "density":
+        argv += ["--max-degree", str(max_degree)]
+    if functions is not None:
+        argv += ["--guard-functions", str(functions)]
+    check_outcome(argv + extra)
+
+
+@st.composite
+def verify_argv(draw):
+    """verify on rings small enough for every enumeration the guard flags
+    can admit: deg f, deg g <= 2 over F_2, <= 1 over F_3 and F_4."""
+    field, top = draw(st.sampled_from([(["--q", "2"], 2), (["--q", "3"], 1),
+                                       (["--p", "2", "--m", "2"], 1)]))
+    argv = ["verify", *field, "--what",
+            draw(st.sampled_from(["cpf-count", "poly-count", "chen", "basis", "crt",
+                                  "census"]))]
+    for flag in ("--f", "--g"):
+        if draw(st.integers(0, 9)):  # missing one time in ten
+            argv += [flag, draw(poly_texts(top))]
+    if draw(st.booleans()):
+        argv += ["--engine", draw(st.sampled_from(["exhaustive", "backtracking"]))]
+    if draw(st.booleans()):
+        argv += ["--n", str(draw(st.integers(-2, 8) | st.just(10 ** 9)))]
+    argv += ["--samples", str(draw(st.integers(-3, 30)
+                                   | st.sampled_from([2 ** 18 + 1, 10 ** 12])))]
+    argv += ["--seed", str(draw(st.integers(-5, 10 ** 6)))]
+    if draw(st.booleans()):
+        argv += ["--guard-functions",
+                 str(draw(st.integers(-2, 2 ** 20) | st.just(10 ** 30)))]
+    if draw(st.booleans()):
+        argv += ["--guard-degree", str(draw(st.integers(-2, 13) | st.just(10 ** 6)))]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=verify_argv())
+@example(argv=["verify", "--q", "2", "--what", "crt", "--f", "t", "--g", "t^2+t",
+               "--samples", str(2 ** 18 + 1)])
+@example(argv=["verify", "--q", "2", "--what", "basis", "--f", "t", "--g", "t^2",
+               "--samples", "-1"])
+@example(argv=["verify", "--q", "2", "--what", "cpf-count", "--f", "t",
+               "--g", f"t^{FACTOR_DEGREE + 1}", "--guard-degree", str(10 ** 6)])
+def test_fuzz_verify(argv):
+    check_outcome(argv)

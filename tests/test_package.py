@@ -66,6 +66,29 @@ def test_traced_names_resolve():
         tracer.uninstall()
 
 
+def test_trace_targets_resolve_in_the_source():
+    # read without running the tracer: TARGETS is a literal, and each
+    # entry names a module attribute or a method defined on its class, the
+    # member that the tracer replaces
+    import ast
+    import importlib
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "cpfqbench" / "tracer.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    targets = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["TARGETS"])
+    assert targets
+    for name, module, attr in targets:
+        owner_name, _, member = attr.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+            assert isinstance(owner, type), name
+        assert callable(vars(owner).get(member)), name
+
+
 def test_removed_wrappers_stay_removed():
     # decompose returns the whole basis verdict, crt_split plus decompose
     # the CRT one, and Factorization.monic_divisors the divisors

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpfq.field import field_make
-from cpfq.polyring import NEG_INF, Poly, parse, to_text, xgcd
+from cpfq.oracle import random_table
+from cpfq.polyring import NEG_INF, Poly, parse, poly_to_index, to_text, xgcd
 from cpfq.residue import (
     ColumnMap,
     FunctionTable,
@@ -19,7 +20,7 @@ from cpfq.residue import (
     crt_split,
 )
 from helpers import (GRID_CELLS, make_field, pol, reduce_mod, ref_crt_combine,
-                     ref_crt_split, ring, table)
+                     ref_crt_split, ref_ring_tables, ring, table)
 
 
 def test_reduce_canonical():
@@ -275,3 +276,104 @@ def test_crt_combine_errors():
 
 def test_reduce_mod_helper():
     assert reduce_mod(pol(2, "t^3+t"), pol(2, "t^2")) == pol(2, "t")
+
+
+# ------------------------------------------------- index maps and tables
+# small rings over F_2, F_3, F_4 and F_9; 2t^3+2t and ut^2+1 are not monic
+INDEXED_RINGS = [(2, "t^4+t^3"), (2, "t^3+t+1"), (3, "2t^3+2t"), (3, "t^2"),
+                 (4, "t^3+t"), (4, "t^2+ut"), (9, "ut^2+1"), (9, "t^2+t")]
+
+
+@pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
+def test_ring_tables_match_poly_ops(q, gtext):
+    R = ring(q, gtext)
+    assert R.indexed
+    tables = R.tables()
+    assert all(t.shape == (R.size, R.size) for t in tables)
+    assert tuple(t.tolist() for t in tables) == ref_ring_tables(R)
+    assert R.tables()[2] is tables[2]  # built once per ring
+
+
+@pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
+def test_index_tables_of_column_maps_match_poly_ops(q, gtext):
+    # the reductions of crt_split, the lifts v -> v e_i of crt_combine, the
+    # shift of the mul table and a product, each on every source residue
+    from cpfq.residue import _crt_idempotents, _reduction_map
+
+    g = pol(q, gtext)
+    moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
+    reps = ResidueRing(g).elements()
+    for pe in moduli:
+        assert _reduction_map(g.degree, pe).index_table() == tuple(
+            poly_to_index(h % pe) for h in reps)
+    _, lifts, _ = _crt_idempotents(g, moduli)
+    for pe, lift in zip(moduli, lifts):
+        m_i = g.monic() // pe
+        e_i = m_i * xgcd(m_i, pe)[1] % g
+        assert lift.index_table() == tuple(poly_to_index(h * e_i % g)
+                                           for h in ResidueRing(pe).elements())
+    h = pol(q, "t^2+t+1")
+    for image in (lambda v: v.shift(1), lambda v: v * h):
+        assert ColumnMap(g.degree, g, image).index_table() == tuple(
+            poly_to_index(image(v) % g) for v in reps)
+
+
+@pytest.mark.parametrize("q,gtext", [(2, "t^4+t^3"), (3, "2t^3+2t"), (4, "t^3+t"),
+                                     (9, "t^3+t^2")])
+def test_crt_inverse_undoes_the_split_on_every_residue(q, gtext):
+    from cpfq.residue import _crt_idempotents, _crt_keys, _reduction_map
+
+    g = pol(q, gtext)
+    moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
+    ring_g, _, inverse = _crt_idempotents(g, moduli)
+    splits = [_reduction_map(g.degree, pe).index_table() for pe in moduli]
+    assert [inverse[k] for k in _crt_keys(splits, moduli)] == list(range(ring_g.size))
+    assert sorted(inverse) == list(range(ring_g.size))
+
+
+def test_indexed_rings_share_their_elements():
+    # values drawn, split and combined are the listed objects of their
+    # rings, so a round trip compares equal element by element by identity
+    dom, cod = ring(2, "t^3"), ring(2, "t^4+t^3")
+    assert cod.elements() is ring(2, "t^4+t").elements()
+    assert cod.element(5) is cod.elements()[5]
+    sig = random_table(dom, cod, random.Random(3))
+    assert all(v is cod.elements()[k] for v, k in zip(sig.values, sig.indices))
+    parts = crt_split(sig)
+    for part in parts:
+        assert all(v is part.codomain.elements()[k]
+                   for v, k in zip(part.values, part.indices))
+    back = crt_combine(parts, modulus=cod.modulus)
+    assert all(a is b for a, b in zip(back.values, sig.values))
+
+
+def test_library_tables_skip_the_validating_constructor(monkeypatch):
+    # random_table, crt_split and crt_combine build canonical values
+    dom, cod = ring(3, "t^2"), ring(3, "t^3+2t^2+t")
+    sig = random_table(dom, cod, random.Random(8))
+    vals = list(sig.values)
+
+    def refuse(*args):
+        raise AssertionError("validating constructor called")
+
+    monkeypatch.setattr(FunctionTable, "__init__", refuse)
+    assert crt_combine(crt_split(random_table(dom, cod, random.Random(8)))).values \
+        == tuple(vals)
+    monkeypatch.undo()
+    assert FunctionTable(dom, cod, vals) == sig
+    assert sig.indices == tuple(poly_to_index(v) for v in vals)
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    (2, "t", "t^11+t^10"),     # t^10 (t+1): |A_g| = 2^11
+    (3, "t", "2t^7+2t"),       # 2 t (t^2+1) (t^4+t^2+1) = 2 t (t^2+1)^3
+])
+def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    assert not cod.indexed
+    with pytest.raises(ValueError):
+        cod.tables()
+    assert cod.element(7) == Poly(cod.field, [7 % q, 7 // q % q, 7 // q ** 2])
+    rng = random.Random(19)
+    for _ in range(20):
+        _check_crt_against_references(random_table(dom, cod, rng))

@@ -23,7 +23,7 @@ from cpfq.wagner import (
 )
 from helpers import (enumerate_cpf_tables, make_field, pol,
                      random_polynomial_function, recompose, ref_basis_table,
-                     ref_decompose, ring, table)
+                     ref_basis_tables, ref_decompose, ring, table)
 
 # the sweep set: three primes over F_2, two over F_3
 PRIMES = [(2, "t"), (2, "t+1"), (2, "t^2+t+1"), (3, "t"), (3, "t^2+1")]
@@ -619,6 +619,20 @@ def test_batch_equals_decompose(q, ftext, ptext, e, base, enumerate_):
         assert set(verdicts[-250:]) == {True, False}
 
 
+@pytest.mark.parametrize("q, ptext, e", [
+    (2, "t", 4), (2, "t^2+t+1", 2), (3, "t^2+1", 1), (3, "t+1", 3),
+    (4, "t+u", 2), (9, "t", 2),
+])
+def test_batch_tables_match_the_poly_op_build(q, ptext, e):
+    # the digit-built tables of A_{P^e} that solve reads, entry by entry
+    from cpfq.wagner import _prime_power_context
+
+    ctx = _prime_power_context(ResidueRing(pol(q, ptext) ** e), 1, None)
+    got, want = ctx.tables(), ref_basis_tables(ctx)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and (a == b).all()
+
+
 def test_batch_input_checked():
     import numpy as np
 
@@ -640,7 +654,7 @@ def test_batch_tables_refused_past_the_bound():
         decompose_rows(np.zeros((1, 2), dtype=int), ResidueRing(pol(2, "t") ** 11), 1)
     assert str(exc.value) == \
         "basis tables guarded to |A_{P^e}|^2 <= 2^20, got 2^22 = 2^22.00"
-    # the largest codomain admitted has 2^10 elements (its Poly-built
-    # tables take about 19 s, so only the guard is asked here)
+    # the largest codomain admitted has 2^10 elements (test_cli runs the
+    # basis check there)
     check_basis_tables(2, 10)
     check_basis_tables(4, 5)
