@@ -89,7 +89,8 @@ def _load_sigma(path) -> FunctionTable:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
         return FunctionTable.from_json(text)
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    # json raises RecursionError on deeply nested input
+    except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as e:
         raise ValueError(f"cannot load function table: {e}") from None
 
 
@@ -180,6 +181,10 @@ def _cmd_decompose(args):
     check_factor_degree(g)
     if args.e * p.degree != g.degree or (p ** args.e).monic() != g.monic():
         raise ValueError("function table codomain modulus is not P^e")
+    fact = sigma.codomain.factorization
+    if fact.factors != ((p.monic(), args.e),):  # P^e = g with P reducible
+        raise ValueError(f"--P {to_text(p)} is not irreducible: the codomain "
+                         f"modulus {to_text(g)} factors as {fact}")
     _guard_from_args(args).check_domain_pairs(f)
     co = wagner.decompose(sigma)
     return {

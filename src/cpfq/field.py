@@ -114,9 +114,6 @@ class FieldSpec:
             n >>= 1
         return result
 
-    def coeffs_of(self, k: int) -> tuple:
-        return self._coords[k]
-
     def from_coeffs(self, coeffs) -> int:
         """Index of the element with the given F_p coordinates (length <= m)."""
         coeffs = [c % self.p for c in coeffs]

@@ -22,7 +22,7 @@ LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
 # dense mul and sub tables of A_{P^e} for the batched basis solve; an
 # enumeration within max_functions = 2^20 never reaches it (C^D <= 2^20
 # with |A_f| = D >= 2 gives C^2 <= 2^20).  The same size marks the residue
-# rings that keep index data built by digits (ResidueRing.indexed)
+# rings that list their residues and op tables (ResidueRing.indexed)
 BASIS_TABLE_LOG2 = 20    # on |A_{P^e}|^2
 # the random tables of verify --what crt and basis: every value drawn is
 # split, checked and (crt) combined; the default 200 samples pass at the
@@ -31,8 +31,8 @@ SAMPLES_LOG2 = 18        # on samples * |A_f|
 # factoring g runs up to deg g / 2 distinct-degree steps, each a Frobenius
 # map and a gcd at degree deg g: about deg(g)^3 table lookups.  At the
 # bound an irreducible g takes 1-3 s to factor over F_2 .. F_16 (F_16 the
-# slowest), and characterize or decompose, which then prove its factor
-# irreducible again, up to about 5.5 s as a whole process
+# slowest); characterize and decompose trust the factors found, so they
+# take about as long as gamma
 FACTOR_DEGREE = 300      # on deg g of every modulus the CLI factors
 
 

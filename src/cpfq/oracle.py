@@ -195,8 +195,9 @@ class PolyFnModule:
         dg = self._degg
         reps = [r.coeffs for r in domain.elements()]
         add, mul = field._add, field._mul
-        times_t = ColumnMap(dg, g, lambda v: v.shift(1))
-        high = ColumnMap(domain.modulus.degree - 1, g, lambda v: v.shift(dg))
+        one = Poly(field, [1])
+        times_t = ColumnMap(g, [one.shift(j + 1) for j in range(dg)])
+        high = ColumnMap(g, [one.shift(dg + j) for j in range(domain.modulus.degree - 1)])
         u_row = mul[field.from_coeffs([0, 1])] if field.m > 1 else None
 
         def times_rep(v, r):
@@ -290,11 +291,9 @@ def polyfn_module(f: Poly, g: Poly,
 
 # --------------------------------------------------------- random tables
 def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
-    """|A_f| values drawn uniformly from A_g by their residue indices, each
-
-    value `codomain.element` of its index (shared in an indexed ring)."""
-    ks = [rng.randrange(codomain.size) for _ in range(domain.size)]
-    return FunctionTable._new(domain, codomain, map(codomain.element, ks), ks)
+    """|A_f| values drawn uniformly from A_g by their residue indices."""
+    return FunctionTable._new(domain, codomain,
+                              [rng.randrange(codomain.size) for _ in range(domain.size)])
 
 
 # --------------------------------------------------------------- censuses

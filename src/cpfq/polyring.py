@@ -608,12 +608,6 @@ class Factorization:
     unit: Poly      # the constant polynomial of the leading coefficient
     factors: tuple  # ((Poly, int), ...) monic irreducible, sorted by (deg, index)
 
-    def reconstruct(self) -> Poly:
-        out = self.unit
-        for p, e in self.factors:
-            out = out * p ** e
-        return out
-
     def monic_divisors(self) -> list:
         """All monic divisors with degree >= 1, sorted by (degree, index)."""
         one = Poly._new(self.unit.field, [1])

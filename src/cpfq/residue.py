@@ -1,9 +1,10 @@
 """Residue class rings A_f = F_q[t]/(f) and tabulated functions between them.
 
 Residues are represented by their canonical representatives: the
-polynomials of degree < deg f, together with 0.  A FunctionTable stores
-one codomain representative per domain representative, in index order,
-and serializes to the JSON shape
+polynomials of degree < deg f, together with 0, indexed by their base-q
+digits.  A FunctionTable stores the codomain index of its value at each
+domain residue, in index order; the CRT split and combine are each one
+ColumnMap on those indices.  A table serializes to the JSON shape
     {"q": 2, "f": "t^2", "g": "t^2", "values": {"0": "0", "1": "1", ...}}
 with the value keys in index order (extension fields additionally carry
 "p", "m" and "field_modulus").
@@ -12,12 +13,17 @@ with the value keys in index order (extension fields additionally carry
 from __future__ import annotations
 
 import json
+from array import array
 from functools import lru_cache
 
 from .field import FieldSpec, field_make
 from .guards import BASIS_TABLE_LOG2, power_exceeds
 from .polyring import (Factorization, Poly, enumerate_residues, factorize,
                        index_to_poly, parse, poly_to_index, to_text, xgcd)
+
+# a ColumnMap on at most 2^INDEX_MAP_LOG2 source indices keeps an index
+# table: O(|source|) data, a few bytes an entry
+INDEX_MAP_LOG2 = 16
 
 
 class ResidueRing:
@@ -137,8 +143,9 @@ class ResidueRing:
             add = _digitwise(field._add, n)
             sub = _digitwise([[row[y] for y in field._neg] for row in field._add], n)
             scale = [_digitwise(row, n) for row in field._mul]  # c * x
-            times_t = np.array(ColumnMap(n, self.modulus, lambda v: v.shift(1))
-                               .index_table())
+            one = Poly(field, [1])
+            times_t = np.array(ColumnMap(self.modulus, [one.shift(j + 1) for j in range(n)])
+                               .image(range(self.size)))
             mul = np.zeros((self.size, 1), dtype=np.int16)
             shifted = np.arange(self.size)  # a t^j mod g, for j = 0 .. n-1
             for _ in range(n):
@@ -206,9 +213,11 @@ def _add_indices(field: FieldSpec, x: int, y: int) -> int:
 
 
 class FunctionTable:
-    """A function A_f -> A_g tabulated on canonical representatives."""
+    """A function A_f -> A_g, kept as the A_g index of its value at each
 
-    __slots__ = ("domain", "codomain", "values", "_indices", "_hash")
+    residue of A_f, in index order; `values` is a view built on first read."""
+
+    __slots__ = ("domain", "codomain", "indices", "_values", "_hash")
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing, values):
         values = tuple(values)
@@ -222,32 +231,30 @@ class FunctionTable:
                 raise ValueError("value is not a canonical codomain representative")
         self.domain = domain
         self.codomain = codomain
-        self.values = values
-        self._indices = None
+        self.indices = tuple(map(poly_to_index, values))
+        self._values = values
         self._hash = None
 
     @classmethod
-    def _new(cls, domain: ResidueRing, codomain: ResidueRing, values,
-             indices=None) -> "FunctionTable":
+    def _new(cls, domain: ResidueRing, codomain: ResidueRing,
+             indices) -> "FunctionTable":
         """Trusted constructor, like Poly._new, for the tables the library
 
-        builds itself: values holds one canonical codomain representative
-        per domain residue in index order, and indices, when given, their
-        residue indices.  Nothing is checked."""
+        builds itself: one residue index of A_g per domain residue, in
+        index order.  Nothing is checked."""
         tb = object.__new__(cls)
         tb.domain = domain
         tb.codomain = codomain
-        tb.values = tuple(values)
-        tb._indices = None if indices is None else tuple(indices)
-        tb._hash = None
+        tb.indices = tuple(indices)
+        tb._values = tb._hash = None
         return tb
 
     @property
-    def indices(self) -> tuple:
-        """The residue index of every value, computed once."""
-        if self._indices is None:
-            self._indices = tuple(map(poly_to_index, self.values))
-        return self._indices
+    def values(self) -> tuple:
+        """The codomain representative of every index, built once."""
+        if self._values is None:
+            self._values = tuple(map(self.codomain.element, self.indices))
+        return self._values
 
     @classmethod
     def from_callable(cls, domain: ResidueRing, codomain: ResidueRing, fn):
@@ -259,23 +266,20 @@ class FunctionTable:
         """sigma(hbar) = h mod g."""
         return cls.from_callable(domain, codomain, lambda h: h)
 
-    def value_at(self, rep: Poly) -> Poly:
-        return self.values[self.domain.index(rep)]
-
     def __eq__(self, other):
         return (isinstance(other, FunctionTable)
                 and self.domain == other.domain
                 and self.codomain == other.codomain
-                and self.values == other.values)
+                and self.indices == other.indices)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.domain.modulus, self.codomain.modulus, self.values))
+            self._hash = hash((self.domain.modulus, self.codomain.modulus, self.indices))
         return self._hash
 
     def __repr__(self):
         return (f"FunctionTable({to_text(self.domain.modulus)} -> "
-                f"{to_text(self.codomain.modulus)}, {len(self.values)} values)")
+                f"{to_text(self.codomain.modulus)}, {len(self.indices)} values)")
 
     # ------------------------------------------------------------- JSON
     def to_json_obj(self) -> dict:
@@ -314,20 +318,19 @@ class FunctionTable:
         # with fewer keys than the q^deg f representatives, one of the first
         # len(values) + 1 is missing: the scan stops there, never listing A_f
         short = power_exceeds(field.q, dom.modulus.degree, len(vals_in))
-        values = []
+        indices = []
         for k in range(len(vals_in) + 1 if short else dom.size):
-            h = index_to_poly(field, k)
-            key = to_text(h)
+            key = to_text(index_to_poly(field, k))
             if key not in vals_in:
                 raise ValueError(f"missing value for representative {key!r}")
             v = parse(field, vals_in[key])
-            if cod.reduce(v) != v:
+            if v.degree >= cod.modulus.degree:
                 raise ValueError(f"value {vals_in[key]!r} is not a canonical "
                                  f"representative mod {to_text(cod.modulus)}")
-            values.append(v)
+            indices.append(poly_to_index(v))
         if len(vals_in) != dom.size:
             raise ValueError("values has keys that are not canonical representatives")
-        return cls(dom, cod, values)
+        return cls._new(dom, cod, indices)
 
     @classmethod
     def from_json(cls, text: str) -> "FunctionTable":
@@ -354,28 +357,29 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
 
 # ------------------------------------------------------ linear column maps
 class ColumnMap:
-    """An F_q-linear map into A_g, kept as the images of t^j.
+    """An F_q-linear map from F_q^n into A_g: columns[j] is the coefficient
 
-    columns[j] is the coefficient tuple, padded to deg g, of image(t^j) mod
-    g for each j below the source degree; the images are computed once
-    with Poly ops.  A value with coefficients cs (at most one per column)
-    then maps to sum_j cs[j] columns[j]: deg_in * deg_out lookups in the
-    field's tables, with no Poly ring op and no table over A_g, so one
-    map serves every size of ring.  On a small source, `index_table`
-    lists the image of every residue index."""
+    tuple, padded to deg g, of images[j] mod g (the image of unit vector
+    j), computed once with Poly ops.  A source index is read by its n
+    base-q digits, lowest first: a residue's coefficients, or the CRT
+    parts' digits side by side.  `image` takes one route per map, chosen
+    from its size: up to q^n = 2^INDEX_MAP_LOG2 an index table built once
+    on first use, past it a sum of the columns over each index's digits,
+    with no Poly ring op."""
 
-    __slots__ = ("field", "width", "columns", "_index")
+    __slots__ = ("field", "width", "columns", "tabled", "_table")
 
-    def __init__(self, degree: int, target: Poly, image):
+    def __init__(self, target: Poly, images):
         field = target.field
         self.field = field
         self.width = target.degree
         cols = []
-        for j in range(degree):
-            cs = (image(Poly(field, [1]).shift(j)) % target).coeffs
+        for h in images:
+            cs = (h % target).coeffs
             cols.append(cs + (0,) * (self.width - len(cs)))
         self.columns = tuple(cols)
-        self._index = None
+        self.tabled = not power_exceeds(field.q, len(cols), 2 ** INDEX_MAP_LOG2)
+        self._table = None
 
     def add_into(self, out: list, cs) -> list:
         """out += the image of the value with coefficients cs, in place."""
@@ -388,61 +392,66 @@ class ColumnMap:
                         out[k] = add[out[k]][row[x]]
         return out
 
-    def __call__(self, v: Poly) -> Poly:
-        return Poly._new(self.field, self.add_into([0] * self.width, v.coeffs))
+    def image(self, indices) -> list:
+        """The A_g index of the image of each source index."""
+        if self.tabled:
+            if self._table is None:
+                self._table = self._index_table()
+            return list(map(self._table.__getitem__, indices))
+        q, n, out = self.field.q, len(self.columns), []
+        for k in indices:
+            digits = []
+            for _ in range(n):
+                k, c = divmod(k, q)
+                digits.append(c)
+            for c in reversed(self.add_into([0] * self.width, digits)):
+                k = k * q + c
+            out.append(k)
+        return out
 
-    def index_table(self) -> tuple:
-        """The image index of every source index i < q^degree, built once
-
-        by digits: with c t^j the top term of i, image(i) = image(i - c t^j)
-        + c columns[j], the sum taken digit by digit in F_q."""
-        if self._index is None:
-            field = self.field
-            q, mul = field.q, field._mul
-            out = [0]
-            for col in self.columns:
-                low = list(out)  # the images of i < q^j
-                for c in range(1, q):
-                    v = 0
-                    for x in reversed(col):
-                        v = v * q + mul[c][x]
-                    out += [_add_indices(field, x, v) for x in low]
-            self._index = tuple(out)
-        return self._index
+    def _index_table(self) -> array:
+        """The image of every source index i < q^n, by digits: with c t^j
+        the top term of i, image(i) = image(i - c t^j) + c columns[j], the
+        sum taken digit by digit in F_q.  Each entry takes the fewest bytes
+        that hold every index of A_g."""
+        field = self.field
+        q, mul = field.q, field._mul
+        out = array(next(code for code in "BHIQ" if not power_exceeds(
+            q, self.width, 256 ** array(code).itemsize - 1)), [0])
+        for col in self.columns:
+            low = out[:]  # the images of i < q^j
+            for c in range(1, q):
+                v = 0
+                for x in reversed(col):
+                    v = v * q + mul[c][x]
+                out.extend(_add_indices(field, x, v) for x in low)
+        return out
 
 
 # ---------------------------------------------------------------- CRT
 @lru_cache(maxsize=16)
 def _reduction_map(degree: int, modulus: Poly) -> ColumnMap:
     """h -> h mod modulus on the residues of degree < `degree`."""
-    return ColumnMap(degree, modulus, lambda h: h)
+    one = Poly(modulus.field, [1])
+    return ColumnMap(modulus, [one.shift(j) for j in range(degree)])
 
 
 def crt_split(sigma: FunctionTable) -> list:
-    """One table per prime power P_i^{e_i} of the codomain modulus, each
+    """One table per prime power P_i^{e_i} of the codomain modulus: the
 
-    value reduced into A_{P_i^{e_i}}: through the index table of the
-    reduction when the codomain is indexed, else by its columns."""
+    index of each value reduced into A_{P_i^{e_i}}, by the ColumnMap of
+    the reduction."""
     cod = sigma.codomain
-    degree = cod.modulus.degree
-    out = []
-    for ring in cod.prime_powers:
-        reduce = _reduction_map(degree, ring.modulus)
-        if cod.indexed:
-            image = reduce.index_table()
-            ks = [image[k] for k in sigma.indices]
-            values = map(ring.elements().__getitem__, ks)
-            out.append(FunctionTable._new(sigma.domain, ring, values, ks))
-        else:
-            out.append(FunctionTable._new(sigma.domain, ring,
-                                          map(reduce, sigma.values)))
-    return out
+    return [FunctionTable._new(sigma.domain, ring, _reduction_map(
+                cod.modulus.degree, ring.modulus).image(sigma.indices))
+            for ring in cod.prime_powers]
 
 
 def _crt_keys(indices, moduli) -> list:
     """The key sum_i k_i w_i of each tuple (k_0, k_1, ...) of part indices,
 
-    w_i = prod_{j<i} |A_{moduli[j]}|: its position in the combine's table."""
+    w_i = prod_{j<i} |A_{moduli[j]}|: the digits of the parts side by
+    side, the source index of the combine map."""
     keys, w = None, 1
     for ks, pe in zip(indices, moduli):
         keys = list(ks) if keys is None else [k + w * x for k, x in zip(keys, ks)]
@@ -451,30 +460,20 @@ def _crt_keys(indices, moduli) -> list:
 
 
 @lru_cache(maxsize=16)
-def _crt_idempotents(g: Poly, moduli: tuple) -> tuple:
-    """(A_g, for each moduli[i] the map v -> v e_i mod g, and for an
+def _combine_map(g: Poly, moduli: tuple) -> tuple:
+    """(A_g, the combine as one ColumnMap on the direct sum of the
 
-    indexed A_g the inverse of the split), where e_i = 1 mod moduli[i] and
-    0 mod the others: kept per modulus, so the xgcds run once for every
-    combine into A_g.  The inverse lists, by `_crt_keys` of the part
-    indices, the index of sum_i v_i e_i; it is built from the index
-    tables of the maps, one part at a time."""
-    ring = ResidueRing(g)
-    maps = []
+    A_{moduli[i]}): unit vector t^j of part i maps to t^j e_i, where e_i =
+    1 mod moduli[i] and 0 mod the others, by one xgcd per part.  Kept per
+    modulus, so repeated combines into A_g run no xgcd; on a source of at
+    most 2^INDEX_MAP_LOG2 indices its index table is the inverse of the
+    split."""
+    images = []
     for pe in moduli:
         m_i = g.monic() // pe
-        gg, x, _ = xgcd(m_i, pe)
-        if gg.degree != 0:
-            raise ValueError("prime power moduli must be pairwise coprime")
-        e_i = ring.reduce(m_i * x)
-        maps.append(ColumnMap(pe.degree, g, lambda v, e_i=e_i: v * e_i))
-    inverse = None
-    if ring.indexed:
-        inverse = (0,)
-        for lift in maps:
-            inverse = tuple(_add_indices(ring.field, x, y)
-                            for y in lift.index_table() for x in inverse)
-    return ring, tuple(maps), inverse
+        e_i = m_i * xgcd(m_i, pe)[1]  # the moduli are coprime: gcd = 1
+        images += [e_i.shift(j) for j in range(pe.degree)]
+    return ResidueRing(g), ColumnMap(g, images)
 
 
 @lru_cache(maxsize=16)
@@ -501,8 +500,8 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
     """Inverse of crt_split: tables over pairwise coprime prime powers with
 
     a common domain recombine into A_g, g the monic product (or the given
-
-    modulus, which must factor into exactly those prime powers)."""
+    modulus, which must factor into exactly those prime powers), by the
+    combine map on the keys of their indices."""
     if not tables:
         raise ValueError("need at least one table")
     domain = tables[0].domain
@@ -513,15 +512,6 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
         if modulus.monic() != g:
             raise ValueError("modulus does not match the prime power moduli")
         g = modulus
-    ring, maps, inverse = _crt_idempotents(g, moduli)
-    if inverse is not None:
-        ks = [inverse[k] for k in _crt_keys([tb.indices for tb in tables], moduli)]
-        return FunctionTable._new(domain, ring, map(ring.elements().__getitem__, ks), ks)
-    field = domain.field
-    values = []
-    for vs in zip(*(tb.values for tb in tables)):
-        acc = [0] * g.degree
-        for lift, v in zip(maps, vs):
-            lift.add_into(acc, v.coeffs)
-        values.append(Poly._new(field, acc))
-    return FunctionTable._new(domain, ring, values)
+    ring, combine = _combine_map(g, moduli)
+    keys = _crt_keys([tb.indices for tb in tables], moduli)
+    return FunctionTable._new(domain, ring, combine.image(keys))

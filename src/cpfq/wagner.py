@@ -48,10 +48,12 @@ class PSequence:
 
     Any base ordering of the degree < d polynomials with b_0 = 0, b_1 = 1
     and nondecreasing degrees is admissible; the default is index order.
+    P is proved irreducible here, unless `_proven` says that a
+    factorization has proved it already.
     """
 
-    def __init__(self, p: Poly, base: list | None = None):
-        if not (is_irreducible(p) and p.is_monic()):
+    def __init__(self, p: Poly, base: list | None = None, *, _proven: bool = False):
+        if not (p.is_monic() and (_proven or is_irreducible(p))):
             raise ValueError("P must be monic irreducible")
         self.p = p
         self.field = p.field
@@ -126,7 +128,8 @@ class PSequence:
         return self._domains.setdefault(n, out)
 
 
-# PSequence(p) proves P irreducible, so the default sequence is built once per P
+# PSequence(p) proves P irreducible, so the default sequence is built once
+# per P; a factor of a Factorization is built with _proven=True
 _default_sequence = functools.lru_cache(maxsize=64)(PSequence)
 
 
@@ -344,7 +347,7 @@ def _prime_power_context(codomain: ResidueRing, n: int,
         raise ValueError("codomain modulus must be a prime power")
     p, e = fact.factors[0]
     if seq is None:
-        seq = _default_sequence(p)
+        seq = _default_sequence(p, _proven=True)
     elif seq.p != p:
         raise ValueError("sequence attached to a different P")
     return _context(seq, e, n)

@@ -1,14 +1,16 @@
 """Shared shorthand for the test suite: field construction by size q,
-polynomial parsing, monic enumeration, reduction mod g, the
-per-coefficient reference ring ops that the table-row arithmetic of
-`Poly` is checked against, the trial-division factorization that
-`factorize` is checked against, the Poly route of the basis decomposition
-that `decompose` is checked against and the Poly-op basis tables of its
-batched solve, the hand-derived self-Chen closed forms that the
-Euler-product counts and density are checked against, the Poly-op ring
-tables, CRT split and combine and polynomial-function span that the
-digit-built tables and the `residue.ColumnMap` routes are checked
-against, and the oracle references that only the tests use: the
+polynomial parsing, monic enumeration, reduction mod g, the accessors
+that only the tests read (a table's value at a residue, a field
+element's coordinates, the product of a factorization, a ColumnMap
+applied to a residue), the per-coefficient reference ring ops that the
+table-row arithmetic of `Poly` is checked against, the trial-division
+factorization that `factorize` is checked against, the Poly route of the
+basis decomposition that `decompose` is checked against and the Poly-op
+basis tables of its batched solve, the hand-derived self-Chen closed
+forms that the Euler-product counts and density are checked against, the
+Poly-op ring tables, CRT split and combine and polynomial-function span
+that the digit-built tables and the `residue.ColumnMap` routes are
+checked against, and the oracle references that only the tests use: the
 all-pairs constraint encoding, the row check of an encoding, the
 odometer and full-depth counts that the `_kernels` counts are checked
 against, decoded table lists, random polynomial functions, the members
@@ -69,6 +71,29 @@ def reduce_mod(h, g):
 
 def table(domain, codomain, fn):
     return FunctionTable.from_callable(domain, codomain, fn)
+
+
+def value_at(sigma, rep):
+    """sigma's value at the domain residue rep."""
+    return sigma.values[sigma.domain.index(rep)]
+
+
+def coeffs_of(field, k):
+    """The F_p coordinates of field element k."""
+    return field._coords[k]
+
+
+def reconstruct(fact):
+    """The product unit * prod P^e of a Factorization."""
+    out = fact.unit
+    for p, e in fact.factors:
+        out = out * p ** e
+    return out
+
+
+def apply_column_map(cmap, v):
+    """The image of the residue v under a ColumnMap, from its coefficients."""
+    return Poly._new(cmap.field, cmap.add_into([0] * cmap.width, v.coeffs))
 
 
 # ------------------------------------------- reference polynomial ring ops

@@ -216,6 +216,28 @@ def test_decompose_golden(capsys, identity_table):
                    "cpf": True, "failures": []}
 
 
+@pytest.mark.parametrize("g, P, err", [
+    ("t^2", "t^2", '{"error": "--P t^2 is not irreducible: the codomain modulus '
+                   't^2 factors as 1 * (t)^2"}\n'),
+    ("t^4+t^2+1", "t^4+t^2+1",
+     '{"error": "--P t^4+t^2+1 is not irreducible: the codomain modulus '
+     't^4+t^2+1 factors as 1 * (t^2+t+1)^2"}\n'),
+])
+def test_decompose_refuses_a_reducible_P(capsys, tmp_path, g, P, err):
+    # P^1 = g, so the P^e check passes; the coordinates would be those of
+    # the prime power of g, printed under the wrong P and e
+    from cpfq.polyring import parse
+    from cpfq.residue import FunctionTable, ResidueRing
+    from helpers import make_field
+
+    F2 = make_field(2)
+    path = tmp_path / "sigma.json"
+    path.write_text(FunctionTable.reduction(ResidueRing(parse(F2, "t^2")),
+                                            ResidueRing(parse(F2, g))).to_json())
+    assert run_cli(capsys, "decompose", "--q", "2", "--f", "t^2", "--P", P,
+                   "--e", "1", "--sigma", str(path)) == (1, "", err)
+
+
 def test_decompose_rejects_mismatched_table(capsys, identity_table):
     code, out, err = run_cli(capsys, "decompose", "--q", "2", "--f", "t^3",
                              "--P", "t", "--e", "2", "--sigma", identity_table)

@@ -1,5 +1,6 @@
 """The command line under hypothesis: polynomial texts, field flags,
---samples and the guard flags, driven through main().  Every outcome is
+--samples, the guard flags and the --sigma table JSON, driven through
+main().  Every outcome is
 exit 0 with one JSON object on stdout, exit 1 with one JSON error object
 on stderr, or exit 2 with a usage error.  The strategies keep the work
 admitted by the guards small (low degrees, small censuses and
@@ -9,27 +10,32 @@ which the guards refuse in O(1)."""
 import contextlib
 import io
 import json
+import random
+import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cpfq.cli import main
 from cpfq.guards import FACTOR_DEGREE
-from cpfq.polyring import MAX_PARSE_DEGREE
+from cpfq.polyring import MAX_PARSE_DEGREE, to_text
 
 
-def run(argv):
+def run(argv, stdin=""):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        saved, sys.stdin = sys.stdin, io.StringIO(stdin)
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
+        finally:
+            sys.stdin = saved
     return code, out.getvalue(), err.getvalue()
 
 
-def check_outcome(argv):
-    code, out, err = run(argv)
+def check_outcome(argv, stdin=""):
+    code, out, err = run(argv, stdin)
     if code == 0:
         assert isinstance(json.loads(out), dict), argv
         # the only note on stderr is --decimal's render guard
@@ -178,3 +184,96 @@ def verify_argv(draw):
                "--g", f"t^{FACTOR_DEGREE + 1}", "--guard-degree", str(10 ** 6)])
 def test_fuzz_verify(argv):
     check_outcome(argv)
+
+
+# ------------------------------------------------------------- --sigma
+SIGMA_FIELDS = {2: ["--q", "2"], 3: ["--q", "3"], 4: ["--p", "2", "--m", "2"]}
+SIGMA_MODULI = ["t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2", "t^2+1"]
+JUNK_JSON = [None, True, False, 0, -1, 1.5, 2, 3, 4, 10 ** 30, "", "2", "t",
+             "t^2", "t^20", "t^99999", "u^2+u+1", "((", [], [2], {}, {"0": "0"}]
+
+
+@st.composite
+def sigma_texts(draw, q, f, g):
+    """The JSON text of a random table A_f -> A_g over F_q, with up to
+    three edits (a key dropped, added or given a junk value; a value
+    entry dropped, added, made junk or not canonical; q, p or m set to
+    disagree), or junk JSON in place of the object."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["", "[", "{}", "null", "[1, 2]", '"t"', "NaN",
+                                     "[" * 5000 + "]" * 5000, '{"q":' * 5000]))
+    from helpers import ring
+    from cpfq.oracle import random_table
+
+    obj = random_table(ring(q, f), ring(q, g),
+                       random.Random(draw(st.integers(0, 99)))).to_json_obj()
+    for _ in range(draw(st.integers(0, 3))):
+        edit = draw(st.sampled_from(["drop", "add", "junk", "value-drop",
+                                     "value-add", "value-junk", "value-high", "field"]))
+        values = obj.get("values")
+        if edit == "drop" and obj:
+            del obj[draw(st.sampled_from(sorted(obj)))]
+        elif edit == "add":
+            obj[draw(st.sampled_from(["extra", "p", "m", "field_modulus"]))] = \
+                draw(st.sampled_from(JUNK_JSON))
+        elif edit == "junk" and obj:
+            obj[draw(st.sampled_from(sorted(obj)))] = draw(st.sampled_from(JUNK_JSON))
+        elif edit.startswith("value") and isinstance(values, dict) and values:
+            key = draw(st.sampled_from(sorted(values)))
+            if edit == "value-drop":
+                del values[key]
+            elif edit == "value-add":
+                values[draw(st.sampled_from(["t^9", "1+t", " 0", "u", "x"]))] = "0"
+            elif edit == "value-junk":
+                values[key] = draw(st.sampled_from(JUNK_JSON))
+            else:  # the same residue plus a multiple of g: not canonical
+                values[key] = f"{values[key]}+({g})*t"
+        elif edit == "field":
+            obj[draw(st.sampled_from(["q", "p", "m"]))] = draw(
+                st.integers(-2, 17) | st.just(2 ** 61 - 1))
+    return json.dumps(obj)
+
+
+@st.composite
+def sigma_argv(draw):
+    """(argv, stdin) for decompose or characterize --sigma -: the flags
+    name the table's own field and moduli, except one time in four."""
+    q = draw(st.sampled_from(sorted(SIGMA_FIELDS)))
+    f, g = (draw(st.sampled_from(SIGMA_MODULI[:5])) for _ in range(2))
+    text = draw(sigma_texts(q, f, g))
+    if draw(st.integers(0, 3)) == 0:
+        q = draw(st.sampled_from(sorted(SIGMA_FIELDS)))
+        f, g = (draw(st.sampled_from(SIGMA_MODULI)) for _ in range(2))
+    argv = [draw(st.sampled_from(["decompose", "characterize"])), *SIGMA_FIELDS[q],
+            "--f", f, "--sigma", "-"]
+    if argv[0] == "decompose":
+        # g's first prime power, drawn P and e, and g itself as P with e = 1,
+        # which reaches the irreducibility check
+        from helpers import ring
+        p, e = ring(q, g).factorization.factors[0]
+        P, e = draw(st.sampled_from([(to_text(p), e), (g, 1)])
+                    | st.tuples(st.sampled_from(["t", "t+1", "t^2+t+1", "0"]),
+                                st.integers(-1, 3)))
+        argv += ["--P", P, "--e", str(e)]
+    else:
+        argv += ["--g", g]
+    return argv, text
+
+
+DECOMPOSE = ["decompose", "--q", "2", "--f", "t", "--P", "t", "--e", "1", "--sigma", "-"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sigma_argv())
+# deeply nested JSON made json raise RecursionError, a traceback
+@example(case=(DECOMPOSE, "[" * 5000))
+@example(case=(["characterize", "--q", "2", "--f", "t", "--g", "t", "--sigma", "-"],
+               '{"values":' * 5000))
+# a value that is not canonical, values of the wrong type and a table
+# over F_4 loaded under --q 2
+@example(case=(DECOMPOSE, '{"q": 2, "f": "t", "g": "t", "values": {"0": "0", "1": "t+1"}}'))
+@example(case=(DECOMPOSE, '{"q": 2, "f": "t", "g": "t", "values": {"0": 0, "1": null}}'))
+@example(case=(DECOMPOSE, '{"q": 4, "p": 2, "m": 2, "field_modulus": "u^2+u+1", "f": "t", '
+                          '"g": "t", "values": {"0": "0", "1": "1", "u": "u", "u+1": "u+1"}}'))
+def test_fuzz_sigma(case):
+    check_outcome(*case)

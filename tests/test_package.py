@@ -91,16 +91,26 @@ def test_trace_targets_resolve_in_the_source():
 
 def test_removed_wrappers_stay_removed():
     # decompose returns the whole basis verdict, crt_split plus decompose
-    # the CRT one, and Factorization.monic_divisors the divisors
-    from cpfq import polyring, wagner
+    # the CRT one, and Factorization.monic_divisors the divisors; the CRT
+    # combine is one ColumnMap, with no list of lifts and no hand-built
+    # inverse
+    from cpfq import polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
                         "crt_characterize"),
-               polyring: ("monic_divisors",)}
+               polyring: ("monic_divisors",),
+               residue: ("_crt_idempotents",)}
     for module, names in removed.items():
         for name in names:
             assert name not in cpfq.__all__
             assert not hasattr(module, name), name
             assert not hasattr(cpfq, name), name
+    # members read only by the tests, which take them from tests/helpers.py
+    from cpfq.field import FieldSpec
+    from cpfq.residue import ColumnMap, FunctionTable
+    moved = {FunctionTable: "value_at", FieldSpec: "coeffs_of",
+             polyring.Factorization: "reconstruct", ColumnMap: "__call__"}
+    for cls, name in moved.items():
+        assert name not in vars(cls), (cls.__name__, name)
 
 
 def test_readme_results_table_resolves():

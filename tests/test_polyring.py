@@ -39,7 +39,7 @@ from cpfq.polyring import (
 from helpers import (make_field, monic_polys, monic_upto, pol, ref_add,
                      ref_divmod, ref_factor_pairs, ref_is_self_chen,
                      ref_monic_irreducibles, ref_mul, ref_neg, ref_sub,
-                     relabeled_index_to_poly)
+                     reconstruct, relabeled_index_to_poly)
 
 FIELDS = {q: make_field(q) for q in (2, 3, 4, 5)}
 
@@ -288,7 +288,7 @@ def test_factorize_reconstructs_exhaustively(q):
             for u in units:
                 g = m * u
                 fz = factorize(g)
-                assert fz.reconstruct() == g
+                assert reconstruct(fz) == g
                 degs = [(p.degree, poly_to_index(p)) for p, _ in fz.factors]
                 assert degs == sorted(degs)
                 for p, e in fz.factors:
@@ -389,7 +389,7 @@ def test_factorize_reconstructs_at_degree_200(p, m):
     for g in (unit, a * b ** 2 * monic(80)):
         assert g.degree == 200
         fz = factorize(g)
-        assert fz.reconstruct() == g
+        assert reconstruct(fz) == g
         assert all(e >= 1 and P.is_monic() for P, e in fz.factors)
         assert factor_shape(g) == _shape(fz.factors)
 

@@ -19,8 +19,9 @@ from cpfq.residue import (
     crt_combine,
     crt_split,
 )
-from helpers import (GRID_CELLS, make_field, pol, reduce_mod, ref_crt_combine,
-                     ref_crt_split, ref_ring_tables, ring, table)
+from helpers import (GRID_CELLS, apply_column_map, make_field, pol, reduce_mod,
+                     ref_crt_combine, ref_crt_split, ref_ring_tables, ring, table,
+                     value_at)
 
 
 def test_reduce_canonical():
@@ -145,7 +146,7 @@ def test_table_validates_codomain_reps():
 def test_value_at_and_equality():
     dom = ring(2, "t^2")
     ident = table(dom, dom, lambda h: h)
-    assert ident.value_at(pol(2, "t")) == pol(2, "t")
+    assert value_at(ident, pol(2, "t")) == pol(2, "t")
     assert ident == table(dom, dom, lambda h: h)
     assert ident != table(dom, dom, lambda h: h + pol(2, "1"))
 
@@ -196,7 +197,7 @@ def test_crt_combine_keeps_the_idempotents_per_modulus(monkeypatch):
         return xgcd(a, b)
 
     monkeypatch.setattr(residue, "xgcd", counted_xgcd)
-    residue._crt_idempotents.cache_clear()
+    residue._combine_map.cache_clear()
     rng = random.Random(5)
     dom, cod = ring(3, "t"), ring(3, "t^3+2t^2+t")  # t (t+1)^2
     for _ in range(3):
@@ -252,11 +253,13 @@ def test_crt_maps_match_poly_references_over_extension_fields(q, ftext, gtext, d
 def test_column_map_applies_a_product_mod_g(q, gtext, htext):
     # v -> v h mod g on every residue of degree < 3, by columns and by Poly ops
     g, h = pol(q, gtext), pol(q, htext)
-    times_h = ColumnMap(3, g, lambda v: v * h)
+    times_h = ColumnMap(g, [h.shift(j) for j in range(3)])
     assert len(times_h.columns) == 3
     assert all(len(col) == g.degree for col in times_h.columns)
-    for v in ring(q, "t^3").elements():
-        assert times_h(v) == v * h % g
+    reps = ring(q, "t^3").elements()
+    for v in reps:
+        assert apply_column_map(times_h, v) == v * h % g
+    assert times_h.image(range(len(reps))) == [poly_to_index(v * h % g) for v in reps]
 
 
 def test_crt_combine_errors():
@@ -296,39 +299,64 @@ def test_ring_tables_match_poly_ops(q, gtext):
 
 @pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
 def test_index_tables_of_column_maps_match_poly_ops(q, gtext):
-    # the reductions of crt_split, the lifts v -> v e_i of crt_combine, the
-    # shift of the mul table and a product, each on every source residue
-    from cpfq.residue import _crt_idempotents, _reduction_map
+    # the reductions of crt_split, the combine sum_i v_i e_i of crt_combine
+    # on every key of the direct sum, the shift of the mul table and a
+    # product, each on every source index
+    from cpfq.residue import _combine_map, _crt_keys, _reduction_map
 
     g = pol(q, gtext)
     moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
     reps = ResidueRing(g).elements()
     for pe in moduli:
-        assert _reduction_map(g.degree, pe).index_table() == tuple(
-            poly_to_index(h % pe) for h in reps)
-    _, lifts, _ = _crt_idempotents(g, moduli)
-    for pe, lift in zip(moduli, lifts):
+        reduce = _reduction_map(g.degree, pe)
+        assert reduce.tabled
+        assert reduce.image(range(len(reps))) == [poly_to_index(h % pe) for h in reps]
+    idempotents = []
+    for pe in moduli:
         m_i = g.monic() // pe
-        e_i = m_i * xgcd(m_i, pe)[1] % g
-        assert lift.index_table() == tuple(poly_to_index(h * e_i % g)
-                                           for h in ResidueRing(pe).elements())
-    h = pol(q, "t^2+t+1")
+        idempotents.append(m_i * xgcd(m_i, pe)[1] % g)
+    parts = [ResidueRing(pe).elements() for pe in moduli]
+    combos = list(itertools.product(*(range(len(els)) for els in parts)))
+    want = []
+    for ks in combos:
+        acc = Poly(g.field)
+        for els, k, e_i in zip(parts, ks, idempotents):
+            acc = acc + els[k] * e_i
+        want.append(poly_to_index(acc % g))
+    _, combine = _combine_map(g, moduli)
+    assert combine.image(_crt_keys(list(zip(*combos)), moduli)) == want
+    one, h = Poly(g.field, [1]), pol(q, "t^2+t+1")
     for image in (lambda v: v.shift(1), lambda v: v * h):
-        assert ColumnMap(g.degree, g, image).index_table() == tuple(
-            poly_to_index(image(v) % g) for v in reps)
+        cmap = ColumnMap(g, [image(one.shift(j)) for j in range(g.degree)])
+        assert cmap.image(range(len(reps))) == [poly_to_index(image(v) % g)
+                                                for v in reps]
+
+
+@pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
+def test_digit_route_matches_the_index_table(q, gtext):
+    # one map by both routes of ColumnMap.image, on every source index
+    g, h = pol(q, gtext), pol(q, "t^2+t+1")
+    tabled, digits = (ColumnMap(g, [h.shift(j) for j in range(g.degree + 1)])
+                      for _ in range(2))
+    digits.tabled = False
+    every = range(q ** (g.degree + 1))
+    assert tabled.image(every) == digits.image(every)
+    assert tabled._table is not None and digits._table is None
 
 
 @pytest.mark.parametrize("q,gtext", [(2, "t^4+t^3"), (3, "2t^3+2t"), (4, "t^3+t"),
                                      (9, "t^3+t^2")])
 def test_crt_inverse_undoes_the_split_on_every_residue(q, gtext):
-    from cpfq.residue import _crt_idempotents, _crt_keys, _reduction_map
+    # the combine map's index table is the inverse of the split
+    from cpfq.residue import _combine_map, _crt_keys, _reduction_map
 
     g = pol(q, gtext)
     moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
-    ring_g, _, inverse = _crt_idempotents(g, moduli)
-    splits = [_reduction_map(g.degree, pe).index_table() for pe in moduli]
-    assert [inverse[k] for k in _crt_keys(splits, moduli)] == list(range(ring_g.size))
-    assert sorted(inverse) == list(range(ring_g.size))
+    ring_g, combine = _combine_map(g, moduli)
+    every = range(ring_g.size)
+    splits = [_reduction_map(g.degree, pe).image(every) for pe in moduli]
+    assert combine.image(_crt_keys(splits, moduli)) == list(every)
+    assert sorted(combine.image(every)) == list(every)
 
 
 def test_indexed_rings_share_their_elements():
@@ -365,10 +393,14 @@ def test_library_tables_skip_the_validating_constructor(monkeypatch):
 
 
 @pytest.mark.parametrize("q,ftext,gtext", [
-    (2, "t", "t^11+t^10"),     # t^10 (t+1): |A_g| = 2^11
-    (3, "t", "2t^7+2t"),       # 2 t (t^2+1) (t^4+t^2+1) = 2 t (t^2+1)^3
+    (2, "t", "t^17+t^16"),     # t^16 (t+1): |A_g| = 2^17
+    (3, "t", "2t^11+2t"),      # 2 t (t^10+1): |A_g| = 3^11
 ])
 def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
+    # past 2^16 source indices the split and the combine sum columns over
+    # each index's digits, with no index table
+    from cpfq.residue import _combine_map, _reduction_map
+
     dom, cod = ring(q, ftext), ring(q, gtext)
     assert not cod.indexed
     with pytest.raises(ValueError):
@@ -377,3 +409,7 @@ def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
     rng = random.Random(19)
     for _ in range(20):
         _check_crt_against_references(random_table(dom, cod, rng))
+    g = cod.modulus
+    moduli = tuple(part.modulus for part in cod.prime_powers)
+    maps = [_reduction_map(g.degree, pe) for pe in moduli] + [_combine_map(g, moduli)[1]]
+    assert not any(m.tabled or m._table is not None for m in maps)

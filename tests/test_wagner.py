@@ -658,3 +658,39 @@ def test_batch_tables_refused_past_the_bound():
     # basis check there)
     check_basis_tables(2, 10)
     check_basis_tables(4, 5)
+
+
+def test_factors_are_proved_irreducible_once(monkeypatch, tmp_path):
+    # characterize factors g once; the default sequences of its factors
+    # trust that factorization, while a hand-built PSequence and eval_Qk
+    # keep the check
+    import contextlib
+    import io
+
+    import cpfq.wagner as wagner
+    from cpfq.cli import main
+    from cpfq.polyring import is_irreducible
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return is_irreducible(p)
+
+    monkeypatch.setattr(wagner, "is_irreducible", counted)
+    wagner._default_sequence.cache_clear()
+    wagner._context.cache_clear()
+    dom, cod = ring(3, "t^2"), ring(3, "t^5+t^4+t^2")  # t^2 (t+2) (t^2+2t+2)
+    path = tmp_path / "sigma.json"
+    path.write_text(random_table(dom, cod, random.Random(4)).to_json())
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["characterize", "--q", "3", "--f", "t^2", "--g",
+                     "t^5+t^4+t^2", "--sigma", str(path)]) == 0
+    assert len(cod.factorization.factors) == 3 and calls == []
+    P = pol(3, "t^2+1")
+    PSequence(P)
+    assert calls == [P]
+    assert eval_Qk(P, 1, 2, pol(3, "t")) == eval_Qk(P, 1, 2, pol(3, "t"))
+    assert calls == [P, P]  # the checked default sequence, built once
+    with pytest.raises(ValueError):
+        PSequence(pol(3, "t^2+2"))  # (t+1) (t+2)
