@@ -37,20 +37,26 @@ class CpCheck:
 
 
 def is_congruence_preserving(sigma: FunctionTable) -> CpCheck:
-    """The definition, verbatim: for every monic divisor h of g and every
+    """The definition: for every monic divisor h of g and every domain pair
 
-    domain pair with h | h1 - h2, check h | sigma(h1) - sigma(h2).
+    with h | h1 - h2, check h | sigma(h1) - sigma(h2), on residue indices.
+    h | a - b iff a and b have one label mod h (`ResidueRing.label`), so
+    each class of A_f mod h is checked against its first member, and a
+    value is labeled only when the walk reaches it.
 
-    Returns the first counterexample triple when the check fails."""
-    reps = sigma.domain.elements()
-    for h in sigma.codomain.divisors:
-        for members in sigma.domain.classes(h):
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    i, j = members[a], members[b]
-                    diff = sigma.values[i] - sigma.values[j]
-                    if not (diff % h).is_zero():
-                        return CpCheck(False, h, reps[i], reps[j])
+    Returns the first counterexample triple of the all-pairs order when
+    the check fails: the first member of the first failing class, and its
+    first member whose value differs mod h."""
+    dom, cod, values = sigma.domain, sigma.codomain, sigma.indices
+    for h in cod.divisors:
+        if h.degree >= dom.modulus.degree:
+            continue  # every class mod h is one residue
+        label = cod.label(h)
+        for members in dom.classes(h):
+            want = label(values[members[0]])
+            for j in members:
+                if label(values[j]) != want:
+                    return CpCheck(False, h, dom.element(members[0]), dom.element(j))
     return CpCheck(True)
 
 
@@ -73,22 +79,17 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
 
     divisor h of g: each later member of a class against its first member
     (equality is transitive, so these |class| - 1 imply every pair), and
-    cod_class[h][c] the first member of c's class in A_g, which is the
-    index of a_c mod h."""
+    cod_class[h][c] the label of c mod h (`ResidueRing.labels`): the index
+    of a_c mod h, which is the first member of c's class in A_g."""
     import numpy as np
 
     divisors = codomain.divisors
     by_pos: list = [[] for _ in range(domain.size)]
-    cod_class = []
     for hi, h in enumerate(divisors):
         for first, *rest in domain.classes(h):
             for j in rest:
                 by_pos[j].append((first, hi))
-        label = [0] * codomain.size
-        for members in codomain.classes(h):
-            for c in members:
-                label[c] = members[0]
-        cod_class.append(label)
+    cod_class = [list(codomain.labels(h)) for h in divisors]
     pairs = [pair for row in by_pos for pair in row]
     return CpProblem(domain, codomain, divisors,
                      np.cumsum([0] + [len(row) for row in by_pos], dtype=np.int64),
@@ -280,7 +281,10 @@ class PolyFnModule:
     def contains(self, sigma: FunctionTable) -> bool:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
-        vec = self._reduce(self._encode_values([v.coeffs for v in sigma.values]))
+        q = self.domain.field.q
+        places = [q ** a for a in range(self._degg)]
+        vec = self._reduce(self._encode_values(
+            [[k // w % q for w in places] for k in sigma.indices]))
         return not vec.any()
 
 

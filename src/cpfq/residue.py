@@ -4,7 +4,9 @@ Residues are represented by their canonical representatives: the
 polynomials of degree < deg f, together with 0, indexed by their base-q
 digits.  A FunctionTable stores the codomain index of its value at each
 domain residue, in index order; the CRT split and combine are each one
-ColumnMap on those indices.  A table serializes to the JSON shape
+ColumnMap on those indices, and so is the label of a residue mod a
+divisor h, which names its class mod h.  A table serializes to the JSON
+shape
     {"q": 2, "f": "t^2", "g": "t^2", "values": {"0": "0", "1": "1", ...}}
 with the value keys in index order (extension fields additionally carry
 "p", "m" and "field_modulus").
@@ -13,7 +15,9 @@ with the value keys in index order (extension fields additionally carry
 from __future__ import annotations
 
 import json
+import operator
 from array import array
+from collections import OrderedDict
 from functools import lru_cache
 
 from .field import FieldSpec, field_make
@@ -78,16 +82,39 @@ class ResidueRing:
             self._prime_powers = tuple(rings)
         return self._prime_powers
 
-    def classes(self, h: Poly) -> tuple:
-        """The residue indices grouped by their residue mod h: each group
+    def labels(self, h: Poly):
+        """The label mod h of every residue index, in index order: the A_h
 
-        in index order, the groups by their first member."""
+        index of a_k mod h, which is also the first member of k's class mod
+        h.  The label map keeps its index table (up to 2^INDEX_MAP_LOG2
+        residues) in the process-wide `_LABEL_MAPS`."""
+        n = self.modulus.degree
+        if h.degree >= n:  # a_k mod h = a_k
+            return range(self.size)
+        return _LABEL_MAPS.get(n, h, table=True).image(range(self.size))
+
+    def label(self, h: Poly):
+        """k -> the label mod h of residue index k, one index at a time: by
+
+        the label map's index table if it is built, else by digits."""
+        n = self.modulus.degree
+        if h.degree >= n:
+            return int  # the identity on indices
+        cmap = _LABEL_MAPS.get(n, h, table=False)
+        return cmap.digit_image if cmap._table is None else cmap._table.__getitem__
+
+    def classes(self, h: Poly) -> tuple:
+        """The residue indices grouped by their label mod h: each group in
+
+        index order, the groups by their first member, which is the label."""
         got = self._classes.get(h)
         if got is None:
-            groups: dict = {}
-            for i, r in enumerate(self.elements()):
-                groups.setdefault(r % h, []).append(i)
-            got = self._classes[h] = tuple(map(tuple, groups.values()))
+            # the labels are the residues of degree < min(deg h, deg f)
+            width = min(h.degree, self.modulus.degree)
+            groups = [[] for _ in range(self.field.q ** width)]
+            for i, label in enumerate(self.labels(h)):
+                groups[label].append(i)
+            got = self._classes[h] = tuple(map(tuple, groups))
         return got
 
     def reduce(self, h: Poly) -> Poly:
@@ -200,16 +227,23 @@ def _digitwise(base, n: int):
     return out
 
 
-def _add_indices(field: FieldSpec, x: int, y: int) -> int:
-    """The index of a_x + a_y: digit by digit in F_q."""
+def _index_adder(field: FieldSpec):
+    """(x, y) -> the index of a_x + a_y, digit by digit in F_q.  In
+    characteristic 2 the F_2 coordinates of the digits add bit by bit,
+    which is xor."""
+    if field.p == 2:
+        return operator.xor
     q, add = field.q, field._add
-    out, place = 0, 1
-    while x or y:
-        x, a = divmod(x, q)
-        y, b = divmod(y, q)
-        out += add[a][b] * place
-        place *= q
-    return out
+
+    def add_indices(x: int, y: int) -> int:
+        out, place = 0, 1
+        while x or y:
+            x, a = divmod(x, q)
+            y, b = divmod(y, q)
+            out += add[a][b] * place
+            place *= q
+        return out
+    return add_indices
 
 
 class FunctionTable:
@@ -352,6 +386,10 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
         if key in obj and obj[key] != getattr(field, key):
             raise ValueError(f"table field {key!r} = {obj[key]} does not fit "
                              f"the field F_{field.q} = F_({field.p}^{field.m})")
+    # to_json_obj writes them only for an extension field, its modulus as text
+    if "field_modulus" in obj and field.m == 1:
+        raise ValueError("table fields 'p', 'm' and 'field_modulus' describe an "
+                         f"extension field, but 'm' = {obj.get('m')}")
     return field
 
 
@@ -364,10 +402,11 @@ class ColumnMap:
     base-q digits, lowest first: a residue's coefficients, or the CRT
     parts' digits side by side.  `image` takes one route per map, chosen
     from its size: up to q^n = 2^INDEX_MAP_LOG2 an index table built once
-    on first use, past it a sum of the columns over each index's digits,
-    with no Poly ring op."""
+    on first use, past it the digit route, which sums steps[j][c], the A_g
+    index of c columns[j], over each index's digits c, with no Poly ring
+    op."""
 
-    __slots__ = ("field", "width", "columns", "tabled", "_table")
+    __slots__ = ("field", "width", "columns", "steps", "tabled", "_add", "_table")
 
     def __init__(self, target: Poly, images):
         field = target.field
@@ -378,7 +417,19 @@ class ColumnMap:
             cs = (h % target).coeffs
             cols.append(cs + (0,) * (self.width - len(cs)))
         self.columns = tuple(cols)
-        self.tabled = not power_exceeds(field.q, len(cols), 2 ** INDEX_MAP_LOG2)
+        q, mul = field.q, field._mul
+        steps = []  # steps[j][c]: the A_g index of c columns[j]
+        for col in cols:
+            row = []
+            for c in range(q):
+                v = 0
+                for x in reversed(col):
+                    v = v * q + mul[c][x]
+                row.append(v)
+            steps.append(tuple(row))
+        self.steps = tuple(steps)
+        self.tabled = not power_exceeds(q, len(cols), 2 ** INDEX_MAP_LOG2)
+        self._add = _index_adder(field)
         self._table = None
 
     def add_into(self, out: list, cs) -> list:
@@ -395,45 +446,85 @@ class ColumnMap:
     def image(self, indices) -> list:
         """The A_g index of the image of each source index."""
         if self.tabled:
-            if self._table is None:
-                self._table = self._index_table()
-            return list(map(self._table.__getitem__, indices))
-        q, n, out = self.field.q, len(self.columns), []
-        for k in indices:
-            digits = []
-            for _ in range(n):
-                k, c = divmod(k, q)
-                digits.append(c)
-            for c in reversed(self.add_into([0] * self.width, digits)):
-                k = k * q + c
-            out.append(k)
+            return list(map(self.table().__getitem__, indices))
+        return list(map(self.digit_image, indices))
+
+    def digit_image(self, k: int) -> int:
+        """The image of source index k, summed over its digits."""
+        q, add, out = self.field.q, self._add, 0
+        for step in self.steps:
+            if not k:
+                break
+            k, c = divmod(k, q)
+            if c:
+                out = add(out, step[c])
         return out
 
-    def _index_table(self) -> array:
-        """The image of every source index i < q^n, by digits: with c t^j
-        the top term of i, image(i) = image(i - c t^j) + c columns[j], the
-        sum taken digit by digit in F_q.  Each entry takes the fewest bytes
-        that hold every index of A_g."""
-        field = self.field
-        q, mul = field.q, field._mul
-        out = array(next(code for code in "BHIQ" if not power_exceeds(
-            q, self.width, 256 ** array(code).itemsize - 1)), [0])
-        for col in self.columns:
-            low = out[:]  # the images of i < q^j
-            for c in range(1, q):
-                v = 0
-                for x in reversed(col):
-                    v = v * q + mul[c][x]
-                out.extend(_add_indices(field, x, v) for x in low)
-        return out
+    def table(self) -> array:
+        """The image of every source index i < q^n, built once by digits:
+        with c t^j the top term of i, image(i) = image(i - c t^j) + steps[j][c].
+        Each entry takes the fewest bytes that hold every index of A_g."""
+        if self._table is None:
+            add = self._add
+            out = array(next(code for code in "BHIQ" if not power_exceeds(
+                self.field.q, self.width, 256 ** array(code).itemsize - 1)), [0])
+            for step in self.steps:
+                low = out[:]  # the images of i < q^j
+                for v in step[1:]:
+                    out.extend(add(x, v) for x in low)
+            self._table = out
+        return self._table
+
+    @property
+    def nbytes(self) -> int:
+        """About the bytes the map holds: columns, steps and index table."""
+        q, n, width, table = self.field.q, len(self.columns), self.width, self._table
+        return (n * (64 + 8 * width + q * (36 + width * q.bit_length() // 8))
+                + (0 if table is None else len(table) * table.itemsize))
 
 
-# ---------------------------------------------------------------- CRT
-@lru_cache(maxsize=16)
-def _reduction_map(degree: int, modulus: Poly) -> ColumnMap:
+def _reduction(degree: int, modulus: Poly) -> ColumnMap:
     """h -> h mod modulus on the residues of degree < `degree`."""
     one = Poly(modulus.field, [1])
     return ColumnMap(modulus, [one.shift(j) for j in range(degree)])
+
+
+# ------------------------------------------------------- labels mod h
+class _LabelMaps:
+    """The label maps of ResidueRing.labels and .label: the reduction
+
+    ColumnMap a_k -> a_k mod h on the residues of degree < n, per (n, h),
+    in one process-wide LRU of at most `entries` maps holding at most
+    about `nbytes` bytes, index tables included.  It is kept apart from the
+    CRT maps of `_reduction_map`, whose few large tables it must not evict."""
+
+    def __init__(self, entries: int, nbytes: int):
+        self.entries, self.nbytes = entries, nbytes
+        self.held = 0
+        self._maps: OrderedDict = OrderedDict()  # key -> (map, its bytes)
+
+    def get(self, degree: int, h: Poly, table: bool) -> ColumnMap:
+        """The map of (degree, h), with its index table built if `table`
+        and the map is tabled."""
+        key = (degree, h)
+        cmap, held = self._maps.pop(key, None) or (_reduction(degree, h), 0)
+        if table and cmap.tabled:
+            cmap.table()
+        size = cmap.nbytes
+        self._maps[key] = (cmap, size)
+        self.held += size - held
+        while len(self._maps) > self.entries or self.held > self.nbytes:
+            self.held -= self._maps.popitem(last=False)[1][1]
+        return cmap
+
+
+# an index table holds at most 2^INDEX_MAP_LOG2 entries of at most 8 bytes
+_LABEL_MAPS = _LabelMaps(entries=256, nbytes=2 ** 24)
+
+
+# ---------------------------------------------------------------- CRT
+# crt_split's maps: one per prime power of a few codomains
+_reduction_map = lru_cache(maxsize=16)(_reduction)
 
 
 def crt_split(sigma: FunctionTable) -> list:

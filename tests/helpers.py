@@ -11,11 +11,12 @@ forms that the Euler-product counts and density are checked against, the
 Poly-op ring tables, CRT split and combine and polynomial-function span
 that the digit-built tables and the `residue.ColumnMap` routes are
 checked against, and the oracle references that only the tests use: the
-all-pairs constraint encoding, the row check of an encoding, the
-odometer and full-depth counts that the `_kernels` counts are checked
-against, decoded table lists, random polynomial functions, the members
-of the polynomial-function span, the digit-relabeled literal route and
-the exponent identity."""
+Poly-op classes and definitional check that the label maps are checked
+against, the all-pairs constraint encoding, the row check of an
+encoding, the odometer and full-depth counts that the `_kernels` counts
+are checked against, decoded table lists, random polynomial functions,
+the members of the polynomial-function span, the digit-relabeled literal
+route and the exponent identity."""
 
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from cpfq import _kernels
 from cpfq.counting import QExponent
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
-from cpfq.oracle import (CpProblem, PolyFnModule, _squarefree_test,
+from cpfq.oracle import (CpCheck, CpProblem, PolyFnModule, _squarefree_test,
                          enumerate_cpf_rows)
 from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index, valuation,
                            xgcd)
@@ -353,6 +354,32 @@ class RefPolyFnModule(PolyFnModule):
                         scaled_b = [(v * u) % g for v in scaled_b]
                 scaled_a = [(v * t) % g for v in scaled_a]
             monomial = [(v * r) % g for v, r in zip(monomial, reps)]
+
+
+def ref_classes(ring, h):
+    """ResidueRing.classes by one Poly reduction per residue: the residue
+    indices grouped by their residue mod h, each group in index order, the
+    groups by their first member."""
+    groups: dict = {}
+    for i, r in enumerate(ring.elements()):
+        groups.setdefault(r % h, []).append(i)
+    return tuple(map(tuple, groups.values()))
+
+
+def ref_is_congruence_preserving(sigma):
+    """is_congruence_preserving as the definition reads, by one Poly
+    subtraction and divmod per pair of a class of A_f mod each divisor;
+    returns the first counterexample triple when the check fails."""
+    reps = sigma.domain.elements()
+    for h in sigma.codomain.divisors:
+        for members in ref_classes(sigma.domain, h):
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    i, j = members[a], members[b]
+                    diff = sigma.values[i] - sigma.values[j]
+                    if not (diff % h).is_zero():
+                        return CpCheck(False, h, reps[i], reps[j])
+    return CpCheck(True)
 
 
 def ref_encode_cp_problem(domain, codomain):

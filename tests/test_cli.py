@@ -537,8 +537,12 @@ TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
      "'q' = 5 does not fit the field F_4"),
     ({"q": 3, "p": 2, "m": 1, "field_modulus": "u", **TABLE_BODY},
      "'p' = 2 does not fit the field F_3"),
+    ({"q": 2, "p": 2, "m": 1, "field_modulus": 7, **TABLE_BODY},
+     "describe an extension field, but 'm' = 1"),
+    ({"q": 2, "p": 2, "m": 1, "field_modulus": "u+1", **TABLE_BODY},
+     "describe an extension field, but 'm' = 1"),
 ], ids=["q-str", "q-bool", "m-str", "p-str", "f-int", "values-int", "list",
-        "q-not-p^m", "p-not-char"])
+        "q-not-p^m", "p-not-char", "int-modulus-m-1", "modulus-m-1"])
 def test_malformed_table_json_exits_1(capsys, tmp_path, obj, message):
     path = tmp_path / "sigma.json"
     path.write_text(json.dumps(obj))

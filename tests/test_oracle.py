@@ -14,6 +14,7 @@ from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
                          check_census)
 from cpfq import _kernels
 from cpfq.oracle import (
+    CpCheck,
     census_self_chen,
     census_squarefree,
     count_cpf_bruteforce,
@@ -23,12 +24,13 @@ from cpfq.oracle import (
     polyfn_module,
     random_table,
 )
-from cpfq.polyring import index_to_poly, to_text
+from cpfq.polyring import index_to_poly, poly_to_index, to_text
 from cpfq.residue import FunctionTable, ResidueRing
 from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
                      enumerate_cpf_tables, make_field, monic_polys, monic_upto,
-                     pol, polyfn_members, random_polynomial_function,
-                     ref_encode_cp_problem, ring, table, value_at)
+                     pol, polyfn_members, random_polynomial_function, ref_classes,
+                     ref_encode_cp_problem, ref_is_congruence_preserving, ring,
+                     table, value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -47,6 +49,61 @@ def test_checker_accepts_constants_and_reduction():
     dom, cod = ring(2, "t^2"), ring(2, "t^2")
     assert is_congruence_preserving(table(dom, cod, lambda h: pol(2, "t"))).ok
     assert is_congruence_preserving(table(dom, cod, lambda h: h)).ok
+
+
+@pytest.mark.parametrize("q, ftext, gtext", GRID_CELLS)
+def test_label_check_matches_the_poly_check_on_the_grid(q, ftext, gtext):
+    # every table of the acceptance grid's enumeration cells: the same
+    # verdict and witness as the check by Poly ops, on the same classes
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    for h in cod.divisors:
+        assert dom.classes(h) == ref_classes(dom, h)
+        assert cod.classes(h) == ref_classes(cod, h)
+    for row in itertools.product(range(cod.size), repeat=dom.size):
+        sig = FunctionTable._new(dom, cod, row)
+        assert is_congruence_preserving(sig) == ref_is_congruence_preserving(sig), row
+
+
+def test_label_check_matches_the_poly_check_on_74_divisors():
+    # random tables, polynomial functions, and polynomial functions with one
+    # value moved by a multiple of a divisor h, which can fail only mod a
+    # divisor that does not divide h: witnesses past the first divisor
+    g = pol(2, "t") ** 4 * pol(2, "t+1") ** 4 * pol(2, "t^2+t+1") ** 2
+    dom, cod = ring(2, "t^4"), ResidueRing(g)
+    assert len(cod.divisors) == 74
+    rng = random.Random(74)
+    for h in cod.divisors:
+        assert dom.classes(h) == ref_classes(dom, h)
+        label = cod.label(h)
+        for k in rng.sample(range(cod.size), 50):
+            assert label(k) == poly_to_index(cod.element(k) % h)
+    tables = [random_table(dom, cod, rng) for _ in range(40)]
+    for _ in range(40):
+        sig = random_polynomial_function(dom, cod, rng)
+        tables.append(sig)
+        moved = list(sig.indices)
+        i, h = rng.randrange(dom.size), rng.choice(cod.divisors)
+        moved[i] = poly_to_index(cod.reduce(
+            sig.values[i] + h * cod.element(rng.randrange(cod.size))))
+        tables.append(FunctionTable._new(dom, cod, moved))
+    checks = [is_congruence_preserving(sig) for sig in tables]
+    assert checks == [ref_is_congruence_preserving(sig) for sig in tables]
+    assert 40 <= sum(map(bool, checks)) < len(tables)
+    assert len({chk.divisor for chk in checks if not chk.ok}) >= 5
+
+
+@pytest.mark.parametrize("gtext", ["t^3", "t^11"])
+def test_the_check_builds_no_values(gtext):
+    # the labels of the indices decide, on a listed codomain and on one
+    # past the listing bound (2^22 = |A_g|^2 > 2^20)
+    dom, cod = ring(2, "t^2"), ring(2, gtext)
+    assert cod.indexed == (gtext == "t^3")
+    bad = FunctionTable._new(dom, cod, [0, 0, 1, 0])
+    good = FunctionTable._new(dom, cod, [5, 5, 5, 5])
+    assert is_congruence_preserving(bad) == CpCheck(False, pol(2, "t"), pol(2, "0"),
+                                                    pol(2, "t"))
+    assert is_congruence_preserving(good).ok
+    assert bad._values is None and good._values is None
 
 
 @pytest.mark.parametrize("q", [2, 3])

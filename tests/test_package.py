@@ -113,6 +113,26 @@ def test_removed_wrappers_stay_removed():
         assert name not in vars(cls), (cls.__name__, name)
 
 
+def test_every_functools_cache_is_bounded():
+    # no input may exhaust memory: every functools cache of the package,
+    # on a module or a class, has a finite maxsize or takes no arguments
+    import importlib
+    import pkgutil
+
+    found = []
+    for mod in pkgutil.iter_modules(cpfq.__path__):
+        module = importlib.import_module(f"cpfq.{mod.name}")
+        owners = [module] + [obj for obj in vars(module).values() if
+                             isinstance(obj, type) and obj.__module__ == module.__name__]
+        for owner in owners:
+            for name, obj in vars(owner).items():
+                if hasattr(obj, "cache_parameters"):
+                    found.append(f"{mod.name}.{name}")
+                    assert (obj.cache_parameters()["maxsize"] is not None
+                            or not inspect.signature(obj.__wrapped__).parameters), name
+    assert {"cli.build_parser", "residue._reduction_map"} <= set(found)
+
+
 def test_readme_results_table_resolves():
     # every `cpfq.<module>` (`name`, ...) entry of the results table names an
     # attribute, and every acceptance test it names is defined

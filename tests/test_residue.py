@@ -413,3 +413,22 @@ def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
     moduli = tuple(part.modulus for part in cod.prime_powers)
     maps = [_reduction_map(g.degree, pe) for pe in moduli] + [_combine_map(g, moduli)[1]]
     assert not any(m.tabled or m._table is not None for m in maps)
+
+
+def test_label_maps_are_bounded_in_entries_and_bytes():
+    # the process-wide label maps are one LRU bounded in maps and in bytes,
+    # index tables included; the check's lookups build no table
+    from cpfq.residue import _LABEL_MAPS, _LabelMaps
+
+    assert (_LABEL_MAPS.entries, _LABEL_MAPS.nbytes) == (256, 2 ** 24)
+    divisors = [pol(2, f"t^{j}") for j in range(1, 12)]
+    few = _LabelMaps(entries=3, nbytes=2 ** 30)
+    for h in divisors:
+        few.get(12, h, table=True)
+    assert [h for _, h in few._maps] == divisors[-3:]
+    small = _LabelMaps(entries=256, nbytes=30_000)
+    for h in divisors + divisors[-1:]:  # the last one twice
+        assert small.get(12, h, table=True)._table is not None  # 2^12 entries
+        assert small.held == sum(size for _, size in small._maps.values()) <= 30_000
+    assert 1 < len(small._maps) < len(divisors)
+    assert small.get(12, pol(2, "t^5+t+1"), table=False)._table is None
