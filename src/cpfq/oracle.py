@@ -177,8 +177,9 @@ class PolyFnModule:
     span is already the full function space, which is stronger).
     Functions are encoded as F_p vectors of length |A_f| * deg g * m,
     and membership is reduction against a reduced-row-echelon basis.
-    While building, values are coefficient lists: multiplication by t mod
-    g is a ColumnMap, by u in F_q a scalar on each coefficient."""
+    While building, a table is the list of its values' A_g indices, and
+    multiplication by t, by u in F_q and by each residue r of A_f is a
+    ColumnMap x -> x h mod g."""
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing,
                  guard: EnumerationGuard = DEFAULT_GUARD):
@@ -189,68 +190,61 @@ class PolyFnModule:
         field = domain.field
         self.p = field.p
         self._m = field.m
-        self._degg = codomain.modulus.degree
-        self.length = domain.size * self._degg * self._m
+        self._degg = dg = codomain.modulus.degree
+        self.length = domain.size * dg * self._m
         self._pivots: dict = {}
         g = codomain.modulus
-        dg = self._degg
-        reps = [r.coeffs for r in domain.elements()]
-        add, mul = field._add, field._mul
-        one = Poly(field, [1])
-        times_t = ColumnMap(g, [one.shift(j + 1) for j in range(dg)])
-        high = ColumnMap(g, [one.shift(dg + j) for j in range(domain.modulus.degree - 1)])
-        u_row = mul[field.from_coeffs([0, 1])] if field.m > 1 else None
 
-        def times_rep(v, r):
-            """v r mod g: the schoolbook product, its terms from t^(deg g)
-            on folded back by `high`."""
-            prod = [0] * (dg + len(r))  # one spare slot: r = 0 leaves dg
-            for i, a in enumerate(v):
-                if a:
-                    row = mul[a]
-                    for k, b in enumerate(r, i):
-                        prod[k] = add[prod[k]][row[b]]
-            return high.add_into(prod[:dg], prod[dg:])
+        def times(h: Poly) -> ColumnMap:
+            return ColumnMap(g, [h.shift(j) for j in range(dg)])
 
-        monomial = [[1] + [0] * (dg - 1) for _ in reps]
+        times_t = times(Poly(field, [0, 1]))
+        times_u = times(Poly(field, [field.from_coeffs([0, 1])])) if field.m > 1 else None
+        # each map is applied to one value per monomial: by digits, no table
+        times_rep = [times(r).digit_image for r in domain.elements()]
+        monomial = [1] * domain.size  # the index of 1
         seen = set()
         self.n_monomials = 0
-        while True:
-            if len(self._pivots) == self.length:
-                break
-            key = tuple(map(tuple, monomial))
+        while len(self._pivots) < self.length:
+            key = tuple(monomial)
             if key in seen:
                 break
             seen.add(key)
             self.n_monomials += 1
             # all A_g-scalar multiples of this monomial, via an F_p basis of A_g
-            scaled_a = monomial
+            scaled, scaled_a = [], monomial
             for _ in range(dg):
                 scaled_b = scaled_a
                 for _ in range(self._m):
-                    self._add_row(self._encode_values(scaled_b))
-                    if u_row is not None:
-                        scaled_b = [[u_row[c] for c in v] for v in scaled_b]
-                scaled_a = [times_t.add_into([0] * dg, v) for v in scaled_a]
-            monomial = [times_rep(v, r) for v, r in zip(monomial, reps)]
+                    scaled.append(scaled_b)
+                    if times_u is not None:
+                        scaled_b = times_u.image(scaled_b)
+                scaled_a = times_t.image(scaled_a)
+            for row in self._encode_values(scaled):
+                self._add_row(row)
+            monomial = [mul(v) for mul, v in zip(times_rep, monomial)]
 
-    def _encode_values(self, values) -> np.ndarray:
-        """The F_p vector of a table given by its values' coefficients."""
+    def _encode_values(self, indices) -> np.ndarray:
+        """The F_p vector of a table given by its values' A_g indices (one
+        per row, for a list of tables): the F_p coordinates of each value's
+        deg g base-q digits, lowest first."""
         import numpy as np
 
-        coords, dg = self.domain.field._coords, self._degg
-        out = []
-        for cs in values:
-            for a in range(dg):
-                out.extend(coords[cs[a] if a < len(cs) else 0])
-        return np.array(out, dtype=np.int64)
+        field = self.domain.field
+        indices = np.asarray(indices, dtype=np.int64)
+        digits = indices[..., None] // field.q ** np.arange(self._degg) % field.q
+        coords = np.asarray(field._coords, dtype=np.int64)[digits]
+        return coords.reshape(indices.shape[:-1] + (-1,))
 
     def _reduce(self, vec: np.ndarray) -> np.ndarray:
+        """vec less its pivot coordinates times the pivot rows, mod p; the
+        rows are in reduced echelon form, so each coordinate is read once."""
         vec = vec % self.p
-        for piv in sorted(self._pivots):
-            c = int(vec[piv])
+        pivots = list(self._pivots)
+        for piv, c in zip(pivots, vec[pivots].tolist()):
             if c:
-                vec = (vec - c * self._pivots[piv]) % self.p
+                vec -= c * self._pivots[piv]
+        vec %= self.p
         return vec
 
     def _add_row(self, vec: np.ndarray) -> bool:
@@ -281,11 +275,7 @@ class PolyFnModule:
     def contains(self, sigma: FunctionTable) -> bool:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
-        q = self.domain.field.q
-        places = [q ** a for a in range(self._degg)]
-        vec = self._reduce(self._encode_values(
-            [[k // w % q for w in places] for k in sigma.indices]))
-        return not vec.any()
+        return not self._reduce(self._encode_values(sigma.indices)).any()
 
 
 def polyfn_module(f: Poly, g: Poly,

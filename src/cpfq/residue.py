@@ -3,9 +3,10 @@
 Residues are represented by their canonical representatives: the
 polynomials of degree < deg f, together with 0, indexed by their base-q
 digits.  A FunctionTable stores the codomain index of its value at each
-domain residue, in index order; the CRT split and combine are each one
-ColumnMap on those indices, and so is the label of a residue mod a
-divisor h, which names its class mod h.  A table serializes to the JSON
+domain residue, in index order.  The label of a residue mod a divisor h,
+which names its class mod h, is one ColumnMap on those indices, kept in
+one process-wide cache; the CRT split reads the labels mod each prime
+power, and the combine is one more ColumnMap.  A table serializes to the JSON
 shape
     {"q": 2, "f": "t^2", "g": "t^2", "values": {"0": "0", "1": "1", ...}}
 with the value keys in index order (extension fields additionally carry
@@ -21,7 +22,7 @@ from collections import OrderedDict
 from functools import lru_cache
 
 from .field import FieldSpec, field_make
-from .guards import BASIS_TABLE_LOG2, power_exceeds
+from .guards import check_basis_tables, power_exceeds
 from .polyring import (Factorization, Poly, enumerate_residues, factorize,
                        index_to_poly, parse, poly_to_index, to_text, xgcd)
 
@@ -35,10 +36,7 @@ class ResidueRing:
 
     What depends only on f (its factorization, monic divisors and prime
     power rings, the classes of A_f mod a divisor) is computed once per
-    ring object and kept on it.  A ring with |A_f|^2 <= 2^BASIS_TABLE_LOG2
-    is *indexed*: its listed residues are shared by every ring of its
-    field and degree, so values drawn from them compare by identity, and
-    its operation tables on residue indices are built by base-q digits."""
+    ring object and kept on it."""
 
     def __init__(self, modulus: Poly):
         d = modulus.degree
@@ -47,7 +45,6 @@ class ResidueRing:
         self.modulus = modulus
         self.field = modulus.field
         self.size = self.field.q ** d
-        self.indexed = not power_exceeds(self.field.q, 2 * d, 2 ** BASIS_TABLE_LOG2)
         self._elements = None
         self._factorization = None
         self._divisors = None
@@ -82,16 +79,17 @@ class ResidueRing:
             self._prime_powers = tuple(rings)
         return self._prime_powers
 
-    def labels(self, h: Poly):
-        """The label mod h of every residue index, in index order: the A_h
-
-        index of a_k mod h, which is also the first member of k's class mod
-        h.  The label map keeps its index table (up to 2^INDEX_MAP_LOG2
-        residues) in the process-wide `_LABEL_MAPS`."""
+    def labels(self, h: Poly, indices=None):
+        """The label mod h of each residue index (by default every one, in
+        index order): the A_h index of a_k mod h, which is also the first
+        member of k's class mod h.  The label map keeps its index table (up
+        to 2^INDEX_MAP_LOG2 residues) in the process-wide `_LABEL_MAPS`."""
+        if indices is None:
+            indices = range(self.size)
         n = self.modulus.degree
         if h.degree >= n:  # a_k mod h = a_k
-            return range(self.size)
-        return _LABEL_MAPS.get(n, h, table=True).image(range(self.size))
+            return indices
+        return _LABEL_MAPS.get(n, h, table=True).image(indices)
 
     def label(self, h: Poly):
         """k -> the label mod h of residue index k, one index at a time: by
@@ -122,20 +120,15 @@ class ResidueRing:
             raise ValueError("polynomial over a different field")
         return h % self.modulus
 
-    def elements(self) -> list | tuple:
-        """The canonical residues in index order; an indexed ring shares
-        one tuple with every ring of its field and degree."""
+    def elements(self) -> list:
+        """The canonical residues in index order."""
         if self._elements is None:
-            self._elements = (_shared_residues(self.field, self.modulus.degree)
-                              if self.indexed else enumerate_residues(self.modulus))
+            self._elements = enumerate_residues(self.modulus)
         return self._elements
 
     def element(self, index: int) -> Poly:
-        """a_index; in an indexed ring the listed, shared object."""
         if not 0 <= index < self.size:
             raise ValueError(f"residue index {index} out of range")
-        if self.indexed:
-            return self.elements()[index]
         return index_to_poly(self.field, index)
 
     def index(self, rep: Poly) -> int:
@@ -156,17 +149,16 @@ class ResidueRing:
     def tables(self) -> tuple:
         """(add, sub, mul): numpy tables of the ring operations on residue
 
-        indices of an indexed ring, built once by base-q digits with no Poly
-        op per entry.  add and sub act digit by digit in F_q; row a of mul is
-        the index table of the F_q-linear map b -> a b, whose column j is a
-        t^j mod g, the index map of `times t` applied j times to a."""
+        indices, built once within guards.check_basis_tables by base-q
+        digits with no Poly op per entry.  add and sub act digit by digit in
+        F_q; row a of mul is the index table of the F_q-linear map b -> a b,
+        whose column j is a t^j mod g, the index map of `times t` applied j
+        times to a."""
         if self._tables is None:
-            if not self.indexed:
-                raise ValueError("operation tables need |A|^2 <= "
-                                 f"2^{BASIS_TABLE_LOG2}")
             import numpy as np
 
             field, n = self.field, self.modulus.degree
+            check_basis_tables(field.q, n)
             add = _digitwise(field._add, n)
             sub = _digitwise([[row[y] for y in field._neg] for row in field._add], n)
             scale = [_digitwise(row, n) for row in field._mul]  # c * x
@@ -202,13 +194,6 @@ class ResidueRing:
         return f"ResidueRing({to_text(self.modulus)!r})"
 
 
-@lru_cache(maxsize=32)
-def _shared_residues(field: FieldSpec, n: int) -> tuple:
-    """The residues of degree < n, listed once per (field, n) for the
-    indexed rings of degree n."""
-    return tuple(index_to_poly(field, k) for k in range(field.q ** n))
-
-
 def _digitwise(base, n: int):
     """The numpy table, with one axis of q^n residue indices per operand,
 
@@ -236,13 +221,15 @@ def _index_adder(field: FieldSpec):
     q, add = field.q, field._add
 
     def add_indices(x: int, y: int) -> int:
+        if x < y:  # past the digits of y, those of x stay
+            x, y = y, x
         out, place = 0, 1
-        while x or y:
+        while y:
             x, a = divmod(x, q)
             y, b = divmod(y, q)
             out += add[a][b] * place
             place *= q
-        return out
+        return out + x * place
     return add_indices
 
 
@@ -395,53 +382,33 @@ def field_from_json_obj(obj: dict) -> FieldSpec:
 
 # ------------------------------------------------------ linear column maps
 class ColumnMap:
-    """An F_q-linear map from F_q^n into A_g: columns[j] is the coefficient
+    """An F_q-linear map from F_q^n into A_g, given by images[j] mod g, the
 
-    tuple, padded to deg g, of images[j] mod g (the image of unit vector
-    j), computed once with Poly ops.  A source index is read by its n
+    image of unit vector j, computed once with Poly ops: steps[j][c] is the
+    A_g index of c images[j] mod g.  A source index is read by its n
     base-q digits, lowest first: a residue's coefficients, or the CRT
     parts' digits side by side.  `image` takes one route per map, chosen
     from its size: up to q^n = 2^INDEX_MAP_LOG2 an index table built once
-    on first use, past it the digit route, which sums steps[j][c], the A_g
-    index of c columns[j], over each index's digits c, with no Poly ring
-    op."""
+    on first use, past it the digit route, which sums steps[j][c] over each
+    index's digits c, with no Poly ring op."""
 
-    __slots__ = ("field", "width", "columns", "steps", "tabled", "_add", "_table")
+    __slots__ = ("field", "width", "steps", "tabled", "_add", "_table")
 
     def __init__(self, target: Poly, images):
         field = target.field
         self.field = field
         self.width = target.degree
-        cols = []
-        for h in images:
-            cs = (h % target).coeffs
-            cols.append(cs + (0,) * (self.width - len(cs)))
-        self.columns = tuple(cols)
         q, mul = field.q, field._mul
-        steps = []  # steps[j][c]: the A_g index of c columns[j]
-        for col in cols:
-            row = []
-            for c in range(q):
-                v = 0
-                for x in reversed(col):
-                    v = v * q + mul[c][x]
-                row.append(v)
+        steps = []
+        for h in images:
+            row = [0] * q  # row[c] = sum_a c x_a q^a, the top digit first
+            for x in reversed((h % target).coeffs):
+                row = [v * q + cx for v, cx in zip(row, mul[x])]
             steps.append(tuple(row))
         self.steps = tuple(steps)
-        self.tabled = not power_exceeds(q, len(cols), 2 ** INDEX_MAP_LOG2)
+        self.tabled = not power_exceeds(q, len(steps), 2 ** INDEX_MAP_LOG2)
         self._add = _index_adder(field)
         self._table = None
-
-    def add_into(self, out: list, cs) -> list:
-        """out += the image of the value with coefficients cs, in place."""
-        add, mul = self.field._add, self.field._mul
-        for c, col in zip(cs, self.columns):
-            if c:
-                row = mul[c]
-                for k, x in enumerate(col):
-                    if x:
-                        out[k] = add[out[k]][row[x]]
-        return out
 
     def image(self, indices) -> list:
         """The A_g index of the image of each source index."""
@@ -477,9 +444,9 @@ class ColumnMap:
 
     @property
     def nbytes(self) -> int:
-        """About the bytes the map holds: columns, steps and index table."""
-        q, n, width, table = self.field.q, len(self.columns), self.width, self._table
-        return (n * (64 + 8 * width + q * (36 + width * q.bit_length() // 8))
+        """About the bytes the map holds: steps and index table."""
+        q, n, width, table = self.field.q, len(self.steps), self.width, self._table
+        return (n * (64 + q * (36 + width * q.bit_length() // 8))
                 + (0 if table is None else len(table) * table.itemsize))
 
 
@@ -491,12 +458,11 @@ def _reduction(degree: int, modulus: Poly) -> ColumnMap:
 
 # ------------------------------------------------------- labels mod h
 class _LabelMaps:
-    """The label maps of ResidueRing.labels and .label: the reduction
+    """The label maps of ResidueRing.labels and .label, which crt_split
 
-    ColumnMap a_k -> a_k mod h on the residues of degree < n, per (n, h),
-    in one process-wide LRU of at most `entries` maps holding at most
-    about `nbytes` bytes, index tables included.  It is kept apart from the
-    CRT maps of `_reduction_map`, whose few large tables it must not evict."""
+    reads too: the reduction ColumnMap a_k -> a_k mod h on the residues of
+    degree < n, per (n, h), in one process-wide LRU of at most `entries`
+    maps holding at most about `nbytes` bytes, index tables included."""
 
     def __init__(self, entries: int, nbytes: int):
         self.entries, self.nbytes = entries, nbytes
@@ -507,7 +473,11 @@ class _LabelMaps:
         """The map of (degree, h), with its index table built if `table`
         and the map is tabled."""
         key = (degree, h)
-        cmap, held = self._maps.pop(key, None) or (_reduction(degree, h), 0)
+        cmap, held = self._maps.get(key) or (_reduction(degree, h), 0)
+        if held:  # a hit: only building its table changes its size
+            self._maps.move_to_end(key)
+            if not (table and cmap.tabled and cmap._table is None):
+                return cmap
         if table and cmap.tabled:
             cmap.table()
         size = cmap.nbytes
@@ -523,18 +493,13 @@ _LABEL_MAPS = _LabelMaps(entries=256, nbytes=2 ** 24)
 
 
 # ---------------------------------------------------------------- CRT
-# crt_split's maps: one per prime power of a few codomains
-_reduction_map = lru_cache(maxsize=16)(_reduction)
-
-
 def crt_split(sigma: FunctionTable) -> list:
     """One table per prime power P_i^{e_i} of the codomain modulus: the
 
-    index of each value reduced into A_{P_i^{e_i}}, by the ColumnMap of
-    the reduction."""
+    label mod P_i^{e_i} of each value, its index reduced into
+    A_{P_i^{e_i}}.  A prime-power codomain splits as the identity."""
     cod = sigma.codomain
-    return [FunctionTable._new(sigma.domain, ring, _reduction_map(
-                cod.modulus.degree, ring.modulus).image(sigma.indices))
+    return [FunctionTable._new(sigma.domain, ring, cod.labels(ring.modulus, sigma.indices))
             for ring in cod.prime_powers]
 
 

@@ -20,7 +20,6 @@ import functools
 import threading
 from dataclasses import dataclass
 
-from .guards import check_basis_tables
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
 from .residue import FunctionTable, ResidueRing
@@ -270,13 +269,11 @@ class _BasisContext:
     def tables(self) -> tuple:
         """(mul, sub, val): the ring's digit-built numpy tables of A_{P^e}
 
-        on indices, with val[a] = v_P(a_a) (inf at 0), read once within
-        guards.check_basis_tables."""
+        on indices, with val[a] = v_P(a_a) (inf at 0), read once."""
         if self._tables is None:
             import numpy as np
 
             ring = self.ring
-            check_basis_tables(ring.field.q, ring.modulus.degree)
             _, sub, mul = ring.tables()
             val = np.array([self.residue(a)[1] for a in range(ring.size)])
             self._tables = (mul, sub, val)

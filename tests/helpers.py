@@ -93,8 +93,8 @@ def reconstruct(fact):
 
 
 def apply_column_map(cmap, v):
-    """The image of the residue v under a ColumnMap, from its coefficients."""
-    return Poly._new(cmap.field, cmap.add_into([0] * cmap.width, v.coeffs))
+    """The image of the residue v under a ColumnMap, by the digit route."""
+    return index_to_poly(cmap.field, cmap.digit_image(poly_to_index(v)))
 
 
 # ------------------------------------------- reference polynomial ring ops
@@ -349,7 +349,7 @@ class RefPolyFnModule(PolyFnModule):
             for _ in range(self._degg):
                 scaled_b = list(scaled_a)
                 for _ in range(self._m):
-                    self._add_row(self._encode_values([v.coeffs for v in scaled_b]))
+                    self._add_row(self._encode_values(list(map(poly_to_index, scaled_b))))
                     if u is not None:
                         scaled_b = [(v * u) % g for v in scaled_b]
                 scaled_a = [(v * t) % g for v in scaled_a]

@@ -94,10 +94,9 @@ def test_label_check_matches_the_poly_check_on_74_divisors():
 
 @pytest.mark.parametrize("gtext", ["t^3", "t^11"])
 def test_the_check_builds_no_values(gtext):
-    # the labels of the indices decide, on a listed codomain and on one
-    # past the listing bound (2^22 = |A_g|^2 > 2^20)
+    # the labels of the indices decide, with no codomain value built, on
+    # a small codomain and on one past the basis-table bound (|A_g|^2 = 2^22)
     dom, cod = ring(2, "t^2"), ring(2, gtext)
-    assert cod.indexed == (gtext == "t^3")
     bad = FunctionTable._new(dom, cod, [0, 0, 1, 0])
     good = FunctionTable._new(dom, cod, [5, 5, 5, 5])
     assert is_congruence_preserving(bad) == CpCheck(False, pol(2, "t"), pol(2, "0"),
@@ -277,14 +276,19 @@ def test_formula_vs_oracle_extension_field():
 
 
 @pytest.mark.parametrize("q,ftext,gtext", [
+    (2, "t^3", "t^3+t^2"),   # t^2 (t+1)
+    (2, "t^3", "t^2+t"),     # deg g < deg f
+    (3, "t^2", "2t^3+2t"),   # 2 t (t^2+1), not monic
+    (3, "t^3", "t^2"),       # deg g < deg f
     (4, "t^2", "t^2+ut"),    # t (t+u)
     (4, "t^2", "t^3+t"),     # t (t+1)^2
     (9, "t^2", "t^2+t"),     # t (t+1)
     (9, "t^2", "t^3+t^2"),   # t^2 (t+1)
 ])
 def test_span_over_extension_fields_matches_the_poly_reference(q, ftext, gtext):
-    # the u-scaled generators exist only for m > 1: the column-map span
-    # has the closed-form size and the reduced basis of the Poly-op span
+    # the u-scaled generators exist only for m > 1, the prime fields check
+    # the maps by t and by the residues alone: the column-map span has the
+    # closed-form size and the reduced basis of the Poly-op span
     dom, cod = ring(q, ftext), ring(q, gtext)
     mod = polyfn_module(dom.modulus, cod.modulus)
     ref = RefPolyFnModule(dom, cod)

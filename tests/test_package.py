@@ -93,24 +93,27 @@ def test_removed_wrappers_stay_removed():
     # decompose returns the whole basis verdict, crt_split plus decompose
     # the CRT one, and Factorization.monic_divisors the divisors; the CRT
     # combine is one ColumnMap, with no list of lifts and no hand-built
-    # inverse
+    # inverse; the split reads the label maps, rings share no residues,
+    # and a ColumnMap has no coefficient-list route
     from cpfq import polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
                         "crt_characterize"),
                polyring: ("monic_divisors",),
-               residue: ("_crt_idempotents",)}
+               residue: ("_crt_idempotents", "_shared_residues", "_reduction_map")}
     for module, names in removed.items():
         for name in names:
             assert name not in cpfq.__all__
             assert not hasattr(module, name), name
             assert not hasattr(cpfq, name), name
     # members read only by the tests, which take them from tests/helpers.py
-    from cpfq.field import FieldSpec
+    from cpfq.field import FieldSpec, field_make
     from cpfq.residue import ColumnMap, FunctionTable
     moved = {FunctionTable: "value_at", FieldSpec: "coeffs_of",
              polyring.Factorization: "reconstruct", ColumnMap: "__call__"}
     for cls, name in moved.items():
         assert name not in vars(cls), (cls.__name__, name)
+    assert not hasattr(ColumnMap, "add_into")
+    assert not hasattr(residue.ResidueRing(polyring.parse(field_make(2), "t^3")), "indexed")
 
 
 def test_every_functools_cache_is_bounded():
@@ -130,7 +133,7 @@ def test_every_functools_cache_is_bounded():
                     found.append(f"{mod.name}.{name}")
                     assert (obj.cache_parameters()["maxsize"] is not None
                             or not inspect.signature(obj.__wrapped__).parameters), name
-    assert {"cli.build_parser", "residue._reduction_map"} <= set(found)
+    assert {"cli.build_parser", "residue._combine_map"} <= set(found)
 
 
 def test_readme_results_table_resolves():

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpfq import residue
 from cpfq.field import field_make
+from cpfq.guards import GuardExceeded
 from cpfq.oracle import random_table
 from cpfq.polyring import NEG_INF, Poly, parse, poly_to_index, to_text, xgcd
 from cpfq.residue import (
@@ -251,11 +253,14 @@ def test_crt_maps_match_poly_references_over_extension_fields(q, ftext, gtext, d
 @pytest.mark.parametrize("q,gtext,htext", [
     (2, "t^4+t^3", "t^3+t+1"), (3, "2t^3+2t", "t^2+2"), (9, "ut^2+1", "t^3+ut")])
 def test_column_map_applies_a_product_mod_g(q, gtext, htext):
-    # v -> v h mod g on every residue of degree < 3, by columns and by Poly ops
+    # v -> v h mod g on every residue of degree < 3, by digits and by Poly
+    # ops; steps[j][c] is the index of c h t^j mod g
     g, h = pol(q, gtext), pol(q, htext)
     times_h = ColumnMap(g, [h.shift(j) for j in range(3)])
-    assert len(times_h.columns) == 3
-    assert all(len(col) == g.degree for col in times_h.columns)
+    F = g.field
+    assert times_h.steps == tuple(
+        tuple(poly_to_index(Poly(F, [c]) * h.shift(j) % g) for c in range(q))
+        for j in range(3))
     reps = ring(q, "t^3").elements()
     for v in reps:
         assert apply_column_map(times_h, v) == v * h % g
@@ -290,7 +295,6 @@ INDEXED_RINGS = [(2, "t^4+t^3"), (2, "t^3+t+1"), (3, "2t^3+2t"), (3, "t^2"),
 @pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
 def test_ring_tables_match_poly_ops(q, gtext):
     R = ring(q, gtext)
-    assert R.indexed
     tables = R.tables()
     assert all(t.shape == (R.size, R.size) for t in tables)
     assert tuple(t.tolist() for t in tables) == ref_ring_tables(R)
@@ -299,16 +303,16 @@ def test_ring_tables_match_poly_ops(q, gtext):
 
 @pytest.mark.parametrize("q,gtext", INDEXED_RINGS)
 def test_index_tables_of_column_maps_match_poly_ops(q, gtext):
-    # the reductions of crt_split, the combine sum_i v_i e_i of crt_combine
-    # on every key of the direct sum, the shift of the mul table and a
-    # product, each on every source index
-    from cpfq.residue import _combine_map, _crt_keys, _reduction_map
+    # the label maps that crt_split reads, the combine sum_i v_i e_i of
+    # crt_combine on every key of the direct sum, the shift of the mul
+    # table and a product, each on every source index
+    from cpfq.residue import _LABEL_MAPS, _combine_map, _crt_keys
 
     g = pol(q, gtext)
     moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
     reps = ResidueRing(g).elements()
     for pe in moduli:
-        reduce = _reduction_map(g.degree, pe)
+        reduce = _LABEL_MAPS.get(g.degree, pe, table=True)
         assert reduce.tabled
         assert reduce.image(range(len(reps))) == [poly_to_index(h % pe) for h in reps]
     idempotents = []
@@ -348,31 +352,15 @@ def test_digit_route_matches_the_index_table(q, gtext):
                                      (9, "t^3+t^2")])
 def test_crt_inverse_undoes_the_split_on_every_residue(q, gtext):
     # the combine map's index table is the inverse of the split
-    from cpfq.residue import _combine_map, _crt_keys, _reduction_map
+    from cpfq.residue import _combine_map, _crt_keys
 
     g = pol(q, gtext)
     moduli = tuple(p ** e for p, e in ResidueRing(g).factorization.factors)
     ring_g, combine = _combine_map(g, moduli)
     every = range(ring_g.size)
-    splits = [_reduction_map(g.degree, pe).image(every) for pe in moduli]
+    splits = [ring_g.labels(pe) for pe in moduli]
     assert combine.image(_crt_keys(splits, moduli)) == list(every)
     assert sorted(combine.image(every)) == list(every)
-
-
-def test_indexed_rings_share_their_elements():
-    # values drawn, split and combined are the listed objects of their
-    # rings, so a round trip compares equal element by element by identity
-    dom, cod = ring(2, "t^3"), ring(2, "t^4+t^3")
-    assert cod.elements() is ring(2, "t^4+t").elements()
-    assert cod.element(5) is cod.elements()[5]
-    sig = random_table(dom, cod, random.Random(3))
-    assert all(v is cod.elements()[k] for v, k in zip(sig.values, sig.indices))
-    parts = crt_split(sig)
-    for part in parts:
-        assert all(v is part.codomain.elements()[k]
-                   for v, k in zip(part.values, part.indices))
-    back = crt_combine(parts, modulus=cod.modulus)
-    assert all(a is b for a, b in zip(back.values, sig.values))
 
 
 def test_library_tables_skip_the_validating_constructor(monkeypatch):
@@ -397,13 +385,12 @@ def test_library_tables_skip_the_validating_constructor(monkeypatch):
     (3, "t", "2t^11+2t"),      # 2 t (t^10+1): |A_g| = 3^11
 ])
 def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
-    # past 2^16 source indices the split and the combine sum columns over
+    # past 2^16 source indices the split and the combine sum steps over
     # each index's digits, with no index table
-    from cpfq.residue import _combine_map, _reduction_map
+    from cpfq.residue import _LABEL_MAPS, _combine_map
 
     dom, cod = ring(q, ftext), ring(q, gtext)
-    assert not cod.indexed
-    with pytest.raises(ValueError):
+    with pytest.raises(GuardExceeded):
         cod.tables()
     assert cod.element(7) == Poly(cod.field, [7 % q, 7 // q % q, 7 // q ** 2])
     rng = random.Random(19)
@@ -411,7 +398,8 @@ def test_rings_past_the_bound_keep_the_column_route(q, ftext, gtext):
         _check_crt_against_references(random_table(dom, cod, rng))
     g = cod.modulus
     moduli = tuple(part.modulus for part in cod.prime_powers)
-    maps = [_reduction_map(g.degree, pe) for pe in moduli] + [_combine_map(g, moduli)[1]]
+    maps = ([_LABEL_MAPS.get(g.degree, pe, table=True) for pe in moduli]
+            + [_combine_map(g, moduli)[1]])
     assert not any(m.tabled or m._table is not None for m in maps)
 
 
@@ -432,3 +420,45 @@ def test_label_maps_are_bounded_in_entries_and_bytes():
         assert small.held == sum(size for _, size in small._maps.values()) <= 30_000
     assert 1 < len(small._maps) < len(divisors)
     assert small.get(12, pol(2, "t^5+t+1"), table=False)._table is None
+
+
+def test_crt_split_builds_the_tables_the_check_reads(monkeypatch):
+    # the split's maps are the label maps: after a split, the label mod
+    # each prime power reads the index table the split built
+    monkeypatch.setattr(residue, "_LABEL_MAPS", residue._LabelMaps(256, 2 ** 24))
+    dom, cod = ring(3, "t^2"), ring(3, "2t^5+t^3")  # 2 t^3 (t+1) (t+2)
+    sig = random_table(dom, cod, random.Random(5))
+    parts = crt_split(sig)
+    assert parts == ref_crt_split(sig)
+    assert len(residue._LABEL_MAPS._maps) == len(parts) == 3
+    for part in parts:
+        pe = part.codomain.modulus
+        cmap, _ = residue._LABEL_MAPS._maps[(cod.modulus.degree, pe)]
+        assert cmap._table is not None
+        assert cod.label(pe).__self__ is cmap._table
+
+
+@pytest.mark.parametrize("q,gtext", [(2, "t^4"), (3, "2t^2+2")])  # 2 (t^2+1)
+def test_a_prime_power_codomain_splits_as_the_identity(monkeypatch, q, gtext):
+    monkeypatch.setattr(residue, "_LABEL_MAPS", residue._LabelMaps(256, 2 ** 24))
+    dom, cod = ring(q, "t^2"), ring(q, gtext)
+    sig = random_table(dom, cod, random.Random(q))
+    [part] = crt_split(sig)
+    assert part.indices == sig.indices
+    assert part.codomain.modulus == cod.modulus.monic()
+    assert not residue._LABEL_MAPS._maps and residue._LABEL_MAPS.held == 0
+
+
+def test_split_maps_count_toward_the_byte_bound(monkeypatch):
+    # three 2^11-entry index tables, of which the bound holds one
+    small = residue._LabelMaps(entries=256, nbytes=5_000)
+    monkeypatch.setattr(residue, "_LABEL_MAPS", small)
+    g = pol(2, "t") ** 4 * pol(2, "t+1") ** 3 * pol(2, "t^2+t+1") ** 2
+    dom, cod = ring(2, "t^2"), ResidueRing(g)
+    assert len(cod.prime_powers) == 3
+    rng = random.Random(6)
+    for _ in range(3):
+        sig = random_table(dom, cod, rng)
+        assert crt_split(sig) == ref_crt_split(sig)
+        assert small.held == sum(size for _, size in small._maps.values()) <= small.nbytes
+        assert 0 < len(small._maps) < 3
