@@ -2,9 +2,10 @@
 
 Everything here recomputes properties from first principles, bypassing the
 closed-form counting and classification modules, so that those can be
-validated against it.  Every enumeration, census and the literal route
-is bounded by a check of `guards`, which raises GuardExceeded instead of
-attempting a large run.
+validated against it.  The definitional check and the random draws take
+the values of many tables side by side, so a sampled check is one batch.
+Every enumeration, census and the literal route is bounded by a check of
+`guards`, which raises GuardExceeded instead of attempting a large run.
 
 The literal route to N takes every deg gcd(g, k!) by Euclid, with the
 generalized factorials k! over the a_k in index order.
@@ -37,27 +38,55 @@ class CpCheck:
 
 
 def is_congruence_preserving(sigma: FunctionTable) -> CpCheck:
-    """The definition: for every monic divisor h of g and every domain pair
-
-    with h | h1 - h2, check h | sigma(h1) - sigma(h2), on residue indices.
-    h | a - b iff a and b have one label mod h (`ResidueRing.label`), so
-    each class of A_f mod h is checked against its first member, and a
-    value is labeled only when the walk reaches it.
+    """The definition for one table, by `congruence_failures`.
 
     Returns the first counterexample triple of the all-pairs order when
     the check fails: the first member of the first failing class, and its
     first member whose value differs mod h."""
-    dom, cod, values = sigma.domain, sigma.codomain, sigma.indices
-    for h in cod.divisors:
-        if h.degree >= dom.modulus.degree:
+    [failure] = congruence_failures(sigma.domain, sigma.codomain, sigma.indices)
+    if failure is None:
+        return CpCheck(True)
+    h, i, j = failure
+    return CpCheck(False, h, sigma.domain.element(i), sigma.domain.element(j))
+
+
+def congruence_failures(domain: ResidueRing, codomain: ResidueRing, values) -> list:
+    """The definition, for the tables A_f -> A_g side by side in `values`
+
+    (table s is values[s N:(s + 1) N], N = |A_f|, as A_g indices): for
+    every monic divisor h of g and every domain pair with h | h1 - h2,
+    check h | sigma(h1) - sigma(h2).  h | a - b iff a and b have one label
+    mod h (`ResidueRing.label`, by the label map's current route), so each
+    class of A_f mod h is checked against its first member.  One walk over
+    the divisors and classes serves every table, and a table leaves it at
+    its first failing class: a value is labeled only when the walk reaches it.
+
+    Per table None, or the first failure of the all-pairs order as A_f
+    indices (h, i, j): i the first member of the failing class, j its first
+    member whose value differs mod h.  No Poly value is built."""
+    n = domain.size
+    out = [None] * (len(values) // n)
+    left = range(0, len(values), n)  # the offsets of the tables still walked
+    for h in codomain.divisors:
+        if not left:
+            break
+        if h.degree >= domain.modulus.degree:
             continue  # every class mod h is one residue
-        label = cod.label(h)
-        for members in dom.classes(h):
-            want = label(values[members[0]])
-            for j in members:
-                if label(values[j]) != want:
-                    return CpCheck(False, h, dom.element(members[0]), dom.element(j))
-    return CpCheck(True)
+        label = codomain.label(h)
+        for first, *rest in domain.classes(h):
+            kept = []
+            for s in left:
+                want = label(values[s + first])
+                for j in rest:
+                    if label(values[s + j]) != want:
+                        out[s // n] = (h, first, j)
+                        break
+                else:
+                    kept.append(s)
+            left = kept
+            if not left:
+                break
+    return out
 
 
 # ------------------------------------------------------ integer encoding
@@ -286,8 +315,15 @@ def polyfn_module(f: Poly, g: Poly,
 # --------------------------------------------------------- random tables
 def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
     """|A_f| values drawn uniformly from A_g by their residue indices."""
-    return FunctionTable._new(domain, codomain,
-                              [rng.randrange(codomain.size) for _ in range(domain.size)])
+    return FunctionTable._new(domain, codomain, random_values(domain, codomain, rng, 1))
+
+
+def random_values(domain: ResidueRing, codomain: ResidueRing, rng, samples: int) -> list:
+    """samples * |A_f| A_g indices drawn uniformly by rng.randrange: the
+
+    tables that as many successive random_table calls draw, side by side."""
+    draw, size = rng.randrange, codomain.size
+    return [draw(size) for _ in range(samples * domain.size)]
 
 
 # --------------------------------------------------------------- censuses

@@ -6,8 +6,9 @@ digits.  A FunctionTable stores the codomain index of its value at each
 domain residue, in index order.  The label of a residue mod a divisor h,
 which names its class mod h, is one ColumnMap on those indices, kept in
 one process-wide cache; the CRT split reads the labels mod each prime
-power, and the combine is one more ColumnMap.  A table serializes to the JSON
-shape
+power, and the combine is one more ColumnMap.  Both act on the values of
+any number of tables side by side, one image per map.  A table serializes
+to the JSON shape
     {"q": 2, "f": "t^2", "g": "t^2", "values": {"0": "0", "1": "1", ...}}
 with the value keys in index order (extension fields additionally carry
 "p", "m" and "field_modulus").
@@ -496,11 +497,19 @@ _LABEL_MAPS = _LabelMaps(entries=256, nbytes=2 ** 24)
 def crt_split(sigma: FunctionTable) -> list:
     """One table per prime power P_i^{e_i} of the codomain modulus: the
 
-    label mod P_i^{e_i} of each value, its index reduced into
-    A_{P_i^{e_i}}.  A prime-power codomain splits as the identity."""
+    table's values split by `split_indices`."""
     cod = sigma.codomain
-    return [FunctionTable._new(sigma.domain, ring, cod.labels(ring.modulus, sigma.indices))
-            for ring in cod.prime_powers]
+    return [FunctionTable._new(sigma.domain, ring, part)
+            for ring, part in zip(cod.prime_powers, split_indices(cod, sigma.indices))]
+
+
+def split_indices(codomain: ResidueRing, indices) -> list:
+    """Per prime power P_i^{e_i} of g, the label mod P_i^{e_i} of each A_g
+
+    index (its index reduced into A_{P_i^{e_i}}), by one label-map image
+    over any number of tables side by side.  A prime-power codomain splits
+    as the identity."""
+    return [codomain.labels(ring.modulus, indices) for ring in codomain.prime_powers]
 
 
 def _crt_keys(indices, moduli) -> list:
@@ -568,6 +577,13 @@ def crt_combine(tables: list, modulus: Poly | None = None) -> FunctionTable:
         if modulus.monic() != g:
             raise ValueError("modulus does not match the prime power moduli")
         g = modulus
-    ring, combine = _combine_map(g, moduli)
-    keys = _crt_keys([tb.indices for tb in tables], moduli)
-    return FunctionTable._new(domain, ring, combine.image(keys))
+    return FunctionTable._new(domain, _combine_map(g, moduli)[0],
+                              combine_indices(g, moduli, [tb.indices for tb in tables]))
+
+
+def combine_indices(g: Poly, moduli: tuple, parts) -> list:
+    """Inverse of split_indices: the A_g index of each tuple of part
+
+    indices, parts[i] in A_{moduli[i]} (the prime powers of g in factor
+    order), by one image of the cached combine map on their keys."""
+    return _combine_map(g, moduli)[1].image(_crt_keys(parts, moduli))

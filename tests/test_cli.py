@@ -382,6 +382,64 @@ def test_verify_crt(capsys):
     assert obj["roundtrip_ok"] and obj["local_global_ok"] and obj["match"]
 
 
+# the exact output of the default 200 samples on a prime field, an
+# extension field and a non-monic g, as the one-table-at-a-time check
+# printed it
+SAMPLES_GOLDEN = [
+    ("--q 2 --what basis --f t^2+t --g t^3+t^2+t+1",
+     '{"what": "basis", "q": 2, "f": "t^2+t", "g": "t^3+t^2+t+1", "cp_tables": 1024, '
+     '"all_cp_pass": true, "samples": 200, "agreements": 200, "match": true}\n'),
+    ("--p 2 --m 2 --what basis --f t+u --g t^2+u",
+     '{"what": "basis", "q": 4, "f": "t+u", "g": "t^2+u", "cp_tables": 65536, '
+     '"all_cp_pass": true, "samples": 200, "agreements": 200, "match": true}\n'),
+    ("--q 3 --what basis --f t+2 --g 2t^2+t+2",
+     '{"what": "basis", "q": 3, "f": "t+2", "g": "2t^2+t+2", "cp_tables": 729, '
+     '"all_cp_pass": true, "samples": 200, "agreements": 200, "match": true}\n'),
+    ("--q 2 --what crt --f t^3+t^2+t+1 --g t^4+t^3+t^2",
+     '{"what": "crt", "q": 2, "f": "t^3+t^2+t+1", "g": "t^4+t^3+t^2", "samples": 200, '
+     '"roundtrip_ok": true, "local_global_ok": true, "match": true}\n'),
+    ("--p 2 --m 2 --what crt --f t^2 --g t^3+t",
+     '{"what": "crt", "q": 4, "f": "t^2", "g": "t^3+t", "samples": 200, '
+     '"roundtrip_ok": true, "local_global_ok": true, "match": true}\n'),
+    ("--q 3 --what crt --f t^2+1 --g 2t^3+t",
+     '{"what": "crt", "q": 3, "f": "t^2+1", "g": "2t^3+t", "samples": 200, '
+     '"roundtrip_ok": true, "local_global_ok": true, "match": true}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, out", SAMPLES_GOLDEN, ids=[
+    "basis-prime", "basis-extension", "basis-non-monic",
+    "crt-prime", "crt-extension", "crt-non-monic"])
+def test_verify_samples_golden(capsys, argv, out):
+    assert run_cli(capsys, "verify", *argv.split()) == (0, out, "")
+
+
+def test_crt_check_builds_no_witness(capsys, monkeypatch):
+    # the samples' verdicts come from one walk that keeps each failure as
+    # residue indices: no failing table builds its witness polynomials
+    import random
+
+    from cpfq import oracle, residue
+    from cpfq.residue import ResidueRing
+    from helpers import ring
+
+    built = []
+
+    def counted(fn):
+        return lambda *args: built.append(args) or fn(*args)
+
+    monkeypatch.setattr(ResidueRing, "element", counted(ResidueRing.element))
+    for module in (oracle, residue):
+        monkeypatch.setattr(module, "index_to_poly", counted(module.index_to_poly))
+    dom, cod = ring(2, "t^3"), ring(2, "t^4+t^3+t+1")
+    assert not oracle.is_congruence_preserving(
+        oracle.random_table(dom, cod, random.Random(0)))
+    built.clear()
+    obj = run_json(capsys, "verify", "--q", "2", "--what", "crt", "--f", "t^3",
+                   "--g", "t^4+t^3+t+1", "--samples", "20")
+    assert obj["match"] and built == []
+
+
 def test_verify_census(capsys):
     obj = run_json(capsys, "verify", "--q", "2", "--what", "census", "--n", "5")
     assert obj["formula"] == obj["census"] == 22
@@ -514,7 +572,11 @@ def test_guard_flags_are_bounds_as_given(capsys, flags, message):
     ("gamma --q 2 --m 3 --g t^2", "--m and --field-modulus need --p"),
     ("gamma --q 2 --field-modulus u^2+u+1 --g t^2",
      "--m and --field-modulus need --p"),
-], ids=["basis-samples", "crt-samples", "m-with-q", "field-modulus-with-q"])
+    ("verify --q 2 --what crt --f 1 --g t", "f must have degree >= 1"),
+    ("verify --q 2 --what basis --f t --g 1", "g must have degree >= 1"),
+    ("enumerate --q 2 --f 0", "f must have degree >= 1"),
+], ids=["basis-samples", "crt-samples", "m-with-q", "field-modulus-with-q",
+        "crt-constant-f", "basis-constant-g", "enumerate-zero-f"])
 def test_flags_out_of_range_or_context_are_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (
         1, "", json.dumps({"error": message}) + "\n")
@@ -719,6 +781,26 @@ def test_crt_check_maps_values_by_columns():
     # back by column maps (6.5 s with one Poly reduction or product per value)
     out = run_cli_process("verify", "--q", "2", "--what", "crt", "--f", "t^10",
                           "--g", "t^5+t", timeout=5)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["match"] is True
+
+
+def test_crt_check_drops_each_sample_at_its_first_failure():
+    # 256 tables of 2^10 values into a g with 74 divisors: each table
+    # leaves the batched check at its first failing class (2.7 s when every
+    # value was labeled mod every divisor)
+    out = run_cli_process("verify", "--q", "2", "--what", "crt", "--f", "t^10",
+                          "--g", "t^12+t^10+t^6+t^4", "--samples", "256", timeout=2)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["match"] is True
+
+
+def test_crt_check_labels_by_digits_where_no_table_is_built():
+    # 200 tables of 3^6 values into A_{t (t+1)^9}: the check reads the two
+    # index tables of the split and labels mod the other divisors by
+    # digits, building no further 3^10-entry table at odd p
+    out = run_cli_process("verify", "--q", "3", "--what", "crt", "--f", "t^6",
+                          "--g", "t^10+t", timeout=3)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["match"] is True
 

@@ -17,12 +17,14 @@ from cpfq.oracle import (
     CpCheck,
     census_self_chen,
     census_squarefree,
+    congruence_failures,
     count_cpf_bruteforce,
     encode_cp_problem,
     enumerate_cpf_rows,
     is_congruence_preserving,
     polyfn_module,
     random_table,
+    random_values,
 )
 from cpfq.polyring import index_to_poly, poly_to_index, to_text
 from cpfq.residue import FunctionTable, ResidueRing
@@ -103,6 +105,124 @@ def test_the_check_builds_no_values(gtext):
                                                     pol(2, "t"))
     assert is_congruence_preserving(good).ok
     assert bad._values is None and good._values is None
+
+
+def _failure_check(domain, failure):
+    """The CpCheck of one table's entry of congruence_failures."""
+    if failure is None:
+        return CpCheck(True)
+    h, i, j = failure
+    return CpCheck(False, h, domain.element(i), domain.element(j))
+
+
+@pytest.mark.parametrize("q, ftext, gtext", GRID_CELLS)
+def test_batch_check_matches_the_poly_check_on_the_grid(q, ftext, gtext):
+    # every table of the acceptance grid's enumeration cells in one batch:
+    # the same verdict and witness as the check by Poly ops
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    rows = list(itertools.product(range(cod.size), repeat=dom.size))
+    failures = congruence_failures(dom, cod, [k for row in rows for k in row])
+    assert len(failures) == len(rows)
+    for row, failure in zip(rows, failures):
+        sig = FunctionTable._new(dom, cod, row)
+        assert _failure_check(dom, failure) == ref_is_congruence_preserving(sig), row
+
+
+def _mixed_rows(dom, cod, rng, count):
+    """In turn: a CP row; the row with one value changed by 1 (a near
+    miss that fails mod every divisor); the row with one value moved by a
+    multiple of a divisor h (which fails only mod a divisor that does not
+    divide the move, if at all); a random row."""
+    rows = []
+    while len(rows) < count:
+        sig = random_polynomial_function(dom, cod, rng)
+        changed, moved = list(sig.indices), list(sig.indices)
+        i = rng.randrange(dom.size)
+        changed[i] = poly_to_index(cod.reduce(sig.values[i] + pol(2, "1")))
+        i, h = rng.randrange(dom.size), rng.choice(cod.divisors)
+        moved[i] = poly_to_index(cod.reduce(
+            sig.values[i] + h * cod.element(rng.randrange(cod.size))))
+        rows += [list(sig.indices), changed, moved, random_values(dom, cod, rng, 1)]
+    return rows[:count]
+
+
+@pytest.mark.parametrize("samples", [0, 1, 2, 60])
+def test_batch_check_matches_the_poly_check_on_74_divisors(samples):
+    # seeded random, CP and near-miss rows into t^4 (t+1)^4 (t^2+t+1)^2
+    g = pol(2, "t") ** 4 * pol(2, "t+1") ** 4 * pol(2, "t^2+t+1") ** 2
+    dom, cod = ring(2, "t^4"), ResidueRing(g)
+    rows = _mixed_rows(dom, cod, random.Random(samples), samples)
+    failures = congruence_failures(dom, cod, [k for row in rows for k in row])
+    assert len(failures) == samples
+    checks = [_failure_check(dom, failure) for failure in failures]
+    sigs = [FunctionTable._new(dom, cod, row) for row in rows]
+    assert checks == [ref_is_congruence_preserving(sig) for sig in sigs]
+    assert checks == [is_congruence_preserving(sig) for sig in sigs]
+    if samples >= 2:  # both verdicts occur
+        assert {chk.ok for chk in checks} == {True, False}
+    if samples == 60:
+        assert len({chk.divisor for chk in checks if not chk.ok}) >= 5
+
+
+def test_batch_check_drops_each_table_at_its_first_failure(monkeypatch):
+    # 256 random tables A_{t^10} -> A_g with 74 divisors: about three
+    # labels per table, as many as the walk of one table at a time reads
+    # (labeling every value mod every divisor reads 74 * 2^18)
+    g = pol(2, "t^12+t^10+t^6+t^4")
+    dom, cod = ring(2, "t^10"), ResidueRing(g)
+    assert len(cod.divisors) == 74
+    values = random_values(dom, cod, random.Random(3), 256)
+    read = []
+    label = ResidueRing.label
+
+    def counted(self, h):
+        fn = label(self, h)
+        return lambda k: read.append(k) or fn(k)
+
+    monkeypatch.setattr(ResidueRing, "label", counted)
+    failures = congruence_failures(dom, cod, values)
+    assert all(failures) and len(failures) == 256
+    assert len(read) < 10 * 256
+    one_at_a_time = len(read)
+    read.clear()
+    for s in range(0, len(values), dom.size):
+        congruence_failures(dom, cod, values[s:s + dom.size])
+    assert len(read) == one_at_a_time
+
+
+def test_batch_check_labels_by_the_current_route(monkeypatch):
+    # a label map's index table is built by the CRT split or by
+    # ResidueRing.labels, never by the check: the divisors of t (t+1)^9
+    # over F_3 keep the digit route (3^10-entry tables at odd p)
+    from cpfq import residue
+
+    monkeypatch.setattr(residue, "_LABEL_MAPS", residue._LabelMaps(256, 2 ** 24))
+    dom, cod = ring(3, "t^6"), ring(3, "t^10+t")
+    rng = random.Random(1)
+    # CP tables, which the walk follows through every divisor
+    values = [k for _ in range(3)
+              for k in random_polynomial_function(dom, cod, rng, 4).indices]
+    cod.labels(pol(3, "t"), values)  # the split's label map mod t
+    assert not any(congruence_failures(dom, cod, values))
+    maps = {h: cmap for (n, h), (cmap, _) in residue._LABEL_MAPS._maps.items()
+            if n == cod.modulus.degree}
+    assert len(maps) == 10  # the divisors of degree < 6
+    assert {h for h, cmap in maps.items() if cmap._table is not None} == {pol(3, "t")}
+
+
+def test_flat_draws_are_successive_random_tables():
+    # samples * |A_f| draws in one run: table s is the (s + 1)-th table of
+    # successive random_table calls, one randrange per value
+    for q, ftext, gtext in [(2, "t^2", "t^3+t"), (3, "t", "t^2"), (4, "t", "t^2+ut")]:
+        dom, cod = ring(q, ftext), ring(q, gtext)
+        for samples in (0, 1, 5):
+            rng, again = random.Random(samples), random.Random(samples)
+            want = [k for _ in range(samples)
+                    for k in random_table(dom, cod, rng).indices]
+            assert random_values(dom, cod, again, samples) == want
+            again = random.Random(samples)
+            assert want == [again.randrange(cod.size)
+                            for _ in range(samples * dom.size)]
 
 
 @pytest.mark.parametrize("q", [2, 3])

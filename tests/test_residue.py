@@ -12,14 +12,16 @@ from hypothesis import strategies as st
 from cpfq import residue
 from cpfq.field import field_make
 from cpfq.guards import GuardExceeded
-from cpfq.oracle import random_table
+from cpfq.oracle import random_table, random_values
 from cpfq.polyring import NEG_INF, Poly, parse, poly_to_index, to_text, xgcd
 from cpfq.residue import (
     ColumnMap,
     FunctionTable,
     ResidueRing,
+    combine_indices,
     crt_combine,
     crt_split,
+    split_indices,
 )
 from helpers import (GRID_CELLS, apply_column_map, make_field, pol, reduce_mod,
                      ref_crt_combine, ref_crt_split, ref_ring_tables, ring, table,
@@ -248,6 +250,31 @@ def test_crt_maps_match_poly_references_over_extension_fields(q, ftext, gtext, d
     idx = data.draw(st.lists(st.integers(0, cod.size - 1),
                              min_size=dom.size, max_size=dom.size))
     _check_crt_against_references(FunctionTable(dom, cod, map(cod.element, idx)))
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    (2, "t^3", "t^4+t^3+t^2"),  # t^2 (t^2+t+1)
+    (2, "t^2", "t^4"),          # a prime power: the identity
+    (3, "t", "2t^3+2t"),        # 2 t (t^2+1), non-monic
+    (4, "t", "t^3+t"),          # t (t+1)^2
+    (9, "t", "t^3+t^2"),        # t^2 (t+1)
+])
+@pytest.mark.parametrize("samples", [0, 1, 30])
+def test_batched_split_and_combine_match_poly_references(q, ftext, gtext, samples):
+    # the values of many tables side by side split and combine as each
+    # table does by Poly ops
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    g, n = cod.modulus, dom.size
+    values = random_values(dom, cod, random.Random(samples), samples)
+    parts = split_indices(cod, values)
+    moduli = tuple(r.modulus for r in cod.prime_powers)
+    assert len(parts) == len(moduli)
+    for s in range(0, len(values), n):
+        sig = FunctionTable._new(dom, cod, values[s:s + n])
+        want = ref_crt_split(sig)
+        assert [list(part[s:s + n]) for part in parts] == [list(w.indices) for w in want]
+        assert ref_crt_combine(want, g) == sig
+    assert list(combine_indices(g, moduli, parts)) == values
 
 
 @pytest.mark.parametrize("q,gtext,htext", [
