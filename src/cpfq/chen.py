@@ -44,7 +44,7 @@ def gamma_prime_power(p: Poly, e: int):
 def gamma(h: Poly):
     d = h.degree
     if not isinstance(d, int) or d < 1:
-        raise ValueError("gamma requires degree >= 1")
+        raise ValueError("g must have degree >= 1")
     q = h.field.q
     return min(_gamma_local(q, dp, e) for dp, e in factor_shape(h))
 

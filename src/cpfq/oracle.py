@@ -327,13 +327,14 @@ def random_values(domain: ResidueRing, codomain: ResidueRing, rng, samples: int)
 
 
 # --------------------------------------------------------------- censuses
-def _packed_polys(field: FieldSpec, n: int, monic_only: bool):
-    """degree_n_polys in the packed form of the censuses, in its order:
-    over F_2 a polynomial is its index, so they are range(2^n, 2^(n+1))
-    (every one monic); otherwise they are coefficient lists."""
+def _packed_polys(field: FieldSpec, n: int):
+    """One generator of each degree-n ideal (g) of F_q[t], in the packed
+    form of the censuses and in index order: the monic one.  Over F_2 a
+    polynomial is its index, so they are range(2^n, 2^(n+1)); otherwise
+    they are the q^n monic coefficient lists."""
     if field.q == 2:
         return range(1 << n, 2 << n)
-    return _degree_n_lists(field, n, monic_only)
+    return _degree_n_lists(field, n, True)
 
 
 def _squarefree_test(field: FieldSpec):
@@ -357,14 +358,14 @@ def census_self_chen(field: FieldSpec, n: int,
     gcd square-freeness test (no factorization, no closed forms).
 
     For q != 2 these g are the square-free ones, counted by
-    census_squarefree.  For q = 2 the count is split by the valuations at
-    t and t+1: both <= 1 / exactly the first = 2 / exactly the second = 2 /
-    both = 2."""
+    census_squarefree on one monic generator per ideal.  For q = 2 the
+    count is split by the valuations at t and t+1: both <= 1 / exactly the
+    first = 2 / exactly the second = 2 / both = 2."""
     if field.q != 2:
         return SelfChenCensus(n, census_squarefree(field, n, monic_only), None)
     check_census(field.q, n)
     comps = [0, 0, 0, 0]
-    for g in _packed_polys(field, n, monic_only):
+    for g in _packed_polys(field, n):
         v0 = (g & -g).bit_length() - 1  # at t: the trailing zero bits
         if v0 > 2:
             continue
@@ -380,6 +381,11 @@ def census_self_chen(field: FieldSpec, n: int,
 
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
-    """Count square-free degree-n polynomials by the gcd test."""
+    """Count square-free degree-n polynomials by the gcd test.
+
+    u g is square-free iff g is, for every unit u, so the test runs on the
+    q^n monic generators of the degree-n ideals only, and the count of all
+    leading coefficients is q - 1 times theirs."""
     check_census(field.q, n)
-    return sum(map(_squarefree_test(field), _packed_polys(field, n, monic_only)))
+    units = 1 if monic_only else field.q - 1
+    return units * sum(map(_squarefree_test(field), _packed_polys(field, n)))

@@ -12,11 +12,11 @@ Poly-op ring tables, CRT split and combine and polynomial-function span
 that the digit-built tables and the `residue.ColumnMap` routes are
 checked against, and the oracle references that only the tests use: the
 Poly-op classes and definitional check that the label maps are checked
-against, the all-pairs constraint encoding, the row check of an
-encoding, the odometer and full-depth counts that the `_kernels` counts
-are checked against, decoded table lists, random polynomial functions,
-the members of the polynomial-function span, the digit-relabeled literal
-route and the exponent identity."""
+against, the all-units census walk, the all-pairs constraint encoding,
+the row check of an encoding, the odometer and full-depth counts that the
+`_kernels` counts are checked against, decoded table lists, random
+polynomial functions, the members of the polynomial-function span, the
+digit-relabeled literal route and the exponent identity."""
 
 from fractions import Fraction
 
@@ -28,8 +28,8 @@ from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
 from cpfq.oracle import (CpCheck, CpProblem, PolyFnModule, _squarefree_test,
                          enumerate_cpf_rows)
-from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index, valuation,
-                           xgcd)
+from cpfq.polyring import (Poly, _degree_n_lists, gcd, index_to_poly, parse,
+                           poly_to_index, valuation, xgcd)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import _context, eval_Qk, floor_log, mu
 
@@ -515,6 +515,13 @@ def is_squarefree_gcd(g):
     packs its candidates (over F_2 the index, otherwise the coefficients)."""
     packed = poly_to_index(g) if g.field.q == 2 else list(g.coeffs)
     return _squarefree_test(g.field)(packed)
+
+
+def ref_census_all_units(field, n):
+    """The gcd square-freeness test on every degree-n polynomial over F_q
+    (q > 2), every leading coefficient walked: the count that the census's
+    one monic generator per ideal, times the q - 1 units, is checked against."""
+    return sum(map(_squarefree_test(field), _degree_n_lists(field, n, False)))
 
 
 def relabeled_index_to_poly(field, k, order):

@@ -20,7 +20,7 @@ from cpfq.chen import (
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.oracle import (_packed_polys, _squarefree_test, census_self_chen,
                          census_squarefree)
-from cpfq.polyring import degree_n_polys, gcd, poly_to_index
+from cpfq.polyring import Poly, _degree_n_lists, degree_n_polys, gcd, poly_to_index
 from helpers import (is_squarefree_gcd, make_field, monic_upto, pol,
                      ref_chen_self_count_q2, ref_density, ref_is_self_chen)
 
@@ -104,15 +104,16 @@ def test_squarefree_census_matches_closed_form():
 
 @pytest.mark.parametrize("q, max_degree", [(2, 10), (3, 5), (4, 3), (5, 4)])
 def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
-    """The census's square-free test, fed the packed candidates its loop
-    walks, against the Poly gcd, and is_self_chen on each candidate against
-    the reference factorization.  Only q = 2 is packed as an int: F_4
-    (p = 2) stays on coefficient lists."""
+    """The census's square-free test, fed packed candidates of every
+    leading coefficient (the census walks the monic ones), against the Poly
+    gcd, and is_self_chen on each candidate against the reference
+    factorization.  Only q = 2 is packed as an int: F_4 (p = 2) stays on
+    coefficient lists."""
     F = make_field(q)
     squarefree = _squarefree_test(F)
     for n in range(1, max_degree + 1):
         polys = list(degree_n_polys(F, n, monic_only=False))
-        packed = list(_packed_polys(F, n, monic_only=False))
+        packed = list(_packed_polys(F, n) if q == 2 else _degree_n_lists(F, n, False))
         if q == 2:
             assert packed == [poly_to_index(g) for g in polys]
         else:
@@ -123,6 +124,18 @@ def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
             assert is_squarefree_gcd(g) == want_sf, g
             # the list route consumes its candidate
             assert squarefree(c) == want_sf, g
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_self_chen_and_gamma_ignore_the_leading_unit(q):
+    """What the census rests on: u g and g generate one ideal, so for every
+    unit u they are both self-Chen or neither, with one gamma."""
+    F = make_field(q)
+    for g in monic_upto(F, 3):
+        for u in range(1, q):
+            ug = Poly(F, [u]) * g
+            assert is_self_chen(ug) == is_self_chen(g), (u, g)
+            assert gamma(ug) == gamma(g), (u, g)
 
 
 @pytest.mark.parametrize("q, n, total, components", [

@@ -575,8 +575,12 @@ def test_guard_flags_are_bounds_as_given(capsys, flags, message):
     ("verify --q 2 --what crt --f 1 --g t", "f must have degree >= 1"),
     ("verify --q 2 --what basis --f t --g 1", "g must have degree >= 1"),
     ("enumerate --q 2 --f 0", "f must have degree >= 1"),
+    ("gamma --q 2 --g 0", "g must have degree >= 1"),
+    ("gamma --q 2 --g 1", "g must have degree >= 1"),
+    ("chen --q 2 --f t --g 0", "g must have degree >= 1"),
 ], ids=["basis-samples", "crt-samples", "m-with-q", "field-modulus-with-q",
-        "crt-constant-f", "basis-constant-g", "enumerate-zero-f"])
+        "crt-constant-f", "basis-constant-g", "enumerate-zero-f",
+        "gamma-zero-g", "gamma-constant-g", "chen-zero-g"])
 def test_flags_out_of_range_or_context_are_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (
         1, "", json.dumps({"error": message}) + "\n")

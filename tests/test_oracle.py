@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from cpfq.chen import density_empirical
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
                          check_census)
@@ -30,9 +31,9 @@ from cpfq.polyring import index_to_poly, poly_to_index, to_text
 from cpfq.residue import FunctionTable, ResidueRing
 from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
                      enumerate_cpf_tables, make_field, monic_polys, monic_upto,
-                     pol, polyfn_members, random_polynomial_function, ref_classes,
-                     ref_encode_cp_problem, ref_is_congruence_preserving, ring,
-                     table, value_at)
+                     pol, polyfn_members, random_polynomial_function,
+                     ref_census_all_units, ref_classes, ref_encode_cp_problem,
+                     ref_is_congruence_preserving, ring, table, value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -492,10 +493,17 @@ def test_apply_coeff_poly_is_horner():
 
 
 # ----------------------------------------------------------------- census
-def test_census_squarefree_units_scale():
-    # squarefreeness ignores the leading unit
-    F3 = make_field(3)
-    assert census_squarefree(F3, 3, monic_only=False) == 2 * census_squarefree(F3, 3)
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 9])
+def test_census_matches_the_all_units_walk(q):
+    """The censuses test one monic generator per ideal and scale by the
+    q - 1 units; the reference tests every leading coefficient, at each
+    degree n with (q - 1) q^n <= 2^12."""
+    F = make_field(q)
+    degrees = [n for n in range(13) if (q - 1) * q ** n <= 2 ** 12]
+    want = [ref_census_all_units(F, n) for n in degrees]
+    assert [census_squarefree(F, n, monic_only=False) for n in degrees] == want
+    assert [census_self_chen(F, n).total for n in degrees] == want
+    assert list(density_empirical(F, degrees[-1]).per_degree) == want[1:]
 
 
 # ----------------------------------------------------------------- guards
