@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldSpec
-from .guards import check_census
-from .oracle import census_self_chen
-from .polyring import Poly, factor_shape, is_irreducible, squarefree_decomposition
+from .guards import DEFAULT_GUARD, EnumerationGuard, check_census
+from .oracle import census_self_chen, count_cpf_bruteforce, polyfn_module
+from .polyring import Poly, factor_shape, is_irreducible
 
 GAMMA_INF = math.inf
 
@@ -71,18 +71,8 @@ def is_chen_pair(f: Poly, g: Poly) -> ChenVerdict:
 
 
 def is_self_chen(g: Poly) -> bool:
-    """Whether (g, g) is a Chen pair, read off the square-free
-    decomposition g = prod s_k^k: gamma(g) is infinite when every k is 1,
-    or when k = 2 only where linear squares keep gamma infinite (q = 2)
-    and s_2 divides t^q - t (only linear factors squared)."""
-    d = g.degree
-    if not isinstance(d, int) or d < 1:
-        raise ValueError("g must have degree >= 1")
-    q = g.field.q
-    free = _gamma_local(q, 1, 2) == GAMMA_INF
-    t = Poly(g.field, [0, 1])
-    return all(k == 1 or (k == 2 and free and ((t ** q - t) % s).is_zero())
-               for s, k in squarefree_decomposition(g))
+    """Whether (g, g) is a Chen pair: a finite gamma(g) is at most deg g."""
+    return gamma(g) == GAMMA_INF
 
 
 def squarefree_count(n: int, q: int) -> int:
@@ -153,3 +143,24 @@ def density_empirical(field: FieldSpec, max_degree: int,
     totals = tuple(units * q ** n for n in degrees)
     return DensityReport(q, max_degree, monic_only, counts, totals,
                          Fraction(sum(counts), sum(totals)), density_exact(q))
+
+
+def verify_chen(f: Poly, g: Poly, engine: str = "exhaustive",
+                guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
+    """The Chen verdict against M == N, both counted by the oracle."""
+    verdict = is_chen_pair(f, g)
+    m = count_cpf_bruteforce(f, g, engine=engine, guard=guard)
+    n = polyfn_module(f, g, guard).size
+    return {"formula": verdict.chen_pair, "oracle": m == n, "M": m, "N": n,
+            "match": verdict.chen_pair == (m == n)}
+
+
+def verify_census(field: FieldSpec, n: int) -> dict:
+    """chen_self_count against oracle.census_self_chen at degree n."""
+    c = census_self_chen(field, n)
+    formula = chen_self_count(n, field.q)
+    out = {"n": c.degree, "formula": formula, "census": c.total,
+           "match": formula == c.total}
+    if c.components is not None:
+        out["components"] = list(c.components)
+    return out

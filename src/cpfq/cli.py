@@ -12,23 +12,15 @@ import argparse
 import functools
 import json
 import math
-import operator
 import random
 import sys
 import time
 
 from . import chen, counting, oracle, wagner
 from .field import field_make
-from .guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
-                     check_factor_degree, check_samples)
+from .guards import DEFAULT_GUARD, EnumerationGuard, GuardExceeded, check_factor_degree
 from .polyring import ParseError, factorize, parse, to_text
-from .residue import (FunctionTable, ResidueRing, combine_indices, crt_split,
-                      split_indices)
-
-# verify --what crt checks its samples in batches of about this many values:
-# the split, combine and check lists of a batch stay small, so a run at the
-# samples bound (2^18 values) peaks near 18 MB instead of 52 MB
-CRT_BATCH = 2 ** 12
+from .residue import FunctionTable, ResidueRing, crt_split
 
 
 def _field_from_args(args):
@@ -88,17 +80,20 @@ def _fraction_obj(fr):
     return {"num": fr.numerator, "den": fr.denominator}
 
 
-def _load_sigma(path) -> FunctionTable:
+def _load_sigma(path, field) -> FunctionTable:
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        return FunctionTable.from_json(text)
+        sigma = FunctionTable.from_json(text)
     # json raises RecursionError on deeply nested input
     except (OSError, json.JSONDecodeError, KeyError, ValueError, RecursionError) as e:
         raise ValueError(f"cannot load function table: {e}") from None
+    if sigma.domain.field != field:
+        raise ValueError("function table field does not match --q/--p")
+    return sigma
 
 
 # ------------------------------------------------------------- commands
@@ -180,9 +175,7 @@ def _cmd_decompose(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
     p = _parse_poly(field, args.P, "P")
-    sigma = _load_sigma(args.sigma)
-    if sigma.domain.field != field:
-        raise ValueError("function table field does not match --q/--p")
+    sigma = _load_sigma(args.sigma, field)
     if sigma.domain.modulus != f:
         raise ValueError("function table domain modulus does not match --f")
     g = sigma.codomain.modulus
@@ -209,9 +202,7 @@ def _cmd_characterize(args):
     field = _field_from_args(args)
     f = _parse_poly(field, args.f, "f")
     g = _parse_modulus(field, args.g, "g")
-    sigma = _load_sigma(args.sigma)
-    if sigma.domain.field != field:
-        raise ValueError("function table field does not match --q/--p")
+    sigma = _load_sigma(args.sigma, field)
     if sigma.domain.modulus != f or sigma.codomain.modulus != g:
         raise ValueError("function table moduli do not match --f/--g")
     _guard_from_args(args).check_domain_pairs(f)
@@ -224,117 +215,39 @@ def _cmd_characterize(args):
             "cpf": all(x["cpf"] for x in factors), "factors": factors}
 
 
+# the library check of each `verify --what` but census, given f and g
+_VERIFY = {
+    "cpf-count": lambda a, f, g, guard: oracle.verify_cpf_count(f, g, a.engine, guard),
+    "poly-count": lambda a, f, g, guard: oracle.verify_poly_count(f, g, guard),
+    "chen": lambda a, f, g, guard: chen.verify_chen(f, g, a.engine, guard),
+    "basis": lambda a, f, g, guard: wagner.verify_basis(
+        f, g, random.Random(a.seed), a.samples, guard),
+    "crt": lambda a, f, g, guard: oracle.verify_crt(
+        f, g, random.Random(a.seed), a.samples, guard),
+}
+
+
 def _cmd_verify(args):
     field = _field_from_args(args)
     guard = _guard_from_args(args)
     t0 = time.perf_counter()
-    out = _verify_dispatch(args, field, guard)
-    if args.timing:
-        out["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    return out
-
-
-def _verify_dispatch(args, field, guard):
-    what = args.what
-    if what in ("basis", "crt") and args.samples < 0:
+    if args.what in ("basis", "crt") and args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
-    if what in ("cpf-count", "poly-count", "chen", "basis", "crt"):
+    out = {"what": args.what, "q": field.q}
+    if args.what == "census":
+        if args.n is None:
+            raise ValueError("verify --what census needs --n")
+        out.update(chen.verify_census(field, args.n))
+    else:
         if not args.f or not args.g:
-            raise ValueError(f"verify --what {what} needs --f and --g")
+            raise ValueError(f"verify --what {args.what} needs --f and --g")
         f = _parse_poly(field, args.f, "f")
         g = _parse_modulus(field, args.g, "g")
         counting._require_pair(f, g)
-    if what == "cpf-count":
-        formula = counting.count_cpf(f, g)
-        got = oracle.count_cpf_bruteforce(f, g, engine=args.engine, guard=guard)
-        return {"what": what, "q": field.q, "f": to_text(f), "g": to_text(g),
-                "engine": args.engine, "formula": str(formula), "oracle": got,
-                "match": formula.equals_int(got)}
-    if what == "poly-count":
-        formula = counting.count_polyfn(f, g)
-        got = oracle.polyfn_module(f, g, guard).size
-        return {"what": what, "q": field.q, "f": to_text(f), "g": to_text(g),
-                "formula": str(formula), "oracle": got,
-                "match": formula.equals_int(got)}
-    if what == "chen":
-        verdict = chen.is_chen_pair(f, g)
-        m = oracle.count_cpf_bruteforce(f, g, engine=args.engine, guard=guard)
-        n = oracle.polyfn_module(f, g, guard).size
-        return {"what": what, "q": field.q, "f": to_text(f), "g": to_text(g),
-                "formula": verdict.chen_pair, "oracle": m == n,
-                "M": m, "N": n, "match": verdict.chen_pair == (m == n)}
-    if what == "basis":
-        return _verify_basis(args, field, guard, f, g)
-    if what == "crt":
-        return _verify_crt(args, field, guard, f, g)
-    if what == "census":
-        if args.n is None:
-            raise ValueError("verify --what census needs --n")
-        c = oracle.census_self_chen(field, args.n)
-        formula = chen.chen_self_count(args.n, field.q)
-        out = {"what": what, "q": field.q, "n": args.n,
-               "formula": formula, "census": c.total, "match": formula == c.total}
-        if c.components is not None:
-            out["components"] = list(c.components)
-        return out
-    raise ValueError(f"unknown verification {what!r}")
-
-
-def _verify_basis(args, field, guard, f, g):
-    import numpy as np
-
-    # one pair of rings, so g is factored once for every step below
-    dom, cod = ResidueRing(f), ResidueRing(g)
-    if len(cod.factorization.factors) != 1:
-        raise ValueError("verify --what basis needs a prime power --g")
-    # the enumeration's own guards first, so that the samples are refused
-    # before any work and every earlier refusal keeps its message
-    guard.check_degrees(f, g)
-    guard.check_total_functions(dom.size, cod.size)
-    check_samples(field.q, f.degree, args.samples)
-    rows = oracle.enumerate_cpf_rows(dom, cod, guard=guard)
-    # the samples as one batch, judged by the basis in the solve of the CP
-    # tables and by the definition in one walk
-    values = oracle.random_values(dom, cod, random.Random(args.seed), args.samples)
-    samples = np.array(values, dtype=rows.dtype).reshape(args.samples, dom.size)
-    by_basis = wagner.decompose_rows(np.concatenate([rows, samples]), cod,
-                                     f.degree).is_cpf()
-    all_cp_pass = bool(by_basis[:len(rows)].all())
-    agree = sum(map(operator.eq, by_basis[len(rows):].tolist(),
-                    _cp_verdicts(dom, cod, values)))
-    return {"what": "basis", "q": field.q, "f": to_text(f), "g": to_text(g),
-            "cp_tables": len(rows), "all_cp_pass": all_cp_pass,
-            "samples": args.samples, "agreements": agree,
-            "match": all_cp_pass and agree == args.samples}
-
-
-def _verify_crt(args, field, guard, f, g):
-    guard.check_degrees(f, g)
-    guard.check_domain_pairs(f)
-    check_samples(field.q, f.degree, args.samples)
-    dom, cod = ResidueRing(f), ResidueRing(g)
-    moduli = tuple(ring.modulus for ring in cod.prime_powers)
-    rng = random.Random(args.seed)
-    roundtrip_ok = local_global_ok = True
-    # one split per prime power, one combine and one walk of the
-    # definitional check serve every table of a batch
-    per_batch = max(1, CRT_BATCH // dom.size)
-    for done in range(0, args.samples, per_batch):
-        values = oracle.random_values(dom, cod, rng, min(per_batch, args.samples - done))
-        parts = split_indices(cod, values)
-        roundtrip_ok &= combine_indices(g, moduli, parts) == values
-        locals_ok = map(all, zip(*(_cp_verdicts(dom, ring, part)
-                                   for ring, part in zip(cod.prime_powers, parts))))
-        local_global_ok &= _cp_verdicts(dom, cod, values) == list(locals_ok)
-    return {"what": "crt", "q": field.q, "f": to_text(f), "g": to_text(g),
-            "samples": args.samples, "roundtrip_ok": roundtrip_ok,
-            "local_global_ok": local_global_ok,
-            "match": roundtrip_ok and local_global_ok}
-
-
-def _cp_verdicts(dom, cod, values) -> list:
-    """Whether each table side by side in `values` preserves congruences."""
-    return [failure is None for failure in oracle.congruence_failures(dom, cod, values)]
+        out.update(f=to_text(f), g=to_text(g), **_VERIFY[args.what](args, f, g, guard))
+    if args.timing:
+        out["elapsed_ms"] = round((time.perf_counter() - t0) * 1000, 3)
+    return out
 
 
 # --------------------------------------------------------------- render

@@ -1,9 +1,9 @@
 """Independent brute-force routes: definitional checks and exhaustive counts.
 
 Everything here recomputes properties from first principles, bypassing the
-closed-form counting and classification modules, so that those can be
-validated against it.  The definitional check and the random draws take
-the values of many tables side by side, so a sampled check is one batch.
+closed-form counting and classification modules; the verify_* checks here,
+in `chen` and in `wagner` hold those against it.  The definitional check
+and the random draws take many tables side by side, as one batch.
 Every enumeration, census and the literal route is bounded by a check of
 `guards`, which raises GuardExceeded instead of attempting a large run.
 
@@ -17,12 +17,14 @@ from dataclasses import dataclass
 
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
-from .counting import QExponent, _require_pair
+from .counting import QExponent, _require_pair, count_cpf, count_polyfn
 from .field import FieldSpec
-from .guards import DEFAULT_GUARD, EnumerationGuard, check_census, check_literal
+from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_literal,
+                     check_samples)
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
                        _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly)
-from .residue import ColumnMap, FunctionTable, ResidueRing
+from .residue import (ColumnMap, FunctionTable, ResidueRing, combine_indices,
+                      split_indices)
 
 
 # ---------------------------------------------------- definitional check
@@ -87,6 +89,17 @@ def congruence_failures(domain: ResidueRing, codomain: ResidueRing, values) -> l
             if not left:
                 break
     return out
+
+
+def _cp_verdicts(domain: ResidueRing, codomain: ResidueRing, values) -> list:
+    """Whether each table side by side in `values` preserves congruences."""
+    return [failure is None for failure in congruence_failures(domain, codomain, values)]
+
+
+# verify_crt checks its samples in batches of about this many values, each
+# split, combined and walked once: the lists stay small, so a run at the
+# samples bound (2^18 values) peaks near 18 MB instead of 52 MB
+CRT_BATCH = 2 ** 12
 
 
 # ------------------------------------------------------ integer encoding
@@ -326,6 +339,46 @@ def random_values(domain: ResidueRing, codomain: ResidueRing, rng, samples: int)
     return [draw(size) for _ in range(samples * domain.size)]
 
 
+# ----------------------------------------------------------------- checks
+# each returns the fields that `cpfq verify --what ...` prints after f and g
+def verify_cpf_count(f: Poly, g: Poly, engine: str = "exhaustive",
+                     guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
+    """counting.count_cpf against count_cpf_bruteforce."""
+    formula = count_cpf(f, g)
+    got = count_cpf_bruteforce(f, g, engine=engine, guard=guard)
+    return {"engine": engine, "formula": str(formula), "oracle": got,
+            "match": formula.equals_int(got)}
+
+
+def verify_poly_count(f: Poly, g: Poly, guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
+    """counting.count_polyfn against the size of the PolyFnModule span."""
+    formula = count_polyfn(f, g)
+    got = polyfn_module(f, g, guard).size
+    return {"formula": str(formula), "oracle": got, "match": formula.equals_int(got)}
+
+
+def verify_crt(f: Poly, g: Poly, rng, samples: int,
+               guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
+    """On `samples` random tables A_f -> A_g: the CRT split combines back,
+    and a table preserves congruences iff each prime power part does."""
+    guard.check_degrees(f, g)
+    guard.check_domain_pairs(f)
+    check_samples(f.field.q, f.degree, samples)
+    dom, cod = ResidueRing(f), ResidueRing(g)
+    moduli = tuple(ring.modulus for ring in cod.prime_powers)
+    roundtrip_ok = local_global_ok = True
+    per_batch = max(1, CRT_BATCH // dom.size)
+    for done in range(0, samples, per_batch):
+        values = random_values(dom, cod, rng, min(per_batch, samples - done))
+        parts = split_indices(cod, values)
+        roundtrip_ok &= combine_indices(g, moduli, parts) == values
+        locals_ok = map(all, zip(*(_cp_verdicts(dom, ring, part)
+                                   for ring, part in zip(cod.prime_powers, parts))))
+        local_global_ok &= _cp_verdicts(dom, cod, values) == list(locals_ok)
+    return {"samples": samples, "roundtrip_ok": roundtrip_ok,
+            "local_global_ok": local_global_ok, "match": roundtrip_ok and local_global_ok}
+
+
 # --------------------------------------------------------------- censuses
 def _packed_polys(field: FieldSpec, n: int):
     """One generator of each degree-n ideal (g) of F_q[t], in the packed
@@ -334,7 +387,7 @@ def _packed_polys(field: FieldSpec, n: int):
     they are the q^n monic coefficient lists."""
     if field.q == 2:
         return range(1 << n, 2 << n)
-    return _degree_n_lists(field, n, True)
+    return _degree_n_lists(field, n)
 
 
 def _squarefree_test(field: FieldSpec):

@@ -421,21 +421,16 @@ def enumerate_residues(f: Poly) -> list:
     return [index_to_poly(f.field, k) for k in range(f.field.q ** d)]
 
 
-def _degree_n_lists(field: FieldSpec, n: int, monic_only: bool):
+def _degree_n_lists(field: FieldSpec, n: int):
     """degree_n_polys as coefficient lists, each list new."""
-    leads = [1] if monic_only else range(1, field.q)
     # product varies its last digit fastest, index order the lowest
     for low in product(range(field.q), repeat=n):
-        base = low[::-1]
-        for lead in leads:
-            yield [*base, lead]
+        yield [*low[::-1], 1]
 
 
-def degree_n_polys(field: FieldSpec, n: int, monic_only: bool):
-    """Every polynomial of exact degree n, by index of its lower n
-
-    coefficients and then by leading coefficient (1 only if monic_only)."""
-    for cs in _degree_n_lists(field, n, monic_only):
+def degree_n_polys(field: FieldSpec, n: int):
+    """Every monic polynomial of degree n, in index order."""
+    for cs in _degree_n_lists(field, n):
         yield Poly._new(field, cs)
 
 
@@ -585,7 +580,7 @@ def monic_irreducibles(field: FieldSpec, degree: int) -> tuple:
     """All monic irreducibles of exact degree `degree`, in index order."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(p for p in degree_n_polys(field, degree, True)
+    return tuple(p for p in degree_n_polys(field, degree)
                  if is_irreducible(p))
 
 

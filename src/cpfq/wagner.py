@@ -20,6 +20,8 @@ import functools
 import threading
 from dataclasses import dataclass
 
+from .guards import DEFAULT_GUARD, EnumerationGuard, check_samples
+from .oracle import _cp_verdicts, enumerate_cpf_rows, random_values
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
 from .residue import FunctionTable, ResidueRing
@@ -391,3 +393,29 @@ def decompose_rows(values, codomain: ResidueRing, n: int,
     coords = ctx.solve(values)
     return BasisBatch(coords, ctx.tables()[2][coords],
                       np.array((0,) + ctx.mus[1:], dtype=np.int64))
+
+
+def verify_basis(f: Poly, g: Poly, rng, samples: int,
+                 guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
+    """The basis criterion on A_f -> A_g, g a prime power: it passes every
+    enumerated CP table, and on `samples` random tables (solved in the same
+    batch) it agrees with the definition, checked in one walk."""
+    import numpy as np
+
+    # one pair of rings, so g is factored once for every step below
+    dom, cod = ResidueRing(f), ResidueRing(g)
+    if len(cod.factorization.factors) != 1:
+        raise ValueError("verify --what basis needs a prime power --g")
+    # the enumeration's own guards first, so that the samples are refused
+    # before any work and every earlier refusal keeps its message
+    guard.check_degrees(f, g)
+    guard.check_total_functions(dom.size, cod.size)
+    check_samples(f.field.q, f.degree, samples)
+    rows = enumerate_cpf_rows(dom, cod, guard=guard)
+    values = random_values(dom, cod, rng, samples)
+    tables = np.array(values, dtype=rows.dtype).reshape(samples, dom.size)
+    by_basis = decompose_rows(np.concatenate([rows, tables]), cod, f.degree).is_cpf()
+    all_cp_pass = bool(by_basis[:len(rows)].all())
+    agree = int((by_basis[len(rows):] == _cp_verdicts(dom, cod, values)).sum())
+    return {"cp_tables": len(rows), "all_cp_pass": all_cp_pass, "samples": samples,
+            "agreements": agree, "match": all_cp_pass and agree == samples}

@@ -19,6 +19,7 @@ polynomial functions, the members of the polynomial-function span, the
 digit-relabeled literal route and the exponent identity."""
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
 from cpfq.oracle import (CpCheck, CpProblem, PolyFnModule, _squarefree_test,
                          enumerate_cpf_rows)
-from cpfq.polyring import (Poly, _degree_n_lists, gcd, index_to_poly, parse,
-                           poly_to_index, valuation, xgcd)
+from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index,
+                           valuation, xgcd)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import _context, eval_Qk, floor_log, mu
 
@@ -52,6 +53,16 @@ def monic_polys(field, degree):
     q = field.q
     lo = q ** degree
     return [index_to_poly(field, lo + k) for k in range(q ** degree)]
+
+
+def all_units_lists(field, degree):
+    """The coefficient lists of every polynomial of exact degree `degree`,
+    by index of the lower coefficients and then by leading coefficient,
+    each list new: the walk over every unit that the censuses replace by
+    one monic generator per ideal."""
+    for low in product(range(field.q), repeat=degree):
+        for lead in range(1, field.q):
+            yield [*low[::-1], lead]
 
 
 def monic_upto(field, max_degree, min_degree=1):
@@ -521,7 +532,7 @@ def ref_census_all_units(field, n):
     """The gcd square-freeness test on every degree-n polynomial over F_q
     (q > 2), every leading coefficient walked: the count that the census's
     one monic generator per ideal, times the q - 1 units, is checked against."""
-    return sum(map(_squarefree_test(field), _degree_n_lists(field, n, False)))
+    return sum(map(_squarefree_test(field), all_units_lists(field, n)))
 
 
 def relabeled_index_to_poly(field, k, order):

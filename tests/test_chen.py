@@ -20,9 +20,9 @@ from cpfq.chen import (
 from cpfq.counting import count_cpf, count_polyfn
 from cpfq.oracle import (_packed_polys, _squarefree_test, census_self_chen,
                          census_squarefree)
-from cpfq.polyring import Poly, _degree_n_lists, degree_n_polys, gcd, poly_to_index
-from helpers import (is_squarefree_gcd, make_field, monic_upto, pol,
-                     ref_chen_self_count_q2, ref_density, ref_is_self_chen)
+from cpfq.polyring import Poly, gcd, poly_to_index
+from helpers import (all_units_lists, is_squarefree_gcd, make_field, monic_upto,
+                     pol, ref_chen_self_count_q2, ref_density, ref_is_self_chen)
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -112,12 +112,12 @@ def test_per_candidate_tests_on_the_packed_census_inputs(q, max_degree):
     F = make_field(q)
     squarefree = _squarefree_test(F)
     for n in range(1, max_degree + 1):
-        polys = list(degree_n_polys(F, n, monic_only=False))
-        packed = list(_packed_polys(F, n) if q == 2 else _degree_n_lists(F, n, False))
+        polys = [Poly(F, cs) for cs in all_units_lists(F, n)]
+        packed = list(_packed_polys(F, n) if q == 2 else all_units_lists(F, n))
         if q == 2:
             assert packed == [poly_to_index(g) for g in polys]
         else:
-            assert packed == [list(g.coeffs) for g in polys]
+            assert list(_packed_polys(F, n)) == [cs for cs in packed if cs[-1] == 1]
         for g, c in zip(polys, packed):
             want_sf = gcd(g, g.derivative()).degree == 0
             assert is_self_chen(g) == ref_is_self_chen(g), g

@@ -412,6 +412,23 @@ SAMPLES_GOLDEN = [
     "crt-prime", "crt-extension", "crt-non-monic"])
 def test_verify_samples_golden(capsys, argv, out):
     assert run_cli(capsys, "verify", *argv.split()) == (0, out, "")
+    # the library check alone prints the same fields after the header
+    import random
+
+    from cpfq import oracle, wagner
+    from cpfq.cli import build_parser
+    from cpfq.field import field_make
+    from cpfq.polyring import parse
+
+    args = build_parser().parse_args(["verify", *argv.split()])
+    field = field_make(args.q) if args.q else field_make(args.p, args.m)
+    check = {"basis": wagner.verify_basis, "crt": oracle.verify_crt}[args.what]
+    got = check(parse(field, args.f), parse(field, args.g),
+                random.Random(args.seed), args.samples)
+    want = json.loads(out)
+    for key in ("what", "q", "f", "g"):
+        del want[key]
+    assert list(got.items()) == list(want.items())
 
 
 def test_crt_check_builds_no_witness(capsys, monkeypatch):

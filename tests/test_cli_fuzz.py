@@ -8,6 +8,7 @@ enumerations); the inputs past each bound are drawn from edge values,
 which the guards refuse in O(1)."""
 
 import contextlib
+import copy
 import io
 import json
 import random
@@ -189,6 +190,7 @@ def test_fuzz_verify(argv):
 # ------------------------------------------------------------- --sigma
 SIGMA_FIELDS = {2: ["--q", "2"], 3: ["--q", "3"], 4: ["--p", "2", "--m", "2"]}
 SIGMA_MODULI = ["t", "t+1", "t^2", "t^2+t", "t^2+t+1", "t^3", "t^3+t^2", "t^2+1"]
+# drawn as copies: a shared [] or {} edited twice could come to hold itself
 JUNK_JSON = [None, True, False, 0, -1, 1.5, 2, 3, 4, 10 ** 30, "", "2", "t",
              "t^2", "t^20", "t^99999", "u^2+u+1", "((", [], [2], {}, {"0": "0"}]
 
@@ -215,9 +217,10 @@ def sigma_texts(draw, q, f, g):
             del obj[draw(st.sampled_from(sorted(obj)))]
         elif edit == "add":
             obj[draw(st.sampled_from(["extra", "p", "m", "field_modulus"]))] = \
-                draw(st.sampled_from(JUNK_JSON))
+                copy.deepcopy(draw(st.sampled_from(JUNK_JSON)))
         elif edit == "junk" and obj:
-            obj[draw(st.sampled_from(sorted(obj)))] = draw(st.sampled_from(JUNK_JSON))
+            obj[draw(st.sampled_from(sorted(obj)))] = \
+                copy.deepcopy(draw(st.sampled_from(JUNK_JSON)))
         elif edit.startswith("value") and isinstance(values, dict) and values:
             key = draw(st.sampled_from(sorted(values)))
             if edit == "value-drop":
@@ -225,7 +228,7 @@ def sigma_texts(draw, q, f, g):
             elif edit == "value-add":
                 values[draw(st.sampled_from(["t^9", "1+t", " 0", "u", "x"]))] = "0"
             elif edit == "value-junk":
-                values[key] = draw(st.sampled_from(JUNK_JSON))
+                values[key] = copy.deepcopy(draw(st.sampled_from(JUNK_JSON)))
             else:  # the same residue plus a multiple of g: not canonical
                 values[key] = f"{values[key]}+({g})*t"
         elif edit == "field":

@@ -94,10 +94,12 @@ def test_removed_wrappers_stay_removed():
     # the CRT one, and Factorization.monic_divisors the divisors; the CRT
     # combine is one ColumnMap, with no list of lifts and no hand-built
     # inverse; the split reads the label maps, rings share no residues,
-    # and a ColumnMap has no coefficient-list route
-    from cpfq import polyring, residue, wagner
+    # and a ColumnMap has no coefficient-list route; the verify checks live
+    # beside the code they check, not in the CLI
+    from cpfq import cli, polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
                         "crt_characterize"),
+               cli: ("_verify_basis", "_verify_crt", "_cp_verdicts", "CRT_BATCH"),
                polyring: ("monic_divisors",),
                residue: ("_crt_idempotents", "_shared_residues", "_reduction_map")}
     for module, names in removed.items():

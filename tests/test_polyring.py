@@ -36,8 +36,8 @@ from cpfq.polyring import (
     valuation,
     xgcd,
 )
-from helpers import (make_field, monic_polys, monic_upto, pol, ref_add,
-                     ref_divmod, ref_factor_pairs, ref_is_self_chen,
+from helpers import (all_units_lists, make_field, monic_polys, monic_upto, pol,
+                     ref_add, ref_divmod, ref_factor_pairs, ref_is_self_chen,
                      ref_monic_irreducibles, ref_mul, ref_neg, ref_sub,
                      reconstruct, relabeled_index_to_poly)
 
@@ -344,8 +344,8 @@ def test_factorization_matches_trial_division_exhaustively(q, max_degree):
     # every polynomial of degree 1..max_degree, all leading units
     F = make_field(q)
     for n in range(1, max_degree + 1):
-        for g in degree_n_polys(F, n, monic_only=False):
-            assert_factors_like_trial_division(g)
+        for cs in all_units_lists(F, n):
+            assert_factors_like_trial_division(Poly(F, cs))
 
 
 @pytest.mark.parametrize("q, piece_degree", [(2, 12), (3, 8), (4, 6), (5, 5), (9, 4)])
@@ -412,6 +412,12 @@ def test_monic_irreducibles_match_the_sieve():
         F = make_field(q)
         for d in range(1, top + 1):
             assert list(monic_irreducibles(F, d)) == ref_monic_irreducibles(F, d)
+
+
+def test_degree_n_polys_are_the_monic_ones_in_index_order():
+    for q, F in FIELDS.items():
+        for n in range(4):
+            assert list(degree_n_polys(F, n)) == monic_polys(F, n)
 
 
 @pytest.mark.parametrize("q", [4, 9])
