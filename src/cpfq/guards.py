@@ -116,8 +116,11 @@ class EnumerationGuard:
                     self.max_functions)
 
     def check_domain_pairs(self, f):
-        """The polynomial-function span, the CRT check and the basis
-        context cost time growing with |A_f|^2."""
+        """The CRT check and the basis context cost time growing with
+        |A_f|^2.  The polynomial-function span costs about rank x length
+        row ops of `length` lanes each, with rank up to length = |A_f| deg g
+        m, so this bound admits spans that run for minutes (q = 2, deg f =
+        deg g = 10, g irreducible)."""
         check_power("domain pairs", "|A_f|^2", f.field.q, 2 * f.degree,
                     self.max_functions)
 

@@ -23,7 +23,7 @@ from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_litera
                      check_samples)
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
                        _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly)
-from .residue import (ColumnMap, FunctionTable, ResidueRing, combine_indices,
+from .residue import (FunctionTable, ResidueRing, combine_indices,
                       split_indices)
 
 
@@ -217,11 +217,18 @@ class PolyFnModule:
     the builder adds generators until it sees an explicit repeat, which
     is the stopping proof that all monomials are covered (or until the
     span is already the full function space, which is stronger).
-    Functions are encoded as F_p vectors of length |A_f| * deg g * m,
-    and membership is reduction against a reduced-row-echelon basis.
-    While building, a table is the list of its values' A_g indices, and
-    multiplication by t, by u in F_q and by each residue r of A_f is a
-    ColumnMap x -> x h mod g."""
+    A function is a row: one int with one byte lane per F_p coordinate,
+    |A_f| * deg g * m lanes, the coordinates of each value's deg g base-q
+    digits, lowest first, value after value in index order.  Membership
+    is reduction against the pivot rows, kept in reduced echelon form and
+    keyed by their pivot, the lowest nonzero lane.
+
+    Rows add lane by lane as ints and reduce mod p by one bytes.translate:
+    p <= 13 (guards.FIELD_LOG2), so a lane below p plus one product of two
+    lanes below p stays below 256.  At p = 2 they add by xor.  Multiplying
+    by t, by u and by the residues of A_f acts on every value of a row at
+    once, by shifts, masks and small multiples: no Poly op and no loop per
+    value."""
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing,
                  guard: EnumerationGuard = DEFAULT_GUARD):
@@ -230,79 +237,144 @@ class PolyFnModule:
         self.domain = domain
         self.codomain = codomain
         field = domain.field
-        self.p = field.p
-        self._m = field.m
+        p, q, m = field.p, field.q, field.m
+        self.p = p
         self._degg = dg = codomain.modulus.degree
-        self.length = domain.size * dg * self._m
+        block = dg * m  # the lanes of one value
+        self.length = domain.size * block
+        self._lanes_mod_p = bytes(x % p for x in range(256))
         self._pivots: dict = {}
-        g = codomain.modulus
+        coords = field._coords
 
-        def times(h: Poly) -> ColumnMap:
-            return ColumnMap(g, [h.shift(j) for j in range(dg)])
+        def repeat(pattern: bytes) -> int:
+            return int.from_bytes(pattern * (self.length // len(pattern)), "little")
 
-        times_t = times(Poly(field, [0, 1]))
-        times_u = times(Poly(field, [field.from_coeffs([0, 1])])) if field.m > 1 else None
-        # each map is applied to one value per monomial: by digits, no table
-        times_rep = [times(r).digit_image for r in domain.elements()]
-        monomial = [1] * domain.size  # the index of 1
+        def times(unit: int, by: int, wraps):
+            """The product of each run of `unit` lanes (a value by t, a
+            digit by u): its lanes move up `by` lanes, and each lane k in
+            wraps, moved out of the run, comes back as its value times the
+            run of lanes wraps[k]."""
+            low = repeat(b"\xff" + bytes(unit - 1))
+            keep = repeat(bytes(by) + b"\xff" * (unit - by))
+
+            def image(x: int) -> int:
+                out = (x << 8 * by) & keep
+                for lane, wrap in wraps.items():
+                    out += ((x >> 8 * lane) & low) * wrap
+                return self._mod_p(out)
+            return image
+
+        # t^dg = -(g_0 + ... + g_{dg-1} t^(dg-1)) (g monic), so coordinate b
+        # of the top digit wraps to the lanes of -u^b g_j; u^m = -(mu_0 + ...
+        # + mu_{m-1} u^(m-1)) by the field modulus.  A lane stays below
+        # p + m (p - 1)^2 <= 157 (m = 1 at p = 13).
+        gm = codomain.modulus.monic().coeffs
+        times_t = times(block, m, {(dg - 1) * m + b: int.from_bytes(bytes(
+            x for gj in gm[:dg] for x in coords[field._neg[field._mul[p ** b][gj]]]),
+            "little") for b in range(m)})
+        if m > 1:
+            times_u = times(m, 1, {m - 1: int.from_bytes(
+                bytes(-c % p for c in field.modulus[:m]), "little")})
+
+        # residue i is sum_j c_j t^j, c_j = sum_b e_b u^b its base-q digits,
+        # so m(i) r_i sums e times the row of u^b t^j m masked to the values
+        # whose e_b is e: one step per (j, b, e) with some such value
+        nf = domain.modulus.degree
+        whole, empty = b"\xff" * block, bytes(block)
+        digit_masks = []
+        for j in range(nf):
+            digit = [coords[i // q ** j % q] for i in range(domain.size)]
+            for b in range(m):
+                for e in range(1, p):
+                    mask = int.from_bytes(b"".join(
+                        whole if c[b] == e else empty for c in digit), "little")
+                    if mask:
+                        digit_masks.append((j * m + b, e, mask))
+
+        monomial = repeat(b"\x01" + bytes(block - 1))  # x^0 = 1 at every residue
         seen = set()
         self.n_monomials = 0
         while len(self._pivots) < self.length:
-            key = tuple(monomial)
-            if key in seen:
+            if monomial in seen:
                 break
-            seen.add(key)
+            seen.add(monomial)
             self.n_monomials += 1
-            # all A_g-scalar multiples of this monomial, via an F_p basis of A_g
-            scaled, scaled_a = [], monomial
-            for _ in range(dg):
-                scaled_b = scaled_a
-                for _ in range(self._m):
-                    scaled.append(scaled_b)
-                    if times_u is not None:
-                        scaled_b = times_u.image(scaled_b)
-                scaled_a = times_t.image(scaled_a)
-            for row in self._encode_values(scaled):
+            # u^b t^j m for j < max(deg g, deg f) and b < m, b fastest: the
+            # first deg g * m are all A_g-scalar multiples of m, via an F_p
+            # basis of A_g, and the step to the next monomial reads the rest
+            scaled, row = [], monomial
+            for j in range(max(dg, nf)):
+                if j:
+                    row = times_t(row)
+                col = row
+                for b in range(m):
+                    if b:
+                        col = times_u(col)
+                    scaled.append(col)
+            for row in scaled[:block]:
                 self._add_row(row)
-            monomial = [mul(v) for mul, v in zip(times_rep, monomial)]
+            monomial = self._combination(
+                (e, scaled[k] & mask) for k, e, mask in digit_masks)
 
-    def _encode_values(self, indices) -> np.ndarray:
-        """The F_p vector of a table given by its values' A_g indices (one
-        per row, for a list of tables): the F_p coordinates of each value's
-        deg g base-q digits, lowest first."""
-        import numpy as np
+    def _mod_p(self, x: int) -> int:
+        """x with every lane reduced mod p (each lane below 256)."""
+        return int.from_bytes(x.to_bytes(self.length, "little")
+                              .translate(self._lanes_mod_p), "little")
 
+    def _combination(self, terms) -> int:
+        """The sum of c x mod p over the (c, x) in terms, each c in 1..p-1
+        and x with every lane below p: added as ints, reduced before a lane
+        could pass 255; at p = 2, one xor per term."""
+        p, out = self.p, 0
+        if p == 2:
+            for _, x in terms:
+                out ^= x
+            return out
+        bound = 0
+        for c, x in terms:
+            bound += c * (p - 1)
+            if bound > 255:
+                out, bound = self._mod_p(out), (c + 1) * (p - 1)
+            out += c * x
+        return self._mod_p(out)
+
+    def _encode(self, indices) -> int:
+        """The row of a table given by its values' A_g indices: the F_p
+        coordinates of each value's deg g base-q digits, lowest first."""
         field = self.domain.field
-        indices = np.asarray(indices, dtype=np.int64)
-        digits = indices[..., None] // field.q ** np.arange(self._degg) % field.q
-        coords = np.asarray(field._coords, dtype=np.int64)[digits]
-        return coords.reshape(indices.shape[:-1] + (-1,))
+        q, digit = field.q, list(map(bytes, field._coords))
+        out = bytearray()
+        for v in indices:
+            for _ in range(self._degg):
+                v, d = divmod(v, q)
+                out += digit[d]
+        return int.from_bytes(out, "little")
 
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
+    def _reduce(self, vec: int) -> int:
         """vec less its pivot coordinates times the pivot rows, mod p; the
-        rows are in reduced echelon form, so each coordinate is read once."""
-        vec = vec % self.p
-        pivots = list(self._pivots)
-        for piv, c in zip(pivots, vec[pivots].tolist()):
-            if c:
-                vec -= c * self._pivots[piv]
-        vec %= self.p
-        return vec
+        rows are in reduced echelon form, so each coordinate is read once,
+        from vec itself."""
+        p, lanes = self.p, vec.to_bytes(self.length, "little")
+        return self._combination([(1, vec)] + [
+            (p - lanes[piv], row) for piv, row in self._pivots.items() if lanes[piv]])
 
-    def _add_row(self, vec: np.ndarray) -> bool:
-        import numpy as np
-
+    def _add_row(self, vec: int) -> bool:
         vec = self._reduce(vec)
-        nz = np.nonzero(vec)[0]
-        if nz.size == 0:
+        if not vec:
             return False
-        piv = int(nz[0])
-        inv = pow(int(vec[piv]), self.p - 2, self.p) if self.p > 2 else 1
-        vec = (vec * inv) % self.p
-        for other_piv, row in list(self._pivots.items()):
-            c = int(row[piv])
-            if c:
-                self._pivots[other_piv] = (row - c * vec) % self.p
+        piv = ((vec & -vec).bit_length() - 1) >> 3  # the lowest nonzero lane
+        p, shift = self.p, 8 * piv
+        c = (vec >> shift) & 0xFF
+        if c != 1:
+            vec = self._mod_p(vec * pow(c, -1, p))
+        # a row is zero below its own pivot, so only the rows of lower
+        # pivots can hold piv
+        for other, row in list(self._pivots.items()):
+            if other < piv:
+                c = (row >> shift) & 0xFF
+                if c:
+                    self._pivots[other] = (row ^ vec if p == 2
+                                           else self._mod_p(row + (p - c) * vec))
         self._pivots[piv] = vec
         return True
 
@@ -317,7 +389,7 @@ class PolyFnModule:
     def contains(self, sigma: FunctionTable) -> bool:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
-        return not self._reduce(self._encode_values(sigma.indices)).any()
+        return not self._reduce(self._encode(sigma.indices))
 
 
 def polyfn_module(f: Poly, g: Poly,

@@ -405,7 +405,7 @@ def verify_basis(f: Poly, g: Poly, rng, samples: int,
     # one pair of rings, so g is factored once for every step below
     dom, cod = ResidueRing(f), ResidueRing(g)
     if len(cod.factorization.factors) != 1:
-        raise ValueError("verify --what basis needs a prime power --g")
+        raise ValueError("g must be a prime power P^e")
     # the enumeration's own guards first, so that the samples are refused
     # before any work and every earlier refusal keeps its message
     guard.check_degrees(f, g)

@@ -8,9 +8,11 @@ factorization that `factorize` is checked against, the Poly route of the
 basis decomposition that `decompose` is checked against and the Poly-op
 basis tables of its batched solve, the hand-derived self-Chen closed
 forms that the Euler-product counts and density are checked against, the
-Poly-op ring tables, CRT split and combine and polynomial-function span
-that the digit-built tables and the `residue.ColumnMap` routes are
-checked against, and the oracle references that only the tests use: the
+Poly-op ring tables, CRT split and combine that the digit-built tables
+and the `residue.ColumnMap` routes are checked against, the span with
+Poly-op generators and numpy row ops that the packed rows of
+`PolyFnModule` are checked against (and the decoding of those rows), and
+the oracle references that only the tests use: the
 Poly-op classes and definitional check that the label maps are checked
 against, the all-units census walk, the all-pairs constraint encoding,
 the row check of an encoding, the odometer and full-depth counts that the
@@ -27,7 +29,7 @@ from cpfq import _kernels
 from cpfq.counting import QExponent
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
-from cpfq.oracle import (CpCheck, CpProblem, PolyFnModule, _squarefree_test,
+from cpfq.oracle import (CpCheck, CpProblem, _squarefree_test,
                          enumerate_cpf_rows)
 from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index,
                            valuation, xgcd)
@@ -330,11 +332,13 @@ def ref_crt_combine(tables, modulus):
     return FunctionTable(tables[0].domain, ring, acc)
 
 
-class RefPolyFnModule(PolyFnModule):
-    """PolyFnModule with its generators built by Poly ring ops: each
-    monomial table, its multiples by t and by u, every value reduced mod g.
-    A row space has one reduced echelon basis, so both builds must end
-    with the same pivot rows."""
+class RefPolyFnModule:
+    """The polynomial-function span by a second route: the generators by
+    Poly ring ops (each monomial table, its multiples by t and by u, every
+    value reduced mod g), each an int64 numpy vector of F_p coordinates in
+    the lane order of `PolyFnModule`'s rows, and the elimination by numpy
+    row ops.  A row space has one reduced echelon basis, so both builds
+    must end with the same pivot rows."""
 
     def __init__(self, domain, codomain):
         field = domain.field
@@ -365,6 +369,56 @@ class RefPolyFnModule(PolyFnModule):
                         scaled_b = [(v * u) % g for v in scaled_b]
                 scaled_a = [(v * t) % g for v in scaled_a]
             monomial = [(v * r) % g for v, r in zip(monomial, reps)]
+
+    def _encode_values(self, indices):
+        """The F_p vector of a table given by its values' A_g indices (one
+        per row, for a list of tables): the F_p coordinates of each value's
+        deg g base-q digits, lowest first."""
+        field = self.domain.field
+        indices = np.asarray(indices, dtype=np.int64)
+        digits = indices[..., None] // field.q ** np.arange(self._degg) % field.q
+        coords = np.asarray(field._coords, dtype=np.int64)[digits]
+        return coords.reshape(indices.shape[:-1] + (-1,))
+
+    def _reduce(self, vec):
+        """vec less its pivot coordinates times the pivot rows, mod p; the
+        rows are in reduced echelon form, so each coordinate is read once."""
+        vec = vec % self.p
+        pivots = list(self._pivots)
+        for piv, c in zip(pivots, vec[pivots].tolist()):
+            if c:
+                vec -= c * self._pivots[piv]
+        vec %= self.p
+        return vec
+
+    def _add_row(self, vec):
+        vec = self._reduce(vec)
+        nz = np.nonzero(vec)[0]
+        if nz.size == 0:
+            return False
+        piv = int(nz[0])
+        inv = pow(int(vec[piv]), self.p - 2, self.p) if self.p > 2 else 1
+        vec = (vec * inv) % self.p
+        for other_piv, row in list(self._pivots.items()):
+            c = int(row[piv])
+            if c:
+                self._pivots[other_piv] = (row - c * vec) % self.p
+        self._pivots[piv] = vec
+        return True
+
+    @property
+    def rank(self):
+        return len(self._pivots)
+
+    def contains(self, sigma):
+        return not self._reduce(self._encode_values(sigma.indices)).any()
+
+
+def span_rows(module):
+    """The pivot rows of a PolyFnModule, by pivot coordinate, each decoded
+    from its packed int to the list of its F_p coordinates."""
+    return {piv: list(row.to_bytes(module.length, "little"))
+            for piv, row in module._pivots.items()}
 
 
 def ref_classes(ring, h):
@@ -507,8 +561,8 @@ def polyfn_members(module):
     coordinates per domain representative)."""
     field, p = module.domain.field, module.p
     vectors = [np.zeros(module.length, dtype=np.int64)]
-    for row in module._pivots.values():
-        vectors = [(v + c * row) % p for v in vectors for c in range(p)]
+    for row in span_rows(module).values():
+        vectors = [(v + c * np.asarray(row)) % p for v in vectors for c in range(p)]
     m, block = field.m, module.codomain.modulus.degree * field.m
     tables = []
     for vec in vectors:

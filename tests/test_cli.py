@@ -595,9 +595,10 @@ def test_guard_flags_are_bounds_as_given(capsys, flags, message):
     ("gamma --q 2 --g 0", "g must have degree >= 1"),
     ("gamma --q 2 --g 1", "g must have degree >= 1"),
     ("chen --q 2 --f t --g 0", "g must have degree >= 1"),
+    ("verify --q 2 --what basis --f t --g t^2+t", "g must be a prime power P^e"),
 ], ids=["basis-samples", "crt-samples", "m-with-q", "field-modulus-with-q",
         "crt-constant-f", "basis-constant-g", "enumerate-zero-f",
-        "gamma-zero-g", "gamma-constant-g", "chen-zero-g"])
+        "gamma-zero-g", "gamma-constant-g", "chen-zero-g", "basis-composite-g"])
 def test_flags_out_of_range_or_context_are_refused(capsys, argv, message):
     assert run_cli(capsys, *argv.split()) == (
         1, "", json.dumps({"error": message}) + "\n")
@@ -1024,9 +1025,10 @@ def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch, tmp_pa
 
 
 def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
-    # numpy serves only the enumeration kernels, the batched basis solve
-    # and the oracle's F_p rows: one table decomposes without it, and the
-    # censuses, whose peak memory the benchmark bounds, never load it
+    # numpy serves only the enumeration kernels and the batched basis
+    # solve: one table decomposes without it, the polynomial-function span
+    # runs on int rows, and the censuses, whose peak memory the benchmark
+    # bounds, never load it
     import random
 
     from cpfq.oracle import random_table
@@ -1043,6 +1045,8 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
             "             ['density', '--q', '3', '--empirical', '--max-degree', '3'],\n"
             "             ['verify', '--q', '2', '--what', 'census', '--n', '6'],\n"
             "             ['verify', '--q', '3', '--what', 'census', '--n', '4'],\n"
+            "             ['verify', '--q', '2', '--what', 'poly-count', '--f', 't^3', '--g', 't^4+t'],\n"
+            "             ['verify', '--q', '3', '--what', 'poly-count', '--f', 't^2', '--g', 't^3+t^2'],\n"
             "             ['decompose', '--q', '2', '--f', 't^2', '--P', 't', '--e', '2',\n"
             f"              '--sigma', {identity_table!r}],\n"
             "             ['characterize', '--q', '2', '--f', 't^3', '--g', 't^3+t^2',\n"

@@ -33,7 +33,8 @@ from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
                      enumerate_cpf_tables, make_field, monic_polys, monic_upto,
                      pol, polyfn_members, random_polynomial_function,
                      ref_census_all_units, ref_classes, ref_encode_cp_problem,
-                     ref_is_congruence_preserving, ring, table, value_at)
+                     ref_is_congruence_preserving, ring, span_rows, table,
+                     value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -396,6 +397,24 @@ def test_formula_vs_oracle_extension_field():
         assert count_polyfn(f, g).equals_int(polyfn_module(f, g).size)
 
 
+def assert_span_matches_the_reference(dom, cod, seed):
+    """The packed-row span against the Poly-op generators and numpy
+    elimination of RefPolyFnModule: rank, monomials, the reduced echelon
+    rows decoded to F_p lists, and membership of random polynomial
+    functions and random tables."""
+    mod = polyfn_module(dom.modulus, cod.modulus)
+    ref = RefPolyFnModule(dom, cod)
+    assert count_polyfn(dom.modulus, cod.modulus).equals_int(mod.size)
+    assert (mod.rank, mod.n_monomials) == (ref.rank, ref.n_monomials)
+    assert span_rows(mod) == {piv: row.tolist() for piv, row in ref._pivots.items()}
+    rng = random.Random(seed)
+    for _ in range(10):
+        member = random_polynomial_function(dom, cod, rng)
+        assert mod.contains(member) and ref.contains(member)
+        sig = random_table(dom, cod, rng)
+        assert mod.contains(sig) == ref.contains(sig)
+
+
 @pytest.mark.parametrize("q,ftext,gtext", [
     (2, "t^3", "t^3+t^2"),   # t^2 (t+1)
     (2, "t^3", "t^2+t"),     # deg g < deg f
@@ -408,21 +427,38 @@ def test_formula_vs_oracle_extension_field():
 ])
 def test_span_over_extension_fields_matches_the_poly_reference(q, ftext, gtext):
     # the u-scaled generators exist only for m > 1, the prime fields check
-    # the maps by t and by the residues alone: the column-map span has the
-    # closed-form size and the reduced basis of the Poly-op span
+    # the products by t and by the residues alone
+    assert_span_matches_the_reference(ring(q, ftext), ring(q, gtext), q)
+
+
+@pytest.mark.parametrize("q,ftext,gtext", GRID_CELLS + [
+    (3, "t", "t^2+1"), (3, "t^2", "t^2+t"), (5, "t", "t^3+t^2"),
+    (5, "t^2", "t^2+2"), (5, "t^2", "t^3"), (7, "t", "t^3+t+3"),
+    (7, "t^2", "t^2+t"), (13, "t", "t^2+2"),
+])
+def test_span_matches_the_reference_on_the_grid(q, ftext, gtext):
+    # the acceptance grid's cells over F_2, and cells over F_3, F_5, F_7
+    # and F_13, where a row op is an add and a reduction by translate
+    assert_span_matches_the_reference(ring(q, ftext), ring(q, gtext), q)
+
+
+@pytest.mark.parametrize("q,ftext,gtext", [
+    (2, "t^6", "t^6+t+1"),   # 384 lanes
+    (3, "t^4", "t^4+t+2"),   # 324 lanes
+    (13, "t^2", "t^2+2"),    # 338 lanes, each reduced after one multiple
+])
+def test_full_rank_spans_over_many_words(q, ftext, gtext):
+    # g irreducible of degree >= deg f: every difference of residues of
+    # A_f is a unit mod g, so every function interpolates and the span is
+    # the whole function space, its rows many machine words long
     dom, cod = ring(q, ftext), ring(q, gtext)
     mod = polyfn_module(dom.modulus, cod.modulus)
-    ref = RefPolyFnModule(dom, cod)
+    assert mod.rank == mod.length == dom.size * cod.modulus.degree
     assert count_polyfn(dom.modulus, cod.modulus).equals_int(mod.size)
-    assert mod.n_monomials == ref.n_monomials
-    assert sorted(mod._pivots) == sorted(ref._pivots)
-    assert all(np.array_equal(row, ref._pivots[piv]) for piv, row in mod._pivots.items())
+    assert span_rows(mod) == {piv: [int(i == piv) for i in range(mod.length)]
+                              for piv in range(mod.length)}
     rng = random.Random(q)
-    for _ in range(10):
-        member = random_polynomial_function(dom, cod, rng)
-        assert mod.contains(member) and ref.contains(member)
-        sig = random_table(dom, cod, rng)
-        assert mod.contains(sig) == ref.contains(sig)
+    assert all(mod.contains(random_table(dom, cod, rng)) for _ in range(5))
 
 
 def test_frozen_oracle_counts():

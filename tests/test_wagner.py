@@ -20,6 +20,7 @@ from cpfq.wagner import (
     eval_Qk,
     floor_log,
     mu,
+    verify_basis,
 )
 from helpers import (enumerate_cpf_tables, make_field, pol,
                      random_polynomial_function, recompose, ref_basis_table,
@@ -644,6 +645,12 @@ def test_batch_input_checked():
     with pytest.raises(ValueError, match="prime power"):
         decompose_rows(np.zeros((1, 4), dtype=int), ring(2, "t^2+t"), 2)
     assert decompose_rows(np.zeros((0, 4), dtype=int), cod, 2).is_cpf().shape == (0,)
+
+
+def test_verify_basis_refuses_a_composite_g():
+    # the refusal names the library's argument, not a CLI flag
+    with pytest.raises(ValueError, match="^g must be a prime power P\\^e$"):
+        verify_basis(pol(2, "t"), pol(2, "t^2+t"), random.Random(0), 1)
 
 
 def test_batch_tables_refused_past_the_bound():
