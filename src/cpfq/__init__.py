@@ -17,9 +17,9 @@ from .oracle import (CpCheck, PolyFnModule,
                      encode_cp_problem, enumerate_cpf_rows, factorial,
                      is_congruence_preserving, polyfn_module, random_table)
 from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
-                       enumerate_residues, factor_shape, factorize, gcd,
-                       index_to_poly, is_irreducible, monic_irreducibles,
-                       parse, poly_to_index, to_text, valuation, xgcd)
+                       enumerate_residues, factorize, gcd, index_to_poly,
+                       is_irreducible, monic_irreducibles, parse,
+                       poly_to_index, to_text, valuation, xgcd)
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
 from .wagner import (BasisBatch, BasisCoefficients, PSequence, decompose,
                      decompose_rows, eval_Qk, mu)
@@ -36,9 +36,9 @@ __all__ = [
     "count_polyfn_literal", "count_polyfn_local", "crt_combine", "crt_split",
     "decompose", "decompose_rows", "deg_gcd_factorial", "degree_n_polys",
     "density_empirical", "density_exact", "encode_cp_problem",
-    "enumerate_cpf_rows", "enumerate_residues", "eval_Qk", "factor_shape",
-    "factorial", "factorize", "field_make", "gamma", "gamma_prime_power",
-    "gcd", "index_to_poly", "is_chen_pair", "is_congruence_preserving",
+    "enumerate_cpf_rows", "enumerate_residues", "eval_Qk", "factorial",
+    "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",
+    "index_to_poly", "is_chen_pair", "is_congruence_preserving",
     "is_irreducible", "is_self_chen", "monic_irreducibles", "mu", "parse",
     "poly_to_index", "polyfn_module", "random_table", "squarefree_count",
     "to_text", "valuation", "xgcd",

@@ -8,13 +8,13 @@ computed prime power by prime power and can be +infinity (math.inf).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import FrozenRecord, setfield
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census
 from .oracle import census_self_chen, count_cpf_bruteforce, polyfn_module
-from .polyring import Poly, factor_shape, is_irreducible
+from .polyring import Poly, _distinct_degree, is_irreducible, squarefree_decomposition
 
 GAMMA_INF = math.inf
 
@@ -42,18 +42,37 @@ def gamma_prime_power(p: Poly, e: int):
 
 
 def gamma(h: Poly):
+    """The threshold of h: the minimum of _gamma_local over its prime powers.
+
+    A factor of exponent 1 gives +infinity, so only the parts s_k, k >= 2,
+    of the square-free decomposition are read.  On each, the local value
+    grows with the factor degree, so the distinct-degree walk stops at the
+    first degree that gives a finite value (above degree 1 at q = 2 and
+    k = 2); the factors of higher degree are never found."""
     d = h.degree
     if not isinstance(d, int) or d < 1:
         raise ValueError("g must have degree >= 1")
     q = h.field.q
-    return min(_gamma_local(q, dp, e) for dp, e in factor_shape(h))
+    best = GAMMA_INF
+    for s, k in squarefree_decomposition(h):
+        if k == 1:
+            continue
+        for dp, _ in _distinct_degree(s):
+            local = _gamma_local(q, dp, k)
+            if local != GAMMA_INF:
+                best = min(best, local)
+                break
+    return best
 
 
-@dataclass(frozen=True)
-class ChenVerdict:
-    chen_pair: bool
-    deg_f: int
-    gamma_g: object  # int or math.inf
+class ChenVerdict(FrozenRecord):
+    _fields = ("chen_pair", "deg_f", "gamma_g")
+
+    def __init__(self, chen_pair: bool, deg_f: int, gamma_g):
+        # gamma_g is an int or math.inf
+        setfield(self, "chen_pair", chen_pair)
+        setfield(self, "deg_f", deg_f)
+        setfield(self, "gamma_g", gamma_g)
 
     def __bool__(self):
         return self.chen_pair
@@ -112,15 +131,23 @@ def density_exact(q: int) -> Fraction:
     return (1 - y) * (linear / (1 + y)) ** q
 
 
-@dataclass(frozen=True)
-class DensityReport:
-    q: int
-    max_degree: int
-    monic_only: bool
-    per_degree: tuple        # self-Chen counts for n = 1..max_degree
-    per_degree_total: tuple  # polynomials inspected per degree
-    fraction: Fraction       # cumulative self-Chen fraction
-    limit: Fraction
+class DensityReport(FrozenRecord):
+    """per_degree: the self-Chen counts for n = 1..max_degree;
+    per_degree_total: the polynomials inspected per degree; fraction: the
+    cumulative self-Chen fraction, against its limit."""
+
+    _fields = ("q", "max_degree", "monic_only", "per_degree", "per_degree_total",
+               "fraction", "limit")
+
+    def __init__(self, q: int, max_degree: int, monic_only: bool, per_degree: tuple,
+                 per_degree_total: tuple, fraction: Fraction, limit: Fraction):
+        setfield(self, "q", q)
+        setfield(self, "max_degree", max_degree)
+        setfield(self, "monic_only", monic_only)
+        setfield(self, "per_degree", per_degree)
+        setfield(self, "per_degree_total", per_degree_total)
+        setfield(self, "fraction", fraction)
+        setfield(self, "limit", limit)
 
     @property
     def error(self) -> Fraction:

@@ -12,25 +12,24 @@ from every generalized factorial as the cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .polyring import Poly, factor_shape, is_irreducible
+from ._record import FrozenRecord, setfield
+from .polyring import Poly, _distinct_degree, is_irreducible, squarefree_decomposition
 
 DECIMAL_BITS = 64
 
 
-@dataclass(frozen=True)
-class QExponent:
+class QExponent(FrozenRecord):
     """An exact count q^exponent."""
 
-    q: int
-    exponent: int
+    _fields = ("q", "exponent")
 
-    def __post_init__(self):
-        if self.q < 2:
+    def __init__(self, q: int, exponent: int):
+        if q < 2:
             raise ValueError("base must be >= 2")
-        if self.exponent < 0:
+        if exponent < 0:
             raise ValueError("exponent must be >= 0")
+        setfield(self, "q", q)
+        setfield(self, "exponent", exponent)
 
     def value(self) -> int:
         return self.q ** self.exponent
@@ -104,12 +103,22 @@ def _cpf_local_exponent(n: int, q: int, d: int, e: int) -> int:
                 - (q - 1) * sum(q ** k * min(e, k // d) for k in range(1, n)))
 
 
-def count_cpf(f: Poly, g: Poly) -> QExponent:
-    """Number of congruence-preserving functions A_f -> A_g."""
+def _count(local, f: Poly, g: Poly) -> QExponent:
+    """q^(sum of local(n, q, d, e) over the factors P^e of g, deg P = d).
+
+    At d >= n = deg f both local exponents are d e q^n, linear in d, so
+    the distinct-degree walk of each square-free part stops at d = n and
+    its factors of degree >= n count as one of their total degree."""
     n = _require_pair(f, g)
     q = f.field.q
-    return QExponent(q, sum(_cpf_local_exponent(n, q, d, e)
-                            for d, e in factor_shape(g)))
+    return QExponent(q, sum(local(n, q, d, e) * (u.degree // d)
+                            for s, e in squarefree_decomposition(g)
+                            for d, u in _distinct_degree(s, stop=n)))
+
+
+def count_cpf(f: Poly, g: Poly) -> QExponent:
+    """Number of congruence-preserving functions A_f -> A_g."""
+    return _count(_cpf_local_exponent, f, g)
 
 
 def count_cpf_local(f: Poly, p: Poly, e: int) -> QExponent:
@@ -152,11 +161,9 @@ def _polyfn_local_exponent(n: int, q: int, d: int, e: int) -> int:
 
 
 def count_polyfn(f: Poly, g: Poly) -> QExponent:
-    """Number of polynomial functions A_f -> A_g, through the factor shape of g."""
-    n = _require_pair(f, g)
-    q = f.field.q
-    return QExponent(q, sum(_polyfn_local_exponent(n, q, d, e)
-                            for d, e in factor_shape(g)))
+    """Number of polynomial functions A_f -> A_g, from the factors of g of
+    degree < deg f and the total degree of the rest, per exponent."""
+    return _count(_polyfn_local_exponent, f, g)
 
 
 def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:

@@ -11,7 +11,8 @@ settable bounds are the fields of EnumerationGuard (the CLI's
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from ._record import FrozenRecord, setfield
 
 FIELD_LOG2 = 4           # q <= 16: operation tables of q^2 entries
 CENSUS_LOG2 = 16         # q^n polynomials walked by a census or density
@@ -30,8 +31,10 @@ SAMPLES_LOG2 = 18        # on samples * |A_f|
 # factoring g runs up to deg g / 2 distinct-degree steps, each a Frobenius
 # map and a gcd at degree deg g: about deg(g)^3 table lookups.  At the
 # bound an irreducible g takes 1-3 s to factor over F_2 .. F_16 (F_16 the
-# slowest); characterize and decompose trust the factors found, so they
-# take about as long as gamma
+# slowest), and so do characterize and decompose, which trust the factors
+# found, and the counts at deg f >= deg g / 2.  The counts walk only the
+# degrees below deg f; gamma and chen walk only the repeated parts of g,
+# up to half their degree (0.5-0.6 s for P^2, deg P = 150, over F_16)
 FACTOR_DEGREE = 300      # on deg g of every modulus the CLI factors
 
 
@@ -92,18 +95,18 @@ def check_basis_tables(q: int, degree: int):
     check_power("basis tables", "|A_{P^e}|^2", q, 2 * degree, 2 ** BASIS_TABLE_LOG2)
 
 
-@dataclass(frozen=True)
-class EnumerationGuard:
+class EnumerationGuard(FrozenRecord):
     """max_functions bounds every enumeration of the oracles and the CLI
     (|A_g|^|A_f| tables, |A_f|^2 pairs, the residues of A_f); max_degree
     bounds deg f and deg g."""
 
-    max_functions: int = 2 ** 20
-    max_degree: int = 12
+    _fields = ("max_functions", "max_degree")
 
-    def __post_init__(self):
-        if self.max_functions < 1:
+    def __init__(self, max_functions: int = 2 ** 20, max_degree: int = 12):
+        if max_functions < 1:
             raise ValueError("max_functions must be >= 1")
+        setfield(self, "max_functions", max_functions)
+        setfield(self, "max_degree", max_degree)
 
     def check_degrees(self, *polys):
         for p in polys:

@@ -13,10 +13,9 @@ generalized factorials k! over the a_k in index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
+from ._record import FrozenRecord, Record, setfield
 from .counting import QExponent, _require_pair, count_cpf, count_polyfn
 from .field import FieldSpec
 from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_literal,
@@ -28,12 +27,15 @@ from .residue import (FunctionTable, ResidueRing, combine_indices,
 
 
 # ---------------------------------------------------- definitional check
-@dataclass(frozen=True)
-class CpCheck:
-    ok: bool
-    divisor: Poly | None = None
-    h1: Poly | None = None
-    h2: Poly | None = None
+class CpCheck(FrozenRecord):
+    _fields = ("ok", "divisor", "h1", "h2")
+
+    def __init__(self, ok: bool, divisor: Poly | None = None, h1: Poly | None = None,
+                 h2: Poly | None = None):
+        setfield(self, "ok", ok)
+        setfield(self, "divisor", divisor)
+        setfield(self, "h1", h1)
+        setfield(self, "h2", h2)
 
     def __bool__(self):
         return self.ok
@@ -103,17 +105,25 @@ CRT_BATCH = 2 ** 12
 
 
 # ------------------------------------------------------ integer encoding
-@dataclass
-class CpProblem:
-    """Integer encoding of the congruence constraints for one pair (f, g)."""
+class CpProblem(Record):
+    """Integer encoding of the congruence constraints for one pair (f, g):
+    cons_ptr, the CSR offsets by later position j; cons_src, the first
+    member i of the class of j mod the divisor; cons_div, the divisor index
+    of each constraint; cod_class, the residue label of codomain rep c mod
+    divisor h (numpy arrays)."""
 
-    domain: ResidueRing
-    codomain: ResidueRing
-    divisors: list
-    cons_ptr: np.ndarray   # CSR offsets by later position j
-    cons_src: np.ndarray   # first member i of the class of j mod the divisor
-    cons_div: np.ndarray   # divisor index of each constraint
-    cod_class: np.ndarray  # residue label of codomain rep c mod divisor h
+    _fields = ("domain", "codomain", "divisors", "cons_ptr", "cons_src",
+               "cons_div", "cod_class")
+
+    def __init__(self, domain: ResidueRing, codomain: ResidueRing, divisors: list,
+                 cons_ptr, cons_src, cons_div, cod_class):
+        self.domain = domain
+        self.codomain = codomain
+        self.divisors = divisors
+        self.cons_ptr = cons_ptr
+        self.cons_src = cons_src
+        self.cons_div = cons_div
+        self.cod_class = cod_class
 
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
@@ -469,11 +479,14 @@ def _squarefree_test(field: FieldSpec):
     return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
 
 
-@dataclass(frozen=True)
-class SelfChenCensus:
-    degree: int
-    total: int
-    components: tuple | None  # (U1, U2, U3, U4) for q = 2, else None
+class SelfChenCensus(FrozenRecord):
+    _fields = ("degree", "total", "components")
+
+    def __init__(self, degree: int, total: int, components: tuple | None):
+        # components: (U1, U2, U3, U4) for q = 2, else None
+        setfield(self, "degree", degree)
+        setfield(self, "total", total)
+        setfield(self, "components", components)
 
 
 def census_self_chen(field: FieldSpec, n: int,

@@ -17,10 +17,10 @@ a_1 = 1).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from math import inf
 
+from ._record import FrozenRecord, setfield
 from .field import FieldSpec
 
 NEG_INF = float("-inf")
@@ -436,8 +436,10 @@ def degree_n_polys(field: FieldSpec, n: int):
 
 # --------------------------------------------------------- factorization
 # Square-free, distinct-degree and equal-degree factorization (von zur
-# Gathen-Gerhard, Modern Computer Algebra, ch. 14); the closed forms of
-# the paper read only the shape, which needs no equal-degree splitting.
+# Gathen-Gerhard, Modern Computer Algebra, ch. 14).  The closed forms of
+# the paper need no equal-degree splitting, and only part of the
+# distinct-degree walk: `chen.gamma` reads the repeated parts, the counts
+# the factors of degree below deg f.
 class _ModRing:
     """F_q[t]/(s) for a monic s of degree n >= 1, on coefficient lists of
     length n, with the q-th power map `frob`."""
@@ -503,15 +505,18 @@ def squarefree_decomposition(g: Poly) -> list:
     return out
 
 
-def _distinct_degree(s: Poly):
+def _distinct_degree(s: Poly, stop=inf):
     """Yield (d, product of the irreducible factors of degree d) of a monic
     square-free s, d ascending: the degree-d factors are those that divide
-    t^(q^d) - t and no t^(q^i) - t with i < d."""
+    t^(q^d) - t and no t^(q^i) - t with i < d.
+
+    The walk ends before d = stop: the last yield is then the product of
+    every factor of degree >= stop, unsplit, as (its degree, it)."""
     f = s.field
     ring = _ModRing(s)
     h = ring.reduce([0, 1])
     d = 0
-    while 2 * (d + 1) <= s.degree:
+    while 2 * (d + 1) <= s.degree and d + 1 < stop:
         d += 1
         h = ring.frob(h)
         h_minus_t = list(h)
@@ -559,22 +564,6 @@ def _equal_degree(u: Poly, d: int, rng) -> list:
             return [p for v in parts for p in _equal_degree(v, d, rng)]
 
 
-def _require_nonconstant(g: Poly) -> None:
-    if not isinstance(g.degree, int) or g.degree < 1:
-        raise ValueError("cannot factor a constant")
-
-
-def factor_shape(g: Poly) -> tuple:
-    """The sorted (degree, exponent) pairs of the irreducible factors of g,
-    with repeats, from square-free and distinct-degree factorization."""
-    _require_nonconstant(g)
-    shape = []
-    for s, k in squarefree_decomposition(g):
-        for d, u in _distinct_degree(s):
-            shape += [(d, k)] * (u.degree // d)
-    return tuple(sorted(shape))
-
-
 # ------------------------------------------------------- irreducibility
 def monic_irreducibles(field: FieldSpec, degree: int) -> tuple:
     """All monic irreducibles of exact degree `degree`, in index order."""
@@ -598,10 +587,15 @@ def is_irreducible(p: Poly) -> bool:
     return next(_distinct_degree(pm))[0] == d
 
 
-@dataclass(frozen=True)
-class Factorization:
-    unit: Poly      # the constant polynomial of the leading coefficient
-    factors: tuple  # ((Poly, int), ...) monic irreducible, sorted by (deg, index)
+class Factorization(FrozenRecord):
+    """unit: the constant polynomial of the leading coefficient; factors:
+    ((Poly, int), ...), monic irreducible, sorted by (degree, index)."""
+
+    _fields = ("unit", "factors")
+
+    def __init__(self, unit: Poly, factors: tuple):
+        setfield(self, "unit", unit)
+        setfield(self, "factors", factors)
 
     def monic_divisors(self) -> list:
         """All monic divisors with degree >= 1, sorted by (degree, index)."""
@@ -633,7 +627,8 @@ def factorize(g: Poly) -> Factorization:
     equal-degree factorization, factors sorted by (degree, index).  The
     splitting draws from a generator seeded here, so a call is
     deterministic."""
-    _require_nonconstant(g)
+    if not isinstance(g.degree, int) or g.degree < 1:
+        raise ValueError("cannot factor a constant")
     rng = random.Random(0)
     factors = []
     for s, k in squarefree_decomposition(g):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import functools
 import threading
-from dataclasses import dataclass
 
+from ._record import FrozenRecord, setfield
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_samples
 from .oracle import _cp_verdicts, enumerate_cpf_rows, random_values
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
@@ -310,19 +310,23 @@ BASIS_CACHE_SIZE = 32
 _context = functools.lru_cache(maxsize=BASIS_CACHE_SIZE)(_BasisContext)
 
 
-@dataclass(frozen=True)
-class BasisCoefficients:
+class BasisCoefficients(FrozenRecord):
     """Coordinates of a function A_f -> A_{P^e} in the B_k basis, listed in
 
-    b-sequence order, with v_P(c_k) and mu(k) (mu(0) is None)."""
+    b-sequence order as canonical representatives in A_{P^e}, with v_P(c_k)
+    and mu(k) (mu(0) is None)."""
 
-    p: Poly
-    e: int
-    deg_f: int
-    coefficients: tuple  # canonical representatives in A_{P^e}
-    seq: PSequence
-    valuations: tuple
-    mus: tuple
+    _fields = ("p", "e", "deg_f", "coefficients", "seq", "valuations", "mus")
+
+    def __init__(self, p: Poly, e: int, deg_f: int, coefficients: tuple,
+                 seq: PSequence, valuations: tuple, mus: tuple):
+        setfield(self, "p", p)
+        setfield(self, "e", e)
+        setfield(self, "deg_f", deg_f)
+        setfield(self, "coefficients", coefficients)
+        setfield(self, "seq", seq)
+        setfield(self, "valuations", valuations)
+        setfield(self, "mus", mus)
 
     def cpf_failures(self) -> list:
         """Indices k >= 1 whose coordinate is not deep enough in the P-adic
@@ -363,16 +367,21 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
     return BasisCoefficients(ctx.seq.p, ctx.e, n, reps, ctx.seq, vals, ctx.mus)
 
 
-@dataclass(frozen=True, eq=False)
-class BasisBatch:
-    """Coordinates of B functions A_f -> A_{P^e}: row b lists the residue
+class BasisBatch(FrozenRecord):
+    """Coordinates of B functions A_f -> A_{P^e}: row b of the (B, N) int
+    array `coefficients` lists the residue indices of c_0 .. c_{N-1} of
+    table b in b-sequence order, with v_P(c_k) in the (B, N) float array
+    `valuations` (inf for c_k = 0) and mu(k) in the (N,) int array `mus` (0
+    at k = 0, which asks nothing).  Equal only to itself."""
 
-    indices of c_0 .. c_{N-1} of table b in b-sequence order, with
-    v_P(c_k) (inf for c_k = 0) and mu(k) (0 at k = 0, which asks nothing)."""
+    _fields = ("coefficients", "valuations", "mus")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
-    coefficients: np.ndarray  # (B, N) int
-    valuations: np.ndarray    # (B, N) float
-    mus: np.ndarray           # (N,) int
+    def __init__(self, coefficients, valuations, mus):
+        setfield(self, "coefficients", coefficients)
+        setfield(self, "valuations", valuations)
+        setfield(self, "mus", mus)
 
     def is_cpf(self) -> np.ndarray:
         """Per table, v_P(c_k) >= mu(k) for every k >= 1."""

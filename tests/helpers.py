@@ -4,7 +4,8 @@ that only the tests read (a table's value at a residue, a field
 element's coordinates, the product of a factorization, a ColumnMap
 applied to a residue), the per-coefficient reference ring ops that the
 table-row arithmetic of `Poly` is checked against, the trial-division
-factorization that `factorize` is checked against, the Poly route of the
+factorization that `factorize` is checked against, the full factor shape
+that `chen.gamma` and the counts are checked against, the Poly route of the
 basis decomposition that `decompose` is checked against and the Poly-op
 basis tables of its batched solve, the hand-derived self-Chen closed
 forms that the Euler-product counts and density are checked against, the
@@ -26,13 +27,15 @@ from itertools import product
 import numpy as np
 
 from cpfq import _kernels
-from cpfq.counting import QExponent
+from cpfq.chen import _gamma_local
+from cpfq.counting import QExponent, _cpf_local_exponent, _polyfn_local_exponent
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD
 from cpfq.oracle import (CpCheck, CpProblem, _squarefree_test,
                          enumerate_cpf_rows)
-from cpfq.polyring import (Poly, gcd, index_to_poly, parse, poly_to_index,
-                           valuation, xgcd)
+from cpfq.polyring import (Poly, _distinct_degree, gcd, index_to_poly, parse,
+                           poly_to_index, squarefree_decomposition, valuation,
+                           xgcd)
 from cpfq.residue import FunctionTable, ResidueRing
 from cpfq.wagner import _context, eval_Qk, floor_log, mu
 
@@ -220,6 +223,30 @@ def ref_is_self_chen(g):
         if g.field.q != 2 and e >= 2:
             return False
     return True
+
+
+def factor_shape(g):
+    """The sorted (degree, exponent) pairs of the irreducible factors of g,
+    with repeats, by the whole square-free and distinct-degree walk."""
+    shape = []
+    for s, k in squarefree_decomposition(g):
+        for d, u in _distinct_degree(s):
+            shape += [(d, k)] * (u.degree // d)
+    return tuple(sorted(shape))
+
+
+def ref_gamma(g):
+    """gamma(g) as the minimum of the local thresholds over the whole shape."""
+    return min(_gamma_local(g.field.q, d, e) for d, e in factor_shape(g))
+
+
+def ref_count_exponents(g, max_n):
+    """[(exponent of count_cpf, of count_polyfn) for deg f = n = 1..max_n],
+    summed over the whole shape of g."""
+    q, shape = g.field.q, factor_shape(g)
+    return [(sum(_cpf_local_exponent(n, q, d, e) for d, e in shape),
+             sum(_polyfn_local_exponent(n, q, d, e) for d, e in shape))
+            for n in range(1, max_n + 1)]
 
 
 # ------------------------------------------- reference self-Chen closed forms

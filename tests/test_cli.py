@@ -957,10 +957,14 @@ def test_largest_factored_degree_answers():
     F = field_make(2, 4)
     rng = random.Random(FACTOR_DEGREE)
     g = Poly(F, [rng.randrange(16) for _ in range(FACTOR_DEGREE)] + [1])
-    out = run_cli_process("gamma", "--p", "2", "--m", "4", "--g", to_text(g),
-                          timeout=30)
-    assert out.returncode == 0, out.stderr
-    assert json.loads(out.stdout)["gamma"] == "inf"
+    # g is square-free: every factor of degree d >= deg f = 1 adds d * 16
+    for argv, key, want in ((["gamma"], "gamma", "inf"),
+                            (["count-cpf", "--f", "t"], "exponent", 4800),
+                            (["count-poly", "--f", "t"], "exponent", 4800)):
+        out = run_cli_process(*argv, "--p", "2", "--m", "4", "--g", to_text(g),
+                              timeout=30)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)[key] == want, argv
 
 
 def test_count_poly_with_a_degree_32_factor_answers():
@@ -1028,7 +1032,8 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
     # numpy serves only the enumeration kernels and the batched basis
     # solve: one table decomposes without it, the polynomial-function span
     # runs on int rows, and the censuses, whose peak memory the benchmark
-    # bounds, never load it
+    # bounds, never load it.  Nor does any command load dataclasses or
+    # inspect: the records of cpfq are plain classes
     import random
 
     from cpfq.oracle import random_table
@@ -1053,11 +1058,11 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
             f"              '--sigma', {str(sigma)!r}]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"
-            "print('numpy' in sys.modules)")
+            "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=env, timeout=20)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

@@ -1,8 +1,11 @@
 """Closed-form counts M and N: frozen values, the literal cross-check
 path, multiplicativity over the factorization, and exponent identities."""
 
+import random
+
 import pytest
 
+from cpfq.chen import GAMMA_INF, gamma
 from cpfq.counting import (
     QExponent,
     _polyfn_local_exponent,
@@ -13,8 +16,9 @@ from cpfq.counting import (
 )
 from cpfq.guards import GuardExceeded
 from cpfq.oracle import count_polyfn_literal, deg_gcd_factorial
-from cpfq.polyring import factorize
-from helpers import (exponent_identity_check, make_field, monic_upto, pol,
+from cpfq.polyring import Poly, _ModRing, factorize, gcd
+from helpers import (all_units_lists, exponent_identity_check, make_field,
+                     monic_upto, pol, ref_count_exponents, ref_gamma,
                      relabeled_count_polyfn_literal)
 
 
@@ -176,6 +180,66 @@ def test_deg_gcd_factorial_golden():
     # gcd degrees 0, 1, 1 for k = 1, 2, 3 against g = t
     g = pol(2, "t")
     assert [deg_gcd_factorial(g, k) for k in (1, 2, 3)] == [0, 1, 1]
+
+
+# --------------------------------------- the routes against the whole shape
+@pytest.mark.parametrize("q, max_degree", [(2, 8), (3, 6), (4, 4), (5, 4)])
+def test_gamma_and_counts_match_the_whole_factor_shape(q, max_degree):
+    """gamma and both counts walk only part of the distinct-degree
+    factorization; the whole factor shape gives the same values on every g
+    of degree <= max_degree (all leading units), at every deg f from 1 to
+    deg g + 1."""
+    F = make_field(q)
+    for m in range(1, max_degree + 1):
+        fs = [Poly(F, [0] * n + [1]) for n in range(1, m + 2)]
+        for cs in all_units_lists(F, m):
+            g = Poly(F, cs)
+            assert gamma(g) == ref_gamma(g), g
+            got = [(count_cpf(f, g).exponent, count_polyfn(f, g).exponent)
+                   for f in fs]
+            assert got == ref_count_exponents(g, m + 1), g
+
+
+@pytest.fixture
+def frob_rings(monkeypatch):
+    """The degree of the ring of every _ModRing.frob call, in call order."""
+    calls = []
+    frob = _ModRing.frob
+
+    def counted(ring, a):
+        calls.append(ring.n)
+        return frob(ring, a)
+
+    monkeypatch.setattr(_ModRing, "frob", counted)
+    return calls
+
+
+def test_gamma_and_counts_factor_only_what_they_read(frob_rings):
+    F = make_field(3)
+    rng = random.Random(3)
+    p = pol(3, "t^3+2t+1")  # irreducible: no root in F_3
+    while True:
+        s = Poly(F, [rng.randrange(3) for _ in range(40)] + [1])
+        if gcd(s, s.derivative()).degree == 0 and gcd(s, p).degree == 0:
+            break
+    t, g = pol(3, "t"), s * p ** 2
+    # a square-free g has no repeated part to read
+    assert gamma(s) == GAMMA_INF
+    assert frob_rings == []
+    # at deg f = 1 every factor counts by its total degree alone
+    assert count_cpf(t, g).exponent == 3 * (40 + 3 * 2)
+    assert count_polyfn(t, g).exponent == 3 * (40 + 3 * 2)
+    assert frob_rings == []
+    # gamma walks the repeated part p only, as on p^2 alone
+    assert gamma(p ** 2) == 4
+    alone = list(frob_rings)
+    frob_rings.clear()
+    assert gamma(g) == 4
+    assert frob_rings == alone == [3]
+    # at deg f = n each part walks at most n - 1 degrees
+    frob_rings.clear()
+    count_cpf(pol(3, "t^3"), g)
+    assert len(frob_rings) <= 2 * 2
 
 
 # ------------------------------------------------------- exponent identity

@@ -23,7 +23,6 @@ from cpfq.polyring import (
     _pth_root,
     degree_n_polys,
     enumerate_residues,
-    factor_shape,
     factorize,
     gcd,
     index_to_poly,
@@ -36,8 +35,9 @@ from cpfq.polyring import (
     valuation,
     xgcd,
 )
-from helpers import (all_units_lists, make_field, monic_polys, monic_upto, pol,
-                     ref_add, ref_divmod, ref_factor_pairs, ref_is_self_chen,
+from helpers import (all_units_lists, factor_shape, make_field, monic_polys,
+                     monic_upto, pol, ref_add, ref_divmod, ref_factor_pairs,
+                     ref_is_self_chen,
                      ref_monic_irreducibles, ref_mul, ref_neg, ref_sub,
                      reconstruct, relabeled_index_to_poly)
 
