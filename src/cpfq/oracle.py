@@ -13,6 +13,8 @@ generalized factorials k! over the a_k in index order.
 
 from __future__ import annotations
 
+import struct
+
 # numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
 from ._record import FrozenRecord, Record, setfield
@@ -408,17 +410,34 @@ def polyfn_module(f: Poly, g: Poly,
 
 
 # --------------------------------------------------------- random tables
+# random_values draws this many 32-bit words at most at a time
+_DRAW_WORDS = 1 << 12
+
+
 def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
     """|A_f| values drawn uniformly from A_g by their residue indices."""
     return FunctionTable._new(domain, codomain, random_values(domain, codomain, rng, 1))
 
 
 def random_values(domain: ResidueRing, codomain: ResidueRing, rng, samples: int) -> list:
-    """samples * |A_f| A_g indices drawn uniformly by rng.randrange: the
+    """samples * |A_f| A_g indices drawn uniformly: the tables that as
 
-    tables that as many successive random_table calls draw, side by side."""
-    draw, size = rng.randrange, codomain.size
-    return [draw(size) for _ in range(samples * domain.size)]
+    many successive random_table calls draw, side by side.  They are the
+    draws of rng.randrange(|A_g|), taken 32 bits at a time below 2^32: a
+    word w gives w >> (32 - k), k the bit length of |A_g|, kept when below
+    |A_g| and drawn again otherwise, so the values and the state of rng
+    after them are those of one randrange per value.  getrandbits gives
+    up to _DRAW_WORDS words in one call."""
+    size, need = codomain.size, samples * domain.size
+    if size >= 1 << 32:
+        return [rng.randrange(size) for _ in range(need)]
+    shift = 32 - size.bit_length()
+    out: list = []
+    while len(out) < need:
+        n = min(need - len(out), _DRAW_WORDS)
+        words = struct.unpack(f"<{n}I", rng.getrandbits(32 * n).to_bytes(4 * n, "little"))
+        out += [v for v in (w >> shift for w in words) if v < size]
+    return out
 
 
 # ----------------------------------------------------------------- checks

@@ -16,10 +16,12 @@ Poly-op generators and numpy row ops that the packed rows of
 the oracle references that only the tests use: the
 Poly-op classes and definitional check that the label maps are checked
 against, the all-units census walk, the all-pairs constraint encoding,
-the row check of an encoding, the odometer and full-depth counts that the
-`_kernels` counts are checked against, decoded table lists, random
-polynomial functions, the members of the polynomial-function span, the
-digit-relabeled literal route and the exponent identity."""
+the row check of an encoding, the odometer, boolean-broadcast and
+full-depth counts that the `_kernels` counts are checked against, the
+randrange draws that `random_values` is checked against, decoded table
+lists, random polynomial functions, the members of the
+polynomial-function span, the digit-relabeled literal route and the
+exponent identity."""
 
 from fractions import Fraction
 from itertools import product
@@ -536,21 +538,53 @@ def ref_count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class):
     return count
 
 
+def ref_count_broadcast(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """The boolean-broadcast count that the packed words of
+    `_kernels.count_exhaustive` replaced: one boolean tensor of shape
+    (C,)*rest with C^rest <= _kernels._CHUNK per value of the leading
+    positions; each constraint ANDs in the C x C matrix "agree mod h" on
+    the axes of its two positions, or the row or entry that the values of
+    its leading positions pick."""
+    rest = 1
+    while rest < D and C ** (rest + 1) <= _kernels._CHUNK:
+        rest += 1
+    lead = D - rest
+    eq = [cls[:, None] == cls[None, :] for cls in cod_class]
+    flat = [(i, j, eq[h], [C if lead + a in (i, j) else 1 for a in range(rest)])
+            for j in range(D)
+            for i, h in zip(cons_src[cons_ptr[j]:cons_ptr[j + 1]],
+                            cons_div[cons_ptr[j]:cons_ptr[j + 1]])]
+    count = 0
+    for head in product(range(C), repeat=lead):
+        at = head + (slice(None),) * rest
+        valid = np.ones((C,) * rest, dtype=bool)
+        for i, j, m, shape in flat:
+            valid &= m[at[i], at[j]].reshape(shape)
+        count += int(np.count_nonzero(valid))
+    return count
+
+
 def ref_count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class):
     """The full-depth count: every valid prefix is walked depth-first in
-    blocks of about _kernels._CHUNK // C, and the last position counted."""
-    args = (C, cons_ptr, cons_src, cons_div, cod_class)
+    blocks of about _kernels._CHUNK // C and the last position counted.
+    A block grows by every value at the next position, and the grown rows
+    that break one of its constraints are dropped."""
     block = max(1, _kernels._CHUNK // C)
     count = 0
     stack = [(0, np.zeros((1, 0), dtype=np.int64))]
     while stack:
         j, rows = stack.pop()
-        mask = _kernels._extend(rows, j, *args)
+        grown = np.column_stack([np.repeat(rows, C, axis=0),
+                                 np.tile(np.arange(C), len(rows))])
+        keep = np.ones(len(grown), dtype=bool)
+        for c in range(cons_ptr[j], cons_ptr[j + 1]):
+            cls = cod_class[cons_div[c]]
+            keep &= cls[grown[:, j]] == cls[grown[:, cons_src[c]]]
         if j == D - 1:
-            count += int(mask.sum())
+            count += int(keep.sum())
             continue
-        grown = _kernels._grow(rows, mask)
-        for start in range(0, grown.shape[0], block):
+        grown = grown[keep]
+        for start in range(0, len(grown), block):
             stack.append((j + 1, grown[start:start + block]))
     return count
 
@@ -569,6 +603,11 @@ def apply_coeff_poly(coeffs, h, g):
     for c in reversed(list(coeffs)):
         acc = (acc * h + c) % g
     return acc
+
+
+def ref_random_values(domain, codomain, rng, samples):
+    """samples * |A_f| A_g indices, one rng.randrange(|A_g|) per value."""
+    return [rng.randrange(codomain.size) for _ in range(samples * domain.size)]
 
 
 def random_polynomial_function(domain, codomain, rng, n_coeffs=None):

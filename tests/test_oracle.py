@@ -33,8 +33,8 @@ from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
                      enumerate_cpf_tables, make_field, monic_polys, monic_upto,
                      pol, polyfn_members, random_polynomial_function,
                      ref_census_all_units, ref_classes, ref_encode_cp_problem,
-                     ref_is_congruence_preserving, ring, span_rows, table,
-                     value_at)
+                     ref_is_congruence_preserving, ref_random_values, ring,
+                     span_rows, table, value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -214,17 +214,24 @@ def test_batch_check_labels_by_the_current_route(monkeypatch):
 
 def test_flat_draws_are_successive_random_tables():
     # samples * |A_f| draws in one run: table s is the (s + 1)-th table of
-    # successive random_table calls, one randrange per value
-    for q, ftext, gtext in [(2, "t^2", "t^3+t"), (3, "t", "t^2"), (4, "t", "t^2+ut")]:
+    # successive random_table calls, and the values and the generator
+    # state after them are those of one randrange per value.  |A_g| runs
+    # from 2 to 2^20: 16 = 2^4 draws 5-bit words and rejects about half,
+    # 15625 and 59049 few; 2^32 is drawn by randrange itself, and 5 * 2^10
+    # values take two calls of getrandbits
+    cells = [(2, "t^2", "t^3+t"), (3, "t", "t^2"), (4, "t", "t^2+ut"),
+             (2, "t", "t"), (3, "t^2", "t"), (2, "t", "t^4"), (8, "t", "t^4"),
+             (5, "t", "t^6"), (3, "t", "t^10"), (2, "t", "t^20"),
+             (2, "t", "t^32"), (2, "t^10", "t^4")]
+    for q, ftext, gtext in cells:
         dom, cod = ring(q, ftext), ring(q, gtext)
         for samples in (0, 1, 5):
-            rng, again = random.Random(samples), random.Random(samples)
+            rng, again, ref = (random.Random(samples) for _ in range(3))
             want = [k for _ in range(samples)
                     for k in random_table(dom, cod, rng).indices]
             assert random_values(dom, cod, again, samples) == want
-            again = random.Random(samples)
-            assert want == [again.randrange(cod.size)
-                            for _ in range(samples * dom.size)]
+            assert ref_random_values(dom, cod, ref, samples) == want
+            assert again.getstate() == ref.getstate() == rng.getstate()
 
 
 @pytest.mark.parametrize("q", [2, 3])
