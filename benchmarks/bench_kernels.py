@@ -2,13 +2,16 @@
 """Time the enumeration kernels.
 
 Runs the exhaustive and backtracking engines over a few residue-ring
-cells and prints one line per (engine, cell) with the best-of-N wall
-time.  The counts are asserted against the closed-form exponents, so
-this doubles as a smoke test at sizes the unit suite does not visit.
-Run it from anywhere: the program comes from `src/` of this checkout."""
+cells, and the basis check's walk over every congruence-preserving
+table of one cell, and prints one line per (engine, cell) with the
+best-of-N wall time.  The counts are asserted against the closed-form
+exponents, so this doubles as a smoke test at sizes the unit suite does
+not visit.  Run it from anywhere: the program comes from `src/` of this
+checkout."""
 
 import argparse
 import os
+import random
 import sys
 import time
 
@@ -20,13 +23,17 @@ from cpfq.field import field_make  # noqa: E402
 from cpfq.guards import EnumerationGuard  # noqa: E402
 from cpfq.oracle import count_cpf_bruteforce  # noqa: E402
 from cpfq.polyring import parse  # noqa: E402
+from cpfq.wagner import verify_basis  # noqa: E402
 
 # (engine, q, f, g): exhaustive checks all |A_g|^|A_f| rows, so it gets
 # the smaller cells: 2^24 tables, 2^16 tables as in the slowest exhaustive
-# cell of cpfqbench's verify workload, and |A_g| = 128 > 64, where one
-# position fills two words; backtracking walks only the valid prefixes of
-# the referenced positions and can afford a deg-4 domain, 3^21 tables at
-# q = 3, and 2^64 tables into an irreducible octic (no constraints)
+# cell of cpfqbench's verify workload, and |A_g| = 128, where one block
+# holds only two positions; backtracking walks the referenced prefixes by
+# label signature and can afford a deg-4 domain (2^22 valid prefixes at
+# t^4 -> t^4), 3^21 tables at q = 3, and 2^64 tables into an irreducible
+# octic (no constraints); basis walks the 2^20 tables of the largest
+# codomain that verify --what basis admits and checks each against the
+# basis criterion
 CELLS = [
     ("exhaustive", 2, "t^3", "t^3"),
     ("exhaustive", 2, "t^3", "t^2+t"),
@@ -35,8 +42,10 @@ CELLS = [
     ("backtracking", 2, "t^3", "t^3"),
     ("backtracking", 2, "t^4", "t^3"),
     ("backtracking", 2, "t^4", "t^4+t^3"),
+    ("backtracking", 2, "t^4", "t^4"),
     ("backtracking", 3, "t^2", "t^3"),
     ("backtracking", 2, "t^3", "t^8+t^4+t^3+t+1"),
+    ("basis", 2, "t", "t^10"),
 ]
 
 GUARD = EnumerationGuard(max_functions=2 ** 70)
@@ -61,8 +70,13 @@ def main():
         F = field_make(q)
         f, g = parse(F, ftext), parse(F, gtext)
         expect = count_cpf(f, g)
-        dt, got = best_of(args.repeats, lambda: count_cpf_bruteforce(
-            f, g, engine=engine, guard=GUARD))
+        if engine == "basis":
+            dt, out = best_of(args.repeats, lambda: verify_basis(f, g, random.Random(1), 200))
+            assert out["match"], (engine, q, ftext, gtext, out)
+            got = out["cp_tables"]
+        else:
+            dt, got = best_of(args.repeats, lambda: count_cpf_bruteforce(
+                f, g, engine=engine, guard=GUARD))
         assert expect.equals_int(got), (engine, q, ftext, gtext, got)
         print(f"{engine:<13} {q:<2} {ftext:<5} {gtext:<16} {str(expect):<7} {dt * 1e3:>10.3f}")
 

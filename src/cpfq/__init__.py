@@ -21,20 +21,19 @@ from .polyring import (Factorization, ParseError, Poly, degree_n_polys,
                        is_irreducible, monic_irreducibles, parse,
                        poly_to_index, to_text, valuation, xgcd)
 from .residue import FunctionTable, ResidueRing, crt_combine, crt_split
-from .wagner import (BasisBatch, BasisCoefficients, PSequence, decompose,
-                     decompose_rows, eval_Qk, mu)
+from .wagner import BasisCoefficients, PSequence, decompose, eval_Qk, mu
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisBatch", "BasisCoefficients", "ChenVerdict", "CpCheck",
+    "BasisCoefficients", "ChenVerdict", "CpCheck",
     "DensityReport", "EnumerationGuard", "Factorization", "FieldSpec",
     "FunctionTable", "GAMMA_INF", "GuardExceeded", "PSequence", "ParseError",
     "Poly", "PolyFnModule", "QExponent", "ResidueRing", "census_self_chen",
     "census_squarefree", "chen_self_count", "count_cpf",
     "count_cpf_bruteforce", "count_cpf_local", "count_polyfn",
     "count_polyfn_literal", "count_polyfn_local", "crt_combine", "crt_split",
-    "decompose", "decompose_rows", "deg_gcd_factorial", "degree_n_polys",
+    "decompose", "deg_gcd_factorial", "degree_n_polys",
     "density_empirical", "density_exact", "encode_cp_problem",
     "enumerate_cpf_rows", "enumerate_residues", "eval_Qk", "factorial",
     "factorize", "field_make", "gamma", "gamma_prime_power", "gcd",

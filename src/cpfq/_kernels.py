@@ -9,33 +9,31 @@ where cod_class[h][c] labels the residue of codomain representative c
 mod h; equality is transitive, so the whole class then agrees.
 Constraints are stored CSR-style by the later position j:
 cons_ptr[j]..cons_ptr[j+1] index (cons_src, cons_div) pairs, so position
-j only ever refers to earlier positions.  That makes the same arrays
+j only ever refers to earlier positions.  That makes the same sequences
 serve both engines:
 
-  * exhaustive: checks all C^D rows, 64 to a machine word.  The last w
-    positions (the fewest with C^w >= 64, or all D) are packed: bit b of
-    a block of ceil(C^w / 64) uint64 words is the row whose packed
-    position k holds b // C^k % C.  A chunk is a word tensor of shape
-    (C,)*mid + (words,) holding C^(mid + w) <= _CHUNK rows, one per value
-    of the leading positions before it.  A constraint between two packed
-    positions is one constant mask of the block; one from an unpacked
-    position into the block is a mask per value of that position; one
-    between two unpacked positions is the C x C matrix
-    cod_class[h][:, None] == cod_class[h][None, :], as all-ones or zero
-    words on the axes of its positions.  What no leading position enters
-    is ANDed once; in each chunk a leading position picks its mask, or
-    the row of its matrix, which selects the values of a mid axis.  The
-    count is the number of set bits;
-  * backtracking: depth-first extension in blocks, pruning at the first
-    violated constraint, up to the prefix [0, K) with K = max(cons_src)
-    + 1.  Only first members of classes are referenced, and in index
-    order they come first, so no constraint refers to a position at or
-    past K: given a valid prefix, those positions are independent, and
-    the prefix stands for the product of their allowed-value counts.
+  * exhaustive: checks all C^D rows, a block of them per Python int.  The
+    last w positions (the most with C^w <= _BLOCK_BITS, at least one) are
+    packed: bit b of a block is the row whose packed position k holds
+    b // C^k % C.  A constraint between two packed positions is one
+    constant mask of the block; one from a leading position into the
+    block is a mask per value of that position; one between two leading
+    positions compares their labels.  The leading positions are walked
+    depth first, each value ANDing its masks into its parent's block, and
+    the count is the number of set bits of every block reached;
+  * backtracking: the values a position allows are a C-bit mask, the AND
+    of the label masks of its constraints.  Only first members of classes
+    are referenced, and in index order they come first, so no constraint
+    refers to a position at or past K = max(cons_src) + 1: given a valid
+    prefix [0, K), those positions are independent, and the prefix stands
+    for the product of their allowed-value counts.  A value at a prefix
+    position i matters later only through its labels mod the divisors
+    that constraints read from i, its signature; so the prefix walk
+    branches once per signature, weighted by the number of allowed
+    values that share it.
 
-The kernels are vectorized numpy (the exhaustive one builds the masks of
-its packed block as Python ints).  Callers bound C^D and result sizes
-before dispatch; kernels assume the bounds hold.
+The kernels run on Python ints, with no numpy.  Callers bound C^D and
+result sizes before dispatch; kernels assume the bounds hold.
 """
 
 from __future__ import annotations
@@ -44,9 +42,11 @@ import functools
 import itertools
 import operator
 
-# numpy is imported by the functions that use it, so that importing cpfq
-# for the closed forms and factorization does not load it
-_CHUNK = 1 << 18
+# the bits of one exhaustive block: large enough that the walk of the
+# leading positions costs little next to the ANDs (at C = 8, 2^24 rows are
+# 4096 blocks of 8^4 bits), small enough that a block of a small table
+# is built in microseconds
+_BLOCK_BITS = 1 << 14
 
 
 @functools.lru_cache(maxsize=16)
@@ -54,160 +54,255 @@ def _bit_patterns(C, w):
     """onehot[k][v]: the bits of a block of w packed positions, as Python
 
     ints, where position k holds v: b // C^k % C == v."""
+    size = C ** w
     onehot = []
     for k in range(w):
+        period = C ** (k + 1)
+        # one bit at every multiple of period below size
+        repeat = ((1 << size) - 1) // ((1 << period) - 1)
         run = (1 << C ** k) - 1
-        repeat = sum(1 << m * C ** (k + 1) for m in range(C ** (w - k - 1)))
         onehot.append([(run << v * C ** k) * repeat for v in range(C)])
     return onehot
 
 
+def _set_bits(mask):
+    """The positions of the set bits of mask, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _label_masks(C, labels):
+    """label -> the C-bit mask of the values with that label."""
+    out = {}
+    for v, lab in enumerate(labels):
+        out[lab] = out.get(lab, 0) | 1 << v
+    return out
+
+
+def _constraints(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """Per position j, (i, label masks mod h, labels mod h) of each of its
+
+    constraints, the label masks built once per divisor."""
+    masks = {}
+    out = []
+    for j in range(D):
+        row = []
+        for c in range(cons_ptr[j], cons_ptr[j + 1]):
+            h = cons_div[c]
+            if h not in masks:
+                masks[h] = _label_masks(C, cod_class[h])
+            row.append((cons_src[c], masks[h], cod_class[h]))
+        out.append(row)
+    return out
+
+
 def count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
-    import numpy as np
-
     w = 1
-    while w < D and C ** w < 64:
+    while w < D and C ** (w + 1) <= _BLOCK_BITS:
         w += 1
-    mid = 0
-    while mid + w < D and C ** (mid + w + 1) <= _CHUNK:
-        mid += 1
-    base, lead = D - w, D - w - mid
+    base = D - w
     onehot = _bit_patterns(C, w)
-    nwords = -(-C ** w // 64)
     full = (1 << C ** w) - 1
-    labels = cod_class.tolist()
-    src, div, ptr = cons_src.tolist(), cons_div.tolist(), cons_ptr.tolist()
-
-    def words(masks):
-        return np.frombuffer(b"".join(m.to_bytes(8 * nwords, "little") for m in masks),
-                             dtype="<u8")
-
     classes = {}
 
     def by_label(k, h):
         # label mod h -> the bits where packed position k has that label
         if (k, h) not in classes:
             out = classes[k, h] = {}
-            for v, lab in enumerate(labels[h]):
+            for v, lab in enumerate(cod_class[h]):
                 out[lab] = out.get(lab, 0) | onehot[k][v]
         return classes[k, h]
 
-    # the block mask of the packed constraints; per unpacked source i,
-    # the block mask each of its values allows; per unpacked pair (i, j),
-    # the C x C matrix of the values that agree mod every h between them
-    const, rows, pairs = full, {}, {}
-    for j in range(D):
-        for i, h in zip(src[ptr[j]:ptr[j + 1]], div[ptr[j]:ptr[j + 1]]):
-            if j < base:
-                eq = np.equal.outer(cod_class[h], cod_class[h])
-                pairs[i, j] = pairs[i, j] & eq if (i, j) in pairs else eq
-            elif i >= base:
+    # per leading target j, the leading positions it must agree with; the
+    # block mask of the packed constraints; per leading source i, the block
+    # mask each of its values allows
+    checks = _constraints(base, C, cons_ptr, cons_src, cons_div, cod_class)
+    const, rows = full, [None] * base
+    for j in range(base, D):
+        for c in range(cons_ptr[j], cons_ptr[j + 1]):
+            i, h = cons_src[c], cons_div[c]
+            if i >= base:
                 a, b = by_label(i - base, h), by_label(j - base, h)
                 const &= sum(a[lab] & b[lab] for lab in a)
             else:
                 b = by_label(j - base, h)
                 rows[i] = [r & b[lab] for r, lab in
-                           zip(rows.get(i, [full] * C), labels[h])]
+                           zip(rows[i] or [full] * C, cod_class[h])]
+    # past the last leading position that a mask or a check enters, every
+    # value of every leading position counts alike
+    last = max((k + 1 for k in range(base) if rows[k] or checks[k]), default=0)
+    head = [0] * last
+    every = (1 << C) - 1
 
-    def axes(*pos):
-        return [C if lead + a in pos else 1 for a in range(mid)]
+    def walk(k, block):
+        if k == last:
+            return block.bit_count()
+        allowed = every
+        for i, masks, labels in checks[k]:
+            allowed &= masks[labels[head[i]]]
+        values = range(C) if allowed == every else _set_bits(allowed)
+        masks, count = rows[k], 0
+        for v in values:
+            head[k] = v
+            count += walk(k + 1, block & masks[v] if masks else block)
+        return count
 
-    # what no leading position enters is the same in every chunk; in each
-    # chunk a leading position picks the entry of its pairs with another
-    # leading one, the row of its pairs with a mid one, which selects the
-    # values of that axis, and the block mask of its value
-    fixed = np.empty((C,) * mid + (nwords,), dtype=np.uint64)
-    fixed[...] = words([const])
-    checks, selects, masks = [], {}, []
-    for (i, j), m in pairs.items():
-        if i >= lead:
-            fixed &= np.where(m, ~np.uint64(0), np.uint64(0)).reshape(axes(i, j) + [1])
-        elif j < lead:
-            checks.append((i, j, m))
-        else:
-            selects.setdefault(j - lead, []).append((i, m))
-    for i, row in rows.items():
-        if i >= lead:
-            fixed &= words(row).reshape(axes(i) + [-1])
-        else:
-            masks.append((i, words(row).reshape(C, nwords)))
-
-    def set_bits(chunk):
-        return int(np.count_nonzero(np.unpackbits(chunk.view(np.uint8))))
-
-    if not (checks or selects or masks):   # every chunk is fixed
-        return C ** lead * set_bits(fixed)
-    count = 0
-    for head in itertools.product(range(C), repeat=lead):
-        if not all(m[head[i], head[j]] for i, j, m in checks):
-            continue
-        chunk = fixed
-        for a, terms in selects.items():
-            chunk = chunk.compress(functools.reduce(
-                operator.and_, (m[head[i]] for i, m in terms)), axis=a)
-        for i, m in masks:
-            chunk = chunk & m[head[i]]
-        count += set_bits(chunk)
-    return count
-
-
-def _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class):
-    """(n, C) mask of the values position j may take after each of the n
-
-    prefixes in rows (shape (n, k), k past every position j refers to)."""
-    import numpy as np
-
-    mask = np.ones((rows.shape[0], C), dtype=bool)
-    for c in range(cons_ptr[j], cons_ptr[j + 1]):
-        cls = cod_class[cons_div[c]]
-        mask &= cls[rows[:, cons_src[c]], None] == cls
-    return mask
-
-
-def _grow(rows, mask):
-    """The extended prefixes that mask allows, in (prefix, value) order."""
-    import numpy as np
-
-    parent, val = np.nonzero(mask)
-    return np.concatenate([rows[parent], val[:, None]], axis=1)
+    return C ** (base - last) * walk(0, const)
 
 
 def enumerate_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class):
-    """All valid rows as an (n, D) array; the caller bounds C^D."""
-    import numpy as np
+    """All valid rows as a list of tuples, in lexicographic order; the
 
-    rows = np.zeros((1, 0), dtype=np.int64)
-    for j in range(D):
-        rows = _grow(rows, _extend(rows, j, C, cons_ptr, cons_src, cons_div,
-                                   cod_class))
+    caller bounds C^D.  The prefix [0, K) is walked value by value; past
+    it, the rows of a prefix are the product of the values each position
+    allows."""
+    cons = _constraints(D, C, cons_ptr, cons_src, cons_div, cod_class)
+    K = max(cons_src) + 1 if cons_src else 1
+    every = (1 << C) - 1
+    row = [0] * K
+    rows = []
+
+    def allowed(j):
+        mask = every
+        for i, masks, labels in cons[j]:
+            mask &= masks[labels[row[i]]]
+        return _set_bits(mask)
+
+    def walk(j):
+        if j == K:
+            prefix = tuple(row)
+            rows.extend(prefix + rest for rest in
+                        itertools.product(*map(allowed, range(K, D))))
+            return
+        for v in allowed(j):
+            row[j] = v
+            walk(j + 1)
+
+    walk(0)
     return rows
 
 
-def count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
-    """Number of valid rows: the valid prefixes [0, K) are walked
+def _signature_plan(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """The plan of the prefix walk: (K, groups, prefix, attach, live, every).
 
-    depth-first in blocks of about _CHUNK // C, so memory stays bounded by
-    K blocks however many rows are valid, and each stands for the product
-    over j in [K, D) of the values position j allows after it."""
-    import numpy as np
+    groups[i] lists, per label signature of prefix position i (its labels
+    mod the divisors that constraints read from i), the C-bit mask of the
+    values that have it.  prefix[j] lists the (i, masks) of the
+    constraints (i, h) at position j < K: masks[s] is the C-bit mask of
+    the values that agree mod h with signature s of position i.  attach[d]
+    holds each position past K whose last source is d - 1, so that its
+    count of allowed values joins the walk as soon as it is known: as the
+    (i, masks) of its constraints from before d - 1 and, per signature of
+    d - 1, the AND of the masks of those from d - 1.  A position past K
+    that no constraint enters counts C, in attach[0].  live[d] lists
+    (i, numbers) for each position i < d that a constraint of prefix[d:]
+    or attach[d + 1:] reads: numbers[s] numbers the labels of signature s
+    mod the divisors read, so the rows below a node at depth d depend only
+    on those numbers.  every is the C-bit mask of all values."""
+    K = max(cons_src) + 1 if cons_src else 1
+    readers = [set() for _ in range(K)]
+    for i, h in zip(cons_src, cons_div):
+        readers[i].add(h)
+    readers = [sorted(hs) for hs in readers]
+    groups, sigs = [], []
+    for i in range(K):
+        by_sig = {}
+        for v in range(C):
+            key = tuple(cod_class[h][v] for h in readers[i])
+            by_sig[key] = by_sig.get(key, 0) | 1 << v
+        sigs.append(list(by_sig))
+        groups.append(list(by_sig.values()))
+    label_masks = {}
 
-    args = (C, cons_ptr, cons_src, cons_div, cod_class)
-    K = int(cons_src.max()) + 1 if len(cons_src) else 1
-    block = max(1, _CHUNK // C)
-    # a block's sum of products is below block * C^(D-K); past int64 the
-    # products are Python ints
-    dtype = np.int64 if block * C ** (D - K) < 1 << 63 else object
+    def reads(j):
+        row = []
+        for c in range(cons_ptr[j], cons_ptr[j + 1]):
+            i, h = cons_src[c], cons_div[c]
+            if h not in label_masks:
+                label_masks[h] = _label_masks(C, cod_class[h])
+            r = readers[i].index(h)
+            row.append((i, h, [label_masks[h][sig[r]] for sig in sigs[i]]))
+        return row
+
+    prefix = [reads(j) for j in range(K)]
+    attach = [[] for _ in range(K + 1)]
+    for j in range(K, D):
+        row = reads(j)
+        attach[max(i + 1 for i, _, _ in row) if row else 0].append(row)
+    # the (i, h) read at or after each depth, from the deepest up
+    live, later = [None] * K, set()
+    for d in reversed(range(K)):
+        later |= {(i, h) for row in attach[d + 1] for i, h, _ in row}
+        later |= {(i, h) for i, h, _ in prefix[d]}
+        live[d] = []
+        for i in range(d):
+            read = [r for r, h in enumerate(readers[i]) if (i, h) in later]
+            if read:
+                numbers = {}
+                live[d].append((i, [numbers.setdefault(tuple(sig[r] for r in read),
+                                                       len(numbers)) for sig in sigs[i]]))
+    # an attached position splits into the constraints from the positions
+    # before d - 1, read once per node, and the AND of those from d - 1,
+    # one mask per signature of d - 1
+    split = [[([(i, masks) for i, _, masks in row if i < d - 1],
+               [functools.reduce(operator.and_, per_sig) for per_sig in
+                zip(*(masks for i, _, masks in row if i == d - 1))])
+              for row in rows] for d, rows in enumerate(attach)]
+    return (K, groups, [[(i, masks) for i, _, masks in row] for row in prefix],
+            split, live, (1 << C) - 1)
+
+
+def _walk(plan, memo, chosen, j):
+    """The rows counted below one node of the prefix walk, whose chosen
+
+    signatures are chosen[:j]: the sum over the signatures s of j of the
+    values with s that j allows, times the allowed-value counts of the
+    positions attached at j + 1, times the rows below that child.  The
+    result is kept in memo[j] under the live labels of the node."""
+    K, groups, prefix, attach, live, every = plan
+    key = tuple(numbers[chosen[i]] for i, numbers in live[j])
+    count = memo[j].get(key)
+    if count is not None:
+        return count
+    allowed = every
+    for i, masks in prefix[j]:
+        allowed &= masks[chosen[i]]
+    rows = []
+    for earlier, by_sig in attach[j + 1]:
+        mask = every
+        for i, masks in earlier:
+            mask &= masks[chosen[i]]
+        rows.append((mask, by_sig))
+    leaf = j + 1 == K
     count = 0
-    stack = [(0, np.zeros((1, 0), dtype=np.int64))]
-    while stack:
-        j, rows = stack.pop()
-        if j == K:
-            prod = np.ones(rows.shape[0], dtype=dtype)
-            for k in range(K, D):
-                prod *= _extend(rows, k, *args).sum(axis=1)
-            count += int(prod.sum())
-            continue
-        grown = _grow(rows, _extend(rows, j, *args))
-        for start in range(0, grown.shape[0], block):
-            stack.append((j + 1, grown[start:start + block]))
+    for s, group in enumerate(groups[j]):
+        n = (allowed & group).bit_count()
+        for mask, by_sig in rows:
+            if not n:
+                break
+            n *= (mask & by_sig[s]).bit_count()
+        if n:
+            if leaf:
+                count += n
+            else:
+                chosen[j] = s
+                count += n * _walk(plan, memo, chosen, j + 1)
+    memo[j][key] = count
     return count
+
+
+def count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class) -> int:
+    """Number of valid rows: the prefix [0, K) is walked depth first by
+
+    label signature, and the rows below a node are counted once per
+    depth and live labels, so its nodes are bounded by products of
+    signature counts, not by C^K, and the walk holds K frames.  A valid
+    prefix stands for the product over j in [K, D) of the values j
+    allows, each factor taken at the first node that knows it."""
+    plan = _signature_plan(D, C, cons_ptr, cons_src, cons_div, cod_class)
+    K = plan[0]
+    return C ** len(plan[3][0]) * _walk(plan, [{} for _ in range(K)], [0] * K, 0)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import struct
 
-# numpy is imported by the functions that use it, as in _kernels
 from . import _kernels
 from ._record import FrozenRecord, Record, setfield
 from .counting import QExponent, _require_pair, count_cpf, count_polyfn
@@ -112,7 +111,7 @@ class CpProblem(Record):
     cons_ptr, the CSR offsets by later position j; cons_src, the first
     member i of the class of j mod the divisor; cons_div, the divisor index
     of each constraint; cod_class, the residue label of codomain rep c mod
-    divisor h (numpy arrays)."""
+    divisor h (tuples of ints)."""
 
     _fields = ("domain", "codomain", "divisors", "cons_ptr", "cons_src",
                "cons_div", "cod_class")
@@ -135,21 +134,20 @@ def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
     (equality is transitive, so these |class| - 1 imply every pair), and
     cod_class[h][c] the label of c mod h (`ResidueRing.labels`): the index
     of a_c mod h, which is the first member of c's class in A_g."""
-    import numpy as np
-
     divisors = codomain.divisors
     by_pos: list = [[] for _ in range(domain.size)]
     for hi, h in enumerate(divisors):
         for first, *rest in domain.classes(h):
             for j in rest:
                 by_pos[j].append((first, hi))
-    cod_class = [list(codomain.labels(h)) for h in divisors]
-    pairs = [pair for row in by_pos for pair in row]
-    return CpProblem(domain, codomain, divisors,
-                     np.cumsum([0] + [len(row) for row in by_pos], dtype=np.int64),
-                     np.asarray([i for i, _ in pairs], dtype=np.int64),
-                     np.asarray([hi for _, hi in pairs], dtype=np.int64),
-                     np.asarray(cod_class, dtype=np.int64))
+    ptr, src, div = [0], [], []
+    for row in by_pos:
+        for i, hi in row:
+            src.append(i)
+            div.append(hi)
+        ptr.append(len(src))
+    return CpProblem(domain, codomain, divisors, tuple(ptr), tuple(src), tuple(div),
+                     tuple(tuple(codomain.labels(h)) for h in divisors))
 
 
 def _kernel_args(domain: ResidueRing, codomain: ResidueRing,
@@ -178,11 +176,11 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
 
 
 def enumerate_cpf_rows(domain: ResidueRing, codomain: ResidueRing,
-                       guard: EnumerationGuard = DEFAULT_GUARD) -> np.ndarray:
+                       guard: EnumerationGuard = DEFAULT_GUARD) -> list:
     """All congruence-preserving tables A_f -> A_g as the backtracking
 
-    kernel's rows: an (M, |A_f|) int array of A_g residue indices, each row
-    listed like A_f."""
+    kernel's rows: a list of tuples of A_g residue indices, each row listed
+    like A_f, in lexicographic order."""
     args = _kernel_args(domain, codomain, guard)
     return _kernels.enumerate_backtracking(*args)
 

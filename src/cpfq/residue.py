@@ -23,7 +23,7 @@ from collections import OrderedDict
 from functools import lru_cache
 
 from .field import FieldSpec, field_make
-from .guards import check_basis_tables, power_exceeds
+from .guards import power_exceeds
 from .polyring import (Factorization, Poly, enumerate_residues, factorize,
                        index_to_poly, parse, poly_to_index, to_text, xgcd)
 
@@ -51,7 +51,6 @@ class ResidueRing:
         self._divisors = None
         self._prime_powers = None
         self._classes: dict = {}
-        self._tables = None
 
     @property
     def factorization(self):
@@ -147,37 +146,6 @@ class ResidueRing:
     def mul(self, a: Poly, b: Poly) -> Poly:
         return self.reduce(a * b)
 
-    def tables(self) -> tuple:
-        """(add, sub, mul): numpy tables of the ring operations on residue
-
-        indices, built once within guards.check_basis_tables by base-q
-        digits with no Poly op per entry.  add and sub act digit by digit in
-        F_q; row a of mul is the index table of the F_q-linear map b -> a b,
-        whose column j is a t^j mod g, the index map of `times t` applied j
-        times to a."""
-        if self._tables is None:
-            import numpy as np
-
-            field, n = self.field, self.modulus.degree
-            check_basis_tables(field.q, n)
-            add = _digitwise(field._add, n)
-            sub = _digitwise([[row[y] for y in field._neg] for row in field._add], n)
-            scale = [_digitwise(row, n) for row in field._mul]  # c * x
-            one = Poly(field, [1])
-            times_t = np.array(ColumnMap(self.modulus, [one.shift(j + 1) for j in range(n)])
-                               .image(range(self.size)))
-            mul = np.zeros((self.size, 1), dtype=np.int16)
-            shifted = np.arange(self.size)  # a t^j mod g, for j = 0 .. n-1
-            for _ in range(n):
-                mul = np.concatenate(
-                    [mul] + [add[mul, scale[c][shifted][:, None]]
-                             for c in range(1, field.q)], axis=1)
-                shifted = times_t[shifted]
-            for table in (add, sub, mul):
-                table.flags.writeable = False  # shared by every caller
-            self._tables = (add, sub, mul)
-        return self._tables
-
     def inv_unit(self, a: Poly) -> Poly:
         """Inverse of a unit (gcd(a, modulus) = 1)."""
         g, x, _ = xgcd(a, self.modulus)
@@ -193,24 +161,6 @@ class ResidueRing:
 
     def __repr__(self):
         return f"ResidueRing({to_text(self.modulus)!r})"
-
-
-def _digitwise(base, n: int):
-    """The numpy table, with one axis of q^n residue indices per operand,
-
-    of an F_q operation applied digit by digit, from its table `base` on
-    F_q (one axis of q entries per operand): each step appends a lowest
-    digit on every axis, out[q x + a, ...] = q out[x, ...] + base[a, ...]."""
-    import numpy as np
-
-    base = np.array(base, dtype=np.int16)
-    q, k = base.shape[0], base.ndim
-    out = base
-    for _ in range(n - 1):
-        m = out.shape[0]
-        out = (q * out.reshape((m, 1) * k) + base.reshape((1, q) * k)
-               ).reshape((m * q,) * k)
-    return out
 
 
 def _index_adder(field: FieldSpec):

@@ -17,11 +17,13 @@ with mu(k) = floor(floor(log_q k) / d).
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 
+from . import _kernels
 from ._record import FrozenRecord, setfield
-from .guards import DEFAULT_GUARD, EnumerationGuard, check_samples
-from .oracle import _cp_verdicts, enumerate_cpf_rows, random_values
+from .guards import DEFAULT_GUARD, EnumerationGuard, check_basis_tables, check_samples
+from .oracle import _cp_verdicts, random_values
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
 from .residue import FunctionTable, ResidueRing
@@ -178,10 +180,10 @@ class _BasisContext:
 
     An element of A_{P^e} is the index k of its canonical representative
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
-    `positions[k]` = the index of b_k in A_f.  Products, differences and
-    valuations in A_{P^e} go through Poly once per pair of indices and
-    are looked up after that; `solve` works on the ring's dense numpy
-    tables instead, read on its first call."""
+    `positions[k]` = the index of b_k in A_f.  Products, sums, differences
+    and valuations in A_{P^e} go through Poly once per pair of indices and
+    are looked up after that; the cosets of each P^m A are kept as label
+    tables and bit masks (`level`)."""
 
     def __init__(self, seq: PSequence, e: int, n: int):
         self.seq = seq
@@ -192,9 +194,14 @@ class _BasisContext:
         q, d = seq.field.q, seq.d
         self.mus = (None,) + tuple(mu(k, q, d) for k in range(1, len(dom)))
         self._mul: dict = {}
+        self._add: dict = {}
         self._sub: dict = {}
         self._elements: dict = {}
-        self._tables = None
+        self._levels: dict = {}
+        self._times: dict = {}
+        if seq.field.p == 2:
+            # the F_2 coordinates of the digits add bit by bit
+            self.add = self.sub = operator.xor
         self.columns = self._build(dom, e)
 
     def _op(self, memo: dict, fn, a: int, b: int) -> int:
@@ -208,6 +215,9 @@ class _BasisContext:
 
     def mul(self, a: int, b: int) -> int:
         return self._op(self._mul, self.ring.mul, a, b)
+
+    def add(self, a: int, b: int) -> int:
+        return self._op(self._add, self.ring.add, a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self._op(self._sub, self.ring.sub, a, b)
@@ -268,41 +278,53 @@ class _BasisContext:
             out.append(acc)
         return out
 
-    def tables(self) -> tuple:
-        """(mul, sub, val): the ring's digit-built numpy tables of A_{P^e}
+    def times(self, t: int):
+        """The table of c -> c t on every index of A_{P^e}, built once per t
+        and kept: at most |A_{P^e}| tables of |A_{P^e}| entries."""
+        got = self._times.get(t)
+        if got is None:
+            mul = self.mul
+            got = self._times[t] = (range(self.ring.size) if t == 1 else
+                                    tuple(mul(c, t) for c in range(self.ring.size)))
+        return got
 
-        on indices, with val[a] = v_P(a_a) (inf at 0), read once."""
-        if self._tables is None:
-            import numpy as np
+    def passes(self, values) -> bool:
+        """Whether v_P(c_k) >= mu(k) for every k >= 1, c the coordinates of
+        values, by the substitution of `coordinates` on `times` tables,
+        stopping at the first c_k that fails: c_k lies in P^mu A iff its
+        label mod P^mu is 0."""
+        times, sub = self.times, self.sub
+        out = []
+        for pos, col, m in zip(self.positions, self.columns, self.mus):
+            acc = values[pos]
+            for c, t in zip(out, col):
+                if c and t:
+                    acc = sub(acc, times(t)[c])
+            if out and self.level(m)[0][acc]:
+                return False
+            out.append(acc)
+        return True
 
-            ring = self.ring
-            _, sub, mul = ring.tables()
-            val = np.array([self.residue(a)[1] for a in range(ring.size)])
-            self._tables = (mul, sub, val)
-        return self._tables
-
-    def solve(self, values):
-        """`coordinates` of B tables at once: values is a (B, N) int array
-
-        of A_{P^e} indices, each row listed like A_f; row b of the (B, N)
-        result is `coordinates(values[b])`."""
-        import numpy as np
-
-        mul, sub, _ = self.tables()
-        values = np.asarray(values, dtype=np.int64)
-        if values.ndim != 2 or values.shape[1] != len(self.positions):
-            raise ValueError(f"expected (B, {len(self.positions)}) values, "
-                             f"got shape {values.shape}")
-        if values.size and not 0 <= values.min() <= values.max() < self.ring.size:
-            raise ValueError("values are not residue indices of A_{P^e}")
-        out = np.empty(values.shape, dtype=np.int64)
-        for k, (pos, col) in enumerate(zip(self.positions, self.columns)):
-            acc = values[:, pos]
-            for i, t in enumerate(col[:k]):
-                if t:
-                    acc = sub[acc, mul[out[:, i], t]]
-            out[:, k] = acc
-        return out
+    def level(self, m: int) -> tuple:
+        """(labels, masks) of the cosets of P^m A: labels[a] numbers the
+        coset of a, and masks[labels[a]] has bit v set for each v in it.
+        Built once per m from the labels mod P^m; from m = e on, a coset is
+        one element."""
+        got = self._levels.get(m)
+        if got is None:
+            size = self.ring.size
+            if m == 0:
+                got = ((0,) * size, ((1 << size) - 1,))
+            elif m >= self.e:
+                got = (range(size), tuple(1 << v for v in range(size)))
+            else:
+                labels = tuple(self.ring.labels(self.seq.p ** m))
+                masks = [0] * self.seq.field.q ** (self.seq.d * m)
+                for v, lab in enumerate(labels):
+                    masks[lab] |= 1 << v
+                got = (labels, tuple(masks))
+            got = self._levels.setdefault(m, got)
+        return got
 
 
 # a context holds about q^(2n) / 2 table entries and its lookups
@@ -367,50 +389,94 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
     return BasisCoefficients(ctx.seq.p, ctx.e, n, reps, ctx.seq, vals, ctx.mus)
 
 
-class BasisBatch(FrozenRecord):
-    """Coordinates of B functions A_f -> A_{P^e}: row b of the (B, N) int
-    array `coefficients` lists the residue indices of c_0 .. c_{N-1} of
-    table b in b-sequence order, with v_P(c_k) in the (B, N) float array
-    `valuations` (inf for c_k = 0) and mu(k) in the (N,) int array `mus` (0
-    at k = 0, which asks nothing).  Equal only to itself."""
+def _cp_walk(ctx: _BasisContext, dom: ResidueRing, cod: ResidueRing) -> tuple:
+    """(the number of congruence-preserving tables A_f -> A_{P^e}, whether
 
-    _fields = ("coefficients", "valuations", "mus")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    each meets the criterion), by one depth-first walk over their values
+    in b-sequence order.  The constraints are the definition's: for each
+    divisor h = P^m of the codomain and each class of A_f mod h, each
+    later-visited member agrees mod h with the first-visited one.  A node
+    at depth k carries S_j = sum_{i<k} c_i B_i(b_j) for every j >= k, each
+    term added once, when c_i is chosen.  The values v allowed at k whose
+    c_k = v - S_k meets v_P(c_k) >= mu(k) are one coset of P^mu(k) A, so
+    one mask judges them all, and the last position is counted by its set
+    bits.  A value that fails counts against the criterion only when some
+    table runs through it."""
+    n = len(ctx.positions)
+    rank = {pos: k for k, pos in enumerate(ctx.positions)}
+    cons: list = [[] for _ in range(n)]
+    for h in cod.divisors:
+        labels, masks = ctx.level(h.degree // ctx.seq.d)
+        for members in dom.classes(h):
+            first, *rest = sorted(rank[x] for x in members)
+            for k in rest:
+                cons[k].append((first, labels, masks))
+    # per depth k: the coset masks of mu(k), and the times table of each
+    # nonzero B_k(b_j), j > k
+    levels = [ctx.level(m or 0) for m in ctx.mus]
+    pushes = [[(j, ctx.times(ctx.columns[j][k])) for j in range(k + 1, n)
+               if ctx.columns[j][k]] for k in range(n)]
+    every = (1 << ctx.ring.size) - 1
+    add, sub = ctx.add, ctx.sub
+    values = [0] * n
+    failed = False
+    # whether the last position's constraints read the value before it
+    reads_last = any(first == n - 2 for first, _, _ in cons[-1])
 
-    def __init__(self, coefficients, valuations, mus):
-        setfield(self, "coefficients", coefficients)
-        setfield(self, "valuations", valuations)
-        setfield(self, "mus", mus)
+    def allowed(k):
+        mask = every
+        for first, labels, masks in cons[k]:
+            mask &= masks[labels[values[first]]]
+        return mask
 
-    def is_cpf(self) -> np.ndarray:
-        """Per table, v_P(c_k) >= mu(k) for every k >= 1."""
-        return (self.valuations >= self.mus).all(axis=1)
+    def walk(k, sums):
+        nonlocal failed
+        labels, masks = levels[k]
+        passing = masks[labels[sums[k]]]
+        mine = allowed(k)
+        if k == n - 1:
+            failed |= bool(mine & ~passing)
+            return mine.bit_count()
+        if k == n - 2 and not reads_last:
+            # the last position allows the same values after every value
+            # here, so these tables are counted at once, and of each value
+            # only the coset of its last sum is checked
+            last = allowed(n - 1)
+            if last and not failed:
+                failed = bool(mine & ~passing)
+                labels, masks = levels[n - 1]
+                times = pushes[k][0][1] if pushes[k] else None
+                for v in _kernels._set_bits(mine):
+                    c, total = sub(v, sums[k]), sums[n - 1]
+                    if c and times:
+                        total = add(total, times[c])
+                    if last & ~masks[labels[total]]:
+                        failed = True
+                        break
+            return mine.bit_count() * last.bit_count()
+        count = 0
+        for v in _kernels._set_bits(mine):
+            values[k] = v
+            below = list(sums)
+            c = sub(v, sums[k])
+            if c:
+                for j, times in pushes[k]:
+                    below[j] = add(below[j], times[c])
+            below = walk(k + 1, below)
+            count += below
+            failed |= bool(below) and not passing >> v & 1
+        return count
 
-
-def decompose_rows(values, codomain: ResidueRing, n: int,
-                   seq: PSequence | None = None) -> BasisBatch:
-    """`decompose` of B tables A_f -> A_g (deg f = n, g = P^e up to a unit)
-
-    in one batched triangular substitution: values is a (B, q^n) int array
-    of A_g residue indices, each row listed like A_f, as the rows of
-    `oracle.enumerate_cpf_rows`.  The dense tables of A_{P^e} it runs on
-    are refused by guards.check_basis_tables past |A_{P^e}|^2 = 2^20."""
-    import numpy as np
-
-    ctx = _prime_power_context(codomain, n, seq)
-    coords = ctx.solve(values)
-    return BasisBatch(coords, ctx.tables()[2][coords],
-                      np.array((0,) + ctx.mus[1:], dtype=np.int64))
+    return walk(0, [0] * n), not failed
 
 
 def verify_basis(f: Poly, g: Poly, rng, samples: int,
                  guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
     """The basis criterion on A_f -> A_g, g a prime power: it passes every
-    enumerated CP table, and on `samples` random tables (solved in the same
-    batch) it agrees with the definition, checked in one walk."""
-    import numpy as np
 
+    congruence-preserving table, walked with their enumeration, and on
+    `samples` random tables, judged one at a time by the same
+    substitution, it agrees with the definition."""
     # one pair of rings, so g is factored once for every step below
     dom, cod = ResidueRing(f), ResidueRing(g)
     if len(cod.factorization.factors) != 1:
@@ -420,11 +486,12 @@ def verify_basis(f: Poly, g: Poly, rng, samples: int,
     guard.check_degrees(f, g)
     guard.check_total_functions(dom.size, cod.size)
     check_samples(f.field.q, f.degree, samples)
-    rows = enumerate_cpf_rows(dom, cod, guard=guard)
+    check_basis_tables(f.field.q, g.degree)
+    ctx = _prime_power_context(cod, f.degree, None)
+    cp_tables, all_cp_pass = _cp_walk(ctx, dom, cod)
     values = random_values(dom, cod, rng, samples)
-    tables = np.array(values, dtype=rows.dtype).reshape(samples, dom.size)
-    by_basis = decompose_rows(np.concatenate([rows, tables]), cod, f.degree).is_cpf()
-    all_cp_pass = bool(by_basis[:len(rows)].all())
-    agree = int((by_basis[len(rows):] == _cp_verdicts(dom, cod, values)).sum())
-    return {"cp_tables": len(rows), "all_cp_pass": all_cp_pass, "samples": samples,
+    n = dom.size
+    by_basis = [ctx.passes(values[s:s + n]) for s in range(0, len(values), n)]
+    agree = sum(map(operator.eq, by_basis, _cp_verdicts(dom, cod, values)))
+    return {"cp_tables": cp_tables, "all_cp_pass": all_cp_pass, "samples": samples,
             "agreements": agree, "match": all_cp_pass and agree == samples}

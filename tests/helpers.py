@@ -6,40 +6,42 @@ applied to a residue), the per-coefficient reference ring ops that the
 table-row arithmetic of `Poly` is checked against, the trial-division
 factorization that `factorize` is checked against, the full factor shape
 that `chen.gamma` and the counts are checked against, the Poly route of the
-basis decomposition that `decompose` is checked against and the Poly-op
-basis tables of its batched solve, the hand-derived self-Chen closed
-forms that the Euler-product counts and density are checked against, the
-Poly-op ring tables, CRT split and combine that the digit-built tables
-and the `residue.ColumnMap` routes are checked against, the span with
-Poly-op generators and numpy row ops that the packed rows of
-`PolyFnModule` are checked against (and the decoding of those rows), and
-the oracle references that only the tests use: the
-Poly-op classes and definitional check that the label maps are checked
-against, the all-units census walk, the all-pairs constraint encoding,
-the row check of an encoding, the odometer, boolean-broadcast and
-full-depth counts that the `_kernels` counts are checked against, the
+basis decomposition that `decompose` is checked against, the batched
+numpy solve on digit-built ring tables that `verify_basis` is checked
+against (with the Poly-op tables it is checked against in turn), the
+hand-derived self-Chen closed forms that the Euler-product counts and
+density are checked against, the Poly-op CRT split and combine that the
+`residue.ColumnMap` routes are checked against, the span with Poly-op
+generators and numpy row ops that the packed rows of `PolyFnModule` are
+checked against (and the decoding of those rows), and the oracle
+references that only the tests use: the Poly-op classes and definitional
+check that the label maps are checked against, the all-units census
+walk, the all-pairs constraint encoding, the row check of an encoding,
+the odometer, boolean-broadcast, packed-word, blocked and full-depth
+numpy counts that the `_kernels` counts are checked against, the
 randrange draws that `random_values` is checked against, decoded table
 lists, random polynomial functions, the members of the
 polynomial-function span, the digit-relabeled literal route and the
 exponent identity."""
 
+import functools
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
-from cpfq import _kernels
+from cpfq._record import FrozenRecord, setfield
 from cpfq.chen import _gamma_local
 from cpfq.counting import QExponent, _cpf_local_exponent, _polyfn_local_exponent
 from cpfq.field import field_make
-from cpfq.guards import DEFAULT_GUARD
-from cpfq.oracle import (CpCheck, CpProblem, _squarefree_test,
-                         enumerate_cpf_rows)
+from cpfq.guards import DEFAULT_GUARD, check_basis_tables, check_samples
+from cpfq.oracle import (CpCheck, CpProblem, _cp_verdicts, _squarefree_test,
+                         enumerate_cpf_rows, random_values)
 from cpfq.polyring import (Poly, _distinct_degree, gcd, index_to_poly, parse,
                            poly_to_index, squarefree_decomposition, valuation,
                            xgcd)
-from cpfq.residue import FunctionTable, ResidueRing
-from cpfq.wagner import _context, eval_Qk, floor_log, mu
+from cpfq.residue import ColumnMap, FunctionTable, ResidueRing
+from cpfq.wagner import _context, _prime_power_context, eval_Qk, floor_log, mu
 
 PRIME_POWERS = {4: (2, 2), 8: (2, 3), 9: (3, 2), 16: (2, 4)}
 
@@ -311,7 +313,7 @@ def recompose(coeffs, domain):
 
 
 def ref_basis_tables(ctx):
-    """(mul, sub, val) of `_BasisContext.tables()` by one Poly ring op of
+    """(mul, sub, val) of `context_tables(ctx)` by one Poly ring op of
 
     A_{P^e} per entry, with val[a] = v_P(a_a) (inf at 0)."""
     ring = ctx.ring
@@ -325,6 +327,135 @@ def ref_basis_tables(ctx):
     return table(ring.mul), table(ring.sub), val
 
 
+# ------------------------------------------- batched basis solve
+# The numpy route that `wagner.verify_basis` ran before its walk: dense
+# digit-built operation tables of A_{P^e}, one triangular substitution on
+# a (B, N) array of tables, and the mu-verdict of every row.
+@functools.lru_cache(maxsize=32)
+def digit_tables(ring):
+    """(add, sub, mul): read-only numpy tables of the ring operations of A
+    on residue indices, refused past |A|^2 = 2^20 (guards.check_basis_tables)
+    and built once per ring by base-q digits with no Poly op per entry: add
+    and sub digit by digit in F_q; row a of mul is the index table of the
+    F_q-linear map b -> a b, whose column j is a t^j mod g, the index map
+    of `times t` applied j times to a."""
+    field, n = ring.field, ring.modulus.degree
+    check_basis_tables(field.q, n)
+    add = _digitwise(field._add, n)
+    sub = _digitwise([[row[y] for y in field._neg] for row in field._add], n)
+    scale = [_digitwise(row, n) for row in field._mul]  # c * x
+    one = Poly(field, [1])
+    times_t = np.array(ColumnMap(ring.modulus, [one.shift(j + 1) for j in range(n)])
+                       .image(range(ring.size)))
+    mul = np.zeros((ring.size, 1), dtype=np.int16)
+    shifted = np.arange(ring.size)  # a t^j mod g, for j = 0 .. n-1
+    for _ in range(n):
+        mul = np.concatenate(
+            [mul] + [add[mul, scale[c][shifted][:, None]]
+                     for c in range(1, field.q)], axis=1)
+        shifted = times_t[shifted]
+    for table in (add, sub, mul):
+        table.flags.writeable = False  # shared by every caller
+    return add, sub, mul
+
+
+def _digitwise(base, n):
+    """The numpy table, with one axis of q^n residue indices per operand,
+
+    of an F_q operation applied digit by digit, from its table `base` on
+    F_q (one axis of q entries per operand): each step appends a lowest
+    digit on every axis, out[q x + a, ...] = q out[x, ...] + base[a, ...]."""
+    base = np.array(base, dtype=np.int16)
+    q, k = base.shape[0], base.ndim
+    out = base
+    for _ in range(n - 1):
+        m = out.shape[0]
+        out = (q * out.reshape((m, 1) * k) + base.reshape((1, q) * k)
+               ).reshape((m * q,) * k)
+    return out
+
+
+def context_tables(ctx):
+    """(mul, sub, val) of A_{P^e} on indices for the batched solve: the
+    ring's digit tables and val[a] = v_P(a_a) (inf at 0)."""
+    _, sub, mul = digit_tables(ctx.ring)
+    val = np.array([ctx.residue(a)[1] for a in range(ctx.ring.size)])
+    return mul, sub, val
+
+
+def solve(ctx, values):
+    """`coordinates` of B tables at once: values is a (B, N) int array of
+
+    A_{P^e} indices, each row listed like A_f; row b of the (B, N) result
+    is `ctx.coordinates(values[b])`."""
+    mul, sub, _ = context_tables(ctx)
+    values = np.asarray(values, dtype=np.int64)
+    if values.ndim != 2 or values.shape[1] != len(ctx.positions):
+        raise ValueError(f"expected (B, {len(ctx.positions)}) values, "
+                         f"got shape {values.shape}")
+    if values.size and not 0 <= values.min() <= values.max() < ctx.ring.size:
+        raise ValueError("values are not residue indices of A_{P^e}")
+    out = np.empty(values.shape, dtype=np.int64)
+    for k, (pos, col) in enumerate(zip(ctx.positions, ctx.columns)):
+        acc = values[:, pos]
+        for i, t in enumerate(col[:k]):
+            if t:
+                acc = sub[acc, mul[out[:, i], t]]
+        out[:, k] = acc
+    return out
+
+
+class BasisBatch(FrozenRecord):
+    """Coordinates of B functions A_f -> A_{P^e}: row b of the (B, N) int
+    array `coefficients` lists the residue indices of c_0 .. c_{N-1} of
+    table b in b-sequence order, with v_P(c_k) in the (B, N) float array
+    `valuations` (inf for c_k = 0) and mu(k) in the (N,) int array `mus` (0
+    at k = 0, which asks nothing).  Equal only to itself."""
+
+    _fields = ("coefficients", "valuations", "mus")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, coefficients, valuations, mus):
+        setfield(self, "coefficients", coefficients)
+        setfield(self, "valuations", valuations)
+        setfield(self, "mus", mus)
+
+    def is_cpf(self):
+        """Per table, v_P(c_k) >= mu(k) for every k >= 1."""
+        return (self.valuations >= self.mus).all(axis=1)
+
+
+def decompose_rows(values, codomain, n, seq=None):
+    """`decompose` of B tables A_f -> A_g (deg f = n, g = P^e up to a unit)
+
+    in one batched triangular substitution: values is a (B, q^n) int array
+    of A_g residue indices, each row listed like A_f, as the rows of
+    `oracle.enumerate_cpf_rows`."""
+    ctx = _prime_power_context(codomain, n, seq)
+    coords = solve(ctx, values)
+    return BasisBatch(coords, context_tables(ctx)[2][coords],
+                      np.array((0,) + ctx.mus[1:], dtype=np.int64))
+
+
+def ref_verify_basis(f, g, rng, samples, guard=DEFAULT_GUARD):
+    """`wagner.verify_basis` by the batched solve: the enumerated CP rows
+    and the random samples judged in one `decompose_rows`."""
+    dom, cod = ResidueRing(f), ResidueRing(g)
+    guard.check_degrees(f, g)
+    guard.check_total_functions(dom.size, cod.size)
+    check_samples(f.field.q, f.degree, samples)
+    rows = np.array(enumerate_cpf_rows(dom, cod, guard=guard),
+                    dtype=np.int64).reshape(-1, dom.size)
+    values = random_values(dom, cod, rng, samples)
+    tables = np.array(values, dtype=np.int64).reshape(samples, dom.size)
+    by_basis = decompose_rows(np.concatenate([rows, tables]), cod, f.degree).is_cpf()
+    all_cp_pass = bool(by_basis[:len(rows)].all())
+    agree = int((by_basis[len(rows):] == _cp_verdicts(dom, cod, values)).sum())
+    return {"cp_tables": len(rows), "all_cp_pass": all_cp_pass, "samples": samples,
+            "agreements": agree, "match": all_cp_pass and agree == samples}
+
+
 # ------------------------------------------- oracle references
 # the enumeration cells of the acceptance grid
 GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
@@ -333,7 +464,7 @@ GRID_CELLS = [(2, ftext, gtext) for ftext in ("t", "t^2")
 
 # ------------------------------------------- residue map references
 def ref_ring_tables(ring):
-    """(add, sub, mul) of `ResidueRing.tables()` as nested lists, by one
+    """(add, sub, mul) of `digit_tables(ring)` as nested lists, by one
     Poly ring op per entry."""
     els = ring.elements()
     return tuple([[poly_to_index(op(a, b)) for b in els] for a in els]
@@ -502,11 +633,8 @@ def ref_encode_cp_problem(domain, codomain):
             src.append(i)
             div.append(hi)
         ptr.append(len(src))
-    return CpProblem(domain, codomain, divisors,
-                     np.asarray(ptr, dtype=np.int64),
-                     np.asarray(src, dtype=np.int64),
-                     np.asarray(div, dtype=np.int64),
-                     labels[:, :codomain.size])
+    return CpProblem(domain, codomain, divisors, tuple(ptr), tuple(src), tuple(div),
+                     tuple(tuple(map(int, row[:codomain.size])) for row in labels))
 
 
 def check_row(prob, row):
@@ -515,21 +643,35 @@ def check_row(prob, row):
     of the encoding prob, checked one constraint at a time."""
     for j in range(len(row)):
         for c in range(prob.cons_ptr[j], prob.cons_ptr[j + 1]):
-            h = prob.cons_div[c]
-            if prob.cod_class[h, row[j]] != prob.cod_class[h, row[prob.cons_src[c]]]:
+            labels = prob.cod_class[prob.cons_div[c]]
+            if labels[row[j]] != labels[row[prob.cons_src[c]]]:
                 return False
     return True
 
 
-def ref_count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class):
+# the rows that the numpy references hold at once: tables per chunk of
+# the odometer and the broadcast, and about that many per block of the
+# blocked walks
+REF_CHUNK = 1 << 18
+
+
+def numpy_args(D, C, cons_ptr, cons_src, cons_div, cod_class):
+    """The kernel arguments as the int64 arrays of the numpy references."""
+    return (D, C) + tuple(np.asarray(a, dtype=np.int64).reshape(-1) for a in
+                          (cons_ptr, cons_src, cons_div)) + (
+        np.asarray(cod_class, dtype=np.int64),)
+
+
+def ref_count_exhaustive(*args):
     """The odometer count: every one of the C^D rows, in chunks of
-    _kernels._CHUNK, as D digit arrays checked constraint by constraint."""
+    REF_CHUNK, as D digit arrays checked constraint by constraint."""
+    D, C, cons_ptr, cons_src, cons_div, cod_class = numpy_args(*args)
     total = C ** D
     count = 0
     flat = [(j, cons_src[c], cons_div[c])
             for j in range(D) for c in range(cons_ptr[j], cons_ptr[j + 1])]
-    for start in range(0, total, _kernels._CHUNK):
-        idx = np.arange(start, min(start + _kernels._CHUNK, total), dtype=np.int64)
+    for start in range(0, total, REF_CHUNK):
+        idx = np.arange(start, min(start + REF_CHUNK, total), dtype=np.int64)
         digits = [(idx // C ** j) % C for j in range(D)]
         valid = np.ones(idx.shape[0], dtype=bool)
         for j, i, h in flat:
@@ -538,15 +680,16 @@ def ref_count_exhaustive(D, C, cons_ptr, cons_src, cons_div, cod_class):
     return count
 
 
-def ref_count_broadcast(D, C, cons_ptr, cons_src, cons_div, cod_class):
+def ref_count_broadcast(*args):
     """The boolean-broadcast count that the packed words of
-    `_kernels.count_exhaustive` replaced: one boolean tensor of shape
-    (C,)*rest with C^rest <= _kernels._CHUNK per value of the leading
-    positions; each constraint ANDs in the C x C matrix "agree mod h" on
-    the axes of its two positions, or the row or entry that the values of
-    its leading positions pick."""
+    `ref_count_packed` replaced: one boolean tensor of shape (C,)*rest with
+    C^rest <= REF_CHUNK per value of the leading positions; each constraint
+    ANDs in the C x C matrix "agree mod h" on the axes of its two
+    positions, or the row or entry that the values of its leading
+    positions pick."""
+    D, C, cons_ptr, cons_src, cons_div, cod_class = numpy_args(*args)
     rest = 1
-    while rest < D and C ** (rest + 1) <= _kernels._CHUNK:
+    while rest < D and C ** (rest + 1) <= REF_CHUNK:
         rest += 1
     lead = D - rest
     eq = [cls[:, None] == cls[None, :] for cls in cod_class]
@@ -564,12 +707,155 @@ def ref_count_broadcast(D, C, cons_ptr, cons_src, cons_div, cod_class):
     return count
 
 
-def ref_count_backtracking(D, C, cons_ptr, cons_src, cons_div, cod_class):
+def ref_count_packed(*args):
+    """The packed-word count that the int blocks of
+    `_kernels.count_exhaustive` replaced: 64 tables to a uint64 word.  The
+    last w positions (the fewest with C^w >= 64, or all D) are packed: bit
+    b of a block of ceil(C^w / 64) words is the row whose packed position k
+    holds b // C^k % C.  A chunk is a word tensor of shape (C,)*mid +
+    (words,) holding C^(mid + w) <= REF_CHUNK rows, one per value of the
+    leading positions before it.  A constraint between two packed positions
+    is one constant mask of the block; one from an unpacked position into
+    the block is a mask per value of that position; one between two
+    unpacked positions is the C x C matrix "agree mod h", as all-ones or
+    zero words on the axes of its positions.  What no leading position
+    enters is ANDed once; in each chunk a leading position picks its mask,
+    or the row of its matrix, which selects the values of a mid axis."""
+    D, C, cons_ptr, cons_src, cons_div, cod_class = numpy_args(*args)
+    w = 1
+    while w < D and C ** w < 64:
+        w += 1
+    mid = 0
+    while mid + w < D and C ** (mid + w + 1) <= REF_CHUNK:
+        mid += 1
+    base, lead = D - w, D - w - mid
+    onehot = []
+    for k in range(w):
+        run = (1 << C ** k) - 1
+        repeat = sum(1 << m * C ** (k + 1) for m in range(C ** (w - k - 1)))
+        onehot.append([(run << v * C ** k) * repeat for v in range(C)])
+    nwords = -(-C ** w // 64)
+    full = (1 << C ** w) - 1
+    labels = cod_class.tolist()
+    src, div, ptr = cons_src.tolist(), cons_div.tolist(), cons_ptr.tolist()
+
+    def words(masks):
+        return np.frombuffer(b"".join(m.to_bytes(8 * nwords, "little") for m in masks),
+                             dtype="<u8")
+
+    classes = {}
+
+    def by_label(k, h):
+        if (k, h) not in classes:
+            out = classes[k, h] = {}
+            for v, lab in enumerate(labels[h]):
+                out[lab] = out.get(lab, 0) | onehot[k][v]
+        return classes[k, h]
+
+    const, rows, pairs = full, {}, {}
+    for j in range(D):
+        for i, h in zip(src[ptr[j]:ptr[j + 1]], div[ptr[j]:ptr[j + 1]]):
+            if j < base:
+                eq = np.equal.outer(cod_class[h], cod_class[h])
+                pairs[i, j] = pairs[i, j] & eq if (i, j) in pairs else eq
+            elif i >= base:
+                a, b = by_label(i - base, h), by_label(j - base, h)
+                const &= sum(a[lab] & b[lab] for lab in a)
+            else:
+                b = by_label(j - base, h)
+                rows[i] = [r & b[lab] for r, lab in
+                           zip(rows.get(i, [full] * C), labels[h])]
+
+    def axes(*pos):
+        return [C if lead + a in pos else 1 for a in range(mid)]
+
+    fixed = np.empty((C,) * mid + (nwords,), dtype=np.uint64)
+    fixed[...] = words([const])
+    checks, selects, masks = [], {}, []
+    for (i, j), m in pairs.items():
+        if i >= lead:
+            fixed &= np.where(m, ~np.uint64(0), np.uint64(0)).reshape(axes(i, j) + [1])
+        elif j < lead:
+            checks.append((i, j, m))
+        else:
+            selects.setdefault(j - lead, []).append((i, m))
+    for i, row in rows.items():
+        if i >= lead:
+            fixed &= words(row).reshape(axes(i) + [-1])
+        else:
+            masks.append((i, words(row).reshape(C, nwords)))
+
+    def set_bits(chunk):
+        return int(np.count_nonzero(np.unpackbits(chunk.view(np.uint8))))
+
+    if not (checks or selects or masks):   # every chunk is fixed
+        return C ** lead * set_bits(fixed)
+    count = 0
+    for head in product(range(C), repeat=lead):
+        if not all(m[head[i], head[j]] for i, j, m in checks):
+            continue
+        chunk = fixed
+        for a, terms in selects.items():
+            chunk = chunk.compress(functools.reduce(
+                np.logical_and, (m[head[i]] for i, m in terms)), axis=a)
+        for i, m in masks:
+            chunk = chunk & m[head[i]]
+        count += set_bits(chunk)
+    return count
+
+
+def _extend(rows, j, C, cons_ptr, cons_src, cons_div, cod_class):
+    """(n, C) mask of the values position j may take after each of the n
+    prefixes in rows (shape (n, k), k past every position j refers to)."""
+    mask = np.ones((rows.shape[0], C), dtype=bool)
+    for c in range(cons_ptr[j], cons_ptr[j + 1]):
+        cls = cod_class[cons_div[c]]
+        mask &= cls[rows[:, cons_src[c]], None] == cls
+    return mask
+
+
+def _grow(rows, mask):
+    """The extended prefixes that mask allows, in (prefix, value) order."""
+    parent, val = np.nonzero(mask)
+    return np.concatenate([rows[parent], val[:, None]], axis=1)
+
+
+def ref_count_blocked(*args):
+    """The blocked count that the signature walk of
+    `_kernels.count_backtracking` replaced: the valid prefixes [0, K) are
+    walked depth-first in blocks of about REF_CHUNK // C rows, and each
+    stands for the product over j in [K, D) of the values position j
+    allows after it."""
+    D, C, cons_ptr, cons_src, cons_div, cod_class = numpy_args(*args)
+    args = (C, cons_ptr, cons_src, cons_div, cod_class)
+    K = int(cons_src.max()) + 1 if len(cons_src) else 1
+    block = max(1, REF_CHUNK // C)
+    # a block's sum of products is below block * C^(D-K); past int64 the
+    # products are Python ints
+    dtype = np.int64 if block * C ** (D - K) < 1 << 63 else object
+    count = 0
+    stack = [(0, np.zeros((1, 0), dtype=np.int64))]
+    while stack:
+        j, rows = stack.pop()
+        if j == K:
+            prod = np.ones(rows.shape[0], dtype=dtype)
+            for k in range(K, D):
+                prod *= _extend(rows, k, *args).sum(axis=1)
+            count += int(prod.sum())
+            continue
+        grown = _grow(rows, _extend(rows, j, *args))
+        for start in range(0, grown.shape[0], block):
+            stack.append((j + 1, grown[start:start + block]))
+    return count
+
+
+def ref_count_backtracking(*args):
     """The full-depth count: every valid prefix is walked depth-first in
-    blocks of about _kernels._CHUNK // C and the last position counted.
-    A block grows by every value at the next position, and the grown rows
-    that break one of its constraints are dropped."""
-    block = max(1, _kernels._CHUNK // C)
+    blocks of about REF_CHUNK // C and the last position counted.  A block
+    grows by every value at the next position, and the grown rows that
+    break one of its constraints are dropped."""
+    D, C, cons_ptr, cons_src, cons_div, cod_class = numpy_args(*args)
+    block = max(1, REF_CHUNK // C)
     count = 0
     stack = [(0, np.zeros((1, 0), dtype=np.int64))]
     while stack:
@@ -594,7 +880,7 @@ def enumerate_cpf_tables(f, g, guard=DEFAULT_GUARD):
     dom, cod = ResidueRing(f), ResidueRing(g)
     values = cod.elements()
     return [FunctionTable(dom, cod, [values[v] for v in row])
-            for row in enumerate_cpf_rows(dom, cod, guard).tolist()]
+            for row in enumerate_cpf_rows(dom, cod, guard)]
 
 
 def apply_coeff_poly(coeffs, h, g):

@@ -22,8 +22,8 @@ from cpfq.oracle import (census_self_chen, census_squarefree,
                          polyfn_module, random_table)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
-from cpfq.wagner import PSequence, decompose, decompose_rows, eval_Qk, mu
-from helpers import (enumerate_cpf_tables, exponent_identity_check,
+from cpfq.wagner import PSequence, decompose, eval_Qk, mu
+from helpers import (decompose_rows, enumerate_cpf_tables, exponent_identity_check,
                      make_field, monic_upto, pol)
 
 

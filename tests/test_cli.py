@@ -828,9 +828,10 @@ def test_crt_check_labels_by_digits_where_no_table_is_built():
 
 
 def test_basis_check_at_the_largest_codomain_reads_digit_built_tables():
-    # 2^20 CP tables t -> t^10, judged on the mul and sub tables of the
-    # largest admitted A_{P^e} (2^10 elements; 18 s with one Poly op per
-    # table entry)
+    # 2^20 CP tables t -> t^10, walked at the largest admitted A_{P^e}
+    # (2^10 elements; 18 s with one Poly op per entry of dense operation
+    # tables, 0.5 s by a batched numpy solve on digit-built ones): the last
+    # position is counted by the set bits of its coset mask
     out = run_cli_process("verify", "--q", "2", "--what", "basis", "--f", "t",
                           "--g", "t^10", timeout=10)
     assert out.returncode == 0, out.stderr
@@ -839,8 +840,9 @@ def test_basis_check_at_the_largest_codomain_reads_digit_built_tables():
 
 
 def test_basis_check_of_every_enumerated_table_is_batched():
-    # 2^18 CP tables t^2 -> t^5, judged in one batched solve (6.8 s when
-    # each table was decomposed on its own)
+    # 2^18 CP tables t^2 -> t^5, judged by one walk that checks every value
+    # of a node against one coset mask (6.8 s when each table was
+    # decomposed on its own)
     out = run_cli_process("verify", "--q", "2", "--what", "basis", "--f", "t^2",
                           "--g", "t^5", "--guard-functions", "10000000")
     assert out.returncode == 0, out.stderr
@@ -1029,11 +1031,11 @@ def test_main_reuses_one_parser_like_fresh_processes(capsys, monkeypatch, tmp_pa
 
 
 def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
-    # numpy serves only the enumeration kernels and the batched basis
-    # solve: one table decomposes without it, the polynomial-function span
-    # runs on int rows, and the censuses, whose peak memory the benchmark
-    # bounds, never load it.  Nor does any command load dataclasses or
-    # inspect: the records of cpfq are plain classes
+    # no command loads numpy: the closed forms, the censuses and the span,
+    # and also the brute-force counts of both engines, the basis check's
+    # walk and samples, and the enumeration kernel as a library call.  Nor
+    # does any command load dataclasses or inspect: the records of cpfq
+    # are plain classes
     import random
 
     from cpfq.oracle import random_table
@@ -1052,12 +1054,28 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
             "             ['verify', '--q', '3', '--what', 'census', '--n', '4'],\n"
             "             ['verify', '--q', '2', '--what', 'poly-count', '--f', 't^3', '--g', 't^4+t'],\n"
             "             ['verify', '--q', '3', '--what', 'poly-count', '--f', 't^2', '--g', 't^3+t^2'],\n"
+            "             ['verify', '--q', '2', '--what', 'cpf-count', '--f', 't^2', '--g', 't^3+t'],\n"
+            "             ['verify', '--q', '2', '--what', 'cpf-count', '--f', 't^3', '--g', 't^2',\n"
+            "              '--engine', 'backtracking'],\n"
+            "             ['verify', '--q', '2', '--what', 'chen', '--f', 't^2', '--g', 't^3+t'],\n"
+            "             ['verify', '--q', '3', '--what', 'chen', '--f', 't', '--g', 't^2',\n"
+            "              '--engine', 'backtracking'],\n"
+            "             ['verify', '--q', '2', '--what', 'basis', '--f', 't^2', '--g', 't^3'],\n"
+            "             ['verify', '--q', '3', '--what', 'basis', '--f', 't', '--g', 't^2+1'],\n"
+            "             ['enumerate', '--q', '3', '--f', 't^2'],\n"
             "             ['decompose', '--q', '2', '--f', 't^2', '--P', 't', '--e', '2',\n"
             f"              '--sigma', {identity_table!r}],\n"
             "             ['characterize', '--q', '2', '--f', 't^3', '--g', 't^3+t^2',\n"
             f"              '--sigma', {str(sigma)!r}]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"
+            "from cpfq import (ResidueRing, count_cpf_bruteforce, enumerate_cpf_rows,\n"
+            "                  field_make, parse)\n"
+            "F = field_make(2)\n"
+            "for engine in ('exhaustive', 'backtracking'):\n"
+            "    assert count_cpf_bruteforce(parse(F, 't^2'), parse(F, 't^2'), engine) == 64\n"
+            "assert len(enumerate_cpf_rows(ResidueRing(parse(F, 't^2')),\n"
+            "                              ResidueRing(parse(F, 't^2')))) == 64\n"
             "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -264,8 +264,9 @@ def test_polynomial_functions_are_cp(q):
 def _digest(prob):
     h = hashlib.sha256()
     for a in (prob.cons_ptr, prob.cons_src, prob.cons_div, prob.cod_class):
+        a = np.asarray(a, dtype=np.int64)
         h.update(repr(a.shape).encode())
-        h.update(a.astype(np.int64).tobytes())
+        h.update(a.tobytes())
     return h.hexdigest()[:16]
 
 
@@ -327,9 +328,8 @@ def test_star_encoding_is_the_all_pairs_one_from_first_members(q, ftext, gtext):
                               if i in firsts[hi]]
     assert len(prob.cons_src) == sum(len(members) - 1 for h in cod.divisors
                                      for members in dom.classes(h))
-    assert prob.cod_class.dtype == ref.cod_class.dtype
-    assert prob.cod_class.tobytes() == ref.cod_class.tobytes()
-    assert prob.cod_class.shape == ref.cod_class.shape
+    assert prob.cod_class == ref.cod_class
+    assert all(type(x) is int for row in prob.cod_class for x in row)
 
 
 @pytest.mark.parametrize("q, ftext, gtext", GRID_CELLS)
@@ -347,8 +347,8 @@ def test_star_and_all_pairs_encodings_agree_on_the_grid(q, ftext, gtext):
     for kernel in (_kernels.count_exhaustive, _kernels.count_backtracking):
         assert kernel(*args[0]) == kernel(*args[1]) == sum(verdicts)
     star, pairs = (_kernels.enumerate_backtracking(*a) for a in args)
-    assert np.array_equal(star, pairs)
-    assert star.tolist() == rows[verdicts].tolist()
+    assert star == pairs
+    assert star == [tuple(row) for row in rows[verdicts].tolist()]
 
 
 # --------------------------------------------------- counts vs closed form

@@ -98,7 +98,7 @@ def test_removed_wrappers_stay_removed():
     # beside the code they check, not in the CLI
     from cpfq import cli, polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
-                        "crt_characterize"),
+                        "crt_characterize", "BasisBatch", "decompose_rows"),
                cli: ("_verify_basis", "_verify_crt", "_cp_verdicts", "CRT_BATCH"),
                polyring: ("monic_divisors",),
                residue: ("_crt_idempotents", "_shared_residues", "_reduction_map")}
@@ -115,7 +115,10 @@ def test_removed_wrappers_stay_removed():
     for cls, name in moved.items():
         assert name not in vars(cls), (cls.__name__, name)
     assert not hasattr(ColumnMap, "add_into")
-    assert not hasattr(residue.ResidueRing(polyring.parse(field_make(2), "t^3")), "indexed")
+    ring = residue.ResidueRing(polyring.parse(field_make(2), "t^3"))
+    assert not hasattr(ring, "indexed") and not hasattr(ring, "tables")
+    assert not hasattr(residue, "_digitwise")
+    assert not hasattr(wagner._BasisContext, "solve")
 
 
 def test_every_functools_cache_is_bounded():

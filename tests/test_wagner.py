@@ -8,23 +8,16 @@ import random
 import pytest
 
 from cpfq.counting import count_cpf_local
-from cpfq.guards import GuardExceeded, check_basis_tables
+from cpfq.guards import EnumerationGuard, GuardExceeded, check_basis_tables
 from cpfq.oracle import enumerate_cpf_rows, is_congruence_preserving, random_table
 from cpfq.polyring import (index_to_poly, monic_irreducibles, parse,
                            poly_to_index, to_text, valuation)
 from cpfq.residue import FunctionTable, ResidueRing, crt_split
-from cpfq.wagner import (
-    PSequence,
-    decompose,
-    decompose_rows,
-    eval_Qk,
-    floor_log,
-    mu,
-    verify_basis,
-)
-from helpers import (enumerate_cpf_tables, make_field, pol,
-                     random_polynomial_function, recompose, ref_basis_table,
-                     ref_basis_tables, ref_decompose, ring, table)
+from cpfq.wagner import PSequence, decompose, eval_Qk, floor_log, mu, verify_basis
+from helpers import (GRID_CELLS, context_tables, decompose_rows, enumerate_cpf_tables,
+                     make_field, pol, random_polynomial_function, recompose,
+                     ref_basis_table, ref_basis_tables, ref_decompose, ref_verify_basis,
+                     ring, table)
 
 # the sweep set: three primes over F_2, two over F_3
 PRIMES = [(2, "t"), (2, "t+1"), (2, "t^2+t+1"), (3, "t"), (3, "t^2+1")]
@@ -579,9 +572,10 @@ def test_domain_is_built_once_per_n(monkeypatch):
 
 
 # ----------------------------------------------------- batched solve
-# (q, f, P, e, admissible base of the P-sequence or None, enumerate the
-# CP tables too); every cell also decomposes 200 random tables and 50
-# random polynomial functions
+# The numpy batch of tests/helpers.py, the reference that verify_basis is
+# checked against.  (q, f, P, e, admissible base of the P-sequence or None,
+# enumerate the CP tables too); every cell also decomposes 200 random
+# tables and 50 random polynomial functions
 BATCH_CELLS = [
     (2, "t^2", "t", 3, None, True),
     (2, "t^3", "t^2+t+1", 1, ("0", "1", "t+1", "t"), True),
@@ -605,7 +599,7 @@ def test_batch_equals_decompose(q, ftext, ptext, e, base, enumerate_):
     rows = [[rng.randrange(cod.size) for _ in range(dom.size)] for _ in range(200)]
     rows += [[poly_to_index(v) for v in random_polynomial_function(dom, cod, rng).values]
              for _ in range(50)]
-    cp_rows = enumerate_cpf_rows(dom, cod).tolist() if enumerate_ else []
+    cp_rows = list(map(list, enumerate_cpf_rows(dom, cod))) if enumerate_ else []
     batch = decompose_rows(np.array(cp_rows + rows), cod, f.degree, seq)
     verdicts = batch.is_cpf().tolist()
     assert all(verdicts[:len(cp_rows)])
@@ -625,11 +619,12 @@ def test_batch_equals_decompose(q, ftext, ptext, e, base, enumerate_):
     (4, "t+u", 2), (9, "t", 2),
 ])
 def test_batch_tables_match_the_poly_op_build(q, ptext, e):
-    # the digit-built tables of A_{P^e} that solve reads, entry by entry
+    # the digit-built tables of A_{P^e} that the batched solve reads,
+    # entry by entry
     from cpfq.wagner import _prime_power_context
 
     ctx = _prime_power_context(ResidueRing(pol(q, ptext) ** e), 1, None)
-    got, want = ctx.tables(), ref_basis_tables(ctx)
+    got, want = context_tables(ctx), ref_basis_tables(ctx)
     for a, b in zip(got, want):
         assert a.shape == b.shape and (a == b).all()
 
@@ -653,14 +648,38 @@ def test_verify_basis_refuses_a_composite_g():
         verify_basis(pol(2, "t"), pol(2, "t^2+t"), random.Random(0), 1)
 
 
+def test_verify_basis_matches_the_batched_solve():
+    # the walk with its coset masks and the per-table samples against the
+    # enumerated rows and samples judged in one numpy batch, field by
+    # field, on the grid's prime power cells and a few cells over F_3, F_4
+    cells = [(pol(q, ftext), pol(q, gtext)) for q, ftext, gtext in GRID_CELLS]
+    cells = [(f, g) for f, g in cells if len(ResidueRing(g).factorization.factors) == 1]
+    assert len(cells) == 10
+    cells += [(pol(3, "t^2"), pol(3, "t")), (pol(3, "t"), pol(3, "t^2+1")),
+              (pol(3, "t"), pol(3, "t^2+t+1")), (pol(4, "t"), pol(4, "t^2+u"))]
+    verdicts = set()
+    for f, g in cells:
+        for seed in range(3):
+            got = verify_basis(f, g, random.Random(seed), 30)
+            assert got == ref_verify_basis(f, g, random.Random(seed), 30), (f, g, seed)
+            assert got["match"]
+            verdicts.add(got["cp_tables"] == ResidueRing(g).size ** ResidueRing(f).size)
+    assert verdicts == {True, False}  # with and without a constraint
+
+
 def test_batch_tables_refused_past_the_bound():
     import numpy as np
 
-    # |A_{P^e}| = 2^11: 2^22 table entries
+    # |A_{P^e}| = 2^11: 2^22 table entries, refused by the batched solve
+    # and by verify_basis before it walks a table
+    message = "basis tables guarded to |A_{P^e}|^2 <= 2^20, got 2^22 = 2^22.00"
     with pytest.raises(GuardExceeded) as exc:
         decompose_rows(np.zeros((1, 2), dtype=int), ResidueRing(pol(2, "t") ** 11), 1)
-    assert str(exc.value) == \
-        "basis tables guarded to |A_{P^e}|^2 <= 2^20, got 2^22 = 2^22.00"
+    assert str(exc.value) == message
+    big = EnumerationGuard(max_functions=2 ** 22)
+    with pytest.raises(GuardExceeded) as exc:
+        verify_basis(pol(2, "t"), pol(2, "t") ** 11, random.Random(0), 1, big)
+    assert str(exc.value) == message
     # the largest codomain admitted has 2^10 elements (test_cli runs the
     # basis check there)
     check_basis_tables(2, 10)
