@@ -139,9 +139,11 @@ def _cmd_density(args):
     field = _field_from_args(args)
     rho = chen.density_exact(field.q)
     out = {"q": field.q, "rho": _fraction_obj(rho)}
+    if not args.empirical and (args.max_degree is not None or args.monic_only):
+        raise ValueError("--max-degree and --monic-only need --empirical")
     if args.empirical:
-        rep = chen.density_empirical(field, args.max_degree,
-                                     monic_only=args.monic_only)
+        max_degree = 8 if args.max_degree is None else args.max_degree
+        rep = chen.density_empirical(field, max_degree, monic_only=args.monic_only)
         out["max_degree"] = rep.max_degree
         out["monic_only"] = rep.monic_only
         out["per_degree"] = list(rep.per_degree)
@@ -332,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", parents=[common],
                        help="density of self Chen pairs")
     p.add_argument("--empirical", action="store_true")
-    p.add_argument("--max-degree", type=int, default=8)
+    p.add_argument("--max-degree", type=int,
+                   help="highest census degree under --empirical (default 8)")
     p.add_argument("--monic-only", action="store_true")
     p.set_defaults(fn=_cmd_density)
 

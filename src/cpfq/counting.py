@@ -13,7 +13,7 @@ from every generalized factorial as the cross-check.
 from __future__ import annotations
 
 from ._record import FrozenRecord, setfield
-from .polyring import Poly, _distinct_degree, is_irreducible, squarefree_decomposition
+from .polyring import Poly, _distinct_degree, squarefree_decomposition
 
 DECIMAL_BITS = 64
 
@@ -90,13 +90,6 @@ def _require_pair(f: Poly, g: Poly) -> int:
     return n
 
 
-def _require_irreducible(p: Poly) -> int:
-    d = _require_modulus_degree(p, "P")
-    if not is_irreducible(p):
-        raise ValueError("P must be irreducible")
-    return d
-
-
 def _cpf_local_exponent(n: int, q: int, d: int, e: int) -> int:
     """Exponent of the count for deg f = n into A_{P^e}, deg P = d."""
     return d * (e * q ** n
@@ -119,18 +112,6 @@ def _count(local, f: Poly, g: Poly) -> QExponent:
 def count_cpf(f: Poly, g: Poly) -> QExponent:
     """Number of congruence-preserving functions A_f -> A_g."""
     return _count(_cpf_local_exponent, f, g)
-
-
-def count_cpf_local(f: Poly, p: Poly, e: int) -> QExponent:
-    """count_cpf for the prime power codomain modulus p^e, without
-
-    expanding the power."""
-    n = _require_modulus_degree(f, "f")
-    d = _require_irreducible(p)
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    q = f.field.q
-    return QExponent(q, _cpf_local_exponent(n, q, d, e))
 
 
 def _w(k: int, q: int, d: int) -> int:
@@ -164,12 +145,3 @@ def count_polyfn(f: Poly, g: Poly) -> QExponent:
     """Number of polynomial functions A_f -> A_g, from the factors of g of
     degree < deg f and the total degree of the rest, per exponent."""
     return _count(_polyfn_local_exponent, f, g)
-
-
-def count_polyfn_local(f: Poly, p: Poly, e: int) -> QExponent:
-    n = _require_modulus_degree(f, "f")
-    d = _require_irreducible(p)
-    if e < 1:
-        raise ValueError("exponent must be >= 1")
-    q = f.field.q
-    return QExponent(q, _polyfn_local_exponent(n, q, d, e))

@@ -22,7 +22,8 @@ from .field import FieldSpec
 from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_literal,
                      check_samples)
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
-                       _divmod_f2, _gcd_f2, _gcd_lists, gcd, index_to_poly)
+                       _divmod_f2, _divmod_lists, _gcd_f2, _gcd_lists, gcd,
+                       index_to_poly)
 from .residue import (FunctionTable, ResidueRing, combine_indices,
                       split_indices)
 
@@ -173,16 +174,6 @@ def count_cpf_bruteforce(f: Poly, g: Poly, engine: str = "exhaustive",
     if engine == "backtracking":
         return _kernels.count_backtracking(*args)
     raise ValueError(f"unknown engine {engine!r}")
-
-
-def enumerate_cpf_rows(domain: ResidueRing, codomain: ResidueRing,
-                       guard: EnumerationGuard = DEFAULT_GUARD) -> list:
-    """All congruence-preserving tables A_f -> A_g as the backtracking
-
-    kernel's rows: a list of tuples of A_g residue indices, each row listed
-    like A_f, in lexicographic order."""
-    args = _kernel_args(domain, codomain, guard)
-    return _kernels.enumerate_backtracking(*args)
 
 
 # ------------------------------------------- literal generalized factorials
@@ -412,15 +403,10 @@ def polyfn_module(f: Poly, g: Poly,
 _DRAW_WORDS = 1 << 12
 
 
-def random_table(domain: ResidueRing, codomain: ResidueRing, rng) -> FunctionTable:
-    """|A_f| values drawn uniformly from A_g by their residue indices."""
-    return FunctionTable._new(domain, codomain, random_values(domain, codomain, rng, 1))
-
-
 def random_values(domain: ResidueRing, codomain: ResidueRing, rng, samples: int) -> list:
-    """samples * |A_f| A_g indices drawn uniformly: the tables that as
+    """samples * |A_f| A_g indices drawn uniformly: `samples` tables A_f ->
 
-    many successive random_table calls draw, side by side.  They are the
+    A_g side by side, each listed like A_f.  They are the
     draws of rng.randrange(|A_g|), taken 32 bits at a time below 2^32: a
     word w gives w >> (32 - k), k the bit length of |A_g|, kept when below
     |A_g| and drawn again otherwise, so the values and the state of rng
@@ -540,7 +526,45 @@ def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
 
     u g is square-free iff g is, for every unit u, so the test runs on the
     q^n monic generators of the degree-n ideals only, and the count of all
-    leading coefficients is q - 1 times theirs."""
+    leading coefficients is q - 1 times theirs.  Over F_2 each packed
+    candidate takes _squarefree_test; otherwise _squarefree_monic shares
+    the part of the test that does not read the constant term."""
     check_census(field.q, n)
     units = 1 if monic_only else field.q - 1
-    return units * sum(map(_squarefree_test(field), _packed_polys(field, n)))
+    if field.q == 2:
+        return units * sum(map(_squarefree_test(field), _packed_polys(field, n)))
+    return units * _squarefree_monic(field, n)
+
+
+def _squarefree_monic(field: FieldSpec, n: int) -> int:
+    """The number of monic square-free g of degree n over F_q, q != 2, by
+
+    gcd(g, g') on each, walked as g = t h + a_0 over the q^(n-1) monic h of
+    degree n - 1.  g' does not read a_0, so each h takes one derivative:
+    - g' = 0 (g a p-th power): gcd(g, g') = g, and none of the q is
+      square-free;
+    - g' a unit: all q are;
+    - deg g' >= 1: g mod g' = r + a_0 for r = t h mod g', one division per
+      h, and gcd(g, g') = gcd(g', r + a_0).  As a_0 runs over F_q so does
+      the constant term of r + a_0, so the q candidates run the rest of
+      Euclid on g' and r with each constant term in turn.  When r is a
+      constant, one of them is 0 (gcd g') and the q - 1 others are units.
+    g = 1 (n = 0) and g = t + a_0 (n = 1, g' = 1) are all square-free."""
+    q = field.q
+    if n < 2:
+        return q ** n
+    count = 0
+    for h in _degree_n_lists(field, n - 1):
+        r = [0, *h]
+        dg = _derivative_lists(field, r)
+        if len(dg) < 2:
+            count += q if dg else 0
+            continue
+        _divmod_lists(field, r, dg)
+        if len(r) < 2:
+            count += q - 1
+            continue
+        for c in range(q):
+            r[0] = c
+            count += len(_gcd_lists(field, dg[:], r[:])) == 1
+    return count

@@ -19,10 +19,11 @@ check that the label maps are checked against, the all-units census
 walk, the all-pairs constraint encoding, the row check of an encoding,
 the odometer, boolean-broadcast, packed-word, blocked and full-depth
 numpy counts that the `_kernels` counts are checked against, the
-randrange draws that `random_values` is checked against, decoded table
-lists, random polynomial functions, the members of the
-polynomial-function span, the digit-relabeled literal route and the
-exponent identity."""
+congruence-preserving tables as rows of the enumeration kernel, decoded
+or not, one random table, the randrange draws that `random_values` is
+checked against, random polynomial functions, the members of the
+polynomial-function span, the digit-relabeled literal route, the
+exponent identity and the counts into one prime power A_{P^e}."""
 
 import functools
 from fractions import Fraction
@@ -30,15 +31,17 @@ from itertools import product
 
 import numpy as np
 
+from cpfq import _kernels
 from cpfq._record import FrozenRecord, setfield
 from cpfq.chen import _gamma_local
-from cpfq.counting import QExponent, _cpf_local_exponent, _polyfn_local_exponent
+from cpfq.counting import (QExponent, _cpf_local_exponent, _polyfn_local_exponent,
+                           _require_modulus_degree)
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD, check_basis_tables, check_samples
-from cpfq.oracle import (CpCheck, CpProblem, _cp_verdicts, _squarefree_test,
-                         enumerate_cpf_rows, random_values)
-from cpfq.polyring import (Poly, _distinct_degree, gcd, index_to_poly, parse,
-                           poly_to_index, squarefree_decomposition, valuation,
+from cpfq.oracle import (CpCheck, CpProblem, _cp_verdicts, _kernel_args,
+                         _squarefree_test, random_values)
+from cpfq.polyring import (Poly, _distinct_degree, gcd, index_to_poly, is_irreducible,
+                           parse, poly_to_index, squarefree_decomposition, valuation,
                            xgcd)
 from cpfq.residue import ColumnMap, FunctionTable, ResidueRing
 from cpfq.wagner import _context, _prime_power_context, eval_Qk, floor_log, mu
@@ -253,6 +256,27 @@ def ref_count_exponents(g, max_n):
             for n in range(1, max_n + 1)]
 
 
+def _local_count(exponent, f, p, e):
+    n = _require_modulus_degree(f, "f")
+    d = _require_modulus_degree(p, "P")
+    if not is_irreducible(p):
+        raise ValueError("P must be irreducible")
+    if e < 1:
+        raise ValueError("exponent must be >= 1")
+    return QExponent(f.field.q, exponent(n, f.field.q, d, e))
+
+
+def count_cpf_local(f, p, e):
+    """count_cpf for the prime power codomain modulus p^e, without
+    expanding the power."""
+    return _local_count(_cpf_local_exponent, f, p, e)
+
+
+def count_polyfn_local(f, p, e):
+    """count_polyfn for the prime power codomain modulus p^e."""
+    return _local_count(_polyfn_local_exponent, f, p, e)
+
+
 # ------------------------------------------- reference self-Chen closed forms
 def ref_chen_self_count_q2(n):
     """Self-Chen polynomials of degree n over F_2: a table up to n = 3, then
@@ -431,7 +455,7 @@ def decompose_rows(values, codomain, n, seq=None):
 
     in one batched triangular substitution: values is a (B, q^n) int array
     of A_g residue indices, each row listed like A_f, as the rows of
-    `oracle.enumerate_cpf_rows`."""
+    `enumerate_cpf_rows`."""
     ctx = _prime_power_context(codomain, n, seq)
     coords = solve(ctx, values)
     return BasisBatch(coords, context_tables(ctx)[2][coords],
@@ -875,6 +899,14 @@ def ref_count_backtracking(*args):
     return count
 
 
+def enumerate_cpf_rows(domain, codomain, guard=DEFAULT_GUARD):
+    """All congruence-preserving tables A_f -> A_g as the backtracking
+
+    kernel's rows: a list of tuples of A_g residue indices, each row listed
+    like A_f, in lexicographic order."""
+    return _kernels.enumerate_backtracking(*_kernel_args(domain, codomain, guard))
+
+
 def enumerate_cpf_tables(f, g, guard=DEFAULT_GUARD):
     """All congruence-preserving tables, decoded from enumerate_cpf_rows."""
     dom, cod = ResidueRing(f), ResidueRing(g)
@@ -889,6 +921,12 @@ def apply_coeff_poly(coeffs, h, g):
     for c in reversed(list(coeffs)):
         acc = (acc * h + c) % g
     return acc
+
+
+def random_table(domain, codomain, rng):
+    """|A_f| values drawn uniformly from A_g by their residue indices: the
+    one-table case of `random_values`."""
+    return FunctionTable._new(domain, codomain, random_values(domain, codomain, rng, 1))
 
 
 def ref_random_values(domain, codomain, rng, samples):

@@ -19,12 +19,12 @@ from cpfq.counting import _polyfn_local_exponent, _w, count_cpf, count_polyfn
 from cpfq.oracle import (census_self_chen, census_squarefree,
                          count_cpf_bruteforce, count_polyfn_literal,
                          deg_gcd_factorial, is_congruence_preserving,
-                         polyfn_module, random_table)
+                         polyfn_module)
 from cpfq.polyring import Poly, factorize, parse, valuation
 from cpfq.residue import FunctionTable, ResidueRing, crt_combine, crt_split
 from cpfq.wagner import PSequence, decompose, eval_Qk, mu
 from helpers import (decompose_rows, enumerate_cpf_tables, exponent_identity_check,
-                     make_field, monic_upto, pol)
+                     make_field, monic_upto, pol, random_table)
 
 
 @contextmanager

@@ -167,6 +167,16 @@ def test_census_and_density_golden(capsys, argv, code, out, err):
 
 
 @pytest.mark.parametrize("argv", [
+    "density --q 3 --monic-only --max-degree 3",
+    "density --q 3 --max-degree 8",
+    "density --p 2 --m 2 --monic-only"])
+def test_density_census_flags_need_empirical(capsys, argv):
+    # the census flags without --empirical were once read as nothing
+    assert run_cli(capsys, *argv.split()) == (
+        1, "", '{"error": "--max-degree and --monic-only need --empirical"}\n')
+
+
+@pytest.mark.parametrize("argv", [
     "density --q 3 --empirical --max-degree 5 --monic-only",
     "density --p 2 --m 2 --empirical --max-degree 5 --monic-only"])
 def test_monic_only_density_counts_one_leading_unit(capsys, argv):
@@ -438,7 +448,7 @@ def test_crt_check_builds_no_witness(capsys, monkeypatch):
 
     from cpfq import oracle, residue
     from cpfq.residue import ResidueRing
-    from helpers import ring
+    from helpers import random_table, ring
 
     built = []
 
@@ -450,7 +460,7 @@ def test_crt_check_builds_no_witness(capsys, monkeypatch):
         monkeypatch.setattr(module, "index_to_poly", counted(module.index_to_poly))
     dom, cod = ring(2, "t^3"), ring(2, "t^4+t^3+t+1")
     assert not oracle.is_congruence_preserving(
-        oracle.random_table(dom, cod, random.Random(0)))
+        random_table(dom, cod, random.Random(0)))
     built.clear()
     obj = run_json(capsys, "verify", "--q", "2", "--what", "crt", "--f", "t^3",
                    "--g", "t^4+t^3+t+1", "--samples", "20")
@@ -776,8 +786,7 @@ def test_largest_basis_context_decomposes_quickly(tmp_path):
     # |A_f| = 2^10 into t^3: the largest F_2 domain under the |A_f|^2 bound
     import random
 
-    from cpfq.oracle import random_table
-    from helpers import ring
+    from helpers import random_table, ring
 
     path = tmp_path / "sigma.json"
     table = random_table(ring(2, "t^10"), ring(2, "t^3"), random.Random(5))
@@ -1038,8 +1047,7 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
     # are plain classes
     import random
 
-    from cpfq.oracle import random_table
-    from helpers import ring
+    from helpers import random_table, ring
 
     sigma = tmp_path / "crt.json"
     sigma.write_text(random_table(ring(2, "t^3"), ring(2, "t^3+t^2"),
@@ -1069,13 +1077,15 @@ def test_closed_form_commands_do_not_load_numpy(tmp_path, identity_table):
             f"              '--sigma', {str(sigma)!r}]):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        assert main(argv) == 0\n"
-            "from cpfq import (ResidueRing, count_cpf_bruteforce, enumerate_cpf_rows,\n"
-            "                  field_make, parse)\n"
+            "from cpfq import ResidueRing, count_cpf_bruteforce, field_make, parse\n"
+            "from cpfq._kernels import enumerate_backtracking\n"
+            "from cpfq.guards import DEFAULT_GUARD\n"
+            "from cpfq.oracle import _kernel_args\n"
             "F = field_make(2)\n"
             "for engine in ('exhaustive', 'backtracking'):\n"
             "    assert count_cpf_bruteforce(parse(F, 't^2'), parse(F, 't^2'), engine) == 64\n"
-            "assert len(enumerate_cpf_rows(ResidueRing(parse(F, 't^2')),\n"
-            "                              ResidueRing(parse(F, 't^2')))) == 64\n"
+            "ring = ResidueRing(parse(F, 't^2'))\n"
+            "assert len(enumerate_backtracking(*_kernel_args(ring, ring, DEFAULT_GUARD))) == 64\n"
             "print(sorted({'numpy', 'dataclasses', 'inspect'} & set(sys.modules)))")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -6,20 +6,13 @@ import random
 import pytest
 
 from cpfq.chen import GAMMA_INF, gamma
-from cpfq.counting import (
-    QExponent,
-    _polyfn_local_exponent,
-    count_cpf,
-    count_cpf_local,
-    count_polyfn,
-    count_polyfn_local,
-)
+from cpfq.counting import QExponent, _polyfn_local_exponent, count_cpf, count_polyfn
 from cpfq.guards import GuardExceeded
 from cpfq.oracle import count_polyfn_literal, deg_gcd_factorial
 from cpfq.polyring import Poly, _ModRing, factorize, gcd
-from helpers import (all_units_lists, exponent_identity_check, make_field,
-                     monic_upto, pol, ref_count_exponents, ref_gamma,
-                     relabeled_count_polyfn_literal)
+from helpers import (all_units_lists, count_cpf_local, count_polyfn_local,
+                     exponent_identity_check, make_field, monic_upto, pol,
+                     ref_count_exponents, ref_gamma, relabeled_count_polyfn_literal)
 
 
 # ------------------------------------------------------------- QExponent

@@ -16,25 +16,25 @@ from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
 from cpfq import _kernels
 from cpfq.oracle import (
     CpCheck,
+    _packed_polys,
+    _squarefree_test,
     census_self_chen,
     census_squarefree,
     congruence_failures,
     count_cpf_bruteforce,
     encode_cp_problem,
-    enumerate_cpf_rows,
     is_congruence_preserving,
     polyfn_module,
-    random_table,
     random_values,
 )
-from cpfq.polyring import index_to_poly, poly_to_index, to_text
+from cpfq.polyring import _derivative_lists, index_to_poly, poly_to_index, to_text
 from cpfq.residue import FunctionTable, ResidueRing
 from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
-                     enumerate_cpf_tables, make_field, monic_polys, monic_upto,
-                     pol, polyfn_members, random_polynomial_function,
-                     ref_census_all_units, ref_classes, ref_encode_cp_problem,
-                     ref_is_congruence_preserving, ref_random_values, ring,
-                     span_rows, table, value_at)
+                     enumerate_cpf_rows, enumerate_cpf_tables, make_field, monic_polys,
+                     monic_upto, pol, polyfn_members, random_polynomial_function,
+                     random_table, ref_census_all_units, ref_classes,
+                     ref_encode_cp_problem, ref_is_congruence_preserving,
+                     ref_random_values, ring, span_rows, table, value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -547,6 +547,42 @@ def test_census_matches_the_all_units_walk(q):
     assert [census_squarefree(F, n, monic_only=False) for n in degrees] == want
     assert [census_self_chen(F, n).total for n in degrees] == want
     assert list(density_empirical(F, degrees[-1]).per_degree) == want[1:]
+
+
+def _derivative_shapes(F, n):
+    """Which g' the degree-n monic candidates have: zero (g a p-th power),
+    a unit, degree below n - 1 (p | n), or degree n - 1."""
+    shapes = set()
+    for cs in _packed_polys(F, n):
+        d = len(_derivative_lists(F, cs)) - 1
+        shapes.add("zero" if d < 0 else "unit" if d == 0 else "short" if d < n - 1
+                   else "full")
+    return shapes
+
+
+# (q, the largest n that a census test walks at q)
+@pytest.mark.parametrize("q, top", [(3, 10), (4, 7), (5, 5), (7, 4), (9, 4)])
+def test_prefix_census_matches_the_per_candidate_test(q, top):
+    """census_squarefree takes g' and the first remainder once per prefix
+    t^n + ... + a_1 t, the reference the gcd test on each packed candidate:
+    equal at n = 0 and 1 and on every n up to top over the monic
+    candidates, and up to q^n = 2^12 over every leading coefficient."""
+    F = make_field(q)
+    for n in range(top + 1):
+        want = sum(map(_squarefree_test(F), _packed_polys(F, n)))
+        assert census_squarefree(F, n) == want, n
+        if q ** n <= 2 ** 12:
+            assert census_squarefree(F, n, monic_only=False) == (q - 1) * want, n
+
+
+def test_prefix_census_degrees_reach_every_shape_of_the_derivative():
+    # p | n leaves deg g' < n - 1 and holds the p-th powers, g' = 0, which
+    # the prefix census answers without a division
+    F3, F5 = make_field(3), make_field(5)
+    assert _derivative_shapes(F3, 1) == {"unit"}
+    for F, n in ((F3, 3), (F3, 6), (F5, 5)):
+        assert {"zero", "short"} <= _derivative_shapes(F, n), (F.q, n)
+    assert _derivative_shapes(F3, 4) == {"full"}
 
 
 # ----------------------------------------------------------------- guards

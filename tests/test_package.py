@@ -95,10 +95,14 @@ def test_removed_wrappers_stay_removed():
     # combine is one ColumnMap, with no list of lifts and no hand-built
     # inverse; the split reads the label maps, rings share no residues,
     # and a ColumnMap has no coefficient-list route; the verify checks live
-    # beside the code they check, not in the CLI
-    from cpfq import cli, polyring, residue, wagner
+    # beside the code they check, not in the CLI; the counts into one prime
+    # power, the enumeration of the CP rows and the one-table draw, which no
+    # command calls, are references in tests/helpers.py
+    from cpfq import cli, counting, oracle, polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
                         "crt_characterize", "BasisBatch", "decompose_rows"),
+               counting: ("count_cpf_local", "count_polyfn_local", "_require_irreducible"),
+               oracle: ("enumerate_cpf_rows", "random_table"),
                cli: ("_verify_basis", "_verify_crt", "_cp_verdicts", "CRT_BATCH"),
                polyring: ("monic_divisors",),
                residue: ("_crt_idempotents", "_shared_residues", "_reduction_map")}

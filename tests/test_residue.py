@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cpfq import residue
 from cpfq.field import field_make
 from cpfq.guards import GuardExceeded
-from cpfq.oracle import random_table, random_values
+from cpfq.oracle import random_values
 from cpfq.polyring import NEG_INF, Poly, parse, poly_to_index, to_text, xgcd
 from cpfq.residue import (
     ColumnMap,
@@ -24,8 +24,8 @@ from cpfq.residue import (
     split_indices,
 )
 from helpers import (GRID_CELLS, apply_column_map, digit_tables, make_field, pol,
-                     reduce_mod, ref_crt_combine, ref_crt_split, ref_ring_tables, ring,
-                     table, value_at)
+                     random_table, reduce_mod, ref_crt_combine, ref_crt_split,
+                     ref_ring_tables, ring, table, value_at)
 
 
 def test_reduce_canonical():

@@ -7,15 +7,15 @@ import random
 
 import pytest
 
-from cpfq.counting import count_cpf_local
 from cpfq.guards import EnumerationGuard, GuardExceeded, check_basis_tables
-from cpfq.oracle import enumerate_cpf_rows, is_congruence_preserving, random_table
+from cpfq.oracle import is_congruence_preserving
 from cpfq.polyring import (index_to_poly, monic_irreducibles, parse,
                            poly_to_index, to_text, valuation)
 from cpfq.residue import FunctionTable, ResidueRing, crt_split
 from cpfq.wagner import PSequence, decompose, eval_Qk, floor_log, mu, verify_basis
-from helpers import (GRID_CELLS, context_tables, decompose_rows, enumerate_cpf_tables,
-                     make_field, pol, random_polynomial_function, recompose,
+from helpers import (GRID_CELLS, context_tables, count_cpf_local, decompose_rows,
+                     enumerate_cpf_rows, enumerate_cpf_tables, make_field, pol,
+                     random_polynomial_function, random_table, recompose,
                      ref_basis_table, ref_basis_tables, ref_decompose, ref_verify_basis,
                      ring, table)
 
