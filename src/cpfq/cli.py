@@ -237,10 +237,14 @@ def _cmd_verify(args):
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     out = {"what": args.what, "q": field.q}
     if args.what == "census":
+        if args.f is not None or args.g is not None:
+            raise ValueError("verify --what census takes --n, not --f or --g")
         if args.n is None:
             raise ValueError("verify --what census needs --n")
         out.update(chen.verify_census(field, args.n))
     else:
+        if args.n is not None:
+            raise ValueError(f"verify --what {args.what} takes --f and --g, not --n")
         if not args.f or not args.g:
             raise ValueError(f"verify --what {args.what} needs --f and --g")
         f = _parse_poly(field, args.f, "f")

@@ -14,6 +14,7 @@ generalized factorials k! over the a_k in index order.
 from __future__ import annotations
 
 import struct
+from itertools import compress
 
 from . import _kernels
 from ._record import FrozenRecord, Record, setfield
@@ -22,8 +23,7 @@ from .field import FieldSpec
 from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_literal,
                      check_samples)
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
-                       _divmod_f2, _divmod_lists, _gcd_f2, _gcd_lists, gcd,
-                       index_to_poly)
+                       _divmod_lists, _gcd_lists, gcd, index_to_poly)
 from .residue import (FunctionTable, ResidueRing, combine_indices,
                       split_indices)
 
@@ -465,21 +465,55 @@ def verify_crt(f: Poly, g: Poly, rng, samples: int,
 
 
 # --------------------------------------------------------------- censuses
-def _packed_polys(field: FieldSpec, n: int):
-    """One generator of each degree-n ideal (g) of F_q[t], in the packed
-    form of the censuses and in index order: the monic one.  Over F_2 a
-    polynomial is its index, so they are range(2^n, 2^(n+1)); otherwise
-    they are the q^n monic coefficient lists."""
-    if field.q == 2:
-        return range(1 << n, 2 << n)
-    return _degree_n_lists(field, n)
+# Over F_2 the censuses pack a polynomial as its index: the int whose bit k
+# is its t^k coefficient.  The monic g of degree n are range(2^n, 2^(n+1)).
+def _sieve_f2(n: int, moduli) -> bytearray:
+    """One flag per monic g of degree n over F_2, at g - 2^n: 0 when some
+    m of `moduli` (packed) divides g, 1 otherwise.
+
+    The multiples g = m h of one m are walked with h in Gray-code order
+    from t^k, k = n - deg m: consecutive h differ in one bit b, so
+    consecutive g differ by m << b, one XOR per mark."""
+    top = 1 << n
+    flags = bytearray(b"\1") * top
+    steps = b""  # the bit flipped at each step of the Gray code on n bits
+    for b in range(n):
+        steps += bytes((b,)) + steps
+    for m in moduli:
+        k = n + 1 - m.bit_length()
+        if k < 0:
+            continue
+        shifts = [m << b for b in range(k)]
+        g = (m << k) ^ top
+        flags[g] = 0
+        for b in steps[:(1 << k) - 1]:
+            g ^= shifts[b]
+            flags[g] = 0
+    return flags
 
 
-def _squarefree_test(field: FieldSpec):
-    """The gcd square-freeness test on one packed candidate of _packed_polys."""
-    if field.q == 2:
-        return lambda a: _gcd_f2(a, _derivative_f2(a)) == 1
-    return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
+def _irreducibles_f2(top: int) -> list:
+    """The monic irreducibles of F_2[t] of degree 1 to top, packed, in
+    index order: at each degree d, what _sieve_f2 leaves after the
+    irreducibles of degree at most d / 2."""
+    irreducibles: list = []
+    for d in range(1, top + 1):
+        low = [p for p in irreducibles if 2 * (p.bit_length() - 1) <= d]
+        irreducibles += compress(range(1 << d, 2 << d), _sieve_f2(d, low))
+    return irreducibles
+
+
+def _square_multiples_f2(n: int, e: int) -> bytearray:
+    """_sieve_f2 of the degree-n g on t^e, (t+1)^e and P^2 for each monic
+    irreducible P with 2 <= deg P <= n / 2: 1 is left at the g with
+    v_t(g) < e, v_{t+1}(g) < e and v_P(g) <= 1 at every other P.  P^2 is
+    P with bit i moved to bit 2i (the Frobenius of F_2[t])."""
+    t1 = 1  # (t + 1)^e
+    for _ in range(e):
+        t1 ^= t1 << 1
+    squares = [int("0".join(format(p, "b")), 2)
+               for p in _irreducibles_f2(n // 2) if p > 0b11]
+    return _sieve_f2(n, [1 << e, t1, *squares])
 
 
 class SelfChenCensus(FrozenRecord):
@@ -495,44 +529,40 @@ class SelfChenCensus(FrozenRecord):
 def census_self_chen(field: FieldSpec, n: int,
                      monic_only: bool = False) -> SelfChenCensus:
     """Count degree-n moduli g with every congruence-preserving function
-    A_g -> A_g polynomial, testing each g directly by valuations and the
-    gcd square-freeness test (no factorization, no closed forms).
+    A_g -> A_g polynomial, testing each g directly (no factorization, no
+    closed forms).
 
     For q != 2 these g are the square-free ones, counted by
-    census_squarefree on one monic generator per ideal.  For q = 2 the
-    count is split by the valuations at t and t+1: both <= 1 / exactly the
-    first = 2 / exactly the second = 2 / both = 2."""
+    census_squarefree on one monic generator per ideal.  For q = 2 they are
+    the g with v_t(g) <= 2, v_{t+1}(g) <= 2 and no other square factor,
+    the ones that _square_multiples_f2(n, 3) leaves.  The count is split
+    by the valuations at t and t+1: both <= 1 / exactly the first = 2 /
+    exactly the second = 2 / both = 2.  v_t(g) is the number of trailing
+    zero bits.  t + 1 divides g iff g has an even number of terms, and
+    (t+1)^2 divides g iff t + 1 divides both g and g'."""
     if field.q != 2:
         return SelfChenCensus(n, census_squarefree(field, n, monic_only), None)
     check_census(field.q, n)
     comps = [0, 0, 0, 0]
-    for g in _packed_polys(field, n):
-        v0 = (g & -g).bit_length() - 1  # at t: the trailing zero bits
-        if v0 > 2:
-            continue
-        rest, v1 = g >> v0, 0
-        while v1 <= 2:  # at t+1 = 0b11, by division, stopping past 2
-            quo, r = _divmod_f2(rest, 0b11)
-            if r:
-                break
-            rest, v1 = quo, v1 + 1
-        if v1 <= 2 and _gcd_f2(rest, _derivative_f2(rest)) == 1:
-            comps[(v0 == 2) + 2 * (v1 == 2)] += 1
+    for g in compress(range(1 << n, 2 << n), _square_multiples_f2(n, 3)):
+        v1_is_2 = not (g.bit_count() & 1 or _derivative_f2(g).bit_count() & 1)
+        comps[(g & 7 == 4) + 2 * v1_is_2] += 1
     return SelfChenCensus(n, sum(comps), tuple(comps))
 
 
 def census_squarefree(field: FieldSpec, n: int, monic_only: bool = True) -> int:
-    """Count square-free degree-n polynomials by the gcd test.
+    """Count square-free degree-n polynomials, testing each one.
 
     u g is square-free iff g is, for every unit u, so the test runs on the
     q^n monic generators of the degree-n ideals only, and the count of all
-    leading coefficients is q - 1 times theirs.  Over F_2 each packed
-    candidate takes _squarefree_test; otherwise _squarefree_monic shares
+    leading coefficients is q - 1 times theirs.  Over F_2 the square-free
+    g are those that _square_multiples_f2(n, 2) leaves, no P^2 dividing
+    them; otherwise _squarefree_monic takes gcd(g, g') on each, sharing
     the part of the test that does not read the constant term."""
     check_census(field.q, n)
-    units = 1 if monic_only else field.q - 1
     if field.q == 2:
-        return units * sum(map(_squarefree_test(field), _packed_polys(field, n)))
+        return _square_multiples_f2(n, 2).count(1)
+    units = 1 if monic_only else field.q - 1
     return units * _squarefree_monic(field, n)
 
 

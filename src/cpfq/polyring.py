@@ -60,10 +60,22 @@ def _divmod_lists(f: FieldSpec, num: list, den) -> list:
 
 
 def _gcd_lists(f: FieldSpec, x: list, y: list) -> list:
-    """A gcd of the coefficient lists x and y (not made monic), by Euclid
-    through _divmod_lists; both lists are consumed."""
+    """A gcd of the coefficient lists x and y (not made monic): the last
+    nonzero remainder of Euclid.  Each step reduces x mod y in place and
+    keeps no quotient; both lists are consumed."""
+    add, mul, neg, inv = f._add, f._mul, f._neg, f._inv
     while y:
-        _divmod_lists(f, x, y)
+        dd = len(y) - 1
+        inv_row = mul[inv[y[-1]]]
+        for top in range(len(x) - 1, dd - 1, -1):
+            c = inv_row[x[top]]
+            if c:  # x -= c t^(top - dd) y; x[top] turns 0 and is dropped
+                row = mul[neg[c]]
+                for k, b in zip(range(top - dd, top), y):
+                    x[k] = add[x[k]][row[b]]
+        del x[dd:]
+        while x and x[-1] == 0:
+            x.pop()
         x, y = y, x
     return x
 
@@ -78,27 +90,7 @@ def _derivative_lists(f: FieldSpec, cs) -> list:
 
 
 # F_2[t] packed: a polynomial is the int whose bit k is its t^k
-# coefficient, which is also its index k of a_k.  Addition is XOR and
-# multiplication by t^s a shift.
-def _divmod_f2(a: int, b: int) -> tuple:
-    """(quotient, remainder) of a by a nonzero b, by shift-XOR."""
-    db = b.bit_length()
-    quo = 0
-    while True:
-        s = a.bit_length() - db
-        if s < 0:
-            return quo, a
-        quo |= 1 << s
-        a ^= b << s
-
-
-def _gcd_f2(a: int, b: int) -> int:
-    """gcd by Euclid on _divmod_f2 (monic: F_2 has one unit)."""
-    while b:
-        a, b = b, _divmod_f2(a, b)[1]
-    return a
-
-
+# coefficient, which is also its index k of a_k.
 def _derivative_f2(a: int) -> int:
     """Only the odd powers survive: bit 2j + 1 goes to bit 2j."""
     k = (a.bit_length() + 1) >> 1

@@ -3,7 +3,9 @@ polynomial parsing, monic enumeration, reduction mod g, the accessors
 that only the tests read (a table's value at a residue, a field
 element's coordinates, the product of a factorization, a ColumnMap
 applied to a residue), the per-coefficient reference ring ops that the
-table-row arithmetic of `Poly` is checked against, the trial-division
+table-row arithmetic of `Poly` is checked against, the Euclid through
+`_divmod_lists` that the remainder-only `_gcd_lists` is checked against,
+the shift-XOR divmod and gcd of packed F_2 polynomials, the trial-division
 factorization that `factorize` is checked against, the full factor shape
 that `chen.gamma` and the counts are checked against, the Poly route of the
 basis decomposition that `decompose` is checked against, the batched
@@ -16,9 +18,11 @@ generators and numpy row ops that the packed rows of `PolyFnModule` are
 checked against (and the decoding of those rows), and the oracle
 references that only the tests use: the Poly-op classes and definitional
 check that the label maps are checked against, the all-units census
-walk, the all-pairs constraint encoding, the row check of an encoding,
-the odometer, boolean-broadcast, packed-word, blocked and full-depth
-numpy counts that the `_kernels` counts are checked against, the
+walk, the per-candidate gcd census and the F_2 census by valuations that
+the sieve and the prefix census are checked against, the all-pairs
+constraint encoding, the row check of an encoding, the odometer,
+boolean-broadcast, packed-word, blocked and full-depth numpy counts that
+the `_kernels` counts are checked against, the
 congruence-preserving tables as rows of the enumeration kernel, decoded
 or not, one random table, the randrange draws that `random_values` is
 checked against, random polynomial functions, the members of the
@@ -38,11 +42,11 @@ from cpfq.counting import (QExponent, _cpf_local_exponent, _polyfn_local_exponen
                            _require_modulus_degree)
 from cpfq.field import field_make
 from cpfq.guards import DEFAULT_GUARD, check_basis_tables, check_samples
-from cpfq.oracle import (CpCheck, CpProblem, _cp_verdicts, _kernel_args,
-                         _squarefree_test, random_values)
-from cpfq.polyring import (Poly, _distinct_degree, gcd, index_to_poly, is_irreducible,
-                           parse, poly_to_index, squarefree_decomposition, valuation,
-                           xgcd)
+from cpfq.oracle import CpCheck, CpProblem, _cp_verdicts, _kernel_args, random_values
+from cpfq.polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
+                           _distinct_degree, _divmod_lists, _gcd_lists, gcd, index_to_poly,
+                           is_irreducible, parse, poly_to_index,
+                           squarefree_decomposition, valuation, xgcd)
 from cpfq.residue import ColumnMap, FunctionTable, ResidueRing
 from cpfq.wagner import _context, _prime_power_context, eval_Qk, floor_log, mu
 
@@ -179,6 +183,38 @@ def ref_divmod(x, y):
             for i in range(dd + 1):
                 num[shift + i] = f.sub(num[shift + i], f.mul(c, den[i]))
     return Poly(f, quo), Poly(f, num[:dd])
+
+
+def ref_gcd_lists(f, x, y):
+    """Euclid on coefficient lists through _divmod_lists, each step taking
+    a quotient it throws away: the route that polyring._gcd_lists, which
+    keeps only the remainders, is checked against; both lists are
+    consumed."""
+    while y:
+        _divmod_lists(f, x, y)
+        x, y = y, x
+    return x
+
+
+# F_2[t] packed as in the censuses: a polynomial is the int whose bit k is
+# its t^k coefficient.  Addition is XOR and multiplication by t^s a shift.
+def _divmod_f2(a, b):
+    """(quotient, remainder) of a by a nonzero b, by shift-XOR."""
+    db = b.bit_length()
+    quo = 0
+    while True:
+        s = a.bit_length() - db
+        if s < 0:
+            return quo, a
+        quo |= 1 << s
+        a ^= b << s
+
+
+def _gcd_f2(a, b):
+    """gcd by Euclid on _divmod_f2 (monic: F_2 has one unit)."""
+    while b:
+        a, b = b, _divmod_f2(a, b)[1]
+    return a
 
 
 # ------------------------------------------- reference factorization
@@ -963,6 +999,44 @@ def polyfn_members(module):
                                        for a in range(0, block, m)]))
         tables.append(FunctionTable(module.domain, module.codomain, values))
     return tables
+
+
+def _packed_polys(field, n):
+    """One generator of each degree-n ideal (g) of F_q[t], packed as the
+    censuses pack them and in index order: the monic one.  Over F_2 a
+    polynomial is its index, so they are range(2^n, 2^(n+1)); otherwise
+    they are the q^n monic coefficient lists."""
+    if field.q == 2:
+        return range(1 << n, 2 << n)
+    return _degree_n_lists(field, n)
+
+
+def _squarefree_test(field):
+    """The gcd square-freeness test on one packed candidate of _packed_polys:
+    the per-candidate test that the censuses are checked against."""
+    if field.q == 2:
+        return lambda a: _gcd_f2(a, _derivative_f2(a)) == 1
+    return lambda cs: len(_gcd_lists(field, cs, _derivative_lists(field, cs))) == 1
+
+
+def ref_census_self_chen_f2(n):
+    """The components of oracle.census_self_chen over F_2 at degree n, by
+    the valuations at t and t+1 of each packed candidate and the gcd test
+    on what is left: the per-candidate walk that the sieve replaced."""
+    comps = [0, 0, 0, 0]
+    for g in range(1 << n, 2 << n):
+        v0 = (g & -g).bit_length() - 1  # at t: the trailing zero bits
+        if v0 > 2:
+            continue
+        rest, v1 = g >> v0, 0
+        while v1 <= 2:  # at t+1 = 0b11, by division, stopping past 2
+            quo, r = _divmod_f2(rest, 0b11)
+            if r:
+                break
+            rest, v1 = quo, v1 + 1
+        if v1 <= 2 and _gcd_f2(rest, _derivative_f2(rest)) == 1:
+            comps[(v0 == 2) + 2 * (v1 == 2)] += 1
+    return tuple(comps)
 
 
 def is_squarefree_gcd(g):

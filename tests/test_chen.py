@@ -18,11 +18,11 @@ from cpfq.chen import (
     squarefree_count,
 )
 from cpfq.counting import count_cpf, count_polyfn
-from cpfq.oracle import (_packed_polys, _squarefree_test, census_self_chen,
-                         census_squarefree)
+from cpfq.oracle import census_self_chen, census_squarefree
 from cpfq.polyring import Poly, gcd, poly_to_index
-from helpers import (all_units_lists, is_squarefree_gcd, make_field, monic_upto,
-                     pol, ref_chen_self_count_q2, ref_density, ref_is_self_chen)
+from helpers import (_packed_polys, _squarefree_test, all_units_lists, is_squarefree_gcd,
+                     make_field, monic_upto, pol, ref_chen_self_count_q2, ref_density,
+                     ref_is_self_chen)
 
 PRIME_POWERS_TO_16 = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
 
@@ -186,7 +186,7 @@ def test_chen_self_count_matches_reference_q2():
 
 def test_chen_self_count_matches_censuses():
     # every (q, n) with q^n <= 2^12, a test budget inside the 2^16 census
-    # guard: at q = 2 both censuses take 10 s together at n = 16
+    # guard; test_oracle walks the F_2 census up to the guard
     for q in (2, 3, 4, 5, 7, 8, 9):
         F = make_field(q)
         top = max(n for n in range(1, 13) if q ** n <= 2 ** 12)

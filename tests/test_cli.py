@@ -166,6 +166,24 @@ def test_census_and_density_golden(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv.split()) == (code, out, err)
 
 
+@pytest.mark.parametrize("argv,error", [
+    ("verify --q 2 --what census --n 5 --f t",
+     "verify --what census takes --n, not --f or --g"),
+    ("verify --q 3 --what census --g t^2 --n 2",
+     "verify --what census takes --n, not --f or --g"),
+    ("verify --q 2 --what census --f t --g t",
+     "verify --what census takes --n, not --f or --g"),
+    ("verify --q 2 --what cpf-count --f t --g t^2 --n 5",
+     "verify --what cpf-count takes --f and --g, not --n"),
+    ("verify --q 2 --what crt --f t --g t^2+t --n 0",
+     "verify --what crt takes --f and --g, not --n"),
+    ("verify --p 2 --m 2 --what basis --n 3",
+     "verify --what basis takes --f and --g, not --n")])
+def test_verify_refuses_the_flags_its_what_does_not_read(capsys, argv, error):
+    # census ignored --f and --g, and every other --what ignored --n
+    assert run_cli(capsys, *argv.split()) == (1, "", json.dumps({"error": error}) + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     "density --q 3 --monic-only --max-degree 3",
     "density --q 3 --max-degree 8",
@@ -736,6 +754,23 @@ def test_huge_enumeration_refused_quickly(argv):
     out = run_cli_process(*argv)
     assert out.returncode == 1 and out.stdout == ""
     assert "guard" in json.loads(out.stderr)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "2", "--what", "census", "--n", "16"),
+    ("density", "--q", "2", "--empirical", "--max-degree", "16"),
+], ids=["census", "density"])
+def test_largest_f2_census_answers(argv):
+    # q^n = 2^16, the largest census the guard admits: 0.27-0.29 s and
+    # 0.43-0.48 s as whole processes with one gcd per candidate, 0.09-0.10 s
+    # and 0.10-0.12 s by the sieve of square multiples (2-vCPU host)
+    out = run_cli_process(*argv, timeout=10)
+    assert out.returncode == 0, out.stderr
+    from cpfq.chen import chen_self_count
+
+    obj = json.loads(out.stdout)
+    got = obj["census"] if "census" in obj else obj["per_degree"][-1]
+    assert got == chen_self_count(16)
 
 
 def test_count_poly_does_not_visit_the_domain():

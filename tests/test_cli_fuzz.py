@@ -157,15 +157,19 @@ def verify_argv(draw):
     can admit: deg f, deg g <= 2 over F_2, <= 1 over F_3 and F_4."""
     field, top = draw(st.sampled_from([(["--q", "2"], 2), (["--q", "3"], 1),
                                        (["--p", "2", "--m", "2"], 1)]))
-    argv = ["verify", *field, "--what",
-            draw(st.sampled_from(["cpf-count", "poly-count", "chen", "basis", "crt",
-                                  "census"]))]
+    what = draw(st.sampled_from(["cpf-count", "poly-count", "chen", "basis", "crt",
+                                 "census"]))
+    census = what == "census"
+    argv = ["verify", *field, "--what", what]
+    # census reads --n and the others --f and --g: a flag that --what reads
+    # is missing one time in ten, and one that it refuses is there one time
+    # in ten
     for flag in ("--f", "--g"):
-        if draw(st.integers(0, 9)):  # missing one time in ten
+        if (draw(st.integers(0, 9)) == 0) == census:
             argv += [flag, draw(poly_texts(top))]
     if draw(st.booleans()):
         argv += ["--engine", draw(st.sampled_from(["exhaustive", "backtracking"]))]
-    if draw(st.booleans()):
+    if (draw(st.integers(0, 9)) == 0) != census:
         argv += ["--n", str(draw(st.integers(-2, 8) | st.just(10 ** 9)))]
     argv += ["--samples", str(draw(st.integers(-3, 30)
                                    | st.sampled_from([2 ** 18 + 1, 10 ** 12])))]
@@ -186,6 +190,10 @@ def verify_argv(draw):
                "--samples", "-1"])
 @example(argv=["verify", "--q", "2", "--what", "cpf-count", "--f", "t",
                "--g", f"t^{FACTOR_DEGREE + 1}", "--guard-degree", str(10 ** 6)])
+# refused since the flags a --what does not read were read as nothing
+@example(argv=["verify", "--q", "2", "--what", "census", "--n", "5", "--f", "t"])
+@example(argv=["verify", "--q", "3", "--what", "chen", "--f", "t", "--g", "t^2",
+               "--n", "4"])
 def test_fuzz_verify(argv):
     check_outcome(argv)
 

@@ -11,13 +11,12 @@ import pytest
 
 from cpfq.chen import density_empirical
 from cpfq.counting import count_cpf, count_polyfn
-from cpfq.guards import (DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
+from cpfq.guards import (CENSUS_LOG2, DEFAULT_GUARD, EnumerationGuard, GuardExceeded,
                          check_census)
 from cpfq import _kernels
 from cpfq.oracle import (
     CpCheck,
-    _packed_polys,
-    _squarefree_test,
+    _irreducibles_f2,
     census_self_chen,
     census_squarefree,
     congruence_failures,
@@ -29,12 +28,14 @@ from cpfq.oracle import (
 )
 from cpfq.polyring import _derivative_lists, index_to_poly, poly_to_index, to_text
 from cpfq.residue import FunctionTable, ResidueRing
-from helpers import (GRID_CELLS, RefPolyFnModule, apply_coeff_poly, check_row,
-                     enumerate_cpf_rows, enumerate_cpf_tables, make_field, monic_polys,
-                     monic_upto, pol, polyfn_members, random_polynomial_function,
-                     random_table, ref_census_all_units, ref_classes,
+from helpers import (GRID_CELLS, RefPolyFnModule, _packed_polys, _squarefree_test,
+                     apply_coeff_poly, check_row, enumerate_cpf_rows,
+                     enumerate_cpf_tables, make_field, monic_polys, monic_upto, pol,
+                     polyfn_members, random_polynomial_function, random_table,
+                     ref_census_all_units, ref_census_self_chen_f2, ref_classes,
                      ref_encode_cp_problem, ref_is_congruence_preserving,
-                     ref_random_values, ring, span_rows, table, value_at)
+                     ref_monic_irreducibles, ref_random_values, ring, span_rows, table,
+                     value_at)
 
 
 # ----------------------------------------------------------- the checker
@@ -547,6 +548,28 @@ def test_census_matches_the_all_units_walk(q):
     assert [census_squarefree(F, n, monic_only=False) for n in degrees] == want
     assert [census_self_chen(F, n).total for n in degrees] == want
     assert list(density_empirical(F, degrees[-1]).per_degree) == want[1:]
+
+
+def test_f2_census_sieve_matches_the_per_candidate_walk():
+    """Over F_2 the censuses mark the multiples of t^e, (t+1)^e and P^2;
+    the references test each packed candidate by its valuations at t and
+    t+1 and the gcd with its derivative, at every degree the census guard
+    admits."""
+    F2 = make_field(2)
+    for n in range(CENSUS_LOG2 + 1):
+        c = census_self_chen(F2, n)
+        assert c.components == ref_census_self_chen_f2(n), n
+        assert c.total == sum(c.components), n
+        want = sum(map(_squarefree_test(F2), _packed_polys(F2, n)))
+        assert census_squarefree(F2, n) == want, n
+        assert census_squarefree(F2, n, monic_only=False) == want, n
+
+
+def test_f2_irreducibles_by_the_product_sieve():
+    F2 = make_field(2)
+    want = [poly_to_index(p) for d in range(1, 9) for p in ref_monic_irreducibles(F2, d)]
+    assert _irreducibles_f2(8) == want
+    assert _irreducibles_f2(0) == []
 
 
 def _derivative_shapes(F, n):

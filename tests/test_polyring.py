@@ -18,8 +18,7 @@ from cpfq.polyring import (
     ParseError,
     Poly,
     _derivative_f2,
-    _divmod_f2,
-    _gcd_f2,
+    _gcd_lists,
     _pth_root,
     degree_n_polys,
     enumerate_residues,
@@ -35,9 +34,9 @@ from cpfq.polyring import (
     valuation,
     xgcd,
 )
-from helpers import (all_units_lists, factor_shape, make_field, monic_polys,
-                     monic_upto, pol, ref_add, ref_divmod, ref_factor_pairs,
-                     ref_is_self_chen,
+from helpers import (_divmod_f2, _gcd_f2, all_units_lists, factor_shape, make_field,
+                     monic_polys, monic_upto, pol, ref_add, ref_divmod, ref_factor_pairs,
+                     ref_gcd_lists, ref_is_self_chen,
                      ref_monic_irreducibles, ref_mul, ref_neg, ref_sub,
                      reconstruct, relabeled_index_to_poly)
 
@@ -238,6 +237,43 @@ def test_gcd_divides_and_xgcd(ab):
     d, s, t = xgcd(a, b)
     assert d == g
     assert s * a + t * b == d
+
+
+# ------------------------------------------- Euclid on coefficient lists
+def _gcd_lists_cases(F, rng):
+    """Pairs of trimmed coefficient lists over F: zero, constants, equal
+    degrees, y longer than x, a shared factor, and random lengths."""
+    q = F.q
+
+    def poly(n):  # degree n, or zero for n < 0
+        if n < 0:
+            return []
+        return [rng.randrange(q) for _ in range(n)] + [rng.randrange(1, q)]
+
+    yield [], []
+    yield poly(3), []
+    yield [], poly(3)
+    yield [rng.randrange(1, q)], poly(4)
+    yield poly(4), [rng.randrange(1, q)]
+    yield [rng.randrange(1, q)], [rng.randrange(1, q)]
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        yield poly(n), poly(n)
+        yield poly(rng.randint(-1, 8)), poly(rng.randint(-1, 8))
+        yield poly(rng.randint(0, 4)), poly(rng.randint(5, 9))
+        shared = Poly(F, poly(rng.randint(1, 3)))
+        a, b = (shared * Poly(F, poly(rng.randint(0, 5))) for _ in range(2))
+        yield list(a.coeffs), list(b.coeffs)
+
+
+@pytest.mark.parametrize("q", [3, 5, 4, 9])
+def test_gcd_lists_keeps_the_remainders_of_the_divmod_route(q):
+    """The remainder-only Euclid returns the very list (not made monic)
+    that Euclid through _divmod_lists does."""
+    F = make_field(q)
+    rng = random.Random(q)
+    for x, y in _gcd_lists_cases(F, rng):
+        assert _gcd_lists(F, x[:], y[:]) == ref_gcd_lists(F, x[:], y[:]), (x, y)
 
 
 # ------------------------------------- F_2 packed kernel against the lists
