@@ -2,8 +2,8 @@
 """Time the enumeration kernels.
 
 Runs the exhaustive and backtracking engines over a few residue-ring
-cells, and the basis check's walk over every congruence-preserving
-table of one cell, and prints one line per (engine, cell) with the
+cells, and the basis check on a basis of the congruence-preserving
+tables of one cell, and prints one line per (engine, cell) with the
 best-of-N wall time.  The counts are asserted against the closed-form
 exponents, so this doubles as a smoke test at sizes the unit suite does
 not visit.  Run it from anywhere: the program comes from `src/` of this
@@ -31,9 +31,9 @@ from cpfq.wagner import verify_basis  # noqa: E402
 # holds only two positions; backtracking walks the referenced prefixes by
 # label signature and can afford a deg-4 domain (2^22 valid prefixes at
 # t^4 -> t^4), 3^21 tables at q = 3, and 2^64 tables into an irreducible
-# octic (no constraints); basis walks the 2^20 tables of the largest
-# codomain that verify --what basis admits and checks each against the
-# basis criterion
+# octic (no constraints); basis counts the 2^20 congruence-preserving
+# tables of the largest codomain that verify --what basis admits by the
+# null space of their equations and checks the criterion on its basis
 CELLS = [
     ("exhaustive", 2, "t^3", "t^3"),
     ("exhaustive", 2, "t^3", "t^2+t"),

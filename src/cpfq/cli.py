@@ -217,15 +217,21 @@ def _cmd_characterize(args):
             "cpf": all(x["cpf"] for x in factors), "factors": factors}
 
 
+def _sampled(check):
+    """A check on --samples random tables (200 by default) drawn from --seed (0)."""
+    return lambda a, f, g, guard: check(f, g, random.Random(a.seed or 0),
+                                        200 if a.samples is None else a.samples, guard)
+
+
 # the library check of each `verify --what` but census, given f and g
 _VERIFY = {
-    "cpf-count": lambda a, f, g, guard: oracle.verify_cpf_count(f, g, a.engine, guard),
+    "cpf-count": lambda a, f, g, guard: oracle.verify_cpf_count(
+        f, g, a.engine or "exhaustive", guard),
     "poly-count": lambda a, f, g, guard: oracle.verify_poly_count(f, g, guard),
-    "chen": lambda a, f, g, guard: chen.verify_chen(f, g, a.engine, guard),
-    "basis": lambda a, f, g, guard: wagner.verify_basis(
-        f, g, random.Random(a.seed), a.samples, guard),
-    "crt": lambda a, f, g, guard: oracle.verify_crt(
-        f, g, random.Random(a.seed), a.samples, guard),
+    "chen": lambda a, f, g, guard: chen.verify_chen(
+        f, g, a.engine or "exhaustive", guard),
+    "basis": _sampled(wagner.verify_basis),
+    "crt": _sampled(oracle.verify_crt),
 }
 
 
@@ -233,7 +239,15 @@ def _cmd_verify(args):
     field = _field_from_args(args)
     guard = _guard_from_args(args)
     t0 = time.perf_counter()
-    if args.what in ("basis", "crt") and args.samples < 0:
+    # each optional flag, its value and the --what that read it
+    optional = (("--engine", args.engine, ("cpf-count", "chen")),
+                ("--samples", args.samples, ("basis", "crt")),
+                ("--seed", args.seed, ("basis", "crt")))
+    refused = [flag for flag, value, whats in optional
+               if value is not None and args.what not in whats]
+    if refused:
+        raise ValueError(f"verify --what {args.what} does not take {', '.join(refused)}")
+    if args.samples is not None and args.samples < 0:
         raise ValueError(f"--samples must be >= 0, got {args.samples}")
     out = {"what": args.what, "q": field.q}
     if args.what == "census":
@@ -376,9 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g")
     p.add_argument("--n", type=int, help="degree for --what census")
     p.add_argument("--engine", choices=("exhaustive", "backtracking"),
-                   default="exhaustive")
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
+                   help="for --what cpf-count and chen (default exhaustive)")
+    p.add_argument("--samples", type=int, help="for --what basis and crt (default 200)")
+    p.add_argument("--seed", type=int, help="for --what basis and crt (default 0)")
     p.add_argument("--timing", action="store_true",
                    help="include elapsed milliseconds")
     p.set_defaults(fn=_cmd_verify)

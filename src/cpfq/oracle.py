@@ -24,7 +24,7 @@ from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_litera
                      check_samples)
 from .polyring import (Poly, _degree_n_lists, _derivative_f2, _derivative_lists,
                        _divmod_lists, _gcd_lists, gcd, index_to_poly)
-from .residue import (FunctionTable, ResidueRing, combine_indices,
+from .residue import (_LABEL_MAPS, FunctionTable, ResidueRing, combine_indices,
                       split_indices)
 
 
@@ -208,6 +208,115 @@ def count_polyfn_literal(f: Poly, g: Poly) -> QExponent:
         deg_gcd_factorial(g, k) for k in range(1, qn)))
 
 
+# ------------------------------------------------------ packed F_p rows
+class _RowSpace:
+    """A subspace of F_p^length, as its pivot rows in reduced echelon form
+
+    keyed by their pivot, the lowest nonzero lane.  A vector is one int
+    with one byte lane per F_p coordinate, lowest first.  Rows add lane by
+    lane as ints and reduce mod p by one bytes.translate: p <= 13
+    (guards.FIELD_LOG2), so a lane below p plus one product of two lanes
+    below p stays below 256.  At p = 2 they add by xor."""
+
+    def __init__(self, p: int, length: int):
+        self.p = p
+        self.length = length
+        self._lanes_mod_p = bytes(x % p for x in range(256))
+        self.pivots: dict = {}
+
+    def mod_p(self, x: int) -> int:
+        """x with every lane reduced mod p (each lane below 256)."""
+        return int.from_bytes(x.to_bytes(self.length, "little")
+                              .translate(self._lanes_mod_p), "little")
+
+    def combination(self, terms) -> int:
+        """The sum of c x mod p over the (c, x) in terms, each c in 1..p-1
+        and x with every lane below p: added as ints, reduced before a lane
+        could pass 255; at p = 2, one xor per term."""
+        p, out = self.p, 0
+        if p == 2:
+            for _, x in terms:
+                out ^= x
+            return out
+        bound = 0
+        for c, x in terms:
+            bound += c * (p - 1)
+            if bound > 255:
+                out, bound = self.mod_p(out), (c + 1) * (p - 1)
+            out += c * x
+        return self.mod_p(out)
+
+    def reduce(self, vec: int) -> int:
+        """vec less its pivot coordinates times the pivot rows, mod p; the
+        rows are in reduced echelon form, so each coordinate is read once,
+        from vec itself."""
+        p, lanes = self.p, vec.to_bytes(self.length, "little")
+        return self.combination([(1, vec)] + [
+            (p - lanes[piv], row) for piv, row in self.pivots.items() if lanes[piv]])
+
+    def add_row(self, vec: int) -> bool:
+        """Whether vec was outside the space, which then takes it in."""
+        vec = self.reduce(vec)
+        if not vec:
+            return False
+        piv = ((vec & -vec).bit_length() - 1) >> 3  # the lowest nonzero lane
+        p, shift = self.p, 8 * piv
+        c = (vec >> shift) & 0xFF
+        if c != 1:
+            vec = self.mod_p(vec * pow(c, -1, p))
+        # a row is zero below its own pivot, so only the rows of lower
+        # pivots can hold piv
+        for other, row in list(self.pivots.items()):
+            if other < piv:
+                c = (row >> shift) & 0xFF
+                if c:
+                    self.pivots[other] = (row ^ vec if p == 2
+                                          else self.mod_p(row + (p - c) * vec))
+        self.pivots[piv] = vec
+        return True
+
+    def null_space(self) -> list:
+        """A basis of the vectors x with row . x = 0 for every row: per
+        free lane f, 1 at f and -row[f] at the pivot of each row."""
+        p, rows = self.p, [(8 * piv, row.to_bytes(self.length, "little"))
+                           for piv, row in self.pivots.items()]
+        return [sum((-lanes[f] % p) << shift for shift, lanes in rows) + (1 << 8 * f)
+                for f in range(self.length) if f not in self.pivots]
+
+
+def _cp_basis(domain: ResidueRing, codomain: ResidueRing) -> list:
+    """An F_p basis of the congruence-preserving tables A_f -> A_g, each
+
+    as the A_g indices of its values, listed like A_f: the null space of
+    the definition's equations on the lanes of a `PolyFnModule` row.  For
+    each monic divisor h of g with deg h < deg f, each class of A_f mod h
+    and each later member j against its first member i, every base-p
+    digit of the label of (sigma(j) - sigma(i)) mod h is 0; lane (l, b) of
+    a value, its coordinate at u^b t^l, adds the digits of steps[l][p^b]
+    of the label map of A_g mod h."""
+    field = domain.field
+    p, n, dg = field.p, domain.modulus.degree, codomain.modulus.degree
+    block = dg * field.m  # the lanes of one value
+    space = _RowSpace(p, domain.size * block)
+    for h in codomain.divisors:
+        if h.degree >= n:
+            continue  # every class mod h is one residue
+        steps = _LABEL_MAPS.get(dg, h, table=False).steps
+        images = [step[p ** b] for step in steps for b in range(field.m)]
+        # per digit r of a label: the lanes of sigma(j) and of -sigma(i)
+        rows = [[x // p ** r % p for x in images] for r in range(h.degree * field.m)]
+        rows = [(int.from_bytes(bytes(row), "little"),
+                 int.from_bytes(bytes(-x % p for x in row), "little")) for row in rows]
+        for first, *rest in domain.classes(h):
+            for j in rest:
+                for up, down in rows:
+                    space.add_row((up << 8 * block * j) + (down << 8 * block * first))
+    # a value's index is the base-p number of its lanes
+    lanes = [vec.to_bytes(space.length, "little") for vec in space.null_space()]
+    return [[sum(c * p ** i for i, c in enumerate(x[s:s + block]))
+             for s in range(0, space.length, block)] for x in lanes]
+
+
 # ---------------------------------------------- polynomial-function span
 class PolyFnModule:
     """The set of polynomial functions A_f -> A_g, as the F_p row space of
@@ -218,18 +327,13 @@ class PolyFnModule:
     the builder adds generators until it sees an explicit repeat, which
     is the stopping proof that all monomials are covered (or until the
     span is already the full function space, which is stronger).
-    A function is a row: one int with one byte lane per F_p coordinate,
-    |A_f| * deg g * m lanes, the coordinates of each value's deg g base-q
-    digits, lowest first, value after value in index order.  Membership
-    is reduction against the pivot rows, kept in reduced echelon form and
-    keyed by their pivot, the lowest nonzero lane.
-
-    Rows add lane by lane as ints and reduce mod p by one bytes.translate:
-    p <= 13 (guards.FIELD_LOG2), so a lane below p plus one product of two
-    lanes below p stays below 256.  At p = 2 they add by xor.  Multiplying
-    by t, by u and by the residues of A_f acts on every value of a row at
-    once, by shifts, masks and small multiples: no Poly op and no loop per
-    value."""
+    A function is a row of a `_RowSpace`: |A_f| * deg g * m lanes, the
+    base-p digits of each value's A_g index, lowest first, value after
+    value in index order.  These are the F_p coordinates of its deg g
+    base-q digits.  Membership is reduction against the pivot rows.
+    Multiplying by t, by u and by the residues of A_f acts on every value
+    of a row at once, by shifts, masks and small multiples: no Poly op and
+    no loop per value."""
 
     def __init__(self, domain: ResidueRing, codomain: ResidueRing,
                  guard: EnumerationGuard = DEFAULT_GUARD):
@@ -240,11 +344,10 @@ class PolyFnModule:
         field = domain.field
         p, q, m = field.p, field.q, field.m
         self.p = p
-        self._degg = dg = codomain.modulus.degree
+        dg = codomain.modulus.degree
         block = dg * m  # the lanes of one value
         self.length = domain.size * block
-        self._lanes_mod_p = bytes(x % p for x in range(256))
-        self._pivots: dict = {}
+        self._space = space = _RowSpace(p, self.length)
         coords = field._coords
 
         def repeat(pattern: bytes) -> int:
@@ -262,7 +365,7 @@ class PolyFnModule:
                 out = (x << 8 * by) & keep
                 for lane, wrap in wraps.items():
                     out += ((x >> 8 * lane) & low) * wrap
-                return self._mod_p(out)
+                return space.mod_p(out)
             return image
 
         # t^dg = -(g_0 + ... + g_{dg-1} t^(dg-1)) (g monic), so coordinate b
@@ -295,7 +398,7 @@ class PolyFnModule:
         monomial = repeat(b"\x01" + bytes(block - 1))  # x^0 = 1 at every residue
         seen = set()
         self.n_monomials = 0
-        while len(self._pivots) < self.length:
+        while len(space.pivots) < self.length:
             if monomial in seen:
                 break
             seen.add(monomial)
@@ -313,75 +416,22 @@ class PolyFnModule:
                         col = times_u(col)
                     scaled.append(col)
             for row in scaled[:block]:
-                self._add_row(row)
-            monomial = self._combination(
+                space.add_row(row)
+            monomial = space.combination(
                 (e, scaled[k] & mask) for k, e, mask in digit_masks)
 
-    def _mod_p(self, x: int) -> int:
-        """x with every lane reduced mod p (each lane below 256)."""
-        return int.from_bytes(x.to_bytes(self.length, "little")
-                              .translate(self._lanes_mod_p), "little")
-
-    def _combination(self, terms) -> int:
-        """The sum of c x mod p over the (c, x) in terms, each c in 1..p-1
-        and x with every lane below p: added as ints, reduced before a lane
-        could pass 255; at p = 2, one xor per term."""
-        p, out = self.p, 0
-        if p == 2:
-            for _, x in terms:
-                out ^= x
-            return out
-        bound = 0
-        for c, x in terms:
-            bound += c * (p - 1)
-            if bound > 255:
-                out, bound = self._mod_p(out), (c + 1) * (p - 1)
-            out += c * x
-        return self._mod_p(out)
-
     def _encode(self, indices) -> int:
-        """The row of a table given by its values' A_g indices: the F_p
-        coordinates of each value's deg g base-q digits, lowest first."""
-        field = self.domain.field
-        q, digit = field.q, list(map(bytes, field._coords))
-        out = bytearray()
+        """The row of a table given by its values' A_g indices."""
+        p, block, out = self.p, self.length // self.domain.size, bytearray()
         for v in indices:
-            for _ in range(self._degg):
-                v, d = divmod(v, q)
-                out += digit[d]
+            for _ in range(block):
+                v, d = divmod(v, p)
+                out.append(d)
         return int.from_bytes(out, "little")
-
-    def _reduce(self, vec: int) -> int:
-        """vec less its pivot coordinates times the pivot rows, mod p; the
-        rows are in reduced echelon form, so each coordinate is read once,
-        from vec itself."""
-        p, lanes = self.p, vec.to_bytes(self.length, "little")
-        return self._combination([(1, vec)] + [
-            (p - lanes[piv], row) for piv, row in self._pivots.items() if lanes[piv]])
-
-    def _add_row(self, vec: int) -> bool:
-        vec = self._reduce(vec)
-        if not vec:
-            return False
-        piv = ((vec & -vec).bit_length() - 1) >> 3  # the lowest nonzero lane
-        p, shift = self.p, 8 * piv
-        c = (vec >> shift) & 0xFF
-        if c != 1:
-            vec = self._mod_p(vec * pow(c, -1, p))
-        # a row is zero below its own pivot, so only the rows of lower
-        # pivots can hold piv
-        for other, row in list(self._pivots.items()):
-            if other < piv:
-                c = (row >> shift) & 0xFF
-                if c:
-                    self._pivots[other] = (row ^ vec if p == 2
-                                           else self._mod_p(row + (p - c) * vec))
-        self._pivots[piv] = vec
-        return True
 
     @property
     def rank(self) -> int:
-        return len(self._pivots)
+        return len(self._space.pivots)
 
     @property
     def size(self) -> int:
@@ -390,7 +440,7 @@ class PolyFnModule:
     def contains(self, sigma: FunctionTable) -> bool:
         if sigma.domain != self.domain or sigma.codomain != self.codomain:
             raise ValueError("table over different rings")
-        return not self._reduce(self._encode(sigma.indices))
+        return not self._space.reduce(self._encode(sigma.indices))
 
 
 def polyfn_module(f: Poly, g: Poly,

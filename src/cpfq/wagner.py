@@ -20,10 +20,9 @@ import functools
 import operator
 import threading
 
-from . import _kernels
 from ._record import FrozenRecord, setfield
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_basis_tables, check_samples
-from .oracle import _cp_verdicts, random_values
+from .oracle import _cp_basis, _cp_verdicts, random_values
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
 from .residue import FunctionTable, ResidueRing
@@ -180,10 +179,10 @@ class _BasisContext:
 
     An element of A_{P^e} is the index k of its canonical representative
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
-    `positions[k]` = the index of b_k in A_f.  Products, sums, differences
-    and valuations in A_{P^e} go through Poly once per pair of indices and
+    `positions[k]` = the index of b_k in A_f.  Products, differences and
+    valuations in A_{P^e} go through Poly once per pair of indices and
     are looked up after that; the cosets of each P^m A are kept as label
-    tables and bit masks (`level`)."""
+    tables (`level`)."""
 
     def __init__(self, seq: PSequence, e: int, n: int):
         self.seq = seq
@@ -194,14 +193,13 @@ class _BasisContext:
         q, d = seq.field.q, seq.d
         self.mus = (None,) + tuple(mu(k, q, d) for k in range(1, len(dom)))
         self._mul: dict = {}
-        self._add: dict = {}
         self._sub: dict = {}
         self._elements: dict = {}
         self._levels: dict = {}
         self._times: dict = {}
         if seq.field.p == 2:
-            # the F_2 coordinates of the digits add bit by bit
-            self.add = self.sub = operator.xor
+            # the F_2 coordinates of the digits subtract bit by bit
+            self.sub = operator.xor
         self.columns = self._build(dom, e)
 
     def _op(self, memo: dict, fn, a: int, b: int) -> int:
@@ -215,9 +213,6 @@ class _BasisContext:
 
     def mul(self, a: int, b: int) -> int:
         return self._op(self._mul, self.ring.mul, a, b)
-
-    def add(self, a: int, b: int) -> int:
-        return self._op(self._add, self.ring.add, a, b)
 
     def sub(self, a: int, b: int) -> int:
         return self._op(self._sub, self.ring.sub, a, b)
@@ -300,30 +295,17 @@ class _BasisContext:
             for c, t in zip(out, col):
                 if c and t:
                     acc = sub(acc, times(t)[c])
-            if out and self.level(m)[0][acc]:
+            if m and self.level(m)[acc]:
                 return False
             out.append(acc)
         return True
 
     def level(self, m: int) -> tuple:
-        """(labels, masks) of the cosets of P^m A: labels[a] numbers the
-        coset of a, and masks[labels[a]] has bit v set for each v in it.
-        Built once per m from the labels mod P^m; from m = e on, a coset is
-        one element."""
+        """The labels of the cosets of P^m A, m >= 1: a lies in P^m A iff
+        labels[a] is 0.  Built once per m from the labels mod P^m."""
         got = self._levels.get(m)
         if got is None:
-            size = self.ring.size
-            if m == 0:
-                got = ((0,) * size, ((1 << size) - 1,))
-            elif m >= self.e:
-                got = (range(size), tuple(1 << v for v in range(size)))
-            else:
-                labels = tuple(self.ring.labels(self.seq.p ** m))
-                masks = [0] * self.seq.field.q ** (self.seq.d * m)
-                for v, lab in enumerate(labels):
-                    masks[lab] |= 1 << v
-                got = (labels, tuple(masks))
-            got = self._levels.setdefault(m, got)
+            got = self._levels.setdefault(m, tuple(self.ring.labels(self.seq.p ** m)))
         return got
 
 
@@ -389,94 +371,17 @@ def decompose(sigma: FunctionTable, seq: PSequence | None = None) -> BasisCoeffi
     return BasisCoefficients(ctx.seq.p, ctx.e, n, reps, ctx.seq, vals, ctx.mus)
 
 
-def _cp_walk(ctx: _BasisContext, dom: ResidueRing, cod: ResidueRing) -> tuple:
-    """(the number of congruence-preserving tables A_f -> A_{P^e}, whether
-
-    each meets the criterion), by one depth-first walk over their values
-    in b-sequence order.  The constraints are the definition's: for each
-    divisor h = P^m of the codomain and each class of A_f mod h, each
-    later-visited member agrees mod h with the first-visited one.  A node
-    at depth k carries S_j = sum_{i<k} c_i B_i(b_j) for every j >= k, each
-    term added once, when c_i is chosen.  The values v allowed at k whose
-    c_k = v - S_k meets v_P(c_k) >= mu(k) are one coset of P^mu(k) A, so
-    one mask judges them all, and the last position is counted by its set
-    bits.  A value that fails counts against the criterion only when some
-    table runs through it."""
-    n = len(ctx.positions)
-    rank = {pos: k for k, pos in enumerate(ctx.positions)}
-    cons: list = [[] for _ in range(n)]
-    for h in cod.divisors:
-        labels, masks = ctx.level(h.degree // ctx.seq.d)
-        for members in dom.classes(h):
-            first, *rest = sorted(rank[x] for x in members)
-            for k in rest:
-                cons[k].append((first, labels, masks))
-    # per depth k: the coset masks of mu(k), and the times table of each
-    # nonzero B_k(b_j), j > k
-    levels = [ctx.level(m or 0) for m in ctx.mus]
-    pushes = [[(j, ctx.times(ctx.columns[j][k])) for j in range(k + 1, n)
-               if ctx.columns[j][k]] for k in range(n)]
-    every = (1 << ctx.ring.size) - 1
-    add, sub = ctx.add, ctx.sub
-    values = [0] * n
-    failed = False
-    # whether the last position's constraints read the value before it
-    reads_last = any(first == n - 2 for first, _, _ in cons[-1])
-
-    def allowed(k):
-        mask = every
-        for first, labels, masks in cons[k]:
-            mask &= masks[labels[values[first]]]
-        return mask
-
-    def walk(k, sums):
-        nonlocal failed
-        labels, masks = levels[k]
-        passing = masks[labels[sums[k]]]
-        mine = allowed(k)
-        if k == n - 1:
-            failed |= bool(mine & ~passing)
-            return mine.bit_count()
-        if k == n - 2 and not reads_last:
-            # the last position allows the same values after every value
-            # here, so these tables are counted at once, and of each value
-            # only the coset of its last sum is checked
-            last = allowed(n - 1)
-            if last and not failed:
-                failed = bool(mine & ~passing)
-                labels, masks = levels[n - 1]
-                times = pushes[k][0][1] if pushes[k] else None
-                for v in _kernels._set_bits(mine):
-                    c, total = sub(v, sums[k]), sums[n - 1]
-                    if c and times:
-                        total = add(total, times[c])
-                    if last & ~masks[labels[total]]:
-                        failed = True
-                        break
-            return mine.bit_count() * last.bit_count()
-        count = 0
-        for v in _kernels._set_bits(mine):
-            values[k] = v
-            below = list(sums)
-            c = sub(v, sums[k])
-            if c:
-                for j, times in pushes[k]:
-                    below[j] = add(below[j], times[c])
-            below = walk(k + 1, below)
-            count += below
-            failed |= bool(below) and not passing >> v & 1
-        return count
-
-    return walk(0, [0] * n), not failed
-
-
 def verify_basis(f: Poly, g: Poly, rng, samples: int,
                  guard: EnumerationGuard = DEFAULT_GUARD) -> dict:
     """The basis criterion on A_f -> A_g, g a prime power: it passes every
 
-    congruence-preserving table, walked with their enumeration, and on
-    `samples` random tables, judged one at a time by the same
-    substitution, it agrees with the definition."""
+    congruence-preserving table, and on `samples` random tables it agrees
+    with the definition, each table judged by the substitution of
+    `passes`.  The congruence-preserving tables are an F_p-space, and so
+    are the tables that meet the criterion (the c_k are F_q-linear in the
+    table, and P^mu A is an additive group): so the criterion passes them
+    all iff it passes each table of the basis from `oracle._cp_basis`, and
+    there are p^dim of them."""
     # one pair of rings, so g is factored once for every step below
     dom, cod = ResidueRing(f), ResidueRing(g)
     if len(cod.factorization.factors) != 1:
@@ -488,7 +393,8 @@ def verify_basis(f: Poly, g: Poly, rng, samples: int,
     check_samples(f.field.q, f.degree, samples)
     check_basis_tables(f.field.q, g.degree)
     ctx = _prime_power_context(cod, f.degree, None)
-    cp_tables, all_cp_pass = _cp_walk(ctx, dom, cod)
+    basis = _cp_basis(dom, cod)
+    cp_tables, all_cp_pass = f.field.p ** len(basis), all(map(ctx.passes, basis))
     values = random_values(dom, cod, rng, samples)
     n = dom.size
     by_basis = [ctx.passes(values[s:s + n]) for s in range(0, len(values), n)]

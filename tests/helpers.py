@@ -638,7 +638,7 @@ def span_rows(module):
     """The pivot rows of a PolyFnModule, by pivot coordinate, each decoded
     from its packed int to the list of its F_p coordinates."""
     return {piv: list(row.to_bytes(module.length, "little"))
-            for piv, row in module._pivots.items()}
+            for piv, row in module._space.pivots.items()}
 
 
 def ref_classes(ring, h):

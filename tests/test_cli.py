@@ -184,6 +184,29 @@ def test_verify_refuses_the_flags_its_what_does_not_read(capsys, argv, error):
     assert run_cli(capsys, *argv.split()) == (1, "", json.dumps({"error": error}) + "\n")
 
 
+@pytest.mark.parametrize("argv,error", [
+    ("verify --q 2 --what poly-count --f t --g t^2 --engine backtracking --samples 5 --seed 3",
+     "verify --what poly-count does not take --engine, --samples, --seed"),
+    ("verify --q 2 --what census --n 3 --engine backtracking --samples 7",
+     "verify --what census does not take --engine, --samples"),
+    ("verify --q 3 --what basis --f t --g t^2 --engine exhaustive",
+     "verify --what basis does not take --engine"),
+    ("verify --p 2 --m 2 --what crt --f t --g t^2+t --engine backtracking --seed 1",
+     "verify --what crt does not take --engine"),
+    ("verify --q 2 --what cpf-count --f t --g t^2 --samples 10",
+     "verify --what cpf-count does not take --samples"),
+    ("verify --q 2 --what chen --f t --g t^2 --engine exhaustive --seed 0",
+     "verify --what chen does not take --seed"),
+    ("verify --q 2 --what census --n 3 --seed -1 --f t",
+     "verify --what census does not take --seed"),
+    ("verify --q 2 --what poly-count --f t --g t^2 --samples -1",
+     "verify --what poly-count does not take --samples")])
+def test_verify_refuses_the_engine_and_samples_its_what_does_not_read(capsys, argv, error):
+    # --engine is read by cpf-count and chen, --samples and --seed by basis
+    # and crt; every other --what ignored them
+    assert run_cli(capsys, *argv.split()) == (1, "", json.dumps({"error": error}) + "\n")
+
+
 @pytest.mark.parametrize("argv", [
     "density --q 3 --monic-only --max-degree 3",
     "density --q 3 --max-degree 8",
@@ -451,8 +474,9 @@ def test_verify_samples_golden(capsys, argv, out):
     args = build_parser().parse_args(["verify", *argv.split()])
     field = field_make(args.q) if args.q else field_make(args.p, args.m)
     check = {"basis": wagner.verify_basis, "crt": oracle.verify_crt}[args.what]
-    got = check(parse(field, args.f), parse(field, args.g),
-                random.Random(args.seed), args.samples)
+    # --samples and --seed are None when not given, read as 200 and 0
+    got = check(parse(field, args.f), parse(field, args.g), random.Random(args.seed or 0),
+                200 if args.samples is None else args.samples)
     want = json.loads(out)
     for key in ("what", "q", "f", "g"):
         del want[key]

@@ -159,21 +159,28 @@ def verify_argv(draw):
                                        (["--p", "2", "--m", "2"], 1)]))
     what = draw(st.sampled_from(["cpf-count", "poly-count", "chen", "basis", "crt",
                                  "census"]))
-    census = what == "census"
+    census, sampled = what == "census", what in ("basis", "crt")
     argv = ["verify", *field, "--what", what]
-    # census reads --n and the others --f and --g: a flag that --what reads
-    # is missing one time in ten, and one that it refuses is there one time
-    # in ten
+
+    def given(read):
+        # a flag that --what reads is there nine times in ten, and one that
+        # it refuses one time in ten
+        return (draw(st.integers(0, 9)) == 0) != read
+
+    # census reads --n and the others --f and --g; cpf-count and chen read
+    # --engine, and basis and crt --samples and --seed
     for flag in ("--f", "--g"):
-        if (draw(st.integers(0, 9)) == 0) == census:
+        if given(not census):
             argv += [flag, draw(poly_texts(top))]
-    if draw(st.booleans()):
+    if given(what in ("cpf-count", "chen")):
         argv += ["--engine", draw(st.sampled_from(["exhaustive", "backtracking"]))]
-    if (draw(st.integers(0, 9)) == 0) != census:
+    if given(census):
         argv += ["--n", str(draw(st.integers(-2, 8) | st.just(10 ** 9)))]
-    argv += ["--samples", str(draw(st.integers(-3, 30)
-                                   | st.sampled_from([2 ** 18 + 1, 10 ** 12])))]
-    argv += ["--seed", str(draw(st.integers(-5, 10 ** 6)))]
+    if given(sampled):
+        argv += ["--samples", str(draw(st.integers(-3, 30)
+                                       | st.sampled_from([2 ** 18 + 1, 10 ** 12])))]
+    if given(sampled):
+        argv += ["--seed", str(draw(st.integers(-5, 10 ** 6)))]
     if draw(st.booleans()):
         argv += ["--guard-functions",
                  str(draw(st.integers(-2, 2 ** 20) | st.just(10 ** 30)))]
@@ -194,6 +201,10 @@ def verify_argv(draw):
 @example(argv=["verify", "--q", "2", "--what", "census", "--n", "5", "--f", "t"])
 @example(argv=["verify", "--q", "3", "--what", "chen", "--f", "t", "--g", "t^2",
                "--n", "4"])
+@example(argv=["verify", "--q", "2", "--what", "poly-count", "--f", "t", "--g", "t^2",
+               "--engine", "backtracking", "--samples", "5", "--seed", "3"])
+@example(argv=["verify", "--q", "2", "--what", "census", "--n", "3",
+               "--engine", "backtracking", "--samples", "7"])
 def test_fuzz_verify(argv):
     check_outcome(argv)
 

@@ -16,7 +16,9 @@ from cpfq.guards import (CENSUS_LOG2, DEFAULT_GUARD, EnumerationGuard, GuardExce
 from cpfq import _kernels
 from cpfq.oracle import (
     CpCheck,
+    _cp_basis,
     _irreducibles_f2,
+    _RowSpace,
     census_self_chen,
     census_squarefree,
     congruence_failures,
@@ -350,6 +352,28 @@ def test_star_and_all_pairs_encodings_agree_on_the_grid(q, ftext, gtext):
     star, pairs = (_kernels.enumerate_backtracking(*a) for a in args)
     assert star == pairs
     assert star == [tuple(row) for row in rows[verdicts].tolist()]
+
+
+# ------------------------------------------ the CP tables by elimination
+@pytest.mark.parametrize("q,ftext,gtext", GRID_CELLS + [
+    (3, "t^2", "t"), (3, "t", "t^2+1"), (3, "t^2", "t^3"), (3, "t^3", "t^2"),
+    (4, "t", "t^2+u"), (4, "t^2", "t^2"), (4, "t^2", "t+u"),
+    (9, "t", "t^2"), (9, "t^2", "t^2"), (9, "t^2", "t+u")])
+def test_cp_basis_spans_the_congruence_preserving_tables(q, ftext, gtext):
+    # the null space of the definition's equations has dimension log_p M,
+    # M by enumeration, and its tables are independent and each preserves
+    # congruences
+    dom, cod = ring(q, ftext), ring(q, gtext)
+    p, block = dom.field.p, cod.modulus.degree * dom.field.m
+    basis = _cp_basis(dom, cod)
+    big = EnumerationGuard(max_functions=2 ** 600)
+    assert p ** len(basis) == count_cpf_bruteforce(dom.modulus, cod.modulus,
+                                                   "backtracking", big)
+    assert congruence_failures(dom, cod, sum(basis, [])) == [None] * len(basis)
+    space = _RowSpace(p, dom.size * block)
+    for values in basis:
+        lanes = bytes(v // p ** i % p for v in values for i in range(block))
+        assert space.add_row(int.from_bytes(lanes, "little"))
 
 
 # --------------------------------------------------- counts vs closed form

@@ -100,7 +100,7 @@ def test_removed_wrappers_stay_removed():
     # command calls, are references in tests/helpers.py
     from cpfq import cli, counting, oracle, polyring, residue, wagner
     removed = {wagner: ("BasisReport", "is_cpf_via_basis", "CrtReport",
-                        "crt_characterize", "BasisBatch", "decompose_rows"),
+                        "crt_characterize", "BasisBatch", "decompose_rows", "_cp_walk"),
                counting: ("count_cpf_local", "count_polyfn_local", "_require_irreducible"),
                oracle: ("enumerate_cpf_rows", "random_table"),
                cli: ("_verify_basis", "_verify_crt", "_cp_verdicts", "CRT_BATCH"),
@@ -123,6 +123,7 @@ def test_removed_wrappers_stay_removed():
     assert not hasattr(ring, "indexed") and not hasattr(ring, "tables")
     assert not hasattr(residue, "_digitwise")
     assert not hasattr(wagner._BasisContext, "solve")
+    assert not hasattr(wagner._BasisContext, "add")
 
 
 def test_every_functools_cache_is_bounded():

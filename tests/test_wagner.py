@@ -649,8 +649,8 @@ def test_verify_basis_refuses_a_composite_g():
 
 
 def test_verify_basis_matches_the_batched_solve():
-    # the walk with its coset masks and the per-table samples against the
-    # enumerated rows and samples judged in one numpy batch, field by
+    # the null-space basis of the CP tables and the per-table samples against
+    # the enumerated rows and samples judged in one numpy batch, field by
     # field, on the grid's prime power cells and a few cells over F_3, F_4
     cells = [(pol(q, ftext), pol(q, gtext)) for q, ftext, gtext in GRID_CELLS]
     cells = [(f, g) for f, g in cells if len(ResidueRing(g).factorization.factors) == 1]
@@ -665,6 +665,24 @@ def test_verify_basis_matches_the_batched_solve():
             assert got["match"]
             verdicts.add(got["cp_tables"] == ResidueRing(g).size ** ResidueRing(f).size)
     assert verdicts == {True, False}  # with and without a constraint
+
+
+def test_a_stricter_criterion_fails_on_both_routes(monkeypatch):
+    # demanding mu(k) + 1 fails a congruence-preserving table of t^2 -> t^2
+    # (the identity, with c_1 = 1), a cell with the constraints mod t: the
+    # basis of the CP tables and the enumerated rows both find one
+    import cpfq.wagner as wagner
+
+    lax = wagner.mu
+    monkeypatch.setattr(wagner, "mu", lambda k, q, d: lax(k, q, d) + 1)
+    wagner._context.cache_clear()  # the contexts keep their mu(k)
+    try:
+        f, g = pol(2, "t^2"), pol(2, "t^2")
+        got = verify_basis(f, g, random.Random(0), 30)
+        assert got == ref_verify_basis(f, g, random.Random(0), 30)
+        assert got["cp_tables"] == 64 and not got["all_cp_pass"] and not got["match"]
+    finally:
+        wagner._context.cache_clear()
 
 
 def test_batch_tables_refused_past_the_bound():
