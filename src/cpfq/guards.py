@@ -21,7 +21,8 @@ CENSUS_LOG2 = 16         # q^n polynomials walked by a census or density
 LITERAL_SIZE_LOG2 = 9    # on q^deg f
 LITERAL_WORK_LOG2 = 23   # on q^(2 deg f) * deg g
 # the tables of the basis check of verify --what basis: up to |A_{P^e}|
-# product tables (c -> c t) and coset labels of |A_{P^e}| entries each; a
+# index tables of product maps (c -> c a_t) and coset labels of |A_{P^e}|
+# entries each; a basis context builds no product table past it, and a
 # table count within max_functions = 2^20 never reaches it (C^D <= 2^20
 # with |A_f| = D >= 2 gives C^2 <= 2^20)
 BASIS_TABLE_LOG2 = 20    # on |A_{P^e}|^2

@@ -21,11 +21,12 @@ import operator
 import threading
 
 from ._record import FrozenRecord, setfield
-from .guards import DEFAULT_GUARD, EnumerationGuard, check_basis_tables, check_samples
+from .guards import (BASIS_TABLE_LOG2, DEFAULT_GUARD, EnumerationGuard,
+                     check_basis_tables, check_samples, power_exceeds)
 from .oracle import _cp_basis, _cp_verdicts, random_values
 from .polyring import (Poly, enumerate_residues, index_to_poly, is_irreducible,
                        poly_to_index, to_text, valuation)
-from .residue import FunctionTable, ResidueRing
+from .residue import ColumnMap, FunctionTable, ResidueRing, _index_adder
 
 
 def floor_log(q: int, k: int) -> int:
@@ -166,12 +167,8 @@ def eval_Qk(p: Poly, e: int, k: int, h: Poly, seq: PSequence | None = None) -> P
     if vn < v:
         raise ArithmeticError(
             f"Q_{k} is not P-integral at {to_text(h)}: v_P(num)={vn} < v_P(den)={v}")
-    num_red = num
-    den_red = den
-    for _ in range(v):
-        num_red = num_red // p
-        den_red = den_red // p
-    return ring.mul(ring.reduce(num_red), ring.inv_unit(ring.reduce(den_red)))
+    pv = p ** v
+    return ring.mul(ring.reduce(num // pv), ring.inv_unit(ring.reduce(den // pv)))
 
 
 class _BasisContext:
@@ -179,10 +176,11 @@ class _BasisContext:
 
     An element of A_{P^e} is the index k of its canonical representative
     a_k.  `columns[k][i]` = B_i(b_k) for i <= k (B_i(b_k) = 0 for i > k) and
-    `positions[k]` = the index of b_k in A_f.  Products, differences and
-    valuations in A_{P^e} go through Poly once per pair of indices and
-    are looked up after that; the cosets of each P^m A are kept as label
-    tables (`level`)."""
+    `positions[k]` = the index of b_k in A_f.  A product by a fixed a_t is
+    F_q-linear, one ColumnMap per t (`times`), and a - b is a + (-1) b, an
+    xor in characteristic 2: no product or difference goes through Poly.
+    The valuation of each index is kept (`residue`), and the cosets of each
+    P^m A as label tables (`level`)."""
 
     def __init__(self, seq: PSequence, e: int, n: int):
         self.seq = seq
@@ -190,32 +188,37 @@ class _BasisContext:
         self.ring = ResidueRing(seq.p ** e)
         dom = seq.domain(n)
         self.positions = tuple(poly_to_index(b) for b in dom)
-        q, d = seq.field.q, seq.d
-        self.mus = (None,) + tuple(mu(k, q, d) for k in range(1, len(dom)))
-        self._mul: dict = {}
-        self._sub: dict = {}
+        field, d = seq.field, seq.d
+        self.mus = (None,) + tuple(mu(k, field.q, d) for k in range(1, len(dom)))
         self._elements: dict = {}
         self._levels: dict = {}
-        self._times: dict = {}
-        if seq.field.p == 2:
+        self._maps = ({}, {})  # the readers of `times`, by digits and by table
+        # the |A_{P^e}| maps hold |A_{P^e}|^2 table entries; a build or a
+        # substitution reads a map about |A_f| times, so tables pay from
+        # |A_f| >= |A_{P^e}|
+        fits = not power_exceeds(field.q, 2 * self.ring.modulus.degree,
+                                 2 ** BASIS_TABLE_LOG2)
+        self._tabled = fits and len(dom) >= self.ring.size
+        if field.p == 2:
             # the F_2 coordinates of the digits subtract bit by bit
             self.sub = operator.xor
+        else:
+            add, minus = _index_adder(field), self.times(field._neg[1], fits)
+            self.sub = lambda a, b: add(a, minus(b))
         self.columns = self._build(dom, e)
 
-    def _op(self, memo: dict, fn, a: int, b: int) -> int:
-        key = a * self.ring.size + b
-        got = memo.get(key)
+    def times(self, t: int, table: bool = False):
+        """c -> the index of a_c a_t: the ColumnMap of A_{P^e} whose column j
+        is a_t t^j, built once per t and read through its index table if
+        `table` or the context tables its maps, else by digits."""
+        table = table or self._tabled
+        maps = self._maps[table]
+        got = maps.get(t)
         if got is None:
-            field = self.ring.field
-            got = memo[key] = poly_to_index(
-                fn(index_to_poly(field, a), index_to_poly(field, b)))
+            g, a = self.ring.modulus, index_to_poly(self.ring.field, t)
+            cmap = ColumnMap(g, [a.shift(j) for j in range(g.degree)])
+            got = maps[t] = cmap.table().__getitem__ if table else cmap.digit_image
         return got
-
-    def mul(self, a: int, b: int) -> int:
-        return self._op(self._mul, self.ring.mul, a, b)
-
-    def sub(self, a: int, b: int) -> int:
-        return self._op(self._sub, self.ring.sub, a, b)
 
     def residue(self, a: int) -> tuple:
         """(the representative a_a, its P-valuation), once per index."""
@@ -233,11 +236,12 @@ class _BasisContext:
         pair at i.  O(q^(2n)) ring operations in all.  With w the lowest
         base-q^d digit where k and j differ, b_k - b_j is P^w times b_{k //
         q^(dw)} - b_{j // q^(dw)}, a unit: its lowest P-adic digit is not 0."""
-        mul, sub, field = self.mul, self.sub, self.ring.field
+        times, sub, field = self.times, self.sub, self.ring.field
         s = field.q ** self.seq.d
-        ppow = [poly_to_index(self.seq.p ** w) for w in range(e)]
+        # the maps of P^w for w < e, P^0 read as the identity
+        ppow = [int] + [times(poly_to_index(self.seq.p ** w)) for w in range(1, e)]
         red = [poly_to_index(self.ring.reduce(b)) for b in dom]  # b_x mod P^e
-        rows = []  # (v_i, unit_i^-1) per row i
+        rows = []  # (v_i, the map of unit_i^-1) per row i
         columns = []
         for k in range(len(dom)):
             v, u = 0, 1
@@ -245,56 +249,49 @@ class _BasisContext:
             for i in range(k + 1):
                 if i == k:
                     inv = self.ring.inv_unit(index_to_poly(field, u))
-                    rows.append((v, poly_to_index(inv)))
-                vd, ud_inv = rows[i]
+                    rows.append((v, times(poly_to_index(inv))))
+                vd, by_inv = rows[i]
                 if v < vd:
                     raise ArithmeticError(
                         f"B_{i} is not P-integral at b_{k}: v_P(num)={v} < v_P(den)={vd}")
-                col.append(0 if v - vd >= e else mul(ppow[v - vd], mul(u, ud_inv)))
+                col.append(0 if v - vd >= e else ppow[v - vd](by_inv(u)))
                 if i < k:
                     a, b = k, i
                     while a % s == b % s:
                         a, b = a // s, b // s
                         v += 1
-                    u = mul(u, sub(red[a], red[b]))
+                    u = times(sub(red[a], red[b]))(u)
             columns.append(tuple(col))
         return tuple(columns)
 
     def coordinates(self, values) -> list:
         """c with values[positions[k]] = sum_{i<=k} c_i B_i(b_k) for every k,
-        by triangular substitution along the b-sequence."""
-        mul, sub = self.mul, self.sub
+        by triangular substitution along the b-sequence, each product c_i
+        B_i(b_k) by the map of c_i: at most q^n maps per table."""
+        times, sub = self.times, self.sub
         out = []
         for pos, col in zip(self.positions, self.columns):
             acc = values[pos]
             for c, t in zip(out, col):
                 if c and t:
-                    acc = sub(acc, mul(c, t))
+                    acc = sub(acc, times(c)(t))
             out.append(acc)
         return out
 
-    def times(self, t: int):
-        """The table of c -> c t on every index of A_{P^e}, built once per t
-        and kept: at most |A_{P^e}| tables of |A_{P^e}| entries."""
-        got = self._times.get(t)
-        if got is None:
-            mul = self.mul
-            got = self._times[t] = (range(self.ring.size) if t == 1 else
-                                    tuple(mul(c, t) for c in range(self.ring.size)))
-        return got
-
     def passes(self, values) -> bool:
         """Whether v_P(c_k) >= mu(k) for every k >= 1, c the coordinates of
-        values, by the substitution of `coordinates` on `times` tables,
-        stopping at the first c_k that fails: c_k lies in P^mu A iff its
-        label mod P^mu is 0."""
+        values, by the substitution of `coordinates` with each product by
+        the map of the basis entry, read through its index table, as every
+        table checked reads the same maps (`verify_basis` refuses past
+        |A_{P^e}|^2 = 2^BASIS_TABLE_LOG2), stopping at the first c_k that
+        fails: c_k lies in P^mu A iff its label mod P^mu is 0."""
         times, sub = self.times, self.sub
         out = []
         for pos, col, m in zip(self.positions, self.columns, self.mus):
             acc = values[pos]
             for c, t in zip(out, col):
                 if c and t:
-                    acc = sub(acc, times(t)[c])
+                    acc = sub(acc, times(t, True)(c))
             if m and self.level(m)[acc]:
                 return False
             out.append(acc)
@@ -309,7 +306,8 @@ class _BasisContext:
         return got
 
 
-# a context holds about q^(2n) / 2 table entries and its lookups
+# a context holds about q^(2n) / 2 basis table entries, and its product
+# maps at most |A_{P^e}|^2 <= 2^BASIS_TABLE_LOG2 index table entries
 BASIS_CACHE_SIZE = 32
 _context = functools.lru_cache(maxsize=BASIS_CACHE_SIZE)(_BasisContext)
 

@@ -907,6 +907,18 @@ def test_basis_check_at_the_largest_codomain_reads_digit_built_tables():
     assert obj["cp_tables"] == 2 ** 20 and obj["match"]
 
 
+def test_basis_check_multiplies_by_linear_maps():
+    # a raised guard: the 382 basis tables of the CP tables t^6 -> t^10 and
+    # one sample, each product in A_{t^10} one lookup in the index table of
+    # a linear map (6.7-10.9 s with one Poly product per new pair)
+    out = run_cli_process("verify", "--q", "2", "--what", "basis", "--f", "t^6",
+                          "--g", "t^10", "--samples", "1",
+                          "--guard-functions", str(2 ** 700), timeout=5)
+    assert out.returncode == 0, out.stderr
+    obj = json.loads(out.stdout)
+    assert obj["cp_tables"] == 2 ** 382 and obj["match"]
+
+
 def test_basis_check_of_every_enumerated_table_is_batched():
     # 2^18 CP tables t^2 -> t^5, judged by one walk that checks every value
     # of a node against one coset mask (6.8 s when each table was

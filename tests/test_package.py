@@ -124,6 +124,8 @@ def test_removed_wrappers_stay_removed():
     assert not hasattr(residue, "_digitwise")
     assert not hasattr(wagner._BasisContext, "solve")
     assert not hasattr(wagner._BasisContext, "add")
+    assert not hasattr(wagner._BasisContext, "mul")
+    assert not hasattr(wagner._BasisContext, "_op")
 
 
 def test_every_functools_cache_is_bounded():

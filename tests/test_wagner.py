@@ -629,6 +629,54 @@ def test_batch_tables_match_the_poly_op_build(q, ptext, e):
         assert a.shape == b.shape and (a == b).all()
 
 
+@pytest.mark.parametrize("q, ptext, e", [
+    (2, "t^2+t+1", 2), (3, "t^2+1", 1), (3, "t", 3), (5, "t+1", 2), (4, "t+u", 2),
+    (9, "t", 2), (2, "t", 11),
+])
+def test_context_products_and_differences_match_the_ring(q, ptext, e):
+    # each product by the map of a fixed factor, read by digits and through
+    # its index table, and each difference, against one Poly ring op of
+    # A_{P^e}: every pair of a small ring, and a seeded sample past the
+    # table bound, where only the digits are read
+    from cpfq.wagner import _prime_power_context
+
+    cod = ResidueRing(pol(q, ptext) ** e)
+    ctx = _prime_power_context(cod, 1, None)
+    small = cod.size <= 100
+    if small:
+        pairs = [(a, b) for a in range(cod.size) for b in range(cod.size)]
+    else:
+        rng = random.Random(11)
+        pairs = [(rng.randrange(cod.size), rng.randrange(cod.size)) for _ in range(2000)]
+    for a, b in pairs:
+        x, y = cod.element(a), cod.element(b)
+        product = poly_to_index(cod.mul(x, y))
+        assert ctx.times(b)(a) == product, (a, b)
+        assert not small or ctx.times(b, True)(a) == product, (a, b)
+        assert ctx.sub(a, b) == poly_to_index(cod.sub(x, y)), (a, b)
+
+
+def test_decompose_past_the_table_bound_matches_the_reference():
+    # |A_{t^11}|^2 = 2^22: the context reads every product by digits
+    P, e = pol(2, "t"), 11
+    dom, cod = ring(2, "t^2"), ResidueRing(P ** e)
+    seq = PSequence(P)
+    ref = ref_basis_table(seq, e, 2)
+    rng = random.Random(7)
+    tables = [random_table(dom, cod, rng) for _ in range(20)]
+    tables += [random_polynomial_function(dom, cod, rng) for _ in range(10)]
+    tables.append(table(dom, cod, lambda h: h))
+    failures = set()
+    for sig in tables:
+        c = decompose(sig)
+        coeffs, vals, fails = ref_decompose(sig, seq, ref)
+        assert c.coefficients == tuple(coeffs)
+        assert c.valuations == tuple(vals)
+        assert c.cpf_failures() == fails
+        failures.add(bool(fails))
+    assert failures == {True, False}
+
+
 def test_batch_input_checked():
     import numpy as np
 
