@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from ._record import FrozenRecord, setfield
+from ._record import FrozenRecord
 from .field import FieldSpec
 from .guards import DEFAULT_GUARD, EnumerationGuard, check_census
 from .oracle import census_self_chen, count_cpf_bruteforce, polyfn_module
@@ -66,13 +66,9 @@ def gamma(h: Poly):
 
 
 class ChenVerdict(FrozenRecord):
-    _fields = ("chen_pair", "deg_f", "gamma_g")
+    """gamma_g is an int or math.inf."""
 
-    def __init__(self, chen_pair: bool, deg_f: int, gamma_g):
-        # gamma_g is an int or math.inf
-        setfield(self, "chen_pair", chen_pair)
-        setfield(self, "deg_f", deg_f)
-        setfield(self, "gamma_g", gamma_g)
+    _fields = ("chen_pair", "deg_f", "gamma_g")
 
     def __bool__(self):
         return self.chen_pair
@@ -138,16 +134,6 @@ class DensityReport(FrozenRecord):
 
     _fields = ("q", "max_degree", "monic_only", "per_degree", "per_degree_total",
                "fraction", "limit")
-
-    def __init__(self, q: int, max_degree: int, monic_only: bool, per_degree: tuple,
-                 per_degree_total: tuple, fraction: Fraction, limit: Fraction):
-        setfield(self, "q", q)
-        setfield(self, "max_degree", max_degree)
-        setfield(self, "monic_only", monic_only)
-        setfield(self, "per_degree", per_degree)
-        setfield(self, "per_degree_total", per_degree_total)
-        setfield(self, "fraction", fraction)
-        setfield(self, "limit", limit)
 
     @property
     def error(self) -> Fraction:

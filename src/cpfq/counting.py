@@ -12,12 +12,15 @@ from every generalized factorial as the cross-check.
 
 from __future__ import annotations
 
-from ._record import FrozenRecord, setfield
+import functools
+
+from ._record import FrozenRecord
 from .polyring import Poly, _distinct_degree, squarefree_decomposition
 
 DECIMAL_BITS = 64
 
 
+@functools.total_ordering
 class QExponent(FrozenRecord):
     """An exact count q^exponent."""
 
@@ -28,8 +31,7 @@ class QExponent(FrozenRecord):
             raise ValueError("base must be >= 2")
         if exponent < 0:
             raise ValueError("exponent must be >= 0")
-        setfield(self, "q", q)
-        setfield(self, "exponent", exponent)
+        super().__init__(q, exponent)
 
     def value(self) -> int:
         return self.q ** self.exponent
@@ -51,17 +53,8 @@ class QExponent(FrozenRecord):
             raise ValueError("counts with different bases are not comparable")
         return other.exponent
 
-    def __le__(self, other):
-        return self.exponent <= self._cmp_key(other)
-
     def __lt__(self, other):
         return self.exponent < self._cmp_key(other)
-
-    def __ge__(self, other):
-        return self.exponent >= self._cmp_key(other)
-
-    def __gt__(self, other):
-        return self.exponent > self._cmp_key(other)
 
     def __mul__(self, other):
         if not isinstance(other, QExponent):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from ._record import FrozenRecord, setfield
+from ._record import FrozenRecord
 
 FIELD_LOG2 = 4           # q <= 16: operation tables of q^2 entries
 CENSUS_LOG2 = 16         # q^n polynomials walked by a census or density
@@ -107,8 +107,7 @@ class EnumerationGuard(FrozenRecord):
     def __init__(self, max_functions: int = 2 ** 20, max_degree: int = 12):
         if max_functions < 1:
             raise ValueError("max_functions must be >= 1")
-        setfield(self, "max_functions", max_functions)
-        setfield(self, "max_degree", max_degree)
+        super().__init__(max_functions, max_degree)
 
     def check_degrees(self, *polys):
         for p in polys:

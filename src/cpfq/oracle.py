@@ -17,7 +17,7 @@ import struct
 from itertools import compress
 
 from . import _kernels
-from ._record import FrozenRecord, Record, setfield
+from ._record import FrozenRecord, Record
 from .counting import QExponent, _require_pair, count_cpf, count_polyfn
 from .field import FieldSpec
 from .guards import (DEFAULT_GUARD, EnumerationGuard, check_census, check_literal,
@@ -34,10 +34,7 @@ class CpCheck(FrozenRecord):
 
     def __init__(self, ok: bool, divisor: Poly | None = None, h1: Poly | None = None,
                  h2: Poly | None = None):
-        setfield(self, "ok", ok)
-        setfield(self, "divisor", divisor)
-        setfield(self, "h1", h1)
-        setfield(self, "h2", h2)
+        super().__init__(ok, divisor, h1, h2)
 
     def __bool__(self):
         return self.ok
@@ -116,16 +113,6 @@ class CpProblem(Record):
 
     _fields = ("domain", "codomain", "divisors", "cons_ptr", "cons_src",
                "cons_div", "cod_class")
-
-    def __init__(self, domain: ResidueRing, codomain: ResidueRing, divisors: list,
-                 cons_ptr, cons_src, cons_div, cod_class):
-        self.domain = domain
-        self.codomain = codomain
-        self.divisors = divisors
-        self.cons_ptr = cons_ptr
-        self.cons_src = cons_src
-        self.cons_div = cons_div
-        self.cod_class = cod_class
 
 
 def encode_cp_problem(domain: ResidueRing, codomain: ResidueRing) -> CpProblem:
@@ -221,7 +208,7 @@ class _RowSpace:
     def __init__(self, p: int, length: int):
         self.p = p
         self.length = length
-        self._lanes_mod_p = bytes(x % p for x in range(256))
+        self._lanes_mod_p = (bytes(range(p)) * (256 // p + 1))[:256]
         self.pivots: dict = {}
 
     def mod_p(self, x: int) -> int:
@@ -567,13 +554,9 @@ def _square_multiples_f2(n: int, e: int) -> bytearray:
 
 
 class SelfChenCensus(FrozenRecord):
-    _fields = ("degree", "total", "components")
+    """components: (U1, U2, U3, U4) for q = 2, else None."""
 
-    def __init__(self, degree: int, total: int, components: tuple | None):
-        # components: (U1, U2, U3, U4) for q = 2, else None
-        setfield(self, "degree", degree)
-        setfield(self, "total", total)
-        setfield(self, "components", components)
+    _fields = ("degree", "total", "components")
 
 
 def census_self_chen(field: FieldSpec, n: int,

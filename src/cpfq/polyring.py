@@ -20,7 +20,7 @@ import random
 from itertools import product
 from math import inf
 
-from ._record import FrozenRecord, setfield
+from ._record import FrozenRecord
 from .field import FieldSpec
 
 NEG_INF = float("-inf")
@@ -265,9 +265,10 @@ class Poly:
 
 # ------------------------------------------------------------------ parse
 def _split_terms(text: str):
-    """Split at top-level + and -, keeping signs; depth tracks parentheses."""
+    """Split at top-level + and -, keeping signs; depth tracks parentheses.
+    A sign of 0 marks a first term written without one."""
     terms = []
-    sign, buf, depth = 1, [], 0
+    sign, buf, depth = 0, [], 0
     for ch in text:
         if ch == "(":
             depth += 1
@@ -281,7 +282,7 @@ def _split_terms(text: str):
             if buf:
                 terms.append((sign, "".join(buf)))
                 buf = []
-            elif terms:
+            elif sign:
                 raise ParseError(f"dangling operator in {text!r}")
             sign = 1 if ch == "+" else -1
         else:
@@ -584,10 +585,6 @@ class Factorization(FrozenRecord):
     ((Poly, int), ...), monic irreducible, sorted by (degree, index)."""
 
     _fields = ("unit", "factors")
-
-    def __init__(self, unit: Poly, factors: tuple):
-        setfield(self, "unit", unit)
-        setfield(self, "factors", factors)
 
     def monic_divisors(self) -> list:
         """All monic divisors with degree >= 1, sorted by (degree, index)."""

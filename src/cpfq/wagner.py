@@ -20,7 +20,7 @@ import functools
 import operator
 import threading
 
-from ._record import FrozenRecord, setfield
+from ._record import FrozenRecord
 from .guards import (BASIS_TABLE_LOG2, DEFAULT_GUARD, EnumerationGuard,
                      check_basis_tables, check_samples, power_exceeds)
 from .oracle import _cp_basis, _cp_verdicts, random_values
@@ -319,16 +319,6 @@ class BasisCoefficients(FrozenRecord):
     and mu(k) (mu(0) is None)."""
 
     _fields = ("p", "e", "deg_f", "coefficients", "seq", "valuations", "mus")
-
-    def __init__(self, p: Poly, e: int, deg_f: int, coefficients: tuple,
-                 seq: PSequence, valuations: tuple, mus: tuple):
-        setfield(self, "p", p)
-        setfield(self, "e", e)
-        setfield(self, "deg_f", deg_f)
-        setfield(self, "coefficients", coefficients)
-        setfield(self, "seq", seq)
-        setfield(self, "valuations", valuations)
-        setfield(self, "mus", mus)
 
     def cpf_failures(self) -> list:
         """Indices k >= 1 whose coordinate is not deep enough in the P-adic

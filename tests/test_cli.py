@@ -656,6 +656,32 @@ def test_flags_out_of_range_or_context_are_refused(capsys, argv, message):
         1, "", json.dumps({"error": message}) + "\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    ("gamma --q 2 --p 2 --g t", "give either --q (prime field) or --p/--m, not both"),
+    ("gamma --g t", "a field is required: --q for prime q, --p/--m for extensions"),
+    ("decompose --q 3 --f t^2 --P t --e 2 --sigma TABLE",
+     "function table field does not match --q/--p"),
+    ("characterize --q 2 --f t^3 --g t^2 --sigma TABLE",
+     "function table moduli do not match --f/--g"),
+    ("verify --q 2 --what cpf-count --f t", "verify --what cpf-count needs --f and --g"),
+    ("factor --q 3 --g=--t^2-t",
+     "malformed polynomial for --g: dangling operator in '--t^2-t'"),
+], ids=["q-and-p", "no-field", "table-field", "table-moduli", "verify-needs-g",
+        "two-leading-signs"])
+def test_refusals_of_flags_that_do_not_fit(capsys, identity_table, argv, message):
+    argv = [identity_table if a == "TABLE" else a for a in argv.split()]
+    assert run_cli(capsys, *argv) == (1, "", json.dumps({"error": message}) + "\n")
+
+
+def test_decimal_past_the_render_guard_is_a_note(capsys):
+    exponent = 2 ** 71 - 2  # M = 2^(2^71 - 2) for t^70 -> t^70, past 64 bits
+    assert run_cli(capsys, "count-cpf", "--q", "2", "--f", "t^70", "--g", "t^70",
+                   "--decimal") == (
+        0, '{"q": 2, "f": "t^70", "g": "t^70", "count": "2^%d", "exponent": %d}\n'
+        % (exponent, exponent),
+        "note: 2^%d exceeds the decimal render guard\n" % exponent)
+
+
 TABLE_BODY = {"f": "t", "g": "t", "values": {"0": "0", "1": "1"}}
 
 

@@ -2,12 +2,8 @@
 
 import itertools
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import pytest
 
@@ -16,6 +12,7 @@ from cpfq import _kernels
 from cpfq.counting import count_cpf
 from cpfq.guards import EnumerationGuard
 from cpfq.oracle import count_cpf_bruteforce, encode_cp_problem
+from cpfq.wagner import verify_basis
 from helpers import (GRID_CELLS, check_row, pol, ref_count_backtracking,
                      ref_count_blocked, ref_count_broadcast, ref_count_exhaustive,
                      ref_count_packed, ring)
@@ -151,15 +148,38 @@ def test_count_backtracking_memory_is_bounded():
     assert peak < 8 * 2 ** 20
 
 
-def test_bench_kernels_script_runs_from_a_checkout():
-    # as the README runs it, from the root of a checkout with no
-    # PYTHONPATH; the script asserts every count against the closed forms
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run([sys.executable, "benchmarks/bench_kernels.py", "--repeats", "1"],
-                         cwd=Path(__file__).resolve().parents[1], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.startswith("engine")
+# cells past the unit grid, each counted against the closed form:
+# exhaustive checks all |A_g|^|A_f| rows, so it gets 2^24 tables, 2^16
+# tables (the slowest exhaustive cell of cpfqbench's verify workload) and
+# |A_g| = 128, where one block holds only two positions; backtracking walks
+# the referenced prefixes by label signature, so it gets a deg-4 domain
+# (2^22 valid prefixes at t^4 -> t^4), 3^21 tables at q = 3 and 2^64
+# tables into an irreducible octic (no constraints); basis counts the 2^20
+# congruence-preserving tables of the largest codomain that verify --what
+# basis admits by the null space of their equations
+@pytest.mark.parametrize("engine, q, f, g", [
+    ("exhaustive", 2, "t^3", "t^3"),
+    ("exhaustive", 2, "t^3", "t^2+t"),
+    ("exhaustive", 2, "t^2", "t^4+t+1"),
+    ("exhaustive", 2, "t^2", "t^7"),
+    ("backtracking", 2, "t^3", "t^3"),
+    ("backtracking", 2, "t^4", "t^3"),
+    ("backtracking", 2, "t^4", "t^4+t^3"),
+    ("backtracking", 2, "t^4", "t^4"),
+    ("backtracking", 3, "t^2", "t^3"),
+    ("backtracking", 2, "t^3", "t^8+t^4+t^3+t+1"),
+    ("basis", 2, "t", "t^10"),
+])
+def test_larger_cells_count_as_the_closed_form(engine, q, f, g):
+    f, g = pol(q, f), pol(q, g)
+    if engine == "basis":
+        out = verify_basis(f, g, random.Random(1), 200)
+        assert out["match"]
+        count = out["cp_tables"]
+    else:
+        count = count_cpf_bruteforce(f, g, engine=engine,
+                                     guard=EnumerationGuard(max_functions=2 ** 70))
+    assert count_cpf(f, g).equals_int(count)
 
 
 def test_prefix_walk_is_bounded_by_the_signatures(monkeypatch):

@@ -376,6 +376,11 @@ def test_cp_basis_spans_the_congruence_preserving_tables(q, ftext, gtext):
         assert space.add_row(int.from_bytes(lanes, "little"))
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_row_space_lane_table_is_each_byte_mod_p(p):
+    assert _RowSpace(p, 1)._lanes_mod_p == bytes(x % p for x in range(256))
+
+
 # --------------------------------------------------- counts vs closed form
 def test_formula_vs_oracle_wide_deg_f_1():
     # every monic g with deg g <= 8 at deg f = 1, exhaustive count and

@@ -71,7 +71,8 @@ def test_parse_extension_field():
     assert parse(F4, "ut") == parse(F4, "(u)t")
 
 
-@pytest.mark.parametrize("bad", ["", "t^", "t^^2", "t*t", "(u+1", "x+1", "t^-1", "++"])
+@pytest.mark.parametrize("bad", ["", "t^", "t^^2", "t*t", "(u+1", "x+1", "t^-1", "++",
+                                 "--t", "+-t", "-+t", "++t"])
 def test_parse_errors(bad):
     with pytest.raises(ParseError):
         parse(FIELDS[4], bad)
